@@ -20,6 +20,7 @@ from .numeric import EXP_LIMIT, tol
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
+    _violation,
     as_complex_matrix,
     check_dims,
     eigendecompose,
@@ -58,8 +59,8 @@ class DensityState:
         trace = float(np.trace(r).real)
         if abs(trace - 1.0) > tol(1e-10):
             raise ValueError(f"trace {trace!r} deviates from 1")
-        comm = operator_norm(r @ h - h @ r)
-        if comm > tol(1e-10, self.hamiltonian_ref.norm):
+        comm = _violation(r @ h - h @ r, 1e-10, self.hamiltonian_ref.norm)
+        if comm is not None:
             raise ValueError(f"state does not commute with its Hamiltonian: {comm:.3e}")
 
     @property
@@ -120,8 +121,15 @@ def kms_residual(state: DensityState, a, b, t: float, beta: float) -> float:
 
 
 def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
-    """Conditioning scale of the boundary check: ||A|| ||B|| exp(beta * spread)."""
-    return operator_norm(a) * operator_norm(b) * math.exp(beta * h.spread)
+    """Conditioning scale of the boundary check: ||A|| ||B|| exp(beta * spread).
+
+    Raises Overflow when the exponential exceeds double precision.
+    """
+    try:
+        growth = math.exp(beta * h.spread)
+    except OverflowError:
+        raise Overflow(f"kms scale exponent {beta * h.spread:.3e} overflows exp") from None
+    return operator_norm(a) * operator_norm(b) * growth
 
 
 def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float) -> DensityState:
@@ -168,12 +176,14 @@ def reduced_kms_residual(
 
     Observables are compressed with E before testing. Passing a different
     ``state`` (built from another projection or temperature) turns this into
-    a negative control.
+    a negative control; the dynamics still come from (h, e).
     """
     check_dims(h, e)
     if state is None:
         state = zeno_gibbs_state(h, e, beta)
-    generator = eigendecompose(compressed_generator_matrix(h, e))
+        generator = state.hamiltonian_ref
+    else:
+        generator = eigendecompose(compressed_generator_matrix(h, e))
     p = e.matrix
     worst = 0.0
     ts = [float(t) for t in t_grid]

@@ -121,7 +121,13 @@ def _require_int(value, path: str, lo: int | None = None, hi: int | None = None)
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(path, f"must be finite, got {value!r}")
+    return number
 
 
 def parse_config(data: dict[str, Any]) -> ScenarioConfig:
@@ -391,7 +397,8 @@ def _build_perturbed(m: dict[str, Any]) -> Scenario:
     p = _random_hermitian(rng, dim)
     p *= m["perturbation_norm"] / max(operator_norm(p), 1e-300)
 
-    e = projection_from_span([np.eye(dim, dtype=complex)[:, i] for i in range(rank)])
+    basis = np.eye(dim, dtype=complex)
+    e = projection_from_span([basis[:, i] for i in range(rank)])
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
     return Scenario(

@@ -154,7 +154,10 @@ def decay_profile(h: HermitianOperator, psi, times) -> DecayProfile:
     c = _state_coefficients(h, psi)
     weights = np.abs(c) ** 2
     t = np.asarray(times, dtype=float)
-    amp = np.exp(1j * np.outer(t, h.eigenvalues)) @ weights
+    # cos and sin of one real phase table: no complex len(t) x d temporaries
+    phase = np.outer(t, h.eigenvalues)
+    real = np.cos(phase) @ weights
+    amp = real + 1j * (np.sin(phase, out=phase) @ weights)
     probs = np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12)
     return DecayProfile(t, probs, np.asarray(psi, dtype=complex), h)
 

@@ -36,6 +36,15 @@ class TestExitCodes:
         config = write(tmp_path / "c.yaml", RABI_CONVERGE)
         assert main(["survival", "--config", config, "--quiet"]) == 2
 
+    def test_kms_scale_overflow_exits_two(self, tmp_path, capsys):
+        config = write(
+            tmp_path / "g.yaml",
+            "schema_version: 1\ntask: gibbs\nmodel:\n  random: {dim: 6}\nbeta: 1000\n",
+        )
+        assert main(["gibbs", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "nope.yaml"), "--quiet"]) == 2
 

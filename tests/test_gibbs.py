@@ -14,7 +14,10 @@ from zenolab.gibbs import (
     reduced_kms_residual,
     zeno_gibbs_state,
 )
+import zenolab.gibbs
+import zenolab.scenarios
 from zenolab.operators import OrthogonalProjection, eigendecompose, identity_projection, operator_norm
+from zenolab.scenarios import parse_config, run_scenario
 from zenolab.zeno import compressed_generator_matrix
 
 
@@ -36,6 +39,18 @@ class TestGibbsState:
         gap = 0.3
         state = gibbs_state(h, 50.0 / gap)
         assert state.rho[0, 0].real > 1.0 - 1e-8
+
+
+class TestKMSScale:
+    def test_overflow_is_typed(self):
+        h = eigendecompose(np.diag([0.0, 1.0]).astype(complex))
+        with pytest.raises(Overflow, match="kms scale"):
+            kms_scale(h, np.eye(2), np.eye(2), 1000.0)
+
+    def test_finite_scale_unchanged(self):
+        h = eigendecompose(np.diag([0.0, 2.0]).astype(complex))
+        a = np.diag([3.0, 1.0])
+        assert kms_scale(h, a, np.eye(2), 1.5) == 3.0 * 1.0 * math.exp(3.0)
 
 
 class TestHeisenbergEvolve:
@@ -202,3 +217,28 @@ class TestReducedKMS:
         mismatched = zeno_gibbs_state(h, other, 1.0)
         report = reduced_kms_residual(h, e, 1.0, pairs, [0.7], state=mismatched)
         assert report.max_residual > 1e-6
+
+    def test_gibbs_run_eigendecomposes_model_and_generator_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(m):
+            calls.append(1)
+            return eigendecompose(m)
+
+        monkeypatch.setattr(zenolab.scenarios, "eigendecompose", counting)
+        monkeypatch.setattr(zenolab.gibbs, "eigendecompose", counting)
+        config = parse_config(
+            {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 8, "rank_e": 3}}, "pairs": 2}
+        )
+        run_scenario(config, out_dir=tmp_path)
+        assert len(calls) == 2
+
+    def test_reduced_residual_reuses_the_state_generator(self):
+        rng = np.random.default_rng(16)
+        h = random_hermitian_op(rng, 6)
+        e = random_projection(rng, 6, 3)
+        pairs = [(random_hermitian(rng, 6), random_hermitian(rng, 6)) for _ in range(3)]
+        ts = np.linspace(-1, 1, 3)
+        implicit = reduced_kms_residual(h, e, 0.8, pairs, ts)
+        explicit = reduced_kms_residual(h, e, 0.8, pairs, ts, state=zeno_gibbs_state(h, e, 0.8))
+        assert implicit.max_residual == explicit.max_residual

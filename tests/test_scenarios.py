@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from zenolab.scenarios import (
     Table,
     build_scenario,
     emit_csv,
+    load_config,
     parse_config,
     perturbed_invariance_check,
     run_scenario,
@@ -64,6 +66,28 @@ class TestConfigParsing:
                     "model": {"friedrichs": {"band": [2.0, -2.0]}},
                 }
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "path, fields",
+        [
+            ("t", lambda v: {"task": "converge", "t": v}),
+            ("beta", lambda v: {"task": "gibbs", "beta": v}),
+            ("model.friedrichs.excited_energy", lambda v: {"task": "survival", "model": {"friedrichs": {"excited_energy": v}}}),
+            ("t_grid[1]", lambda v: {"task": "survival", "t_grid": [0.1, v, 10]}),
+        ],
+        ids=["t", "beta", "excited_energy", "t_grid[1]"],
+    )
+    def test_non_finite_number_rejected(self, path, fields, value):
+        data = {"schema_version": 1, "model": {"rabi": {}}, **fields(value)}
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: must be finite"):
+            parse_config(data)
+
+    def test_non_finite_yaml_value_rejected(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("schema_version: 1\ntask: gibbs\nmodel:\n  rabi: {}\nbeta: .nan\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="beta"):
+            load_config(path)
 
     def test_t_grid_shape(self):
         with pytest.raises(ConfigError, match="t_grid"):

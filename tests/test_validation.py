@@ -1,0 +1,193 @@
+"""Screened validation norms and the real symmetric eigensolver path.
+
+Every validation check accepts when the Frobenius norm of its defect is
+inside the tolerance and otherwise compares the exact 2-norm. Each case
+below places a defect just inside, just outside, or inside the tolerance
+with a Frobenius norm over it, and asserts the verdict of the exact rule:
+the 2-norm of the defect against the tolerance at the exact reference scale.
+"""
+
+import numpy as np
+import pytest
+
+import zenolab.operators
+from conftest import SIGMA_X
+from zenolab.errors import NotHermitian
+from zenolab.gibbs import DensityState
+from zenolab.numeric import tol
+from zenolab.operators import (
+    HermitianOperator,
+    OrthogonalProjection,
+    eigendecompose,
+    evolve,
+    operator_norm,
+)
+from zenolab.scenarios import build_scenario, parse_config
+from zenolab.survival import decay_profile
+
+DIM = 24
+K = 16  # the defects have K equal singular values: ||X||_F = 4 ||X||_2
+RATIOS = (0.5, 0.99, 1.01)  # exact defect over tolerance
+
+
+def _unitary(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM)))
+    return q
+
+
+def _hermitian(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def _flat(q: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Projection onto K columns of q: every nonzero singular value is 1."""
+    j = q[:, lo : lo + K]
+    return j @ j.conj().T
+
+
+def _eigendecompose_hermiticity(ratio):
+    q = _unitary(1)
+    s = _hermitian(q, np.linspace(-1.0, 1.0, DIM))
+    limit = tol(1e-12, operator_norm(s))
+    a = s + 1j * (ratio * limit / 2.0) * _flat(q)
+    return (lambda: eigendecompose(a)), a - a.conj().T, tol(1e-12, operator_norm(a)), NotHermitian
+
+
+def _operator_hermiticity(ratio):
+    q, w = _unitary(2), np.linspace(-1.0, 1.0, DIM)
+    limit = tol(1e-12, 1.0)
+    m = _hermitian(q, w) + 1j * (ratio * limit / 2.0) * _flat(q)
+    return (lambda: HermitianOperator(m, w, q)), m - m.conj().T, limit, NotHermitian
+
+
+def _operator_reconstruction(ratio):
+    q, w = _unitary(3), np.linspace(-1.0, 1.0, DIM)
+    m = _hermitian(q, w)
+    shifted = w.copy()
+    shifted[:K] += ratio * tol(1e-10, 1.0)
+    limit = tol(1e-10, float(np.max(np.abs(shifted))))
+    return (lambda: HermitianOperator(m, shifted, q)), m - (q * shifted) @ q.conj().T, limit, ValueError
+
+
+def _operator_orthonormality(ratio):
+    # the stretched eigenvectors carry eigenvalue 0, so reconstruction is unaffected
+    q = _unitary(4)
+    w = np.concatenate([np.zeros(K), np.linspace(0.1, 1.0, DIM - K)])
+    m = _hermitian(q, w)
+    stretch = np.ones(DIM)
+    stretch[:K] = np.sqrt(1.0 + ratio * tol(1e-10))
+    v = q * stretch
+    return (lambda: HermitianOperator(m, w, v)), v.conj().T @ v - np.eye(DIM), tol(1e-10), ValueError
+
+
+def _projection_self_adjoint(ratio):
+    q = _unitary(5)
+    p = _hermitian(q, np.arange(DIM) < 5) + 1j * (ratio * tol(1e-12, 1.0) / 2.0) * _flat(q, 5)
+    limit = tol(1e-12, operator_norm(p))
+    return (lambda: OrthogonalProjection(p, 5)), p - p.conj().T, limit, NotHermitian
+
+
+def _projection_idempotence(ratio):
+    q = _unitary(6)
+    p = _hermitian(q, np.arange(DIM) < 5) + ratio * tol(1e-10, 1.0) * _flat(q, 5)
+    p = (p + p.conj().T) / 2.0
+    limit = tol(1e-10, operator_norm(p))
+    return (lambda: OrthogonalProjection(p, 5)), p @ p - p, limit, ValueError
+
+
+def _density_commutator(ratio):
+    # Z couples eigenvector pairs (2m, 2m+1) so that [Z, H] has K singular values c
+    q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
+    h = HermitianOperator(_hermitian(q, w), w, q)
+    weights = np.exp(-0.5 * w) / np.sum(np.exp(-0.5 * w))
+    c = ratio * tol(1e-10, h.norm)
+    z = np.zeros((DIM, DIM))
+    for i in range(0, K, 2):
+        z[i, i + 1] = z[i + 1, i] = c / (w[i + 1] - w[i])
+    rho = _hermitian(q, weights) + q @ z @ q.conj().T
+    rho = (rho + rho.conj().T) / 2.0
+    hm = h.matrix
+    return (lambda: DensityState(rho, 0.5, h)), rho @ hm - hm @ rho, tol(1e-10, h.norm), ValueError
+
+
+CHECKS = {
+    "eigendecompose.hermiticity": _eigendecompose_hermiticity,
+    "HermitianOperator.hermiticity": _operator_hermiticity,
+    "HermitianOperator.reconstruction": _operator_reconstruction,
+    "HermitianOperator.orthonormality": _operator_orthonormality,
+    "OrthogonalProjection.self_adjoint": _projection_self_adjoint,
+    "OrthogonalProjection.idempotence": _projection_idempotence,
+    "DensityState.commutator": _density_commutator,
+}
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("check", CHECKS)
+def test_screened_verdict_matches_exact_rule(check, ratio):
+    construct, defect, limit, error = CHECKS[check](ratio)
+    exact = operator_norm(defect)
+    # the case sits where it was placed, with the Frobenius norm over the limit
+    assert exact / limit == pytest.approx(ratio, rel=1e-3)
+    assert np.linalg.norm(defect) > limit
+    if exact > limit:
+        with pytest.raises(error):
+            construct()
+    else:
+        construct()
+
+
+@pytest.mark.parametrize("check", ["eigendecompose.hermiticity", "HermitianOperator.hermiticity"])
+def test_rejection_reports_the_exact_defect(check):
+    construct, defect, _, error = CHECKS[check](1.01)
+    with pytest.raises(error, match=f"{operator_norm(defect):.3e}"):
+        construct()
+
+
+def test_clean_friedrichs_build_takes_no_svd(monkeypatch):
+    calls = []
+    original = zenolab.operators.operator_norm
+    monkeypatch.setattr(zenolab.operators, "operator_norm", lambda m: calls.append(1) or original(m))
+    config = parse_config({"schema_version": 1, "task": "survival", "model": {"friedrichs": {"n_modes": 200}}})
+    build_scenario(config)
+    assert calls == []
+
+
+def _complex_path(h: HermitianOperator) -> HermitianOperator:
+    w, v = np.linalg.eigh(h.matrix)
+    return HermitianOperator(h.matrix, w, v)
+
+
+def _spy_eigh(monkeypatch) -> list:
+    dtypes = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: dtypes.append(a.dtype) or original(a))
+    return dtypes
+
+
+def test_friedrichs_survival_matches_complex_path(monkeypatch):
+    config = parse_config({"schema_version": 1, "task": "survival", "model": {"friedrichs": {"n_modes": 200}}})
+    dtypes = _spy_eigh(monkeypatch)
+    scen = build_scenario(config)
+    assert dtypes == [np.float64]
+    h = scen.hamiltonian
+    assert h.eigenvectors.dtype == complex
+    real = decay_profile(h, scen.state, scen.t_grid).probabilities
+    ref = decay_profile(_complex_path(h), scen.state, scen.t_grid).probabilities
+    assert np.max(np.abs(real - ref)) <= 1e-12
+
+
+def test_rabi_evolve_matches_complex_path(monkeypatch):
+    dtypes = _spy_eigh(monkeypatch)
+    h = eigendecompose(SIGMA_X)
+    assert dtypes == [np.float64]
+    ref = _complex_path(h)
+    for t in (0.1, 1.0, 7.3, -2.5):
+        assert operator_norm(evolve(h, t) - evolve(ref, t)) <= 1e-12
+
+
+def test_complex_matrix_keeps_complex_solver(monkeypatch):
+    dtypes = _spy_eigh(monkeypatch)
+    eigendecompose(np.array([[0.0, -1j], [1j, 0.0]]))
+    assert dtypes == [np.complex128]
