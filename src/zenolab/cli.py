@@ -2,7 +2,8 @@
 
 One executable, one subcommand per task. Exit codes: 0 success, 1 the run
 finished but flagged warnings (NonExponential, NoCrossing, Indeterminate),
-2 configuration or runtime error.
+2 configuration or runtime error, reported as one ``error:`` line on stderr
+without a traceback.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ def main(argv=None) -> int:
         if config.task != args.task:
             raise ConfigError(f"task: config declares {config.task!r} but subcommand is {args.task!r}")
         report = run_scenario(config, out_dir=args.out, seed_override=args.seed)
-    except ZenoLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # every failure, a crash included, is exit 2 with one line; exit 1 means warnings
+        text = str(exc) if isinstance(exc, ZenoLabError) else f"{type(exc).__name__}: {exc}"
+        print("error: " + " ".join(text.split()), file=sys.stderr)
         return 2
     if not args.quiet:
         print(f"task: {report.task}")

@@ -25,7 +25,6 @@ from .operators import (
     check_dims,
     eigendecompose,
     operator_norm,
-    range_basis,
 )
 from .zeno import compressed_generator_matrix
 
@@ -143,7 +142,7 @@ def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float)
         raise ZeroRank("zeno_gibbs_state needs a projection of rank >= 1")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    q = range_basis(e)
+    q = e.basis
     g_small = q.conj().T @ h.matrix @ q
     g_small = (g_small + g_small.conj().T) / 2.0
     w, v = np.linalg.eigh(g_small)

@@ -8,8 +8,8 @@ construction and safe for concurrent read-only use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import InitVar, dataclass
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "eigendecompose",
     "evolve",
     "expm",
+    "phase_factors",
     "operator_norm",
     "psd_sqrt",
     "projection_from_span",
@@ -46,19 +47,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Validate and return a square, finite, complex dense matrix."""
+def as_complex_matrix(m, square: bool = True) -> np.ndarray:
+    """Validate and return a finite complex dense matrix, square unless ``square`` is false."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+        raise DimensionMismatch(f"expected a {'square' if square else '2-D'} matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a.view(float))):
         raise NonFinite("matrix contains non-finite entries")
     return a
 
 
 def operator_norm(m) -> float:
-    """Largest singular value; zero exactly for the zero (or empty) matrix."""
-    a = as_complex_matrix(m)
+    """Largest singular value of a 2-D matrix; zero exactly for the zero (or empty) matrix."""
+    a = as_complex_matrix(m, square=False)
     if a.size == 0 or not np.any(a):
         return 0.0
     return float(np.linalg.norm(a, 2))
@@ -141,12 +142,18 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class OrthogonalProjection:
-    """Idempotent self-adjoint matrix together with its integer rank."""
+    """Idempotent self-adjoint matrix together with its integer rank.
+
+    ``basis`` is an orthonormal basis Q of range(P), dim x rank, with
+    QQ* = P. A constructor that already holds one passes it as
+    ``known_basis``; otherwise it comes from one SVD of P on first use.
+    """
 
     matrix: np.ndarray
     rank: int
+    known_basis: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, known_basis=None):
         p = self.matrix
         bound, norm = _column_norm_bound(p), cache(lambda: operator_norm(p))
         if _violation(p - p.conj().T, 1e-12, bound, norm) is not None:
@@ -156,10 +163,19 @@ class OrthogonalProjection:
         trace = float(np.trace(p).real)
         if abs(trace - self.rank) > tol(1e-8):
             raise ValueError(f"trace {trace:.12f} disagrees with rank {self.rank}")
+        if known_basis is not None:
+            self.__dict__["basis"] = known_basis
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        if self.rank == 0:
+            return _freeze(np.zeros((self.dim, 0), dtype=complex))
+        u, _, _ = np.linalg.svd(self.matrix)
+        return _freeze(u[:, : self.rank])
 
 
 def eigendecompose(m) -> HermitianOperator:
@@ -183,11 +199,11 @@ def eigendecompose(m) -> HermitianOperator:
     return HermitianOperator(_freeze(sym), _freeze(w), _freeze(v.astype(complex)))
 
 
-def evolve(h: HermitianOperator, z: complex) -> np.ndarray:
-    """exp(i z H) through the cached eigenbasis.
+def phase_factors(h: HermitianOperator, z: complex) -> np.ndarray:
+    """exp(i z w) over the eigenvalues w of H: exp(i z H) in its eigenbasis.
 
-    Unitary for real z; raises Overflow if |Im z| * max|eigenvalue| would
-    overflow the exponential rather than clamping silently.
+    Raises Overflow if |Im z| * max|eigenvalue| would overflow the
+    exponential rather than clamping silently.
     """
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
@@ -196,9 +212,13 @@ def evolve(h: HermitianOperator, z: complex) -> np.ndarray:
         worst = abs(z.imag) * float(np.max(np.abs(h.eigenvalues)))
         if worst > EXP_LIMIT:
             raise Overflow(f"exp argument magnitude {worst:.3e} exceeds {EXP_LIMIT}")
-    phases = np.exp(1j * z * h.eigenvalues)
+    return np.exp(1j * z * h.eigenvalues)
+
+
+def evolve(h: HermitianOperator, z: complex) -> np.ndarray:
+    """exp(i z H) through the cached eigenbasis; unitary for real z."""
     v = h.eigenvectors
-    return (v * phases) @ v.conj().T
+    return (v * phase_factors(h, z)) @ v.conj().T
 
 
 def _expm_general(m: np.ndarray) -> np.ndarray:
@@ -260,10 +280,10 @@ def projection_from_span(vectors) -> OrthogonalProjection:
     if not s.size or s[0] <= tol(1e-300):
         raise ZeroSpan("all spanning vectors are numerically zero")
     keep = s > tol(1e-10) * s[0]
-    q = u[:, keep]
+    q = _freeze(u[:, keep])
     p = q @ q.conj().T
     p = (p + p.conj().T) / 2.0
-    return OrthogonalProjection(_freeze(p), int(np.count_nonzero(keep)))
+    return OrthogonalProjection(_freeze(p), q.shape[1], q)
 
 
 def projection_from_matrix(p) -> OrthogonalProjection:
@@ -274,21 +294,14 @@ def projection_from_matrix(p) -> OrthogonalProjection:
 
 
 def identity_projection(dim: int) -> OrthogonalProjection:
-    return OrthogonalProjection(_freeze(np.eye(dim, dtype=complex)), dim)
+    eye = _freeze(np.eye(dim, dtype=complex))
+    return OrthogonalProjection(eye, dim, eye)
 
 
 def complement(p: OrthogonalProjection) -> OrthogonalProjection:
     """The projection onto the orthogonal complement of range(P)."""
     q = np.eye(p.dim, dtype=complex) - p.matrix
     return OrthogonalProjection(_freeze((q + q.conj().T) / 2.0), p.dim - p.rank)
-
-
-def range_basis(p: OrthogonalProjection) -> np.ndarray:
-    """Orthonormal basis of range(P) as columns, dim x rank."""
-    if p.rank == 0:
-        return np.zeros((p.dim, 0), dtype=complex)
-    u, s, _ = np.linalg.svd(p.matrix)
-    return np.ascontiguousarray(u[:, : p.rank])
 
 
 def check_dims(*operands) -> int:

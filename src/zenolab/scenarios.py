@@ -153,6 +153,9 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
         runs = data.get("runs")
         if not isinstance(runs, list) or not runs:
             _fail("runs", "sweep needs a nonempty list of run configs")
+        for i, run in enumerate(runs):
+            if isinstance(run, dict) and run.get("task") == "sweep":
+                _fail(f"runs[{i}].task", "a sweep cannot run another sweep")
         options = {"runs": runs}
     else:
         model_block = data.get("model")

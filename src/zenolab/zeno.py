@@ -5,6 +5,11 @@ with a projection. At finite dimension the products converge at first order
 in 1/n to the compressed-generator dynamics exp(i t EHE) E; this module
 computes the products, measures distances to that limit, fits the rate, and
 checks the Lipschitz (asymptotic Zeno) condition that drives convergence.
+
+Products, the limit and their distances are computed in range(E), through
+an orthonormal basis Q (d x r) of it: the step is the r x r matrix Q*UQ,
+only r x r matrices are raised to powers, and each distance is the norm of
+a d x r or r x r matrix with the same value as the d x d one.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from .operators import (
     eigendecompose,
     evolve,
     operator_norm,
+    phase_factors,
     psd_sqrt,
-    range_basis,
 )
 
 ORDERINGS = ("EUE", "UE", "EU")
@@ -57,8 +62,11 @@ class ZenoConvergenceReport:
     """Per-n distances of the products to the limit, with a fitted decay rate.
 
     ``limit_matrix`` is the product at the largest n evaluated (the best
-    numerical stand-in for the limit), ``target_matrix`` the compressed
-    dynamics it is compared against, ``target_residual`` their distance.
+    numerical stand-in for the limit), kept whole as the step product
+    returned it; for the Zeno products that is the d x d matrix Q A^n Q*,
+    (UQ) A^(n-1) Q* or Q A^(n-1) (Q*U) (see ``zeno_product``).
+    ``target_matrix`` is the compressed dynamics it is compared against,
+    ``target_residual`` their distance.
     ``exact`` flags commuting cases where every distance is already at
     rounding level and the rate fit is skipped.
     """
@@ -118,22 +126,36 @@ def zeno_product(
     n: int,
     ordering: str = "EUE",
 ) -> np.ndarray:
-    """n-fold product of exp(i (t/n) H) interleaved with E, in the given ordering."""
+    """n-fold product of U = exp(i (t/n) H) interleaved with E, in the given ordering.
+
+    Computed in range(E): with Q = e.basis and W = V*Q over the eigenvectors
+    V of H, the r x r step is A = Q*UQ = W* diag(exp(i (t/n) w)) W, and
+    EUE = Q A^n Q*, UE = (UQ) A^(n-1) Q*, EU = Q A^(n-1) (Q*U). The d x d
+    result is formed once at the end.
+    """
     check_dims(h, e)
     n = int(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
-    u = evolve(h, t / n)
-    p = e.matrix
+    q, v = e.basis, h.eigenvectors
+    phases = phase_factors(h, t / n)
+    w = v.conj().T @ q
+    w_adj_u = w.conj().T * phases  # W* diag(phases), so Q*U = W* diag(phases) V*
+    a = w_adj_u @ w
     if ordering == "EUE":
-        step = p @ u @ p
-    elif ordering == "UE":
-        step = u @ p
-    else:
-        step = p @ u
-    return np.linalg.matrix_power(step, n)
+        return q @ np.linalg.matrix_power(a, n) @ q.conj().T
+    power = np.linalg.matrix_power(a, n - 1)
+    if ordering == "UE":
+        return v @ (phases[:, None] * w) @ power @ q.conj().T
+    return q @ (power @ w_adj_u @ v.conj().T)
+
+
+def _compress(h: HermitianOperator, q: np.ndarray) -> np.ndarray:
+    """Q* H Q, symmetrized: the generator compressed to the span of Q."""
+    c = q.conj().T @ h.matrix @ q
+    return (c + c.conj().T) / 2.0
 
 
 def compressed_generator_matrix(h: HermitianOperator, e: OrthogonalProjection) -> np.ndarray:
@@ -143,10 +165,13 @@ def compressed_generator_matrix(h: HermitianOperator, e: OrthogonalProjection) -
 
 
 def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) -> np.ndarray:
-    """exp(i t EHE) E on the full space: the limit of the iterated products."""
+    """exp(i t EHE) E on the full space: the limit of the iterated products.
+
+    Formed as Q exp(i t Q*HQ) Q* from the r x r compression, Q = e.basis.
+    """
     check_dims(h, e)
-    gen = eigendecompose(compressed_generator_matrix(h, e))
-    return evolve(gen, t) @ e.matrix
+    q = e.basis
+    return q @ evolve(eigendecompose(_compress(h, q)), t) @ q.conj().T
 
 
 def _normalize_schedule(schedule, t: float, ordering: str | None = None) -> ZenoSchedule:
@@ -163,27 +188,40 @@ def product_convergence_report(
     step_product: Callable[[int], np.ndarray],
     target: np.ndarray,
     n_values: Sequence[int],
+    side: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ZenoConvergenceReport:
     """Distances of step products to a target, with Cauchy deltas and a rate fit.
 
     Shared by the unitary, sectorial-semigroup, and form-sum product routes.
+    Each product is built once and dropped as soon as no later row needs it;
+    the one at the largest n is kept whole as the limit. ``side`` maps a
+    matrix to a smaller one with the same operator norm on the target and on
+    every product (X -> XQ when all satisfy X = XE, for instance); distances
+    are then measured between the mapped matrices.
     """
-    products: dict[int, np.ndarray] = {}
+    ns = [int(n) for n in n_values]
+    n_max = ns[-1]
+    side = side or (lambda x: x)
+    target_side = side(target)
+    kept: dict[int, np.ndarray] = {}
+    limit = None
 
     def prod(n: int) -> np.ndarray:
-        if n not in products:
-            products[n] = step_product(n)
-        return products[n]
+        nonlocal limit
+        if n not in kept:
+            full = step_product(n)
+            if n == n_max:
+                limit = full
+            kept[n] = side(full)
+        return kept[n]
 
     rows = []
-    for n in n_values:
-        d = operator_norm(prod(n) - target)
-        delta = operator_norm(prod(n) - prod(2 * n))
-        rows.append((int(n), d, delta))
-
-    n_max = n_values[-1]
-    limit = prod(n_max)
-    residual = operator_norm(limit - target)
+    for i, n in enumerate(ns):
+        rows.append((n, operator_norm(prod(n) - target_side), operator_norm(prod(n) - prod(2 * n))))
+        needed = {m * k for m in ns[i + 1 :] for k in (1, 2)}
+        for m in [m for m in kept if m not in needed]:
+            del kept[m]
+    residual = rows[-1][1]
 
     distances = np.array([r[1] for r in rows])
     exact = bool(np.max(distances) <= tol(1e-12))
@@ -215,8 +253,15 @@ def zeno_convergence_report(
     check_dims(h, e)
     sched = _normalize_schedule(schedule, t)
     target = reduced_dynamics(h, e, t)
+    # products and target satisfy X = EXE, XE or EX, so ||X|| = ||Q*XQ||, ||XQ||, ||Q*X||
+    q = e.basis
+    side = {
+        "EUE": lambda x: q.conj().T @ x @ q,
+        "UE": lambda x: x @ q,
+        "EU": lambda x: q.conj().T @ x,
+    }[sched.ordering]
     return product_convergence_report(
-        lambda n: zeno_product(h, e, t, n, sched.ordering), target, sched.n_values
+        lambda n: zeno_product(h, e, t, n, sched.ordering), target, sched.n_values, side
     )
 
 
@@ -229,9 +274,8 @@ def zeno_generator(h: HermitianOperator, e: OrthogonalProjection) -> ZenoGenerat
     shifting with the minimum eigenvalue before taking the root.
     """
     check_dims(h, e)
-    q = range_basis(e)
-    direct = q.conj().T @ h.matrix @ q
-    direct = (direct + direct.conj().T) / 2.0
+    q = e.basis
+    direct = _compress(h, q)
 
     shift = 0.0
     if h.eigenvalues.size:

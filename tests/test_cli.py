@@ -1,3 +1,7 @@
+import numpy as np
+import pytest
+
+import zenolab.cli
 from zenolab.cli import main
 
 
@@ -47,6 +51,25 @@ class TestExitCodes:
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "nope.yaml"), "--quiet"]) == 2
+
+    def test_self_referencing_sweep_exits_two(self, tmp_path, capsys):
+        config = write(tmp_path / "s.yaml", "schema_version: 1\ntask: sweep\nruns: &r [{task: sweep, runs: *r}]\n")
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: runs[0].task")
+
+    @pytest.mark.parametrize(
+        "exc", [ArithmeticError("products diverged"), np.linalg.LinAlgError("SVD did not\nconverge")]
+    )
+    def test_crash_exits_two_without_traceback(self, tmp_path, capsys, monkeypatch, exc):
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(zenolab.cli, "run_scenario", crash)
+        config = write(tmp_path / "c.yaml", RABI_CONVERGE)
+        assert main(["converge", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {type(exc).__name__}: {' '.join(str(exc).split())}"]
 
 
 class TestDeterminism:

@@ -1,0 +1,198 @@
+"""The range(E) path of the Zeno products against the dense d x d reference.
+
+``zeno_product`` raises the r x r step Q*UQ to powers and
+``zeno_convergence_report`` measures distances on the d x r or r x r side;
+the dense formulas they replace are kept here as the reference.
+"""
+
+import weakref
+
+import numpy as np
+import pytest
+
+import zenolab.zeno
+from conftest import random_hermitian_op, random_projection
+from zenolab.errors import DimensionMismatch, NonFinite
+from zenolab.operators import (
+    OrthogonalProjection,
+    eigendecompose,
+    evolve,
+    identity_projection,
+    operator_norm,
+    projection_from_matrix,
+)
+from zenolab.scenarios import parse_config, run_scenario
+from zenolab.zeno import (
+    ORDERINGS,
+    ZenoSchedule,
+    compressed_generator_matrix,
+    product_convergence_report,
+    reduced_dynamics,
+    zeno_convergence_report,
+    zeno_product,
+)
+
+DIM = 8
+T = 1.3
+
+
+def dense_product(h, e, t, n, ordering):
+    """The d x d reference: the step PUP, UP or PU raised to the n-th power."""
+    u = evolve(h, t / n)
+    p = e.matrix
+    step = {"EUE": p @ u @ p, "UE": u @ p, "EU": p @ u}[ordering]
+    return np.linalg.matrix_power(step, n)
+
+
+def dense_target(h, e, t):
+    return evolve(eigendecompose(compressed_generator_matrix(h, e)), t) @ e.matrix
+
+
+def projections():
+    rng = np.random.default_rng(41)
+    rank3 = random_projection(rng, DIM, 3)
+    return {
+        "rank0": OrthogonalProjection(np.zeros((DIM, DIM), dtype=complex), 0),
+        "rank1": random_projection(rng, DIM, 1),
+        "rank3": rank3,
+        "rank3-from-matrix": projection_from_matrix(rank3.matrix.copy()),
+        "rankd": identity_projection(DIM),
+    }
+
+
+PROJECTIONS = projections()
+
+
+@pytest.fixture(scope="module")
+def hamiltonian():
+    return random_hermitian_op(np.random.default_rng(42), DIM)
+
+
+@pytest.mark.parametrize("name", PROJECTIONS)
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_product_matches_dense_power(hamiltonian, name, ordering, n):
+    e = PROJECTIONS[name]
+    fast = zeno_product(hamiltonian, e, T, n, ordering)
+    assert fast.shape == (DIM, DIM)
+    assert operator_norm(fast - dense_product(hamiltonian, e, T, n, ordering)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", PROJECTIONS)
+def test_reduced_dynamics_matches_dense_generator(hamiltonian, name):
+    e = PROJECTIONS[name]
+    for t in (0.0, 0.4, T, 5.0):
+        assert operator_norm(reduced_dynamics(hamiltonian, e, t) - dense_target(hamiltonian, e, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", PROJECTIONS)
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_report_distances_match_dense_svd(hamiltonian, name, ordering):
+    e = PROJECTIONS[name]
+    ns = (1, 2, 7, 64, 512)
+    report = zeno_convergence_report(hamiltonian, e, T, ZenoSchedule(ns, ordering=ordering))
+    target = dense_target(hamiltonian, e, T)
+    for n, distance, delta in report.per_n:
+        dense_n = dense_product(hamiltonian, e, T, n, ordering)
+        assert abs(distance - operator_norm(dense_n - target)) <= 1e-11
+        assert abs(delta - operator_norm(dense_n - dense_product(hamiltonian, e, T, 2 * n, ordering))) <= 1e-11
+    assert report.limit_matrix.shape == report.target_matrix.shape == (DIM, DIM)
+    assert operator_norm(report.limit_matrix - dense_product(hamiltonian, e, T, ns[-1], ordering)) <= 1e-12
+    assert operator_norm(report.target_matrix - target) <= 1e-12
+    assert report.target_residual == report.distance(ns[-1])
+
+
+class TestOperatorNorm:
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (7, 1), (7, 0), (0, 7)])
+    def test_accepts_rectangular(self, shape):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        expected = float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+        assert operator_norm(m) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_rejects_one_dimensional(self):
+        with pytest.raises(DimensionMismatch):
+            operator_norm(np.ones(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_rectangular(self, bad):
+        m = np.zeros((5, 2), dtype=complex)
+        m[3, 1] = bad
+        with pytest.raises(NonFinite):
+            operator_norm(m)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("rank", [1, 3, DIM])
+    def test_span_basis_is_orthonormal_and_spans_range(self, rank):
+        e = random_projection(np.random.default_rng(rank), DIM, rank)
+        q = e.basis
+        assert q.shape == (DIM, rank)
+        assert operator_norm(q @ q.conj().T - e.matrix) <= 1e-12
+        assert operator_norm(q.conj().T @ q - np.eye(rank)) <= 1e-12
+
+    def test_matrix_basis_is_computed_once(self):
+        e = projection_from_matrix(PROJECTIONS["rank3"].matrix.copy())
+        q = e.basis
+        assert q is e.basis
+        assert operator_norm(q @ q.conj().T - e.matrix) <= 1e-12
+        assert operator_norm(q.conj().T @ q - np.eye(3)) <= 1e-12
+
+    def test_identity_and_zero_bases(self):
+        assert np.array_equal(identity_projection(4).basis, np.eye(4))
+        assert PROJECTIONS["rank0"].basis.shape == (DIM, 0)
+
+
+class TestProductCache:
+    """``product_convergence_report`` builds each n once and drops it when done."""
+
+    @pytest.mark.parametrize("ns", [(2, 4, 8, 16, 32, 64), (3, 5, 7), (2, 3, 4, 9)])
+    def test_each_n_built_once(self, ns):
+        built: list[int] = []
+        alive: list[weakref.ref] = []
+        most_held = 0
+
+        def step_product(n):
+            nonlocal most_held
+            most_held = max(most_held, sum(ref() is not None for ref in alive))
+            built.append(n)
+            x = np.eye(3, dtype=complex) * (1.0 + 1.0 / n)
+            alive.append(weakref.ref(x))
+            return x
+
+        report = product_convergence_report(step_product, np.eye(3, dtype=complex), ns)
+        assert sorted(built) == sorted(set(ns) | {2 * n for n in ns})
+        assert len(built) == len(set(built))
+        # while the next product is built, at most the current row's and the limit are held
+        assert most_held <= 2
+        assert np.array_equal(report.limit_matrix, np.eye(3) * (1.0 + 1.0 / ns[-1]))
+        assert [row[0] for row in report.per_n] == list(ns)
+
+
+FRIEDRICHS_100 = {
+    "friedrichs": {
+        "n_modes": 100,
+        "band": [-2.0, 2.0],
+        "excited_energy": -0.7,
+        "coupling_strength": 0.05,
+        "profile": "gaussian",
+    }
+}
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_no_dense_power_in_converge(monkeypatch, tmp_path, ordering):
+    """A Friedrichs converge run (rank-1 E, d = 101) raises nothing larger than 1 x 1 to a power."""
+    shapes = []
+    original = np.linalg.matrix_power
+
+    def spy(a, n):
+        shapes.append(np.shape(a))
+        return original(a, n)
+
+    monkeypatch.setattr(zenolab.zeno.np.linalg, "matrix_power", spy)
+    config = parse_config(
+        {"schema_version": 1, "task": "converge", "model": FRIEDRICHS_100, "ordering": ordering}
+    )
+    run_scenario(config, out_dir=tmp_path)
+    assert shapes and all(shape == (1, 1) for shape in shapes)

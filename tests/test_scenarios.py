@@ -93,6 +93,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="t_grid"):
             cfg(task="survival", t_grid=[1.0, 2.0])
 
+    def test_nested_sweep_rejected(self):
+        runs = [{"task": "converge", "model": {"rabi": {}}}, {"task": "sweep", "runs": [{"task": "survival"}]}]
+        with pytest.raises(ConfigError, match=re.escape("runs[1].task")):
+            parse_config({"schema_version": 1, "task": "sweep", "runs": runs})
+
 
 class TestBuilders:
     def test_rabi_triple(self):
