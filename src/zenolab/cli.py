@@ -22,7 +22,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(task, help=f"run a {task} scenario")
         p.add_argument("--config", required=True, help="path to the YAML scenario config")
         p.add_argument("--out", default=None, help="output directory (default: config output_path)")
-        p.add_argument("--seed", type=int, default=None, help="override the model seed(s)")
+        p.add_argument("--seed", type=int, default=None, help="replace every seed key; sweep run i of n gets seed*n+i")
         p.add_argument("--quiet", action="store_true", help="suppress the report printout")
     return parser
 

@@ -1,27 +1,13 @@
 """Model builders, the scenario runner, config parsing, and CSV emission.
 
-Config files are YAML with a required ``schema_version: 1``. Unknown keys
-are errors, not warnings: a silently ignored key would invalidate the
-determinism contract. Schema (task-dependent keys marked):
-
-    schema_version: 1
-    task: converge | survival | classify | gibbs | sweep
-    model:                       # exactly one of
-      rabi: {}
-      random: {dim, rank_e, seed}
-      friedrichs: {n_modes, band: [lo, hi], excited_energy,
-                   coupling_strength, profile: flat | gaussian}
-      perturbed: {dim, seed, perturbation_norm}
-    t: float                     # converge, classify (default 1.0)
-    n_schedule: [ints]           # converge (default powers of two up to 4096)
-    ordering: EUE | UE | EU      # converge (default EUE)
-    t_grid: [start, stop, num]   # survival (default from the builder)
-    fit_window: [lo, hi]         # survival (default heuristic)
-    beta: float                  # gibbs (default 1.0)
-    pairs: int                   # gibbs (default 20)
-    pairs_seed: int              # gibbs (default 0)
-    runs: [ {...}, ... ]         # sweep: list of sub-configs (no schema_version)
-    output_path: str             # directory for CSV files
+Config files are YAML with a required ``schema_version: 1``, a ``task``
+(one of ``TASKS``) and, except in a sweep, a ``model`` mapping with exactly
+one key (one of ``MODELS``). Unknown keys are errors, not warnings: a
+silently ignored key would invalidate the determinism contract. Every other
+key, with its type, bounds and default, is declared once in
+``_MODEL_SCHEMA`` and ``_TASK_SCHEMA`` below; ``parse_config`` checks a
+config against them and fills in the defaults. A sweep's ``runs`` is a list
+of sub-configs (``schema_version`` optional), all parsed before any runs.
 
 Every run is deterministic for a fixed config, seeds included: two runs
 write byte-identical CSVs.
@@ -56,7 +42,7 @@ from .spectral import (
     zeno_modulus_table,
 )
 from .survival import decay_fit, decay_profile, effective_rate_curve, find_crossing
-from .zeno import ZenoSchedule, azc_fit, zeno_convergence_report
+from .zeno import _DEFAULT_N_VALUES, ORDERINGS, ZenoSchedule, azc_fit, zeno_convergence_report
 
 __all__ = [
     "ScenarioConfig",
@@ -71,30 +57,90 @@ __all__ = [
     "emit_csv",
 ]
 
-TASKS = ("converge", "survival", "classify", "gibbs", "sweep")
-MODELS = ("rabi", "random", "friedrichs", "perturbed")
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its type, default and bounds.
 
-_MODEL_KEYS = {
-    "rabi": set(),
-    "random": {"dim", "rank_e", "seed"},
-    "friedrichs": {"n_modes", "band", "excited_energy", "coupling_strength", "profile"},
-    "perturbed": {"dim", "seed", "perturbation_norm"},
+    ``type`` is int, float (finite), str, dict or a tuple of allowed values.
+    ``lo``/``hi`` are inclusive bounds and ``above`` an exclusive lower one.
+    With ``items`` the key is a fixed-length list whose i-th entry is checked
+    by ``items[i]``; with ``many`` it is a nonempty list of ``type`` values.
+    A key whose ``default`` is None stays absent when not given. ``seed``
+    marks the keys that a seed override (``--seed``) replaces.
+    """
+
+    type: Any = float
+    default: Any = None
+    lo: float | None = None
+    hi: float | None = None
+    above: float | None = None
+    items: tuple[_Key, ...] | None = None
+    many: bool = False
+    seed: bool = False
+
+
+_SEED = _Key(int, 0, lo=0, seed=True)
+_T = _Key(float, 1.0)
+_PAIR = (_Key(float), _Key(float))  # [lo, hi]
+_T_GRID = (_Key(float), _Key(float), _Key(int, lo=2))  # [start, stop, num]
+
+# the schema: every key of a model body and of each task, apart from the
+# cross-field rules in parse_config
+_MODEL_SCHEMA = {
+    "rabi": {},
+    "random": {
+        "dim": _Key(int, 6, lo=2, hi=200),
+        "rank_e": _Key(int, lo=1),  # default dim // 2
+        "seed": _SEED,
+    },
+    "friedrichs": {
+        "n_modes": _Key(int, 200, lo=2, hi=2000),
+        "band": _Key(default=(-2.0, 2.0), items=_PAIR),
+        "excited_energy": _Key(float, 0.0),
+        "coupling_strength": _Key(float, 0.05, above=0),
+        "profile": _Key(("flat", "gaussian"), "flat"),
+    },
+    "perturbed": {
+        "dim": _Key(int, 8, lo=2, hi=200),
+        "seed": _SEED,
+        "perturbation_norm": _Key(float, 0.1, lo=0),
+    },
 }
 
-_TASK_KEYS = {
-    "converge": {"t", "n_schedule", "ordering"},
-    "survival": {"t_grid", "fit_window"},
-    "classify": {"t"},
-    "gibbs": {"beta", "pairs", "pairs_seed", "t_grid"},
-    "sweep": {"runs"},
+_TASK_SCHEMA = {
+    "converge": {
+        "t": _T,
+        "n_schedule": _Key(int, _DEFAULT_N_VALUES, lo=1, many=True),
+        "ordering": _Key(ORDERINGS, "EUE"),
+    },
+    "survival": {
+        "t_grid": _Key(items=_T_GRID),  # default from the builder
+        "fit_window": _Key(items=_PAIR),  # default from the builder
+    },
+    "classify": {"t": _T},
+    "gibbs": {
+        "beta": _Key(float, 1.0, lo=0),
+        "pairs": _Key(int, 20, lo=1),
+        "pairs_seed": _SEED,
+        "t_grid": _Key(default=(-2.0, 2.0, 9), items=_T_GRID),
+    },
+    "sweep": {"runs": _Key(dict, many=True)},
 }
 
-_COMMON_KEYS = {"schema_version", "task", "model", "output_path"}
+_ROOT_SCHEMA = {"output_path": _Key(str, ".")}
+
+TASKS = tuple(_TASK_SCHEMA)
+MODELS = tuple(_MODEL_SCHEMA)
+
+_TYPE_NAMES = {int: "an integer", str: "a string", dict: "a mapping"}
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; ``raw`` echoes the parsed file."""
+    """Validated scenario description with every default filled in.
+
+    ``raw`` echoes the parsed file; ``runs`` holds a sweep's parsed runs.
+    """
 
     task: str
     model_kind: str
@@ -102,36 +148,81 @@ class ScenarioConfig:
     options: dict[str, Any]
     output_path: str
     raw: dict[str, Any]
+    runs: tuple[ScenarioConfig, ...] = ()
 
 
 def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _require_int(value, path: str, lo: int | None = None, hi: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(path, f"expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        _fail(path, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        _fail(path, f"must be <= {hi}, got {value}")
+def _check(key: _Key, value, path: str):
+    """One scalar value against its key's type and bounds."""
+    if isinstance(key.type, tuple):
+        if value not in key.type:
+            _fail(path, f"must be one of {key.type}, got {value!r}")
+        return value
+    if key.type is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(path, f"expected a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            _fail(path, f"must be finite, got {value!r}")
+        value = number
+    elif not isinstance(value, key.type) or isinstance(value, bool):
+        _fail(path, f"expected {_TYPE_NAMES[key.type]}, got {value!r}")
+    if key.lo is not None and value < key.lo:
+        _fail(path, f"must be >= {key.lo}, got {value}")
+    if key.hi is not None and value > key.hi:
+        _fail(path, f"must be <= {key.hi}, got {value}")
+    if key.above is not None and value <= key.above:
+        _fail(path, f"must be > {key.above}, got {value}")
     return value
 
 
-def _require_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        _fail(path, f"must be finite, got {value!r}")
-    return number
+def _walk(schema: dict[str, _Key], given: dict, prefix: str, seed: int | None) -> dict[str, Any]:
+    """Check ``given`` against ``schema`` and fill in the defaults.
+
+    Unknown keys are errors. When ``seed`` is given it replaces the value of
+    every seed key, and is checked like a value from the file.
+    """
+    for name in given:
+        if name not in schema:
+            _fail(f"{prefix}{name}", "unknown key")
+    out: dict[str, Any] = {}
+    for name, key in schema.items():
+        path = prefix + name
+        if key.seed and seed is not None:
+            value = seed
+        elif name in given:
+            value = given[name]
+        else:
+            if key.default is not None:
+                out[name] = key.default
+            continue
+        if key.items is not None:
+            if not (isinstance(value, (list, tuple)) and len(value) == len(key.items)):
+                _fail(path, f"must be a list of {len(key.items)} values, got {value!r}")
+            out[name] = tuple(_check(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(key.items, value)))
+        elif key.many:
+            if not (isinstance(value, (list, tuple)) and value):
+                _fail(path, f"must be a nonempty list, got {value!r}")
+            out[name] = [_check(key, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        else:
+            out[name] = _check(key, value, path)
+    return out
 
 
-def parse_config(data: dict[str, Any]) -> ScenarioConfig:
-    """Validate a parsed mapping against the schema; unknown keys are errors."""
+def parse_config(data: dict[str, Any], seed: int | None = None) -> ScenarioConfig:
+    """Validate a parsed mapping against the schema and fill in its defaults.
+
+    Unknown keys are errors. ``seed``, when given, replaces every seed key:
+    the model's ``seed`` and gibbs' ``pairs_seed``. A sweep parses all its
+    runs here, before any of them runs, and gives run i of n the seed
+    ``seed * n + i``, so no two (seed, run) pairs share one.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
     if data.get("schema_version") != 1:
@@ -140,131 +231,57 @@ def parse_config(data: dict[str, Any]) -> ScenarioConfig:
     if task not in TASKS:
         _fail("task", f"must be one of {TASKS}, got {task!r}")
 
-    allowed = _COMMON_KEYS | _TASK_KEYS[task]
-    for key in data:
-        if key not in allowed:
-            _fail(key, f"unknown key for task {task!r}")
+    given = {k: v for k, v in data.items() if k not in ("schema_version", "task", "model")}
+    options = _walk({**_ROOT_SCHEMA, **_TASK_SCHEMA[task]}, given, "", seed)
+    output_path = options.pop("output_path")
 
-    model_kind = "rabi"
-    model: dict[str, Any] = {}
     if task == "sweep":
         if "model" in data:
             _fail("model", "a sweep config carries models inside its runs")
-        runs = data.get("runs")
-        if not isinstance(runs, list) or not runs:
-            _fail("runs", "sweep needs a nonempty list of run configs")
+        if "runs" not in options:
+            _fail("runs", "a sweep needs a nonempty list of run configs")
+        runs = options["runs"]
+        parsed = []
         for i, run in enumerate(runs):
-            if isinstance(run, dict) and run.get("task") == "sweep":
+            if run.get("task") == "sweep":
                 _fail(f"runs[{i}].task", "a sweep cannot run another sweep")
-        options = {"runs": runs}
-    else:
-        model_block = data.get("model")
-        if not isinstance(model_block, dict) or len(model_block) != 1:
-            _fail("model", "must be a mapping with exactly one model key")
-        model_kind = next(iter(model_block))
-        if model_kind not in MODELS:
-            _fail("model", f"unknown model {model_kind!r}, expected one of {MODELS}")
-        body = model_block[model_kind] or {}
-        if not isinstance(body, dict):
-            _fail(f"model.{model_kind}", "must be a mapping")
-        for key in body:
-            if key not in _MODEL_KEYS[model_kind]:
-                _fail(f"model.{model_kind}.{key}", "unknown key")
-        model = _validate_model(model_kind, body)
-        options = {k: data[k] for k in _TASK_KEYS[task] if k in data}
-        _validate_options(task, options)
+            run_seed = None if seed is None else seed * len(runs) + i
+            try:
+                parsed.append(parse_config({"schema_version": 1, **run}, run_seed))
+            except ConfigError as exc:
+                raise ConfigError(f"runs[{i}].{exc}") from None
+        return ScenarioConfig(task, "rabi", {}, options, output_path, data, tuple(parsed))
 
-    output_path = data.get("output_path", ".")
-    if not isinstance(output_path, str):
-        _fail("output_path", "must be a string")
-    return ScenarioConfig(
-        task=task,
-        model_kind=model_kind,
-        model=model,
-        options=options,
-        output_path=output_path,
-        raw=data,
-    )
+    block = data.get("model")
+    if not isinstance(block, dict) or len(block) != 1:
+        _fail("model", "must be a mapping with exactly one model key")
+    kind = next(iter(block))
+    if kind not in MODELS:
+        _fail("model", f"unknown model {kind!r}, expected one of {MODELS}")
+    body = block[kind] or {}
+    if not isinstance(body, dict):
+        _fail(f"model.{kind}", "must be a mapping")
+    model = _walk(_MODEL_SCHEMA[kind], body, f"model.{kind}.", seed)
 
-
-def _validate_model(kind: str, body: dict[str, Any]) -> dict[str, Any]:
-    out = dict(body)
     if kind == "random":
-        out["dim"] = _require_int(body.get("dim", 6), "model.random.dim", lo=2, hi=200)
-        out["rank_e"] = _require_int(body.get("rank_e", out["dim"] // 2), "model.random.rank_e", lo=1)
-        if out["rank_e"] >= out["dim"]:
+        model.setdefault("rank_e", model["dim"] // 2)
+        if model["rank_e"] >= model["dim"]:
             _fail("model.random.rank_e", "must be smaller than dim")
-        out["seed"] = _require_int(body.get("seed", 0), "model.random.seed")
-    elif kind == "friedrichs":
-        out["n_modes"] = _require_int(body.get("n_modes", 200), "model.friedrichs.n_modes", lo=2, hi=2000)
-        band = body.get("band", [-2.0, 2.0])
-        if not (isinstance(band, (list, tuple)) and len(band) == 2):
-            _fail("model.friedrichs.band", "must be a [lo, hi] pair")
-        lo, hi = (_require_number(band[0], "model.friedrichs.band[0]"),
-                  _require_number(band[1], "model.friedrichs.band[1]"))
+    if kind == "friedrichs":
+        lo, hi = model["band"]
         if not lo < hi:
             _fail("model.friedrichs.band", "needs lo < hi")
-        out["band"] = (lo, hi)
-        out["excited_energy"] = _require_number(body.get("excited_energy", 0.0), "model.friedrichs.excited_energy")
-        if not lo < out["excited_energy"] < hi:
+        if not lo < model["excited_energy"] < hi:
             _fail("model.friedrichs.excited_energy", "must lie inside the band")
-        out["coupling_strength"] = _require_number(
-            body.get("coupling_strength", 0.05), "model.friedrichs.coupling_strength"
-        )
-        if out["coupling_strength"] <= 0:
-            _fail("model.friedrichs.coupling_strength", "must be positive")
-        out["profile"] = body.get("profile", "flat")
-        if out["profile"] not in ("flat", "gaussian"):
-            _fail("model.friedrichs.profile", f"must be flat or gaussian, got {out['profile']!r}")
-    elif kind == "perturbed":
-        out["dim"] = _require_int(body.get("dim", 8), "model.perturbed.dim", lo=2, hi=200)
-        out["seed"] = _require_int(body.get("seed", 0), "model.perturbed.seed")
-        out["perturbation_norm"] = _require_number(
-            body.get("perturbation_norm", 0.1), "model.perturbed.perturbation_norm"
-        )
-        if out["perturbation_norm"] < 0:
-            _fail("model.perturbed.perturbation_norm", "must be nonnegative")
-    return out
-
-
-def _validate_options(task: str, options: dict[str, Any]) -> None:
-    if "t" in options:
-        options["t"] = _require_number(options["t"], "t")
-    if "beta" in options:
-        options["beta"] = _require_number(options["beta"], "beta")
-        if options["beta"] < 0:
-            _fail("beta", "must be nonnegative")
-    if "pairs" in options:
-        options["pairs"] = _require_int(options["pairs"], "pairs", lo=1)
-    if "pairs_seed" in options:
-        options["pairs_seed"] = _require_int(options["pairs_seed"], "pairs_seed")
-    if "ordering" in options and options["ordering"] not in ("EUE", "UE", "EU"):
-        _fail("ordering", f"must be EUE, UE or EU, got {options['ordering']!r}")
-    if "n_schedule" in options:
-        ns = options["n_schedule"]
-        if not (isinstance(ns, list) and ns and all(isinstance(n, int) and n > 0 for n in ns)):
-            _fail("n_schedule", "must be a nonempty list of positive integers")
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            _fail("n_schedule", "must be strictly increasing")
-    if "t_grid" in options:
-        grid = options["t_grid"]
-        if not (isinstance(grid, list) and len(grid) == 3):
-            _fail("t_grid", "must be [start, stop, num]")
-        start = _require_number(grid[0], "t_grid[0]")
-        stop = _require_number(grid[1], "t_grid[1]")
-        num = _require_int(grid[2], "t_grid[2]", lo=2)
-        if not 0 < start < stop:
-            _fail("t_grid", "needs 0 < start < stop")
-        options["t_grid"] = (start, stop, num)
-    if "fit_window" in options:
-        win = options["fit_window"]
-        if not (isinstance(win, list) and len(win) == 2):
-            _fail("fit_window", "must be [lo, hi]")
-        lo = _require_number(win[0], "fit_window[0]")
-        hi = _require_number(win[1], "fit_window[1]")
-        if not lo < hi:
-            _fail("fit_window", "needs lo < hi")
-        options["fit_window"] = (lo, hi)
+    # a given grid must have positive times; gibbs' default grid spans t < 0
+    if "t_grid" in given and not 0 < options["t_grid"][0] < options["t_grid"][1]:
+        _fail("t_grid", "needs 0 < start < stop")
+    if "fit_window" in options and not options["fit_window"][0] < options["fit_window"][1]:
+        _fail("fit_window", "needs lo < hi")
+    ns = options.get("n_schedule", ())
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        _fail("n_schedule", "must be strictly increasing")
+    return ScenarioConfig(task, kind, model, options, output_path, data)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -511,7 +528,7 @@ class RunReport:
 def run_scenario(config: ScenarioConfig, out_dir=None, seed_override: int | None = None) -> RunReport:
     """Execute the configured task, write its CSVs, and return the report."""
     if seed_override is not None:
-        config = _override_seed(config, seed_override)
+        config = parse_config(config.raw, seed_override)
     out = Path(out_dir) if out_dir is not None else Path(config.output_path)
     runner = {
         "converge": _run_converge,
@@ -523,42 +540,10 @@ def run_scenario(config: ScenarioConfig, out_dir=None, seed_override: int | None
     return runner(config, out)
 
 
-def _override_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
-    data = dict(config.raw)
-    if config.task == "sweep":
-        runs = []
-        for i, run in enumerate(data.get("runs", [])):
-            run = dict(run)
-            model = dict(run.get("model", {}))
-            for kind, body in list(model.items()):
-                body = dict(body or {})
-                if "seed" in _MODEL_KEYS.get(kind, set()):
-                    body["seed"] = seed * 1000 + i
-                model[kind] = body
-            run["model"] = model
-            runs.append(run)
-        data["runs"] = runs
-        return parse_config(data)
-    model = dict(data.get("model", {}))
-    for kind, body in list(model.items()):
-        body = dict(body or {})
-        if "seed" in _MODEL_KEYS.get(kind, set()):
-            body["seed"] = seed
-        model[kind] = body
-    data["model"] = model
-    if config.task == "gibbs":
-        data["pairs_seed"] = seed
-    return parse_config(data)
-
-
 def _run_converge(config: ScenarioConfig, out: Path) -> RunReport:
     scen = build_scenario(config)
-    t = config.options.get("t", 1.0)
-    ns = tuple(config.options.get("n_schedule", tuple(2**k for k in range(1, 13))))
-    ordering = config.options.get("ordering", "EUE")
-    report = zeno_convergence_report(
-        scen.hamiltonian, scen.projection, t, ZenoSchedule(ns, ordering=ordering)
-    )
+    schedule = ZenoSchedule(config.options["n_schedule"], ordering=config.options["ordering"])
+    report = zeno_convergence_report(scen.hamiltonian, scen.projection, config.options["t"], schedule)
     table = Table(
         columns=("n", "distance_to_limit", "cauchy_delta"),
         rows=tuple((n, d, c) for n, d, c in report.per_n),
@@ -620,7 +605,6 @@ def _run_survival(config: ScenarioConfig, out: Path) -> RunReport:
 
 def _run_classify(config: ScenarioConfig, out: Path) -> RunReport:
     scen = build_scenario(config)
-    t = config.options.get("t", 1.0)
     measure = spectral_measure_of_state(scen.hamiltonian, scen.state)
     grid = suggested_tail_grid(measure)
     report = classify_regime(measure, grid)
@@ -630,7 +614,7 @@ def _run_classify(config: ScenarioConfig, out: Path) -> RunReport:
     )
     tails_path = out / "tails.csv"
     emit_csv(tails, tails_path)
-    table = zeno_modulus_table(measure, t, [2**k for k in range(0, 13)])
+    table = zeno_modulus_table(measure, config.options["t"], [2**k for k in range(0, 13)])
     moduli = Table(columns=("n", "modulus"), rows=tuple(table))
     moduli_path = out / "moduli.csv"
     emit_csv(moduli, moduli_path)
@@ -646,16 +630,11 @@ def _run_classify(config: ScenarioConfig, out: Path) -> RunReport:
 
 def _run_gibbs(config: ScenarioConfig, out: Path) -> RunReport:
     scen = build_scenario(config)
-    beta = config.options.get("beta", 1.0)
-    n_pairs = config.options.get("pairs", 20)
-    pairs_seed = config.options.get("pairs_seed", 0)
-    if "t_grid" in config.options:
-        start, stop, num = config.options["t_grid"]
-        ts = np.linspace(start, stop, num)
-    else:
-        ts = np.linspace(-2.0, 2.0, 9)
+    beta = config.options["beta"]
+    n_pairs = config.options["pairs"]
+    ts = np.linspace(*config.options["t_grid"])
     h = scen.hamiltonian
-    rng = np.random.default_rng(pairs_seed)
+    rng = np.random.default_rng(config.options["pairs_seed"])
     state = gibbs_state(h, beta)
     rows = []
     worst = 0.0
@@ -685,14 +664,10 @@ def _run_gibbs(config: ScenarioConfig, out: Path) -> RunReport:
 
 
 def _run_sweep(config: ScenarioConfig, out: Path) -> RunReport:
-    runs = config.options["runs"]
     warnings: list[str] = []
     paths: list[str] = []
     headline: dict[str, Any] = {}
-    for i, run in enumerate(runs):
-        sub_data = dict(run)
-        sub_data.setdefault("schema_version", 1)
-        sub = parse_config(sub_data)
+    for i, sub in enumerate(config.runs):
         sub_report = run_scenario(sub, out / f"run_{i:03d}")
         paths.extend(sub_report.csv_paths)
         warnings.extend(f"run_{i:03d}: {w}" for w in sub_report.warnings)

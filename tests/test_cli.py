@@ -59,6 +59,24 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: runs[0].task")
 
     @pytest.mark.parametrize(
+        "bad_run", ["{task: converge, model: {rabi: {bogus: 1}}}", "just-a-string"], ids=["unknown-key", "string"]
+    )
+    def test_bad_sweep_run_rejected_before_any_run(self, tmp_path, capsys, bad_run):
+        config = write(
+            tmp_path / "s.yaml",
+            f"schema_version: 1\ntask: sweep\nruns:\n  - {{task: converge, model: {{rabi: {{}}}}}}\n  - {bad_run}\n",
+        )
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: runs[1]")
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_names_the_key(self, tmp_path, capsys):
+        config = write(tmp_path / "r.yaml", "schema_version: 1\ntask: converge\nmodel:\n  random: {dim: 4}\n")
+        assert main(["converge", "--config", config, "--out", str(tmp_path / "o"), "--seed", "-3", "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: model.random.seed: must be >= 0")
+
+    @pytest.mark.parametrize(
         "exc", [ArithmeticError("products diverged"), np.linalg.LinAlgError("SVD did not\nconverge")]
     )
     def test_crash_exits_two_without_traceback(self, tmp_path, capsys, monkeypatch, exc):

@@ -1,0 +1,143 @@
+"""Property test of the CLI contract on configs drawn from the schema table.
+
+Whatever the config, valid or not, ``zenolab`` exits 0, 1 or 2, exits 1 only
+after printing a ``warning:`` line, and never prints a traceback. Valid
+values are drawn inside each key's bounds, with caps that keep every model
+and grid small; a broken config carries one fault: a value of the wrong
+type, out of bounds or not finite, or an unknown key.
+"""
+
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+import yaml
+from hypothesis import given, settings
+from hypothesis.configuration import set_hypothesis_home_dir
+from hypothesis import strategies as st
+
+from zenolab.cli import main
+from zenolab.scenarios import _MODEL_SCHEMA, _TASK_SCHEMA, _Key
+
+# upper bounds that keep each example fast
+CAPS = {"dim": 8, "rank_e": 8, "n_modes": 30, "pairs": 2, "t_grid": 50, "n_schedule": 64}
+# keys whose default would build a large model or grid are always set
+ALWAYS_SET = {"n_modes", "pairs", "t_grid", "n_schedule"}
+N_VALUES = 4
+FLOAT_SPAN = 5.0
+SEED_CAP = 2**32
+RUN_TASKS = [task for task in _TASK_SCHEMA if task != "sweep"]
+WRONG_TYPES = st.sampled_from(["x", None, True, [1.0], {"a": 1}])
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def scalar(key: _Key, cap: int | None):
+    """Values of one scalar key inside its bounds."""
+    if isinstance(key.type, tuple):
+        return st.sampled_from(key.type)
+    if key.type is int:
+        lo = key.lo if key.lo is not None else 0
+        hi = min(x for x in (key.hi, cap, SEED_CAP) if x is not None)
+        return st.integers(lo, hi)
+    lo = max(x for x in (key.lo, key.above, -FLOAT_SPAN) if x is not None)
+    return st.floats(lo, FLOAT_SPAN, exclude_min=key.above is not None)
+
+
+def valid(name: str, key: _Key):
+    cap = CAPS.get(name)
+    if key.items is not None:
+        # the first two entries are a [lo, hi] or [start, stop] pair
+        return st.tuples(*(scalar(k, cap) for k in key.items)).map(lambda v: sorted(v[:2]) + list(v[2:]))
+    if key.many:
+        return st.lists(scalar(key, cap), min_size=1, max_size=N_VALUES, unique=True).map(sorted)
+    return scalar(key, cap)
+
+
+def out_of_bounds(key: _Key):
+    """Values just outside a scalar key's bounds, or None when it has none."""
+    if isinstance(key.type, tuple):
+        return st.sampled_from(["EUE ", "flat-ish", 1])
+    outside = []
+    if key.lo is not None:
+        outside.append(st.integers(1, 3).map(lambda k: key.lo - k))
+    if key.above is not None:
+        outside.append(st.just(key.above))
+    if key.hi is not None:
+        outside.append(st.integers(1, 3).map(lambda k: key.hi + k))
+    return st.one_of(outside) if outside else None
+
+
+def invalid(key: _Key):
+    element = key.items[0] if key.items is not None else key
+    bad = [WRONG_TYPES, out_of_bounds(element)]
+    if element.type is float:
+        bad.append(NON_FINITE)
+    value = st.one_of([s for s in bad if s is not None])
+    if key.items is not None:
+        return value.map(lambda v: [v] + [1.0] * (len(key.items) - 1))
+    if key.many:
+        return value.map(lambda v: [v])
+    return value
+
+
+@st.composite
+def fill(draw, schema: dict[str, _Key], fault: str | None) -> dict:
+    """A body for ``schema``; ``fault`` names the key drawn invalid, if any."""
+    body = {}
+    for name, key in schema.items():
+        if name == fault:
+            body[name] = draw(invalid(key))
+        elif name in ALWAYS_SET or draw(st.booleans()):
+            body[name] = draw(valid(name, key))
+    if fault == "unknown":
+        body[draw(st.sampled_from(["bogus", "Dim", "seeds"]))] = 1
+    return body
+
+
+@st.composite
+def run_config(draw) -> dict:
+    task = draw(st.sampled_from(RUN_TASKS))
+    kind = draw(st.sampled_from(list(_MODEL_SCHEMA)))
+    task_keys, model_keys = list(_TASK_SCHEMA[task]), list(_MODEL_SCHEMA[kind])
+    faults = ["unknown", "model.unknown"] + task_keys + [f"model.{k}" for k in model_keys]
+    fault = draw(st.none() | st.sampled_from(faults))
+    model_fault = fault[len("model.") :] if fault and fault.startswith("model.") else None
+    model = draw(fill(_MODEL_SCHEMA[kind], model_fault))
+    return {"task": task, "model": {kind: model}, **draw(fill(_TASK_SCHEMA[task], fault))}
+
+
+@st.composite
+def config(draw) -> dict:
+    if draw(st.integers(0, 4)) == 0:
+        runs = draw(st.lists(run_config() | WRONG_TYPES, min_size=1, max_size=2))
+        return {"schema_version": 1, "task": "sweep", "runs": runs}
+    return {"schema_version": 1, **draw(run_config())}
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=150)
+@given(config(), st.none() | st.integers(0, SEED_CAP) | st.integers(-3, -1))
+def check_exit_code_contract(data, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        argv = [data["task"], "--config", str(path), "--out", str(Path(tmp) / "out")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert rc != 1 or "  warning: " in out.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_exit_code_contract(tmp_path):
+    # hypothesis caches source constants under its home directory even
+    # without a database; keep that cache out of the working tree
+    set_hypothesis_home_dir(tmp_path / "hypothesis")
+    try:
+        check_exit_code_contract()
+    finally:
+        set_hypothesis_home_dir(None)

@@ -93,6 +93,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="t_grid"):
             cfg(task="survival", t_grid=[1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "path, fields",
+        [
+            ("model.random.seed", {"model": {"random": {"seed": -1}}}),
+            ("model.perturbed.seed", {"model": {"perturbed": {"seed": -1}}}),
+            ("pairs_seed", {"task": "gibbs", "pairs_seed": -5}),
+        ],
+        ids=["random", "perturbed", "pairs_seed"],
+    )
+    def test_negative_seed_rejected(self, path, fields):
+        data = {"schema_version": 1, "task": "converge", "model": {"rabi": {}}, **fields}
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: must be >= 0"):
+            parse_config(data)
+
+    def test_boolean_in_n_schedule_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("n_schedule[0]")):
+            cfg(n_schedule=[True, 2])
+
+    def test_defaults_filled_in(self):
+        c = cfg(task="gibbs", model={"random": {"dim": 6}})
+        assert c.model == {"dim": 6, "rank_e": 3, "seed": 0}
+        assert c.options == {"beta": 1.0, "pairs": 20, "pairs_seed": 0, "t_grid": (-2.0, 2.0, 9)}
+
     def test_nested_sweep_rejected(self):
         runs = [{"task": "converge", "model": {"rabi": {}}}, {"task": "sweep", "runs": [{"task": "survival"}]}]
         with pytest.raises(ConfigError, match=re.escape("runs[1].task")):
@@ -287,6 +310,24 @@ class TestRunScenario:
         assert (tmp_path / "run_000" / "converge.csv").exists()
         assert (tmp_path / "run_001" / "survival.csv").exists()
         assert any("run_001" in w for w in report.warnings)
+
+    def test_sweep_runs_parsed_up_front(self):
+        runs = [{"task": "converge", "model": {"rabi": {}}}, {"task": "gibbs", "model": {"random": {"dim": 4}}}]
+        c = parse_config({"schema_version": 1, "task": "sweep", "runs": runs})
+        assert c.options["runs"] == runs
+        assert [(r.task, r.model_kind) for r in c.runs] == [("converge", "rabi"), ("gibbs", "random")]
+        assert c.runs[1].model["rank_e"] == 2
+
+    def test_sweep_seeds_distinct_for_every_seed_and_run(self):
+        runs = [{"task": "converge", "model": {"random": {"dim": 4}}}] * 1001
+        data = {"schema_version": 1, "task": "sweep", "runs": runs}
+        seeds = [run.model["seed"] for s in (0, 1) for run in parse_config(data, seed=s).runs]
+        assert len(set(seeds)) == len(seeds) == 2002
+
+    def test_sweep_seed_overrides_pairs_seed(self):
+        runs = [{"task": "gibbs", "model": {"rabi": {}}, "pairs_seed": 100}] * 2
+        c = parse_config({"schema_version": 1, "task": "sweep", "runs": runs}, seed=3)
+        assert [r.options["pairs_seed"] for r in c.runs] == [6, 7]
 
     def test_seed_override_changes_model(self, tmp_path):
         c = cfg(model={"random": {"dim": 4, "rank_e": 2, "seed": 3}}, t=1.0)
