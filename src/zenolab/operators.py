@@ -101,7 +101,12 @@ class HermitianOperator:
     """Self-adjoint matrix with its cached eigendecomposition.
 
     ``eigenvalues`` ascend and ``eigenvectors`` holds the corresponding
-    orthonormal eigenvectors in its columns.
+    orthonormal eigenvectors in its columns. Construction checks
+    hermiticity, the reconstruction V diag(w) V* = M and orthonormality
+    V*V = I. When ``matrix`` and ``eigenvectors`` both have an exactly zero
+    imaginary part (the real solver path of ``eigendecompose``), the three
+    checks run in real arithmetic on the real parts, at the same tolerances;
+    the stored arrays are left as given.
     """
 
     matrix: np.ndarray
@@ -110,6 +115,9 @@ class HermitianOperator:
 
     def __post_init__(self):
         m, w, v = self.matrix, self.eigenvalues, self.eigenvectors
+        if not (np.any(m.imag) or np.any(v.imag)):
+            # only v enters products, and BLAS needs it with unit stride
+            m, v = m.real, np.ascontiguousarray(v.real)
         norm = float(np.max(np.abs(w))) if w.size else 0.0
         defect = _violation(m - m.conj().T, 1e-12, norm)
         if defect is not None:
@@ -147,6 +155,13 @@ class OrthogonalProjection:
     ``basis`` is an orthonormal basis Q of range(P), dim x rank, with
     QQ* = P. A constructor that already holds one passes it as
     ``known_basis``; otherwise it comes from one SVD of P on first use.
+
+    Every projection is checked for self-adjointness (O(d^2)) and for
+    trace P = rank. One built from a bare matrix is also checked for
+    idempotence, ||P^2 - P||, with a d x d product. One built from a basis
+    is instead checked against that basis: ||Q*Q - I|| at O(d r^2) and
+    ||P - QQ*|| at O(d^2 r), both at the idempotence tolerance, so a Q that
+    does not span range(P) is rejected.
     """
 
     matrix: np.ndarray
@@ -158,13 +173,21 @@ class OrthogonalProjection:
         bound, norm = _column_norm_bound(p), cache(lambda: operator_norm(p))
         if _violation(p - p.conj().T, 1e-12, bound, norm) is not None:
             raise NotHermitian("projection is not self-adjoint within tolerance")
-        if _violation(p @ p - p, 1e-10, bound, norm) is not None:
-            raise ValueError("projection is not idempotent within tolerance")
+        if known_basis is None:
+            if _violation(p @ p - p, 1e-10, bound, norm) is not None:
+                raise ValueError("projection is not idempotent within tolerance")
+        else:
+            q = known_basis
+            if q.shape != (self.dim, self.rank):
+                raise DimensionMismatch(f"basis has shape {q.shape}, expected {(self.dim, self.rank)}")
+            if _violation(q.conj().T @ q - np.eye(self.rank), 1e-10, bound, norm) is not None:
+                raise ValueError("basis is not orthonormal within tolerance")
+            if _violation(p - q @ q.conj().T, 1e-10, bound, norm) is not None:
+                raise ValueError("projection disagrees with its basis beyond tolerance")
+            self.__dict__["basis"] = q
         trace = float(np.trace(p).real)
         if abs(trace - self.rank) > tol(1e-8):
             raise ValueError(f"trace {trace:.12f} disagrees with rank {self.rank}")
-        if known_basis is not None:
-            self.__dict__["basis"] = known_basis
 
     @property
     def dim(self) -> int:

@@ -82,7 +82,7 @@ class _Key:
 _SEED = _Key(int, 0, lo=0, seed=True)
 _T = _Key(float, 1.0)
 _PAIR = (_Key(float), _Key(float))  # [lo, hi]
-_T_GRID = (_Key(float), _Key(float), _Key(int, lo=2))  # [start, stop, num]
+_T_GRID = (_Key(float), _Key(float), _Key(int, lo=2, hi=10**5))  # [start, stop, num]
 
 # the schema: every key of a model body and of each task, apart from the
 # cross-field rules in parse_config
@@ -110,7 +110,7 @@ _MODEL_SCHEMA = {
 _TASK_SCHEMA = {
     "converge": {
         "t": _T,
-        "n_schedule": _Key(int, _DEFAULT_N_VALUES, lo=1, many=True),
+        "n_schedule": _Key(int, _DEFAULT_N_VALUES, lo=1, hi=2**30, many=True),
         "ordering": _Key(ORDERINGS, "EUE"),
     },
     "survival": {
@@ -120,7 +120,7 @@ _TASK_SCHEMA = {
     "classify": {"t": _T},
     "gibbs": {
         "beta": _Key(float, 1.0, lo=0),
-        "pairs": _Key(int, 20, lo=1),
+        "pairs": _Key(int, 20, lo=1, hi=1000),
         "pairs_seed": _SEED,
         "t_grid": _Key(default=(-2.0, 2.0, 9), items=_T_GRID),
     },
@@ -377,6 +377,11 @@ def _build_friedrichs(m: dict[str, Any]) -> Scenario:
         profile = np.exp(-((omegas - center) ** 2) / (2.0 * sigma**2))
         profile_at_eps = float(np.exp(-((eps - center) ** 2) / (2.0 * sigma**2)))
     couplings = g0 * math.sqrt(width / n) * profile
+    density = n / width
+    amplitude = g0 * math.sqrt(width / n) * profile_at_eps
+    golden = 2.0 * math.pi * (amplitude * amplitude) * density
+    if not 0.0 < golden < math.inf:
+        _fail("model.friedrichs.coupling_strength", f"golden-rule rate {golden} is not positive and finite at {g0!r}")
 
     dim = n + 1
     hmat = np.zeros((dim, dim), dtype=complex)
@@ -390,8 +395,6 @@ def _build_friedrichs(m: dict[str, Any]) -> Scenario:
     psi[0] = 1.0
     e = projection_from_span([psi])
 
-    density = n / width
-    golden = 2.0 * math.pi * (g0 * math.sqrt(width / n) * profile_at_eps) ** 2 * density
     heis = 2.0 * math.pi * density  # mean mode spacing sets the recurrence scale
     t_hi = min(0.45 * heis, 3.0 / golden)
     t_lo = 20.0 / width

@@ -1,3 +1,5 @@
+import builtins
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ class TestExitCodes:
         assert main(["gibbs", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("coupling", ["1.0e-200", "1.0e+200"], ids=["underflow", "overflow"])
+    def test_golden_rule_out_of_range_names_the_key(self, tmp_path, capsys, coupling):
+        config = write(
+            tmp_path / "f.yaml",
+            f"schema_version: 1\ntask: survival\nmodel:\n  friedrichs: {{n_modes: 22, coupling_strength: {coupling}}}\n",
+        )
+        assert main(["survival", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.friedrichs.coupling_strength: ")
+        builtin_errors = [n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)]
+        assert not [n for n in builtin_errors if n in err]
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "nope.yaml"), "--quiet"]) == 2

@@ -107,6 +107,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: must be >= 0"):
             parse_config(data)
 
+    @pytest.mark.parametrize(
+        "path, task, key, value, cap",
+        [
+            ("pairs", "gibbs", "pairs", lambda n: n, 1000),
+            ("t_grid[2]", "survival", "t_grid", lambda n: (0.1, 1.0, n), 10**5),
+            ("t_grid[2]", "gibbs", "t_grid", lambda n: (0.1, 1.0, n), 10**5),
+            ("n_schedule[1]", "converge", "n_schedule", lambda n: [1, n], 2**30),
+        ],
+        ids=["pairs", "survival-t_grid", "gibbs-t_grid", "n_schedule"],
+    )
+    def test_size_cap_accepted_and_cap_plus_one_rejected(self, path, task, key, value, cap):
+        assert cfg(task=task, **{key: value(cap)}).options[key] == value(cap)
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: must be <= {cap}, got {cap + 1}$"):
+            cfg(task=task, **{key: value(cap + 1)})
+
     def test_boolean_in_n_schedule_rejected(self):
         with pytest.raises(ConfigError, match=re.escape("n_schedule[0]")):
             cfg(n_schedule=[True, 2])

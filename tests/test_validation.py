@@ -5,6 +5,10 @@ inside the tolerance and otherwise compares the exact 2-norm. Each case
 below places a defect just inside, just outside, or inside the tolerance
 with a Frobenius norm over it, and asserts the verdict of the exact rule:
 the 2-norm of the defect against the tolerance at the exact reference scale.
+The HermitianOperator checks are covered twice: on complex data and on data
+with an exactly zero imaginary part, which they check in real arithmetic. A
+projection built from a basis Q is covered by its two basis checks,
+||Q*Q - I|| and ||P - QQ*||, in place of idempotence.
 """
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 
 import zenolab.operators
 from conftest import SIGMA_X
-from zenolab.errors import NotHermitian
+from zenolab.errors import DimensionMismatch, NotHermitian
 from zenolab.gibbs import DensityState
 from zenolab.numeric import tol
 from zenolab.operators import (
@@ -34,6 +38,12 @@ def _unitary(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((DIM, DIM)) + 1j * rng.standard_normal((DIM, DIM)))
     return q
+
+
+def _orthogonal(seed: int) -> np.ndarray:
+    """A real orthogonal matrix, held as complex with a zero imaginary part as eigendecompose stores it."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((DIM, DIM)))
+    return q.astype(complex)
 
 
 def _hermitian(q: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -62,8 +72,19 @@ def _operator_hermiticity(ratio):
     return (lambda: HermitianOperator(m, w, q)), m - m.conj().T, limit, NotHermitian
 
 
-def _operator_reconstruction(ratio):
-    q, w = _unitary(3), np.linspace(-1.0, 1.0, DIM)
+def _real_operator_hermiticity(ratio):
+    # a real antisymmetric part made of K rotation blocks: K singular values
+    q, w = _orthogonal(12), np.linspace(-1.0, 1.0, DIM)
+    limit = tol(1e-12, 1.0)
+    blocks = np.zeros((DIM, DIM))
+    for i in range(0, K, 2):
+        blocks[i, i + 1], blocks[i + 1, i] = 1.0, -1.0
+    m = _hermitian(q, w) + (ratio * limit / 2.0) * (q @ blocks @ q.T)
+    return (lambda: HermitianOperator(m, w, q)), m - m.conj().T, limit, NotHermitian
+
+
+def _operator_reconstruction(ratio, q=None):
+    q, w = _unitary(3) if q is None else q, np.linspace(-1.0, 1.0, DIM)
     m = _hermitian(q, w)
     shifted = w.copy()
     shifted[:K] += ratio * tol(1e-10, 1.0)
@@ -71,9 +92,9 @@ def _operator_reconstruction(ratio):
     return (lambda: HermitianOperator(m, shifted, q)), m - (q * shifted) @ q.conj().T, limit, ValueError
 
 
-def _operator_orthonormality(ratio):
+def _operator_orthonormality(ratio, q=None):
     # the stretched eigenvectors carry eigenvalue 0, so reconstruction is unaffected
-    q = _unitary(4)
+    q = _unitary(4) if q is None else q
     w = np.concatenate([np.zeros(K), np.linspace(0.1, 1.0, DIM - K)])
     m = _hermitian(q, w)
     stretch = np.ones(DIM)
@@ -97,6 +118,26 @@ def _projection_idempotence(ratio):
     return (lambda: OrthogonalProjection(p, 5)), p @ p - p, limit, ValueError
 
 
+def _basis_orthonormality(ratio):
+    # K basis vectors stretched alike; P = QQ* stays consistent with them
+    stretch = np.sqrt(1.0 + ratio * tol(1e-10, 1.0))
+    q = _unitary(14)[:, :K] * stretch
+    p = q @ q.conj().T
+    p = (p + p.conj().T) / 2.0
+    limit = tol(1e-10, operator_norm(p))
+    return (lambda: OrthogonalProjection(p, K, q)), q.conj().T @ q - np.eye(K), limit, ValueError
+
+
+def _basis_span(ratio):
+    # P carries a small part on K directions outside range(Q)
+    rank, u = DIM - K, _unitary(15)
+    q = u[:, :rank]
+    p = q @ q.conj().T + ratio * tol(1e-10, 1.0) * _flat(u, rank)
+    p = (p + p.conj().T) / 2.0
+    limit = tol(1e-10, operator_norm(p))
+    return (lambda: OrthogonalProjection(p, rank, q)), p - q @ q.conj().T, limit, ValueError
+
+
 def _density_commutator(ratio):
     # Z couples eigenvector pairs (2m, 2m+1) so that [Z, H] has K singular values c
     q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
@@ -117,8 +158,13 @@ CHECKS = {
     "HermitianOperator.hermiticity": _operator_hermiticity,
     "HermitianOperator.reconstruction": _operator_reconstruction,
     "HermitianOperator.orthonormality": _operator_orthonormality,
+    "HermitianOperator.real.hermiticity": _real_operator_hermiticity,
+    "HermitianOperator.real.reconstruction": lambda ratio: _operator_reconstruction(ratio, _orthogonal(13)),
+    "HermitianOperator.real.orthonormality": lambda ratio: _operator_orthonormality(ratio, _orthogonal(14)),
     "OrthogonalProjection.self_adjoint": _projection_self_adjoint,
     "OrthogonalProjection.idempotence": _projection_idempotence,
+    "OrthogonalProjection.basis_orthonormality": _basis_orthonormality,
+    "OrthogonalProjection.basis_span": _basis_span,
     "DensityState.commutator": _density_commutator,
 }
 
@@ -143,6 +189,71 @@ def test_rejection_reports_the_exact_defect(check):
     construct, defect, _, error = CHECKS[check](1.01)
     with pytest.raises(error, match=f"{operator_norm(defect):.3e}"):
         construct()
+
+
+def _one_imaginary_entry(ratio):
+    # real data but for one diagonal entry: the defect is rank 1, ||X||_F = ||X||_2
+    q, w = _orthogonal(16), np.linspace(-1.0, 1.0, DIM)
+    limit = tol(1e-12, 1.0)
+    m = _hermitian(q, w)
+    m[0, 0] += 1j * ratio * limit / 2.0
+    return (lambda: HermitianOperator(m, w, q)), m - m.conj().T, limit, NotHermitian
+
+
+@pytest.mark.parametrize("ratio", RATIOS[1:])
+def test_one_imaginary_entry_keeps_complex_arithmetic(ratio):
+    construct, defect, limit, error = _one_imaginary_entry(ratio)
+    exact = operator_norm(defect)
+    assert exact / limit == pytest.approx(ratio, rel=1e-3)
+    if exact > limit:
+        with pytest.raises(error):
+            construct()
+    else:
+        construct()
+
+
+def _spy_violation(monkeypatch) -> list:
+    dtypes = []
+    original = zenolab.operators._violation
+    monkeypatch.setattr(
+        zenolab.operators, "_violation", lambda x, *args, **kw: dtypes.append(x.dtype) or original(x, *args, **kw)
+    )
+    return dtypes
+
+
+def _real_matrix_complex_eigenvectors():
+    # a real symmetric matrix whose eigenvectors carry complex phases
+    q, w = _orthogonal(17), np.linspace(-1.0, 1.0, DIM)
+    v = q * np.exp(1j * np.linspace(0.1, 3.0, DIM))
+    return lambda: HermitianOperator(_hermitian(q, w), w, v)
+
+
+@pytest.mark.parametrize(
+    "case, dtype",
+    [
+        (lambda: CHECKS["HermitianOperator.real.reconstruction"](RATIOS[0])[0], np.float64),
+        (lambda: CHECKS["HermitianOperator.reconstruction"](RATIOS[0])[0], np.complex128),
+        (lambda: _one_imaginary_entry(RATIOS[0])[0], np.complex128),
+        (_real_matrix_complex_eigenvectors, np.complex128),
+    ],
+    ids=["real", "complex", "one-imaginary-entry", "complex-eigenvectors"],
+)
+def test_operator_checks_run_in_real_arithmetic_only_on_real_data(monkeypatch, case, dtype):
+    construct = case()
+    dtypes = _spy_violation(monkeypatch)
+    h = construct()
+    assert dtypes == [dtype] * 3
+    assert h.matrix.dtype == h.eigenvectors.dtype == np.complex128
+
+
+def test_projection_rejects_a_basis_that_does_not_span_its_range():
+    e = np.eye(3, dtype=complex)
+    p = np.outer(e[:, 0], e[:, 0])
+    assert OrthogonalProjection(p, 1, e[:, :1]).basis is not None
+    with pytest.raises(ValueError, match="disagrees with its basis"):
+        OrthogonalProjection(p, 1, e[:, 1:2])
+    with pytest.raises(DimensionMismatch):
+        OrthogonalProjection(p, 1, e[:, :2])
 
 
 def test_clean_friedrichs_build_takes_no_svd(monkeypatch):
