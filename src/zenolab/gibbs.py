@@ -3,8 +3,11 @@
 Thermal equilibrium at inverse temperature beta is characterized by the
 two-sided boundary identity omega(A tau_{t+i beta}(B)) = omega(tau_t(B) A);
 at finite dimension the Gibbs density matrix is its unique solution. The
-same check runs on the compressed algebra with the compressed generator,
-which is where the frozen-dynamics equilibria live.
+same check runs on the compressed algebra, where the frozen-dynamics
+equilibria live, at r x r on the compressions Q*HQ, Q*AQ, Q*BQ and Q*rhoQ
+(Q an orthonormal basis of range(E)); that is exact for any state. Both
+checks share one kernel. A bilinear kernel (ROADMAP.md, item 1) waits
+until the benchmark stops counting ``heisenberg_evolve`` calls.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .operators import (
     eigendecompose,
     operator_norm,
 )
-from .zeno import compressed_generator_matrix
+from .zeno import _compress
 
 __all__ = [
     "DensityState",
@@ -100,8 +103,16 @@ def heisenberg_evolve(h: HermitianOperator, a, z: complex) -> np.ndarray:
     v = h.eigenvectors
     w = h.eigenvalues
     in_basis = v.conj().T @ mat @ v
-    phases = np.exp(1j * z * (w[:, None] - w[None, :]))
-    return v @ (in_basis * phases) @ v.conj().T
+    # about the spectrum's midpoint neither factor exceeds exp(|Im z| spread / 2)
+    s = 1j * z * (w - (w[0] + w[-1]) / 2.0) if w.size else w
+    return v @ (in_basis * np.outer(np.exp(s), np.exp(-s))) @ v.conj().T
+
+
+def _kms_gap(rho: np.ndarray, h: HermitianOperator, a: np.ndarray, b: np.ndarray, t: float, beta: float) -> float:
+    """|tr(rho A tau_{t+i beta}(B)) - tr(rho tau_t(B) A)|, each trace as sum(Y^T o X), Y = rho A or A rho."""
+    left = np.sum((rho @ a).T * heisenberg_evolve(h, b, t + 1j * beta))
+    right = np.sum((a @ rho).T * heisenberg_evolve(h, b, t))
+    return float(abs(left - right))
 
 
 def kms_residual(state: DensityState, a, b, t: float, beta: float) -> float:
@@ -114,9 +125,7 @@ def kms_residual(state: DensityState, a, b, t: float, beta: float) -> float:
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     check_dims(h, a, b)
-    left = np.trace(state.rho @ a @ heisenberg_evolve(h, b, t + 1j * beta))
-    right = np.trace(state.rho @ heisenberg_evolve(h, b, t) @ a)
-    return float(abs(left - right))
+    return _kms_gap(state.rho, h, a, b, t, beta)
 
 
 def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
@@ -131,28 +140,26 @@ def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
     return operator_norm(a) * operator_norm(b) * growth
 
 
+def _compressed_gibbs(h: HermitianOperator, e: OrthogonalProjection, beta: float):
+    """The r x r generator Q*HQ, eigendecomposed, and its Gibbs density lifted to the full space."""
+    check_dims(h, e)
+    if e.rank < 1:
+        raise ZeroRank("the compressed Gibbs state needs a projection of rank >= 1")
+    q = e.basis
+    generator = eigendecompose(_compress(h, q))
+    rho = q @ gibbs_state(generator, beta).rho @ q.conj().T
+    return generator, (rho + rho.conj().T) / 2.0
+
+
 def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float) -> DensityState:
-    """Gibbs state of the compressed generator, supported on range(E).
+    """Gibbs state of the compressed generator EHE = Q (Q*HQ) Q*, supported on range(E).
 
     The trace may be taken over the full space because the unnormalized
     density exp(-beta EHE) E already lives on range(E).
     """
-    check_dims(h, e)
-    if e.rank < 1:
-        raise ZeroRank("zeno_gibbs_state needs a projection of rank >= 1")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    generator, rho = _compressed_gibbs(h, e, beta)
     q = e.basis
-    g_small = q.conj().T @ h.matrix @ q
-    g_small = (g_small + g_small.conj().T) / 2.0
-    w, v = np.linalg.eigh(g_small)
-    shifted = np.exp(-beta * (w - w[0]))
-    weights = shifted / np.sum(shifted)
-    rho_small = (v * weights) @ v.conj().T
-    rho = q @ rho_small @ q.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    generator = eigendecompose(compressed_generator_matrix(h, e))
-    return DensityState(rho, float(beta), generator)
+    return DensityState(rho, float(beta), eigendecompose(q @ generator.matrix @ q.conj().T))
 
 
 @dataclass(frozen=True)
@@ -176,23 +183,19 @@ def reduced_kms_residual(
     Observables are compressed with E before testing. Passing a different
     ``state`` (built from another projection or temperature) turns this into
     a negative control; the dynamics still come from (h, e).
+
+    It runs at r x r on Q*HQ, Q*AQ, Q*BQ and Q*rhoQ, Q = e.basis: under the
+    flow of EHE, tau_z(EBE) = Q tau_z(Q*BQ) Q*, so this is exact for any state.
     """
-    check_dims(h, e)
-    if state is None:
-        state = zeno_gibbs_state(h, e, beta)
-        generator = state.hamiltonian_ref
-    else:
-        generator = eigendecompose(compressed_generator_matrix(h, e))
-    p = e.matrix
+    generator, rho = _compressed_gibbs(h, e, beta)
+    q = e.basis
+    rho = q.conj().T @ (rho if state is None else state.rho) @ q
     worst = 0.0
     ts = [float(t) for t in t_grid]
     for a, b in pairs:
-        a_e = p @ as_complex_matrix(a) @ p
-        b_e = p @ as_complex_matrix(b) @ p
+        a_e, b_e = (q.conj().T @ as_complex_matrix(m) @ q for m in (a, b))
         for t in ts:
-            left = np.trace(state.rho @ a_e @ heisenberg_evolve(generator, b_e, t + 1j * beta))
-            right = np.trace(state.rho @ heisenberg_evolve(generator, b_e, t) @ a_e)
-            worst = max(worst, float(abs(left - right)))
+            worst = max(worst, _kms_gap(rho, generator, a_e, b_e, t, beta))
     return KMSReport(
         pairs_tested=len(pairs),
         max_residual=worst,

@@ -586,6 +586,9 @@ def _run_survival(config: ScenarioConfig, out: Path) -> RunReport:
     warnings: list[str] = []
     headline: dict[str, Any] = {}
     window = config.options.get("fit_window", scen.fit_window)
+    if window is not None and not window[0] < window[1]:
+        key = "coupling_strength" if window[1] == 3.0 / scen.golden_rate else "n_modes"
+        _fail(f"model.friedrichs.{key}", f"the default fit window ({window[0]:.4g}, {window[1]:.4g}) is empty")
     try:
         fit = decay_fit(profile, window)
         headline["gamma0"] = fit.gamma0

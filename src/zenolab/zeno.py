@@ -158,12 +158,6 @@ def _compress(h: HermitianOperator, q: np.ndarray) -> np.ndarray:
     return (c + c.conj().T) / 2.0
 
 
-def compressed_generator_matrix(h: HermitianOperator, e: OrthogonalProjection) -> np.ndarray:
-    """E H E on the full space, symmetrized."""
-    c = e.matrix @ h.matrix @ e.matrix
-    return (c + c.conj().T) / 2.0
-
-
 def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) -> np.ndarray:
     """exp(i t EHE) E on the full space: the limit of the iterated products.
 

@@ -63,6 +63,21 @@ class TestExitCodes:
         builtin_errors = [n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)]
         assert not [n for n in builtin_errors if n in err]
 
+    @pytest.mark.parametrize(
+        "model, key",
+        [("{n_modes: 22, coupling_strength: 1.0e+10}", "coupling_strength"), ("{n_modes: 5}", "n_modes")],
+        ids=["strong-coupling", "few-modes"],
+    )
+    def test_empty_default_fit_window_names_the_key(self, tmp_path, capsys, model, key):
+        body = f"schema_version: 1\ntask: survival\nmodel:\n  friedrichs: {model}\n"
+        config = write(tmp_path / "f.yaml", body)
+        assert main(["survival", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: model.friedrichs.{key}: the default fit window")
+        for task in ("classify", "converge"):
+            config = write(tmp_path / f"{task}.yaml", body.replace("survival", task))
+            assert main([task, "--config", config, "--out", str(tmp_path / task), "--quiet"]) == 0
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "nope.yaml"), "--quiet"]) == 2
 

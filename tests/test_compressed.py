@@ -25,7 +25,6 @@ from zenolab.scenarios import parse_config, run_scenario
 from zenolab.zeno import (
     ORDERINGS,
     ZenoSchedule,
-    compressed_generator_matrix,
     product_convergence_report,
     reduced_dynamics,
     zeno_convergence_report,
@@ -42,6 +41,12 @@ def dense_product(h, e, t, n, ordering):
     p = e.matrix
     step = {"EUE": p @ u @ p, "UE": u @ p, "EU": p @ u}[ordering]
     return np.linalg.matrix_power(step, n)
+
+
+def compressed_generator_matrix(h, e):
+    """The d x d reference: E H E on the full space, symmetrized."""
+    c = e.matrix @ h.matrix @ e.matrix
+    return (c + c.conj().T) / 2.0
 
 
 def dense_target(h, e, t):

@@ -18,7 +18,26 @@ import zenolab.gibbs
 import zenolab.scenarios
 from zenolab.operators import OrthogonalProjection, eigendecompose, identity_projection, operator_norm
 from zenolab.scenarios import parse_config, run_scenario
-from zenolab.zeno import compressed_generator_matrix
+
+
+def compressed_generator_matrix(h, e):
+    """The d x d reference: E H E on the full space, symmetrized."""
+    c = e.matrix @ h.matrix @ e.matrix
+    return (c + c.conj().T) / 2.0
+
+
+def dense_reduced_residual(h, e, beta, pairs, ts, rho):
+    """The d x d reference loop: EAE and EBE under the flow of the d x d EHE."""
+    p = e.matrix
+    generator = eigendecompose(compressed_generator_matrix(h, e))
+    worst = 0.0
+    for a, b in pairs:
+        a_e, b_e = p @ a @ p, p @ b @ p
+        for t in ts:
+            left = np.trace(rho @ a_e @ heisenberg_evolve(generator, b_e, t + 1j * beta))
+            right = np.trace(rho @ heisenberg_evolve(generator, b_e, t) @ a_e)
+            worst = max(worst, float(abs(left - right)))
+    return worst
 
 
 class TestGibbsState:
@@ -86,6 +105,25 @@ class TestHeisenbergEvolve:
         with pytest.raises(Overflow):
             heisenberg_evolve(h, np.eye(2), 4j)
 
+    # far from 0, so exp(i z w) itself would overflow; dyadic, so w_i - w_k is exact
+    OFFSET_SPECTRUM = np.array([1000.0, 1001.25, 1002.0, 1004.5])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_continuation_just_below_the_guard_is_finite(self, sign):
+        w = self.OFFSET_SPECTRUM
+        h = eigendecompose(np.diag(w).astype(complex))
+        rng = np.random.default_rng(17)
+        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        z = 0.3 + sign * 699.0j / 4.5  # |Im z| * spread = 699
+        out = heisenberg_evolve(h, b, z)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, b * np.exp(1j * z * (w[:, None] - w[None, :])), rtol=1e-12, atol=0)
+
+    def test_continuation_just_above_the_guard_raises(self):
+        h = eigendecompose(np.diag(self.OFFSET_SPECTRUM).astype(complex))
+        with pytest.raises(Overflow):
+            heisenberg_evolve(h, np.eye(4), 0.3 - 701.0j / 4.5)
+
 
 class TestKMSResidual:
     def test_identity_pair_vanishes(self):
@@ -125,6 +163,17 @@ class TestKMSResidual:
         assert kms_residual(right, a, b, t, beta) < 1e-10 * scale
         assert kms_residual(wrong, a, b, t, beta) > 1e-8 * scale
         assert kms_residual(tracial, a, b, t, beta) > 1e-8 * scale
+
+    def test_matches_the_triple_product_traces(self):
+        rng = np.random.default_rng(18)
+        h = random_hermitian_op(rng, 6)
+        a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
+        for state in (gibbs_state(h, 1.0), gibbs_state(h, 0.0)):
+            for t in (-1.2, 0.4):
+                left = np.trace(state.rho @ a @ heisenberg_evolve(h, b, t + 1j))
+                right = np.trace(state.rho @ heisenberg_evolve(h, b, t) @ a)
+                dense = float(abs(left - right))
+                assert abs(kms_residual(state, a, b, t, 1.0) - dense) <= 1e-12 * kms_scale(h, a, b, 1.0)
 
     def test_gibbs_stationarity(self):
         rng = np.random.default_rng(7)
@@ -242,3 +291,63 @@ class TestReducedKMS:
         implicit = reduced_kms_residual(h, e, 0.8, pairs, ts)
         explicit = reduced_kms_residual(h, e, 0.8, pairs, ts, state=zeno_gibbs_state(h, e, 0.8))
         assert implicit.max_residual == explicit.max_residual
+
+
+class TestReducedAgainstDense:
+    """The r x r reduced check against the d x d loop it replaced."""
+
+    @staticmethod
+    def case(d, r, seed):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian_op(rng, d)
+        e = identity_projection(d) if r == d else random_projection(rng, d, r)
+        pairs = [(random_hermitian(rng, d), random_hermitian(rng, d)) for _ in range(3)]
+        return rng, h, e, pairs
+
+    @pytest.mark.parametrize("d", [6, 12])
+    @pytest.mark.parametrize("r", [1, 3, "d"])
+    def test_passing_case_agrees(self, d, r):
+        r = d if r == "d" else r
+        _, h, e, pairs = self.case(d, r, 100 + d + r)
+        ts = np.linspace(-2.0, 2.0, 5)
+        report = reduced_kms_residual(h, e, 1.0, pairs, ts)
+        dense = dense_reduced_residual(h, e, 1.0, pairs, ts, zeno_gibbs_state(h, e, 1.0).rho)
+        scale = max(kms_scale(h, a, b, 1.0) for a, b in pairs)
+        assert abs(report.max_residual - dense) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("d", [6, 12])
+    @pytest.mark.parametrize("r", [3, "d"])
+    @pytest.mark.parametrize("control", ["projection", "beta"])
+    def test_negative_control_agrees(self, d, r, control):
+        r = d if r == "d" else r
+        rng, h, e, pairs = self.case(d, r, 200 + d + r)
+        if control == "projection":
+            state = zeno_gibbs_state(h, random_projection(rng, d, min(r, d - 1)), 1.0)
+        else:
+            state = zeno_gibbs_state(h, e, 2.5)
+        ts = np.linspace(-2.0, 2.0, 5)
+        report = reduced_kms_residual(h, e, 1.0, pairs, ts, state=state)
+        dense = dense_reduced_residual(h, e, 1.0, pairs, ts, state.rho)
+        assert dense > 1e-6
+        assert abs(report.max_residual - dense) <= 1e-12 * dense
+
+    def test_zero_rank_raises(self):
+        h = random_hermitian_op(np.random.default_rng(19), 6)
+        empty = OrthogonalProjection(np.zeros((6, 6), dtype=complex), 0)
+        pairs = [(np.eye(6), np.eye(6))]
+        with pytest.raises(ZeroRank):
+            reduced_kms_residual(h, empty, 1.0, pairs, [0.5])
+
+    def test_gibbs_run_evolves_at_the_full_and_the_compressed_size(self, tmp_path, monkeypatch):
+        dims = []
+
+        def spy(h, a, z):
+            dims.append(h.dim)
+            return heisenberg_evolve(h, a, z)
+
+        monkeypatch.setattr(zenolab.gibbs, "heisenberg_evolve", spy)
+        config = parse_config(
+            {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 30, "rank_e": 5}}, "pairs": 2}
+        )
+        run_scenario(config, out_dir=tmp_path)
+        assert {n: dims.count(n) for n in set(dims)} == {30: 36, 5: 36}
