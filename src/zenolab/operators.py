@@ -1,4 +1,4 @@
-"""Dense complex operator algebra.
+"""Dense operator algebra, real where the data are real.
 
 Hermitian eigendecomposition with cached spectra, matrix exponentials for
 real and complex time, operator norms, PSD square roots, and orthogonal
@@ -47,14 +47,41 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_complex_matrix(m, square: bool = True) -> np.ndarray:
-    """Validate and return a finite complex dense matrix, square unless ``square`` is false."""
-    a = np.asarray(m, dtype=complex)
+def as_matrix(m, square: bool = True) -> np.ndarray:
+    """Validate and return a finite dense matrix, square unless ``square`` is false.
+
+    Real input comes back as float64, anything else as complex128.
+    """
+    a = np.asarray(m)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
         raise DimensionMismatch(f"expected a {'square' if square else '2-D'} matrix, got shape {a.shape}")
     if a.size and not np.all(np.isfinite(a.view(float))):
         raise NonFinite("matrix contains non-finite entries")
     return a
+
+
+def as_complex_matrix(m, square: bool = True) -> np.ndarray:
+    """Validate and return a finite complex dense matrix, square unless ``square`` is false."""
+    return as_matrix(m, square).astype(complex, copy=False)
+
+
+def _is_real(a: np.ndarray) -> bool:
+    """True for a real array or a complex one with an exactly zero imaginary part."""
+    return not (np.iscomplexobj(a) and np.any(a.imag))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b without copying a real operand into a complex one.
+
+    When exactly one side is complex it is split, a @ b.real + 1j * (a @ b.imag),
+    so the real side enters two real products as it is.
+    """
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
+        return a @ b
+    if np.iscomplexobj(b):
+        return a @ b.real + 1j * (a @ b.imag)
+    return a.real @ b + 1j * (a.imag @ b)
 
 
 def operator_norm(m) -> float:
@@ -103,10 +130,11 @@ class HermitianOperator:
     ``eigenvalues`` ascend and ``eigenvectors`` holds the corresponding
     orthonormal eigenvectors in its columns. Construction checks
     hermiticity, the reconstruction V diag(w) V* = M and orthonormality
-    V*V = I. When ``matrix`` and ``eigenvectors`` both have an exactly zero
-    imaginary part (the real solver path of ``eigendecompose``), the three
-    checks run in real arithmetic on the real parts, at the same tolerances;
-    the stored arrays are left as given.
+    V*V = I. ``matrix`` and ``eigenvectors`` are float64 on the real solver
+    path of ``eigendecompose`` and are checked as they are; complex ones
+    that both have an exactly zero imaginary part are checked in real
+    arithmetic on their real parts, at the same tolerances. The stored
+    arrays are left as given.
     """
 
     matrix: np.ndarray
@@ -115,8 +143,8 @@ class HermitianOperator:
 
     def __post_init__(self):
         m, w, v = self.matrix, self.eigenvalues, self.eigenvectors
-        if not (np.any(m.imag) or np.any(v.imag)):
-            # only v enters products, and BLAS needs it with unit stride
+        if _is_real(m) and _is_real(v):
+            # views of real data; only v enters products, and BLAS needs it with unit stride
             m, v = m.real, np.ascontiguousarray(v.real)
         norm = float(np.max(np.abs(w))) if w.size else 0.0
         defect = _violation(m - m.conj().T, 1e-12, norm)
@@ -148,36 +176,48 @@ class HermitianOperator:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # rank, the one field, does not identify a projection
 class OrthogonalProjection:
-    """Idempotent self-adjoint matrix together with its integer rank.
+    """Orthogonal projection P of integer rank, with an orthonormal basis Q of its range.
 
-    ``basis`` is an orthonormal basis Q of range(P), dim x rank, with
-    QQ* = P. A constructor that already holds one passes it as
-    ``known_basis``; otherwise it comes from one SVD of P on first use.
+    ``basis`` Q is dim x rank with QQ* = P. ``OrthogonalProjection(None,
+    rank, Q)``, as ``projection_from_span`` and ``identity_projection``
+    build it, holds only Q and checks ||Q*Q - I|| at O(d r^2); ``matrix``
+    is then QQ*, formed and cached the first time something reads it.
 
-    Every projection is checked for self-adjointness (O(d^2)) and for
-    trace P = rank. One built from a bare matrix is also checked for
-    idempotence, ||P^2 - P||, with a d x d product. One built from a basis
-    is instead checked against that basis: ||Q*Q - I|| at O(d r^2) and
-    ||P - QQ*|| at O(d^2 r), both at the idempotence tolerance, so a Q that
-    does not span range(P) is rejected.
+    ``OrthogonalProjection(matrix, rank[, known_basis])`` holds P and checks
+    it for self-adjointness (O(d^2)) and trace P = rank. Without a basis it
+    is also checked for idempotence, ||P^2 - P||, with a d x d product, and
+    ``basis`` comes from one SVD of P on first use. A ``known_basis`` Q is
+    checked against P instead: ||Q*Q - I|| at O(d r^2) and ||P - QQ*|| at
+    O(d^2 r), both at the idempotence tolerance, so a Q that does not span
+    range(P) is rejected.
     """
 
-    matrix: np.ndarray
+    p: InitVar[np.ndarray | None]
     rank: int
     known_basis: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, known_basis=None):
-        p = self.matrix
+    def __post_init__(self, p, known_basis=None):
+        q = known_basis
+        if p is None:
+            if q is None or q.ndim != 2 or q.shape[1] != self.rank:
+                raise DimensionMismatch(f"a projection built from a basis needs one of shape (dim, {self.rank})")
+            gram = q.conj().T @ q
+            # ||QQ*|| = ||Q*Q||, bounded below by its largest diagonal entry
+            bound = float(np.max(gram.diagonal().real)) if self.rank else 0.0
+            if _violation(gram - np.eye(self.rank), 1e-10, bound, lambda: operator_norm(gram)) is not None:
+                raise ValueError("basis is not orthonormal within tolerance")
+            self.__dict__["basis"] = q
+            return
+        self.__dict__["matrix"] = p
         bound, norm = _column_norm_bound(p), cache(lambda: operator_norm(p))
         if _violation(p - p.conj().T, 1e-12, bound, norm) is not None:
             raise NotHermitian("projection is not self-adjoint within tolerance")
-        if known_basis is None:
+        if q is None:
             if _violation(p @ p - p, 1e-10, bound, norm) is not None:
                 raise ValueError("projection is not idempotent within tolerance")
         else:
-            q = known_basis
             if q.shape != (self.dim, self.rank):
                 raise DimensionMismatch(f"basis has shape {q.shape}, expected {(self.dim, self.rank)}")
             if _violation(q.conj().T @ q - np.eye(self.rank), 1e-10, bound, norm) is not None:
@@ -191,7 +231,14 @@ class OrthogonalProjection:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        held = self.__dict__.get("matrix")
+        return (self.basis if held is None else held).shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        q = self.basis
+        p = q @ q.conj().T
+        return _freeze((p + p.conj().T) / 2.0)
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -205,21 +252,28 @@ def eigendecompose(m) -> HermitianOperator:
     """Eigendecompose a Hermitian-within-tolerance matrix.
 
     Raises NotHermitian when the adjoint defect exceeds 1e-12 * (1 + ||M||),
-    NonFinite on NaN/Inf entries. A matrix with an exactly zero imaginary
-    part goes through the real symmetric solver; its eigenvectors are still
-    stored as complex.
+    NonFinite on NaN/Inf entries. A real matrix, or a complex one whose
+    symmetrised form has an exactly zero imaginary part, goes through the
+    real symmetric solver and is never promoted to complex: the symmetrised
+    matrix and the eigenvectors are stored as float64. A read-only input that
+    is exactly Hermitian is its own symmetrisation and is stored uncopied.
     """
-    a = as_complex_matrix(m)
+    a = as_matrix(m)
     defect = _violation(a - a.conj().T, 1e-12, _column_norm_bound(a), lambda: operator_norm(a))
     if defect is not None:
         raise NotHermitian(f"matrix is not Hermitian: defect {defect:.3e}")
-    sym = (a + a.conj().T) / 2.0
+    if a.flags.writeable or not np.array_equal(a, a.conj().T):
+        sym = (a + a.conj().T) / 2.0
+    else:
+        sym = a
+    if _is_real(sym):
+        sym = np.ascontiguousarray(sym.real)
     if a.size:
-        w, v = np.linalg.eigh(sym.real if not np.any(sym.imag) else sym)
+        w, v = np.linalg.eigh(sym)
     else:
         w = np.zeros(0)
-        v = np.zeros((0, 0), dtype=complex)
-    return HermitianOperator(_freeze(sym), _freeze(w), _freeze(v.astype(complex)))
+        v = np.zeros((0, 0), dtype=sym.dtype)
+    return HermitianOperator(_freeze(sym), _freeze(w), _freeze(v))
 
 
 def phase_factors(h: HermitianOperator, z: complex) -> np.ndarray:
@@ -241,7 +295,7 @@ def phase_factors(h: HermitianOperator, z: complex) -> np.ndarray:
 def evolve(h: HermitianOperator, z: complex) -> np.ndarray:
     """exp(i z H) through the cached eigenbasis; unitary for real z."""
     v = h.eigenvectors
-    return (v * phase_factors(h, z)) @ v.conj().T
+    return _matmul(v * phase_factors(h, z), v.conj().T)
 
 
 def _expm_general(m: np.ndarray) -> np.ndarray:
@@ -304,9 +358,7 @@ def projection_from_span(vectors) -> OrthogonalProjection:
         raise ZeroSpan("all spanning vectors are numerically zero")
     keep = s > tol(1e-10) * s[0]
     q = _freeze(u[:, keep])
-    p = q @ q.conj().T
-    p = (p + p.conj().T) / 2.0
-    return OrthogonalProjection(_freeze(p), q.shape[1], q)
+    return OrthogonalProjection(None, q.shape[1], q)
 
 
 def projection_from_matrix(p) -> OrthogonalProjection:
@@ -317,8 +369,7 @@ def projection_from_matrix(p) -> OrthogonalProjection:
 
 
 def identity_projection(dim: int) -> OrthogonalProjection:
-    eye = _freeze(np.eye(dim, dtype=complex))
-    return OrthogonalProjection(eye, dim, eye)
+    return OrthogonalProjection(None, dim, _freeze(np.eye(dim, dtype=complex)))
 
 
 def complement(p: OrthogonalProjection) -> OrthogonalProjection:

@@ -28,6 +28,7 @@ from .gibbs import gibbs_state, kms_residual, kms_scale, reduced_kms_residual
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
+    _freeze,
     complement,
     eigendecompose,
     evolve,
@@ -64,7 +65,8 @@ class _Key:
     ``type`` is int, float (finite), str, dict or a tuple of allowed values.
     ``lo``/``hi`` are inclusive bounds and ``above`` an exclusive lower one.
     With ``items`` the key is a fixed-length list whose i-th entry is checked
-    by ``items[i]``; with ``many`` it is a nonempty list of ``type`` values.
+    by ``items[i]``; with ``many`` it is a nonempty list of ``type`` values,
+    at most ``most`` of them when that is given.
     A key whose ``default`` is None stays absent when not given. ``seed``
     marks the keys that a seed override (``--seed``) replaces.
     """
@@ -76,6 +78,7 @@ class _Key:
     above: float | None = None
     items: tuple[_Key, ...] | None = None
     many: bool = False
+    most: int | None = None
     seed: bool = False
 
 
@@ -124,7 +127,7 @@ _TASK_SCHEMA = {
         "pairs_seed": _SEED,
         "t_grid": _Key(default=(-2.0, 2.0, 9), items=_T_GRID),
     },
-    "sweep": {"runs": _Key(dict, many=True)},
+    "sweep": {"runs": _Key(dict, many=True, most=10**4)},
 }
 
 _ROOT_SCHEMA = {"output_path": _Key(str, ".")}
@@ -209,6 +212,8 @@ def _walk(schema: dict[str, _Key], given: dict, prefix: str, seed: int | None) -
         elif key.many:
             if not (isinstance(value, (list, tuple)) and value):
                 _fail(path, f"must be a nonempty list, got {value!r}")
+            if key.most is not None and len(value) > key.most:
+                _fail(path, f"must hold at most {key.most} entries, got {len(value)}")
             out[name] = [_check(key, v, f"{path}[{i}]") for i, v in enumerate(value)]
         else:
             out[name] = _check(key, value, path)
@@ -343,10 +348,11 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         raw /= max(operator_norm(raw), 1e-300)
         h = eigendecompose(raw)
         e = _random_projection(rng, m["dim"], m["rank_e"])
-        psi = e.matrix @ (rng.standard_normal(m["dim"]) + 1j * rng.standard_normal(m["dim"]))
+        q = e.basis
+        psi = q @ (q.conj().T @ (rng.standard_normal(m["dim"]) + 1j * rng.standard_normal(m["dim"])))
         nrm = float(np.linalg.norm(psi))
         if nrm < 1e-12:
-            psi = e.matrix[:, 0]
+            psi = q @ q[0].conj()  # the first column of QQ*
             nrm = float(np.linalg.norm(psi))
         psi = psi / nrm
         return Scenario(h, e, psi)
@@ -384,12 +390,12 @@ def _build_friedrichs(m: dict[str, Any]) -> Scenario:
         _fail("model.friedrichs.coupling_strength", f"golden-rule rate {golden} is not positive and finite at {g0!r}")
 
     dim = n + 1
-    hmat = np.zeros((dim, dim), dtype=complex)
+    hmat = np.zeros((dim, dim))
     hmat[0, 0] = eps
     hmat[1:, 1:] = np.diag(omegas)
     hmat[0, 1:] = couplings
     hmat[1:, 0] = couplings
-    h = eigendecompose(hmat)
+    h = eigendecompose(_freeze(hmat))  # read-only, so stored uncopied
 
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
@@ -649,8 +655,7 @@ def _run_gibbs(config: ScenarioConfig, out: Path) -> RunReport:
         a = _random_hermitian(rng, h.dim)
         b = _random_hermitian(rng, h.dim)
         scale = kms_scale(h, a, b, beta)
-        for t in ts:
-            r = kms_residual(state, a, b, float(t), beta)
+        for t, r in zip(ts, kms_residual(state, a, b, ts, beta).tolist()):
             rows.append((i, float(t), r, scale))
             worst = max(worst, r)
             worst_scaled = max(worst_scaled, r / scale)

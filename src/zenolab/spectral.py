@@ -22,7 +22,7 @@ from scipy import integrate, special
 
 from .errors import NotNormalized, QuadratureFailure
 from .numeric import tol
-from .operators import HermitianOperator
+from .operators import HermitianOperator, _matmul
 
 __all__ = [
     "Classification",
@@ -435,7 +435,7 @@ def spectral_measure_of_state(h: HermitianOperator, psi) -> DiscreteMeasure:
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > tol(1e-10):
         raise NotNormalized(f"state norm {norm:.12f} deviates from 1")
-    weights = np.abs(h.eigenvectors.conj().T @ psi) ** 2
+    weights = np.abs(_matmul(h.eigenvectors.conj().T, psi)) ** 2
     gap_tol = 1e-10 * max(h.norm, 1e-300)
     atoms: list[float] = []
     merged: list[float] = []

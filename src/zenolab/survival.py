@@ -18,7 +18,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .numeric import linear_fit, tol
-from .operators import HermitianOperator
+from .operators import HermitianOperator, _matmul
 
 __all__ = [
     "DecayProfile",
@@ -44,7 +44,7 @@ def _state_coefficients(h: HermitianOperator, psi) -> np.ndarray:
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > tol(1e-10):
         raise NotNormalized(f"state norm {norm:.12f} deviates from 1")
-    return h.eigenvectors.conj().T @ psi
+    return _matmul(h.eigenvectors.conj().T, psi)
 
 
 def survival_amplitude(h: HermitianOperator, psi, t: float) -> complex:

@@ -24,6 +24,7 @@ from .numeric import loglog_fit, tol
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
+    _matmul,
     check_dims,
     complement,
     eigendecompose,
@@ -141,20 +142,20 @@ def zeno_product(
         raise ValueError(f"ordering must be one of {ORDERINGS}")
     q, v = e.basis, h.eigenvectors
     phases = phase_factors(h, t / n)
-    w = v.conj().T @ q
+    w = _matmul(v.conj().T, q)
     w_adj_u = w.conj().T * phases  # W* diag(phases), so Q*U = W* diag(phases) V*
     a = w_adj_u @ w
     if ordering == "EUE":
         return q @ np.linalg.matrix_power(a, n) @ q.conj().T
     power = np.linalg.matrix_power(a, n - 1)
     if ordering == "UE":
-        return v @ (phases[:, None] * w) @ power @ q.conj().T
-    return q @ (power @ w_adj_u @ v.conj().T)
+        return _matmul(v, phases[:, None] * w) @ power @ q.conj().T
+    return q @ _matmul(power @ w_adj_u, v.conj().T)
 
 
 def _compress(h: HermitianOperator, q: np.ndarray) -> np.ndarray:
     """Q* H Q, symmetrized: the generator compressed to the span of Q."""
-    c = q.conj().T @ h.matrix @ q
+    c = _matmul(q.conj().T, h.matrix) @ q
     return (c + c.conj().T) / 2.0
 
 
@@ -276,7 +277,7 @@ def zeno_generator(h: HermitianOperator, e: OrthogonalProjection) -> ZenoGenerat
         shift = max(0.0, -float(h.eigenvalues[0]))
     shifted = eigendecompose(h.matrix + shift * np.eye(h.dim)) if shift else h
     root = psd_sqrt(shifted)
-    m = root.matrix @ q
+    m = _matmul(root.matrix, q)
     form_route = m.conj().T @ m - shift * np.eye(q.shape[1])
     gap = operator_norm(direct - form_route)
     if gap > tol(1e-10, h.norm):

@@ -5,6 +5,7 @@
 the dense formulas they replace are kept here as the reference.
 """
 
+import functools
 import weakref
 
 import numpy as np
@@ -21,7 +22,7 @@ from zenolab.operators import (
     operator_norm,
     projection_from_matrix,
 )
-from zenolab.scenarios import parse_config, run_scenario
+from zenolab.scenarios import build_scenario, parse_config, run_scenario
 from zenolab.zeno import (
     ORDERINGS,
     ZenoSchedule,
@@ -143,6 +144,14 @@ class TestBasis:
         assert operator_norm(q @ q.conj().T - e.matrix) <= 1e-12
         assert operator_norm(q.conj().T @ q - np.eye(3)) <= 1e-12
 
+    def test_basis_built_matrix_is_formed_once_on_first_read(self):
+        e = random_projection(np.random.default_rng(5), DIM, 3)
+        assert "matrix" not in vars(e)
+        q, p = e.basis, e.matrix
+        assert p is e.matrix and not p.flags.writeable
+        qq = q @ q.conj().T
+        assert np.array_equal(p, (qq + qq.conj().T) / 2.0)
+
     def test_identity_and_zero_bases(self):
         assert np.array_equal(identity_projection(4).basis, np.eye(4))
         assert PROJECTIONS["rank0"].basis.shape == (DIM, 0)
@@ -201,3 +210,25 @@ def test_no_dense_power_in_converge(monkeypatch, tmp_path, ordering):
     )
     run_scenario(config, out_dir=tmp_path)
     assert shapes and all(shape == (1, 1) for shape in shapes)
+
+
+@pytest.mark.parametrize("task", ["survival", "classify", "converge", "gibbs"])
+@pytest.mark.parametrize("model", [FRIEDRICHS_100, {"random": {"dim": 12, "rank_e": 3}}], ids=["friedrichs", "random"])
+def test_runs_never_form_the_projection_matrix(monkeypatch, tmp_path, task, model):
+    """The models hold E as its basis Q; no task run forms the d x d QQ*."""
+    formed = []
+    lazy = OrthogonalProjection.matrix
+
+    def spy(self):
+        formed.append(self.dim)
+        return lazy.func(self)
+
+    prop = functools.cached_property(spy)
+    prop.__set_name__(OrthogonalProjection, "matrix")
+    monkeypatch.setattr(OrthogonalProjection, "matrix", prop)
+    options = {"pairs": 2} if task == "gibbs" else {}
+    config = parse_config({"schema_version": 1, "task": task, "model": model, **options})
+    run_scenario(config, out_dir=tmp_path)
+    assert formed == []
+    e = build_scenario(config).projection
+    assert e.matrix is e.matrix and formed == [e.dim]  # the spy sees a read

@@ -175,6 +175,19 @@ class TestKMSResidual:
                 dense = float(abs(left - right))
                 assert abs(kms_residual(state, a, b, t, 1.0) - dense) <= 1e-12 * kms_scale(h, a, b, 1.0)
 
+    def test_sequence_of_times_matches_one_call_per_time(self):
+        """A sequence of t gives the per-t residuals to the bit: the arithmetic is the same."""
+        rng = np.random.default_rng(19)
+        h = random_hermitian_op(rng, 6)
+        a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
+        state, ts = gibbs_state(h, 0.7), np.linspace(-2.0, 2.0, 9)
+        one_each = [kms_residual(state, a, b, t, 0.7) for t in ts]
+        assert all(type(r) is float for r in one_each)
+        assert kms_residual(state, a, b, ts, 0.7).tolist() == one_each
+        assert kms_residual(state, a, b, list(ts[:1]), 0.7).shape == (1,)
+        with pytest.raises(ValueError, match="1-D"):
+            kms_residual(state, a, b, ts.reshape(3, 3), 0.7)
+
     def test_gibbs_stationarity(self):
         rng = np.random.default_rng(7)
         h = random_hermitian_op(rng, 4)

@@ -122,6 +122,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: must be <= {cap}, got {cap + 1}$"):
             cfg(task=task, **{key: value(cap + 1)})
 
+    def test_sweep_run_count_capped_before_any_run_is_parsed(self):
+        run = {"task": "classify", "model": {"rabi": {}}}
+        assert len(parse_config({"schema_version": 1, "task": "sweep", "runs": [run] * 10**4}).runs) == 10**4
+        # every run is invalid, so only a check made before parsing them can name ``runs`` itself
+        with pytest.raises(ConfigError, match=f"^runs: must hold at most {10**4} entries, got {10**4 + 1}$"):
+            parse_config({"schema_version": 1, "task": "sweep", "runs": [{"task": "bogus"}] * (10**4 + 1)})
+
     def test_boolean_in_n_schedule_rejected(self):
         with pytest.raises(ConfigError, match=re.escape("n_schedule[0]")):
             cfg(n_schedule=[True, 2])

@@ -7,17 +7,24 @@ with a Frobenius norm over it, and asserts the verdict of the exact rule:
 the 2-norm of the defect against the tolerance at the exact reference scale.
 The HermitianOperator checks are covered twice: on complex data and on data
 with an exactly zero imaginary part, which they check in real arithmetic. A
-projection built from a basis Q is covered by its two basis checks,
-||Q*Q - I|| and ||P - QQ*||, in place of idempotence.
+projection given its matrix and a basis Q is covered by its two basis checks,
+||Q*Q - I|| and ||P - QQ*||, in place of idempotence; one given only Q by
+its one check, ||Q*Q - I||.
+
+The real solver path stores float64 arrays; every consumer of them is
+compared with the same matrix taken through the complex solver.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import zenolab.operators
-from conftest import SIGMA_X
+import zenolab.scenarios
+from conftest import SIGMA_X, random_hermitian
 from zenolab.errors import DimensionMismatch, NotHermitian
-from zenolab.gibbs import DensityState
+from zenolab.gibbs import DensityState, gibbs_state, heisenberg_evolve, kms_residual, kms_scale
 from zenolab.numeric import tol
 from zenolab.operators import (
     HermitianOperator,
@@ -26,8 +33,10 @@ from zenolab.operators import (
     evolve,
     operator_norm,
 )
-from zenolab.scenarios import build_scenario, parse_config
+from zenolab.scenarios import build_scenario, parse_config, run_scenario
+from zenolab.spectral import spectral_measure_of_state
 from zenolab.survival import decay_profile
+from zenolab.zeno import ORDERINGS, reduced_dynamics, zeno_product
 
 DIM = 24
 K = 16  # the defects have K equal singular values: ||X||_F = 4 ||X||_2
@@ -138,6 +147,14 @@ def _basis_span(ratio):
     return (lambda: OrthogonalProjection(p, rank, q)), p - q @ q.conj().T, limit, ValueError
 
 
+def _basis_only_orthonormality(ratio):
+    # as above, with no matrix given: the projection holds only Q
+    stretch = np.sqrt(1.0 + ratio * tol(1e-10, 1.0))
+    q = _unitary(18)[:, :K] * stretch
+    gram = q.conj().T @ q
+    return (lambda: OrthogonalProjection(None, K, q)), gram - np.eye(K), tol(1e-10, operator_norm(gram)), ValueError
+
+
 def _density_commutator(ratio):
     # Z couples eigenvector pairs (2m, 2m+1) so that [Z, H] has K singular values c
     q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
@@ -165,6 +182,7 @@ CHECKS = {
     "OrthogonalProjection.idempotence": _projection_idempotence,
     "OrthogonalProjection.basis_orthonormality": _basis_orthonormality,
     "OrthogonalProjection.basis_span": _basis_span,
+    "OrthogonalProjection.basis_only_orthonormality": _basis_only_orthonormality,
     "DensityState.commutator": _density_commutator,
 }
 
@@ -254,6 +272,8 @@ def test_projection_rejects_a_basis_that_does_not_span_its_range():
         OrthogonalProjection(p, 1, e[:, 1:2])
     with pytest.raises(DimensionMismatch):
         OrthogonalProjection(p, 1, e[:, :2])
+    with pytest.raises(DimensionMismatch):
+        OrthogonalProjection(None, 1, e[:, :2])
 
 
 def test_clean_friedrichs_build_takes_no_svd(monkeypatch):
@@ -266,8 +286,10 @@ def test_clean_friedrichs_build_takes_no_svd(monkeypatch):
 
 
 def _complex_path(h: HermitianOperator) -> HermitianOperator:
-    w, v = np.linalg.eigh(h.matrix)
-    return HermitianOperator(h.matrix, w, v)
+    """The reference: the same matrix through the complex solver, stored complex."""
+    m = h.matrix.astype(complex)
+    w, v = np.linalg.eigh(m)
+    return HermitianOperator(m, w, v)
 
 
 def _spy_eigh(monkeypatch) -> list:
@@ -283,7 +305,7 @@ def test_friedrichs_survival_matches_complex_path(monkeypatch):
     scen = build_scenario(config)
     assert dtypes == [np.float64]
     h = scen.hamiltonian
-    assert h.eigenvectors.dtype == complex
+    assert h.eigenvectors.dtype == np.float64
     real = decay_profile(h, scen.state, scen.t_grid).probabilities
     ref = decay_profile(_complex_path(h), scen.state, scen.t_grid).probabilities
     assert np.max(np.abs(real - ref)) <= 1e-12
@@ -302,3 +324,81 @@ def test_complex_matrix_keeps_complex_solver(monkeypatch):
     dtypes = _spy_eigh(monkeypatch)
     eigendecompose(np.array([[0.0, -1j], [1j, 0.0]]))
     assert dtypes == [np.complex128]
+
+
+REAL_MODELS = {"friedrichs": {"friedrichs": {"n_modes": 200}}, "rabi": {"rabi": {}}}
+
+
+@pytest.fixture(scope="module", params=REAL_MODELS)
+def real_scenario(request):
+    scen = build_scenario(parse_config({"schema_version": 1, "task": "converge", "model": REAL_MODELS[request.param]}))
+    return scen, _complex_path(scen.hamiltonian)
+
+
+def test_real_path_stores_float64(real_scenario):
+    h = real_scenario[0].hamiltonian
+    assert h.matrix.dtype == h.eigenvectors.dtype == np.float64
+    assert real_scenario[1].eigenvectors.dtype == np.complex128
+
+
+@pytest.mark.parametrize("z", [0.7, -2.5, 0.7 + 0.5j])
+def test_real_path_evolutions_match_complex_path(real_scenario, z):
+    scen, ref = real_scenario
+    h = scen.hamiltonian
+    a = random_hermitian(np.random.default_rng(3), h.dim, norm=1.0)
+    growth = np.exp(abs(z.imag) * h.spread) if isinstance(z, complex) else 1.0
+    assert operator_norm(evolve(h, z) - evolve(ref, z)) <= 1e-12 * growth
+    assert operator_norm(heisenberg_evolve(h, a, z) - heisenberg_evolve(ref, a, z)) <= 1e-12 * growth
+
+
+def test_real_path_kms_residuals_match_complex_path(real_scenario):
+    scen, ref = real_scenario
+    rng = np.random.default_rng(4)
+    a, b = (random_hermitian(rng, ref.dim) for _ in range(2))
+    ts = np.linspace(-2.0, 2.0, 5)
+    got = kms_residual(gibbs_state(scen.hamiltonian, 1.0), a, b, ts, 1.0)
+    want = kms_residual(gibbs_state(ref, 1.0), a, b, ts, 1.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * kms_scale(ref, a, b, 1.0)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_real_path_zeno_products_match_complex_path(real_scenario, ordering, n):
+    scen, ref = real_scenario
+    got, want = (zeno_product(h, scen.projection, 1.3, n, ordering) for h in (scen.hamiltonian, ref))
+    assert operator_norm(got - want) <= 1e-12
+
+
+def test_real_path_reduced_dynamics_and_state_tables_match_complex_path(real_scenario):
+    scen, ref = real_scenario
+    h, e, psi = scen.hamiltonian, scen.projection, scen.state
+    assert operator_norm(reduced_dynamics(h, e, 1.3) - reduced_dynamics(ref, e, 1.3)) <= 1e-12
+    times = np.linspace(0.01, 5.0, 200)
+    got, want = decay_profile(h, psi, times), decay_profile(ref, psi, times)
+    assert np.max(np.abs(got.probabilities - want.probabilities)) <= 1e-12
+    got, want = spectral_measure_of_state(h, psi), spectral_measure_of_state(ref, psi)
+    assert np.max(np.abs(got.atoms - want.atoms)) <= 1e-12
+    assert np.max(np.abs(got.weights - want.weights)) <= 1e-12
+
+
+def test_friedrichs_survival_holds_no_complex_square_array(monkeypatch, tmp_path):
+    """A Friedrichs 400 survival run (d = 401) stores H and V as float64 and never forms P.
+
+    Its traced peak is bounded in units of one real d x d array; storing H, V
+    and P as complex arrays, as before, peaks at about 12.5 units.
+    """
+    built = []
+    original = zenolab.scenarios.build_scenario
+    monkeypatch.setattr(zenolab.scenarios, "build_scenario", lambda c: built.append(original(c)) or built[-1])
+    config = parse_config({"schema_version": 1, "task": "survival", "model": {"friedrichs": {"n_modes": 400}}})
+    tracemalloc.start()
+    try:
+        run_scenario(config, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (scen,) = built
+    h = scen.hamiltonian
+    assert h.matrix.dtype == h.eigenvectors.dtype == np.float64
+    assert "matrix" not in vars(scen.projection)
+    assert peak < 10 * h.dim**2 * 8
