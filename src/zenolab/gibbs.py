@@ -6,8 +6,11 @@ at finite dimension the Gibbs density matrix is its unique solution. The
 same check runs on the compressed algebra, where the frozen-dynamics
 equilibria live, at r x r on the compressions Q*HQ, Q*AQ, Q*BQ and Q*rhoQ
 (Q an orthonormal basis of range(E)); that is exact for any state. Both
-checks share one kernel. A bilinear kernel (ROADMAP.md, item 1) waits
-until the benchmark stops counting ``heisenberg_evolve`` calls.
+checks share one kernel, which takes B into H's eigenbasis once per pair
+and then calls ``heisenberg_evolve`` twice per (pair, t) for the
+back-transform only. Each call still forms one tau_z(B), because the
+benchmark's traced test counts those calls; a bilinear kernel (ROADMAP.md,
+item 1) that needs no tau_z(B) at all waits until it stops counting them.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Overflow, ZeroRank
+from .errors import NonFinite, Overflow, ZeroRank
 from .numeric import EXP_LIMIT, tol
 from .operators import (
     HermitianOperator,
@@ -26,6 +29,7 @@ from .operators import (
     _matmul,
     _violation,
     as_complex_matrix,
+    as_matrix,
     check_dims,
     eigendecompose,
     operator_norm,
@@ -55,6 +59,7 @@ class DensityState:
 
     def __post_init__(self):
         r = self.rho
+        check_dims(self.hamiltonian_ref, as_matrix(r))
         h = self.hamiltonian_ref.matrix
         w = np.linalg.eigvalsh((r + r.conj().T) / 2.0)
         if w.size and float(w[0]) < -tol(1e-10):
@@ -91,19 +96,31 @@ def gibbs_state(h: HermitianOperator, beta: float) -> DensityState:
     return DensityState(rho, float(beta), h)
 
 
-def heisenberg_evolve(h: HermitianOperator, a, z: complex) -> np.ndarray:
+def _to_eigenbasis(h: HermitianOperator, a: np.ndarray) -> np.ndarray:
+    """V*AV, with V the eigenvectors of H: A in H's eigenbasis."""
+    v = h.eigenvectors
+    return _matmul(_matmul(v.conj().T, a), v)
+
+
+def heisenberg_evolve(h: HermitianOperator, a, z: complex, *, in_eigenbasis: bool = False) -> np.ndarray:
     """exp(izH) A exp(-izH) through the eigenbasis; exact at complex time.
 
-    Raises Overflow when |Im z| times the spectral spread would overflow.
+    With ``in_eigenbasis=True``, ``a`` is taken to be V*AV already (V the
+    eigenvectors of H), and only the back-transform to the standard basis
+    is done; the result is the same to the bit as the default path on A.
+    Raises NonFinite for a non-finite z, and Overflow when |Im z| times the
+    spectral spread would overflow.
     """
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise NonFinite("time argument must be finite")
     mat = as_complex_matrix(a)
     check_dims(h, mat)
     if abs(z.imag) * h.spread > EXP_LIMIT:
         raise Overflow(f"continuation exponent {abs(z.imag) * h.spread:.3e} exceeds {EXP_LIMIT}")
     v = h.eigenvectors
     w = h.eigenvalues
-    in_basis = _matmul(_matmul(v.conj().T, mat), v)
+    in_basis = mat if in_eigenbasis else _to_eigenbasis(h, mat)
     # about the spectrum's midpoint neither factor exceeds exp(|Im z| spread / 2)
     s = 1j * z * (w - (w[0] + w[-1]) / 2.0) if w.size else w
     return _matmul(_matmul(v, in_basis * np.outer(np.exp(s), np.exp(-s))), v.conj().T)
@@ -116,13 +133,16 @@ def _kms_gaps(
 
     Each trace is sum(Y^T o X), with Y = rho A or A rho formed once for all t.
     Y^T is stored contiguous, which is faster and gives the same sums to the
-    bit: the product Y^T o X is C-ordered either way.
+    bit: the product Y^T o X is C-ordered either way. B enters H's
+    eigenbasis once for all t, so each call below only transforms back.
     """
     rho_a, a_rho = (np.ascontiguousarray(y.T) for y in (_matmul(rho, a), _matmul(a, rho)))
-    return [
-        float(abs(np.sum(rho_a * heisenberg_evolve(h, b, t + 1j * beta)) - np.sum(a_rho * heisenberg_evolve(h, b, t))))
-        for t in ts
-    ]
+    b_eig = _to_eigenbasis(h, b)
+
+    def tau(z: complex) -> np.ndarray:
+        return heisenberg_evolve(h, b_eig, z, in_eigenbasis=True)
+
+    return [float(abs(np.sum(rho_a * tau(t + 1j * beta)) - np.sum(a_rho * tau(t)))) for t in ts]
 
 
 def kms_residual(state: DensityState, a, b, t, beta: float):
@@ -139,7 +159,10 @@ def kms_residual(state: DensityState, a, b, t, beta: float):
     check_dims(h, a, b)
     if np.ndim(t) > 1:
         raise ValueError("t must be a time or a 1-D sequence of times")
-    gaps = _kms_gaps(state.rho, h, a, b, np.atleast_1d(np.asarray(t, dtype=float)), beta)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not (np.all(np.isfinite(ts)) and math.isfinite(beta)):
+        raise NonFinite("times and beta must be finite")
+    gaps = _kms_gaps(state.rho, h, a, b, ts, beta)
     return gaps[0] if np.ndim(t) == 0 else np.array(gaps)
 
 
@@ -202,11 +225,13 @@ def reduced_kms_residual(
     It runs at r x r on Q*HQ, Q*AQ, Q*BQ and Q*rhoQ, Q = e.basis: under the
     flow of EHE, tau_z(EBE) = Q tau_z(Q*BQ) Q*, so this is exact for any state.
     """
+    ts = [float(t) for t in t_grid]
+    if not ts:
+        raise ValueError("t_grid must hold at least one time")
     generator, rho = _compressed_gibbs(h, e, beta)
     q = e.basis
     rho = _matmul(q.conj().T, rho if state is None else state.rho) @ q
     worst = 0.0
-    ts = [float(t) for t in t_grid]
     for a, b in pairs:
         a_e, b_e = (q.conj().T @ as_complex_matrix(m) @ q for m in (a, b))
         worst = max(worst, *_kms_gaps(rho, generator, a_e, b_e, ts, beta))

@@ -278,9 +278,13 @@ def parse_config(data: dict[str, Any], seed: int | None = None) -> ScenarioConfi
             _fail("model.friedrichs.band", "needs lo < hi")
         if not lo < model["excited_energy"] < hi:
             _fail("model.friedrichs.excited_energy", "must lie inside the band")
-    # a given grid must have positive times; gibbs' default grid spans t < 0
-    if "t_grid" in given and not 0 < options["t_grid"][0] < options["t_grid"][1]:
-        _fail("t_grid", "needs 0 < start < stop")
+    # survival needs positive times; the KMS identity holds at any real t
+    if "t_grid" in given:
+        start, stop = options["t_grid"][:2]
+        if task == "gibbs" and not start < stop:
+            _fail("t_grid", "needs start < stop")
+        if task != "gibbs" and not 0 < start < stop:
+            _fail("t_grid", "needs 0 < start < stop")
     if "fit_window" in options and not options["fit_window"][0] < options["fit_window"][1]:
         _fail("fit_window", "needs lo < hi")
     ns = options.get("n_schedule", ())

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import rabi_pair, random_hermitian, random_hermitian_op, random_projection
-from zenolab.errors import Overflow, ZeroRank
+from zenolab.errors import ConfigError, DimensionMismatch, NonFinite, Overflow, ZeroRank
 from zenolab.gibbs import (
+    DensityState,
     expectation,
     gibbs_state,
     heisenberg_evolve,
@@ -17,7 +18,7 @@ from zenolab.gibbs import (
 import zenolab.gibbs
 import zenolab.scenarios
 from zenolab.operators import OrthogonalProjection, eigendecompose, identity_projection, operator_norm
-from zenolab.scenarios import parse_config, run_scenario
+from zenolab.scenarios import build_scenario, parse_config, run_scenario
 
 
 def compressed_generator_matrix(h, e):
@@ -124,6 +125,74 @@ class TestHeisenbergEvolve:
         with pytest.raises(Overflow):
             heisenberg_evolve(h, np.eye(4), 0.3 - 701.0j / 4.5)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.nan, 1.0)])
+    def test_non_finite_time_is_typed(self, z):
+        h = random_hermitian_op(np.random.default_rng(4), 3)
+        with pytest.raises(NonFinite, match="time"):
+            heisenberg_evolve(h, np.eye(3), z)
+
+
+def model_and_compression(model):
+    """(H, E) of a small model: Friedrichs has a float64 eigenbasis, random a complex one."""
+    scen = build_scenario(parse_config({"schema_version": 1, "task": "gibbs", "model": model}))
+    return scen.hamiltonian, scen.projection
+
+
+class TestEigenbasisPath:
+    MODELS = {
+        "friedrichs": {"friedrichs": {"n_modes": 12}},
+        "random": {"random": {"dim": 10, "rank_e": 4, "seed": 3}},
+    }
+
+    @pytest.mark.parametrize("model", list(MODELS), ids=list(MODELS))
+    @pytest.mark.parametrize("size", ["full", "compressed"])
+    @pytest.mark.parametrize("z", [0.7, -1.3, 0.7 + 1.0j, -1.3 + 2.5j])
+    def test_equals_the_default_path_bit_for_bit(self, model, size, z):
+        h, e = model_and_compression(self.MODELS[model])
+        assert h.eigenvectors.dtype == (np.float64 if model == "friedrichs" else np.complex128)
+        b = random_hermitian(np.random.default_rng(8), h.dim)
+        if size == "compressed":
+            q = e.basis
+            h, b = zenolab.gibbs._compressed_gibbs(h, e, 1.0)[0], q.conj().T @ b @ q
+        b_eig = zenolab.gibbs._to_eigenbasis(h, b)
+        fast = heisenberg_evolve(h, b_eig, z, in_eigenbasis=True)
+        assert np.array_equal(fast, heisenberg_evolve(h, b, z))
+        v = h.eigenvectors
+        assert operator_norm(b_eig - v.conj().T @ b @ v) <= 1e-13 * (1.0 + operator_norm(b))
+
+    def test_guards_still_run_on_the_eigenbasis_path(self):
+        h = eigendecompose(np.diag([0.0, 200.0]).astype(complex))
+        with pytest.raises(Overflow):
+            heisenberg_evolve(h, np.eye(2), 4j, in_eigenbasis=True)
+        with pytest.raises(DimensionMismatch):
+            heisenberg_evolve(h, np.eye(3), 0.5, in_eigenbasis=True)
+        with pytest.raises(NonFinite):
+            heisenberg_evolve(h, np.full((2, 2), math.nan), 0.5, in_eigenbasis=True)
+        with pytest.raises(NonFinite):
+            heisenberg_evolve(h, np.eye(2), math.nan, in_eigenbasis=True)
+
+    def test_observable_enters_the_eigenbasis_once_per_pair_in_each_check(self, tmp_path, monkeypatch):
+        """Two pairs: B-tilde is formed twice at d = 30 and twice at r = 5, and every evolution reuses it."""
+        formed, paths = [], []
+        to_eigenbasis, evolve_ = zenolab.gibbs._to_eigenbasis, zenolab.gibbs.heisenberg_evolve
+
+        def spy_transform(h, a):
+            formed.append(h.dim)
+            return to_eigenbasis(h, a)
+
+        def spy_evolve(h, a, z, **kwargs):
+            paths.append(kwargs.get("in_eigenbasis", False))
+            return evolve_(h, a, z, **kwargs)
+
+        monkeypatch.setattr(zenolab.gibbs, "_to_eigenbasis", spy_transform)
+        monkeypatch.setattr(zenolab.gibbs, "heisenberg_evolve", spy_evolve)
+        config = parse_config(
+            {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 30, "rank_e": 5}}, "pairs": 2}
+        )
+        run_scenario(config, out_dir=tmp_path)
+        assert sorted(formed) == [5, 5, 30, 30]
+        assert len(paths) == 72 and all(paths)
+
 
 class TestKMSResidual:
     def test_identity_pair_vanishes(self):
@@ -187,6 +256,21 @@ class TestKMSResidual:
         assert kms_residual(state, a, b, list(ts[:1]), 0.7).shape == (1,)
         with pytest.raises(ValueError, match="1-D"):
             kms_residual(state, a, b, ts.reshape(3, 3), 0.7)
+
+    @pytest.mark.parametrize("t, beta", [(math.nan, 1.0), ([0.5, math.nan], 1.0), (0.5, math.nan), (math.inf, 1.0)])
+    def test_non_finite_time_or_beta_is_typed(self, t, beta):
+        rng = np.random.default_rng(5)
+        h = random_hermitian_op(rng, 4)
+        a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        with pytest.raises(NonFinite):
+            kms_residual(gibbs_state(h, 1.0), a, b, t, beta)
+
+    def test_state_of_the_wrong_size_is_typed(self):
+        h = random_hermitian_op(np.random.default_rng(6), 4)
+        with pytest.raises(DimensionMismatch):
+            DensityState(np.eye(3, dtype=complex) / 3.0, 1.0, h)
+        with pytest.raises(DimensionMismatch):
+            DensityState(np.ones((4, 3), dtype=complex) / 3.0, 1.0, h)
 
     def test_gibbs_stationarity(self):
         rng = np.random.default_rng(7)
@@ -344,6 +428,13 @@ class TestReducedAgainstDense:
         assert dense > 1e-6
         assert abs(report.max_residual - dense) <= 1e-12 * dense
 
+    def test_empty_t_grid_is_a_value_error(self):
+        rng = np.random.default_rng(20)
+        h = random_hermitian_op(rng, 6)
+        pairs = [(random_hermitian(rng, 6), random_hermitian(rng, 6))]
+        with pytest.raises(ValueError, match="t_grid"):
+            reduced_kms_residual(h, random_projection(rng, 6, 2), 1.0, pairs, [])
+
     def test_zero_rank_raises(self):
         h = random_hermitian_op(np.random.default_rng(19), 6)
         empty = OrthogonalProjection(np.zeros((6, 6), dtype=complex), 0)
@@ -354,9 +445,9 @@ class TestReducedAgainstDense:
     def test_gibbs_run_evolves_at_the_full_and_the_compressed_size(self, tmp_path, monkeypatch):
         dims = []
 
-        def spy(h, a, z):
+        def spy(h, a, z, **kwargs):
             dims.append(h.dim)
-            return heisenberg_evolve(h, a, z)
+            return heisenberg_evolve(h, a, z, **kwargs)
 
         monkeypatch.setattr(zenolab.gibbs, "heisenberg_evolve", spy)
         config = parse_config(
@@ -364,3 +455,26 @@ class TestReducedAgainstDense:
         )
         run_scenario(config, out_dir=tmp_path)
         assert {n: dims.count(n) for n in set(dims)} == {30: 36, 5: 36}
+
+
+class TestGibbsTimeGrid:
+    MODELS = {
+        "rabi": {"rabi": {}},
+        "friedrichs": {"friedrichs": {"n_modes": 12}},
+        "random": {"random": {"dim": 6}},
+        "perturbed": {"perturbed": {"dim": 6}},
+    }
+
+    @pytest.mark.parametrize("model", list(MODELS), ids=list(MODELS))
+    def test_explicit_default_grid_matches_the_default(self, model, tmp_path):
+        base = {"schema_version": 1, "task": "gibbs", "model": self.MODELS[model], "pairs": 2}
+        run_scenario(parse_config(base), out_dir=tmp_path / "default")
+        run_scenario(parse_config({**base, "t_grid": [-2, 2, 9]}), out_dir=tmp_path / "explicit")
+        default, explicit = ((tmp_path / d / "kms.csv").read_bytes() for d in ("default", "explicit"))
+        assert explicit == default
+
+    @pytest.mark.parametrize("task, grid", [("gibbs", [2, -2, 9]), ("gibbs", [1, 1, 9]), ("survival", [-2, 2, 9])])
+    def test_misordered_grid_is_a_config_error(self, task, grid):
+        data = {"schema_version": 1, "task": task, "model": {"friedrichs": {"n_modes": 12}}, "t_grid": grid}
+        with pytest.raises(ConfigError, match="^t_grid: needs"):
+            parse_config(data)

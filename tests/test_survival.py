@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,24 @@ class TestEffectiveRateCurve:
         curve = effective_rate_curve(decay_profile(h, psi, times))
         # -ln(cos^2 tau)/tau = tau + tau^3/3 + ...
         assert np.allclose(curve[:, 1], curve[:, 0], rtol=1e-3)
+
+    def test_profile_fills_one_phase_table(self):
+        """The same bits as a fresh cos table and a fresh sin table, from one len(t) x d buffer."""
+        rng = np.random.default_rng(21)
+        h = random_hermitian_op(rng, 200)
+        psi = random_state(rng, 200)
+        times = np.linspace(0.01, 3.0, 1500)
+        weights = np.abs(h.eigenvectors.conj().T @ psi) ** 2
+        tracemalloc.start()
+        try:
+            got = decay_profile(h, psi, times).probabilities
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        phase = np.outer(times, h.eigenvalues)
+        amp = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
+        assert np.array_equal(got, np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12))
+        assert peak < 1.5 * phase.nbytes
 
 
 class TestDecayFit:
