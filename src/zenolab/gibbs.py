@@ -166,16 +166,27 @@ def kms_residual(state: DensityState, a, b, t, beta: float):
     return gaps[0] if np.ndim(t) == 0 else np.array(gaps)
 
 
+def _observable_norm(m) -> float:
+    """||M||_2: max |eigenvalue| when M is exactly Hermitian, else ``operator_norm``."""
+    a = as_matrix(m, square=False)
+    if a.size and np.array_equal(a, a.conj().T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return operator_norm(a)
+
+
 def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
     """Conditioning scale of the boundary check: ||A|| ||B|| exp(beta * spread).
 
-    Raises Overflow when the exponential exceeds double precision.
+    ||A|| of an exactly Hermitian A (A == A* bit for bit, as every drawn
+    observable is) is max |eigenvalue| from ``eigvalsh``, with no SVD; any
+    other A takes ``operator_norm``. Raises Overflow when the exponential
+    exceeds double precision.
     """
     try:
         growth = math.exp(beta * h.spread)
     except OverflowError:
         raise Overflow(f"kms scale exponent {beta * h.spread:.3e} overflows exp") from None
-    return operator_norm(a) * operator_norm(b) * growth
+    return _observable_norm(a) * _observable_norm(b) * growth
 
 
 def _compressed_gibbs(h: HermitianOperator, e: OrthogonalProjection, beta: float):

@@ -3,7 +3,8 @@
 Hermitian eigendecomposition with cached spectra, matrix exponentials for
 real and complex time, operator norms, PSD square roots, and orthogonal
 projections built from spanning sets. Everything is immutable after
-construction and safe for concurrent read-only use.
+construction and safe for concurrent read-only use. scipy.linalg is
+imported inside ``expm``, by the non-Hermitian branches that call it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -300,6 +300,8 @@ def evolve(h: HermitianOperator, z: complex) -> np.ndarray:
 
 def _expm_general(m: np.ndarray) -> np.ndarray:
     # scaling-and-squaring with Pade error control
+    import scipy.linalg
+
     return scipy.linalg.expm(m)
 
 
@@ -322,6 +324,8 @@ def expm(m) -> np.ndarray:
         return (v * np.exp(w)) @ v.conj().T
     if operator_norm(a @ adj - adj @ a) <= tol(1e-12) * norm**2:
         # normal: complex Schur form is diagonal up to roundoff
+        import scipy.linalg
+
         t, q = scipy.linalg.schur(a, output="complex")
         return (q * np.exp(np.diag(t))) @ q.conj().T
     return _expm_general(a)

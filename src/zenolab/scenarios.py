@@ -21,6 +21,9 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
+# numpy loads these lazily: np.unique reads numpy.ma and every rng is numpy.random; load them here, not mid-run
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 import yaml
 
 from .errors import ConfigError, IOFailure, NoCrossing, NonExponential

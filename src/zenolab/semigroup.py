@@ -18,6 +18,7 @@ from .numeric import tol
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
+    _matmul,
     as_complex_matrix,
     check_dims,
     eigendecompose,
@@ -129,8 +130,13 @@ def full_support_form(matrix) -> DegenerateForm:
 
 
 def form_semigroup(form: DegenerateForm, t: float) -> np.ndarray:
-    """exp(-t a) realized as exp(-t A) P(K): identity off the support is cut away."""
-    return expm(-t * form.psd_part.matrix) @ form.support.matrix
+    """exp(-t a) realized as exp(-t A) P(K): identity off the support is cut away.
+
+    exp(-t A) = V diag(exp(-t w)) V* comes from the eigendecomposition the
+    form already holds; A is PSD, so a large t only sends factors to zero.
+    """
+    w, v = form.psd_part.eigenvalues, form.psd_part.eigenvectors
+    return _matmul(_matmul(v * np.exp(-t * w), v.conj().T), form.support.matrix)
 
 
 def degenerate_product(

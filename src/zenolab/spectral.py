@@ -6,7 +6,9 @@ measurement freezes it (tail weight x * Pr(|X| > x) -> 0), destroys it
 measures read off a Hamiltonian and state, a small family of analytic
 distributions with cdf / sampler / characteristic function, the tail
 functional and its classification, iterated-modulus tables, and seeded
-Monte Carlo checks of the two law-of-large-numbers reformulations.
+Monte Carlo checks of the two law-of-large-numbers reformulations. scipy
+is imported inside the functions that call it (the Gaussian cdf and the
+quadratures), so discrete measures never load it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import NotNormalized, QuadratureFailure
 from .numeric import tol
@@ -114,6 +115,8 @@ class SpectralMeasure(ABC):
 def _abs_moment_by_quadrature(measure: SpectralMeasure) -> float:
     # E|X| = integral over x >= 0 of Pr(|X| > x), plus the analytic power tail.
     # Geometric breakpoints force the adaptive rule to see every scale.
+    from scipy import integrate
+
     cutoff = 1.0
     while float(measure.prob_abs_greater(cutoff)) > 1e-14 and cutoff < 1e12:
         cutoff *= 2.0
@@ -236,10 +239,14 @@ class Gaussian(SpectralMeasure):
             raise ValueError("sigma must be positive")
 
     def cdf(self, x) -> np.ndarray:
+        from scipy import special
+
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return special.ndtr(z)
 
     def survival(self, x) -> np.ndarray:
+        from scipy import special
+
         z = (np.asarray(x, dtype=float) - self.mu) / self.sigma
         return special.ndtr(-z)
 
@@ -309,6 +316,8 @@ def _pareto_tail_integral_head(alpha: float, v: float) -> float:
     if v <= 1e-6:
         # leading series term; relative error O(v^2)
         return v ** (2.0 - alpha) / (2.0 * (2.0 - alpha))
+    from scipy import integrate
+
     value, err = integrate.quad(integrand, 0.0, v, limit=400)
     if err > 1e-11 * max(1.0, abs(value)):
         raise QuadratureFailure("characteristic-function quadrature did not converge", error_bound=err)

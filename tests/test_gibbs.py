@@ -72,6 +72,55 @@ class TestKMSScale:
         a = np.diag([3.0, 1.0])
         assert kms_scale(h, a, np.eye(2), 1.5) == 3.0 * 1.0 * math.exp(3.0)
 
+    @pytest.mark.parametrize("dim", [1, 7, 30, 80])
+    def test_hermitian_draws_agree_with_the_svd_norms(self, dim):
+        rng = np.random.default_rng(dim)
+        h = random_hermitian_op(rng, dim)
+        for _ in range(5):
+            a, b = zenolab.scenarios._random_hermitian(rng, dim), random_hermitian(rng, dim).real
+            assert np.array_equal(a, a.conj().T) and np.array_equal(b, b.T)
+            svd = operator_norm(a) * operator_norm(b) * math.exp(0.7 * h.spread)
+            assert abs(kms_scale(h, a, b, 0.7) - svd) <= 1e-12 * svd
+
+    def test_nearly_hermitian_draw_keeps_the_svd_norm(self):
+        rng = np.random.default_rng(4)
+        h = random_hermitian_op(rng, 12)
+        a, b = random_hermitian(rng, 12), random_hermitian(rng, 12)
+        a[0, 1] += 1e-9
+        b[5, 2] -= 1e-9j
+        growth = math.exp(0.5 * h.spread)
+        assert kms_scale(h, a, b, 0.5) == operator_norm(a) * operator_norm(b) * growth
+
+    def test_gibbs_run_takes_no_svd_for_the_scale(self, tmp_path, monkeypatch):
+        inside, svd_calls = [], []
+        scale, svd, norm = zenolab.scenarios.kms_scale, np.linalg.svd, np.linalg.norm
+
+        def spy_scale(*args):
+            inside.append(True)
+            try:
+                return scale(*args)
+            finally:
+                inside.pop()
+
+        def spy_svd(*args, **kwargs):
+            if inside:
+                svd_calls.append("svd")
+            return svd(*args, **kwargs)
+
+        def spy_norm(x, ord=None, *args, **kwargs):
+            if inside and ord == 2:
+                svd_calls.append("norm 2")
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(zenolab.scenarios, "kms_scale", spy_scale)
+        monkeypatch.setattr(np.linalg, "svd", spy_svd)
+        monkeypatch.setattr(np.linalg, "norm", spy_norm)
+        config = parse_config({"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 30}}, "pairs": 3})
+        report = run_scenario(config, out_dir=tmp_path)
+        rows = (tmp_path / "kms.csv").read_text().splitlines()[1:]
+        assert len({row.split(",")[3] for row in rows}) == 3 and report.headline["max_residual_over_scale"] > 0
+        assert svd_calls == []
+
 
 class TestHeisenbergEvolve:
     def test_identity_is_fixed(self):

@@ -184,3 +184,33 @@ class TestSemigroupProperties:
         for n in (1, 3, 17, 512):
             step = expm(-(1.3 / n) * a.matrix) @ e.matrix
             assert operator_norm(np.linalg.matrix_power(step, n)) <= 1.0 + 1e-10
+
+
+class TestFormSemigroup:
+    def forms(self):
+        rng = np.random.default_rng(11)
+        basis = np.eye(4, dtype=complex)
+        plane = projection_from_span([basis[:, 1], basis[:, 2]])
+        e = random_projection(rng, 5, 3)
+        return [
+            full_support_form(random_psd(rng, 5)),
+            full_support_form(np.diag([0.0, 0.5, 2.0])),
+            full_support_form(np.zeros((4, 4), dtype=complex)),
+            degenerate_form(e, random_psd(rng, 5, norm=3.0)),
+            degenerate_form(plane, plane.matrix @ random_psd(rng, 4) @ plane.matrix),
+            form_sum_operator(degenerate_form(e, random_psd(rng, 5)), full_support_form(random_psd(rng, 5))),
+        ]
+
+    @pytest.mark.parametrize("t", [1e-9, 0.3, 1.0, 7.5])
+    def test_agrees_with_expm(self, t):
+        for form in self.forms():
+            dense = expm(-t * form.psd_part.matrix) @ form.support.matrix
+            assert operator_norm(form_semigroup(form, t) - dense) <= 1e-12
+
+    def test_long_time_stays_finite(self):
+        for form in self.forms():
+            t = 1e4 / max(form.psd_part.norm, 1.0)
+            s = form_semigroup(form, t)
+            assert np.all(np.isfinite(s))
+            dense = expm(-t * form.psd_part.matrix) @ form.support.matrix
+            assert operator_norm(s - dense) <= 1e-12
