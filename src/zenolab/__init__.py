@@ -112,6 +112,7 @@ from .zeno import (
     AzcFit,
     ZenoConvergenceReport,
     ZenoGenerator,
+    ZenoProduct,
     ZenoSchedule,
     azc_fit,
     continuous_measurement_compare,

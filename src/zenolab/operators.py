@@ -85,11 +85,24 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value of a 2-D matrix; zero exactly for the zero (or empty) matrix."""
+    """Largest singular value of a 2-D matrix; zero exactly for the zero (or empty) matrix.
+
+    A square matrix takes the SVD. A non-square one takes the square root of
+    the largest eigenvalue of its smaller-side Gram matrix (``eigvalsh``),
+    after dividing by its largest entry magnitude so that squaring can
+    neither overflow nor underflow at the top of the spectrum.
+    """
     a = as_complex_matrix(m, square=False)
     if a.size == 0 or not np.any(a):
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    rows, cols = a.shape
+    if rows == cols:
+        return float(np.linalg.norm(a, 2))
+    scale = float(np.max(np.abs(a)))
+    a = a / scale
+    gram = a @ a.conj().T if rows < cols else a.conj().T @ a
+    # the top eigenvalue is at least the largest diagonal entry, >= 1 after the scaling
+    return scale * float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
 
 # Rounding in the two norms can differ by a few ulps times the dimension; a

@@ -319,7 +319,6 @@ class Scenario:
     golden_rate: float | None = None
     fit_window: tuple[float, float] | None = None
     t_grid: np.ndarray | None = None
-    unperturbed: HermitianOperator | None = None
     perturbation: np.ndarray | None = None
 
 
@@ -441,7 +440,6 @@ def _build_perturbed(m: dict[str, Any]) -> Scenario:
         eigendecompose(h0 + p),
         e,
         psi,
-        unperturbed=eigendecompose(h0),
         perturbation=p,
     )
 

@@ -308,17 +308,24 @@ def _pareto_tail_integral_total(alpha: float) -> float:
     return math.pi / (2.0 * math.gamma(alpha + 1.0) * math.sin(math.pi * alpha / 2.0))
 
 
+def _half_sinc_squared(u: float) -> float:
+    # 2 sin^2(u/2) / u^2 = (1 - cos u) / u^2 without cancellation, 1/2 at u = 0
+    half = u / 2.0
+    ratio = math.sin(half) / half if half else 1.0
+    return 0.5 * ratio * ratio
+
+
 def _pareto_tail_integral_head(alpha: float, v: float) -> float:
-    # integral over (0, v) of (1 - cos u) u^(-alpha-1); 2 sin^2(u/2) avoids cancellation
+    # integral over (0, v) of (1 - cos u) u^(-alpha-1) = [2 sin^2(u/2) / u^2] u^(1-alpha);
+    # QAWS (weight="alg") takes the algebraic factor u^(1-alpha), singular at 0 for alpha > 1, exactly
     if v <= 0.0:
         return 0.0
-    integrand = lambda u: 2.0 * math.sin(u / 2.0) ** 2 * u ** (-alpha - 1.0)
     if v <= 1e-6:
         # leading series term; relative error O(v^2)
         return v ** (2.0 - alpha) / (2.0 * (2.0 - alpha))
     from scipy import integrate
 
-    value, err = integrate.quad(integrand, 0.0, v, limit=400)
+    value, err = integrate.quad(_half_sinc_squared, 0.0, v, weight="alg", wvar=(1.0 - alpha, 0.0), limit=400)
     if err > 1e-11 * max(1.0, abs(value)):
         raise QuadratureFailure("characteristic-function quadrature did not converge", error_bound=err)
     return value

@@ -6,15 +6,18 @@ in 1/n to the compressed-generator dynamics exp(i t EHE) E; this module
 computes the products, measures distances to that limit, fits the rate, and
 checks the Lipschitz (asymptotic Zeno) condition that drives convergence.
 
-Products, the limit and their distances are computed in range(E), through
-an orthonormal basis Q (d x r) of it: the step is the r x r matrix Q*UQ,
-only r x r matrices are raised to powers, and each distance is the norm of
-a d x r or r x r matrix with the same value as the d x d one.
+Products and the limit are held in range(E), through an orthonormal basis Q
+(d x r) of it and the eigenvectors V of H: a ``ZenoProduct`` is a core
+matrix in a frame (Q, Q), (V, Q) or (Q, V) fixed by its ordering, only the
+r x r step Q*UQ is raised to powers, and each distance is the norm of a
+difference of r x r, d x r or r x d cores, with the same value as the d x d
+one. Nothing d x d is formed unless a caller reads ``.matrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,6 +27,7 @@ from .numeric import loglog_fit, tol
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
+    _freeze,
     _matmul,
     check_dims,
     complement,
@@ -58,27 +62,83 @@ class ZenoSchedule:
         object.__setattr__(self, "n_values", ns)
 
 
+def _lift(left: np.ndarray, core: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The d x d matrix L C R*."""
+    return _matmul(_matmul(left, core), right.conj().T)
+
+
+def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A*B, formed as (B*A)* so that no conjugate copy of a d x d A is made."""
+    return _matmul(b.conj().T, a).conj().T
+
+
+@dataclass(frozen=True, eq=False)  # arrays do not compare as one truth value
+class ZenoProduct:
+    """A d x d product X = L C R* held as its core C in the frame (L, R).
+
+    ``left`` L and ``right`` R have orthonormal columns, so ||X - Y|| =
+    ||C_X - C_Y|| for two products in one frame. ``zeno_product`` puts each
+    ordering in its own frame: (Q, Q) for EUE, (V, Q) for UE and (Q, V) for
+    EU, with Q the basis of range(E) and V the eigenvectors of H; the
+    products of one (H, E) and ordering share the frame's arrays. ``matrix``
+    is L C R*, formed and cached the first time something reads it.
+    """
+
+    left: np.ndarray
+    core: np.ndarray
+    right: np.ndarray
+
+    def core_in(self, frame: ZenoProduct) -> np.ndarray:
+        """L'* X R', the core of this product in the frame (L', R') of ``frame``.
+
+        Valid when range(X) lies in range(L') and range(X*) in range(R'); a
+        side whose array is already the frame's is left as it is.
+        """
+        core = self.core
+        if frame.left is not self.left:
+            core = _matmul(_adjoint_product(frame.left, self.left), core)
+        if frame.right is not self.right:
+            core = _matmul(core, _matmul(self.right.conj().T, frame.right))
+        return core
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _freeze(_lift(self.left, self.core, self.right))
+
+
+def _dense(x: np.ndarray | ZenoProduct) -> np.ndarray:
+    return x.matrix if isinstance(x, ZenoProduct) else x
+
+
 @dataclass(frozen=True)
 class ZenoConvergenceReport:
     """Per-n distances of the products to the limit, with a fitted decay rate.
 
-    ``limit_matrix`` is the product at the largest n evaluated (the best
-    numerical stand-in for the limit), kept whole as the step product
-    returned it; for the Zeno products that is the d x d matrix Q A^n Q*,
-    (UQ) A^(n-1) Q* or Q A^(n-1) (Q*U) (see ``zeno_product``).
-    ``target_matrix`` is the compressed dynamics it is compared against,
-    ``target_residual`` their distance.
+    ``limit`` is the product at the largest n evaluated (the best numerical
+    stand-in for the limit) and ``target`` the compressed dynamics it is
+    compared against, each as the route built it: a d x d array, or for the
+    Zeno products a ``ZenoProduct`` (the target is Q exp(i t Q*HQ) Q* in the
+    frame (Q, Q)). ``limit_matrix`` and ``target_matrix`` are their d x d
+    forms, formed only when read. ``target_residual`` is their distance.
     ``exact`` flags commuting cases where every distance is already at
     rounding level and the rate fit is skipped.
     """
 
     per_n: tuple[tuple[int, float, float], ...]  # (n, distance_to_limit, cauchy_delta)
-    limit_matrix: np.ndarray
-    target_matrix: np.ndarray
+    limit: np.ndarray | ZenoProduct
+    target: np.ndarray | ZenoProduct
     target_residual: float
     fitted_rate_exponent: float | None
     fitted_rate_constant: float | None
     exact: bool
+
+    @property
+    def limit_matrix(self) -> np.ndarray:
+        return _dense(self.limit)
+
+    @property
+    def target_matrix(self) -> np.ndarray:
+        return _dense(self.target)
 
     def distance(self, n: int) -> float:
         for row in self.per_n:
@@ -126,13 +186,15 @@ def zeno_product(
     t: float,
     n: int,
     ordering: str = "EUE",
-) -> np.ndarray:
+) -> ZenoProduct:
     """n-fold product of U = exp(i (t/n) H) interleaved with E, in the given ordering.
 
-    Computed in range(E): with Q = e.basis and W = V*Q over the eigenvectors
-    V of H, the r x r step is A = Q*UQ = W* diag(exp(i (t/n) w)) W, and
-    EUE = Q A^n Q*, UE = (UQ) A^(n-1) Q*, EU = Q A^(n-1) (Q*U). The d x d
-    result is formed once at the end.
+    Computed in range(E): with Q = e.basis, W = V*Q over the eigenvectors V
+    of H and Phi = diag(exp(i (t/n) w)), the r x r step is A = Q*UQ = W* Phi W
+    and the product is returned in factored form (``ZenoProduct``):
+    EUE = Q A^n Q* with the r x r core A^n, UE = V (Phi W A^(n-1)) Q* with a
+    d x r core and EU = Q (A^(n-1) W* Phi) V* with an r x d core. Read
+    ``.matrix`` for the d x d product.
     """
     check_dims(h, e)
     n = int(n)
@@ -142,21 +204,26 @@ def zeno_product(
         raise ValueError(f"ordering must be one of {ORDERINGS}")
     q, v = e.basis, h.eigenvectors
     phases = phase_factors(h, t / n)
-    w = _matmul(v.conj().T, q)
-    w_adj_u = w.conj().T * phases  # W* diag(phases), so Q*U = W* diag(phases) V*
+    w = _adjoint_product(v, q)
+    w_adj_u = w.conj().T * phases  # W* Phi, so Q*U = W* Phi V*
     a = w_adj_u @ w
     if ordering == "EUE":
-        return q @ np.linalg.matrix_power(a, n) @ q.conj().T
+        return ZenoProduct(q, np.linalg.matrix_power(a, n), q)
     power = np.linalg.matrix_power(a, n - 1)
     if ordering == "UE":
-        return _matmul(v, phases[:, None] * w) @ power @ q.conj().T
-    return q @ _matmul(power @ w_adj_u, v.conj().T)
+        return ZenoProduct(v, (phases[:, None] * w) @ power, q)
+    return ZenoProduct(q, power @ w_adj_u, v)
 
 
 def _compress(h: HermitianOperator, q: np.ndarray) -> np.ndarray:
     """Q* H Q, symmetrized: the generator compressed to the span of Q."""
     c = _matmul(q.conj().T, h.matrix) @ q
     return (c + c.conj().T) / 2.0
+
+
+def _limit_core(h: HermitianOperator, q: np.ndarray, t: float) -> np.ndarray:
+    """exp(i t Q*HQ): the limit dynamics in the frame (Q, Q)."""
+    return evolve(eigendecompose(_compress(h, q)), t)
 
 
 def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) -> np.ndarray:
@@ -166,7 +233,7 @@ def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) ->
     """
     check_dims(h, e)
     q = e.basis
-    return q @ evolve(eigendecompose(_compress(h, q)), t) @ q.conj().T
+    return _lift(q, _limit_core(h, q, t), q)
 
 
 def _normalize_schedule(schedule, t: float, ordering: str | None = None) -> ZenoSchedule:
@@ -180,39 +247,42 @@ def _normalize_schedule(schedule, t: float, ordering: str | None = None) -> Zeno
 
 
 def product_convergence_report(
-    step_product: Callable[[int], np.ndarray],
-    target: np.ndarray,
+    step_product: Callable[[int], np.ndarray | ZenoProduct],
+    target: np.ndarray | ZenoProduct,
     n_values: Sequence[int],
-    side: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> ZenoConvergenceReport:
     """Distances of step products to a target, with Cauchy deltas and a rate fit.
 
     Shared by the unitary, sectorial-semigroup, and form-sum product routes.
+    The products and the target are d x d arrays, or ``ZenoProduct``s whose
+    products share one frame; then every distance is the norm of a
+    difference of cores, with the target's core taken into that frame once.
     Each product is built once and dropped as soon as no later row needs it;
-    the one at the largest n is kept whole as the limit. ``side`` maps a
-    matrix to a smaller one with the same operator norm on the target and on
-    every product (X -> XQ when all satisfy X = XE, for instance); distances
-    are then measured between the mapped matrices.
+    the one at the largest n is kept as the limit.
     """
     ns = [int(n) for n in n_values]
     n_max = ns[-1]
-    side = side or (lambda x: x)
-    target_side = side(target)
     kept: dict[int, np.ndarray] = {}
     limit = None
+    goal = None if isinstance(target, ZenoProduct) else target
 
     def prod(n: int) -> np.ndarray:
-        nonlocal limit
+        nonlocal limit, goal
         if n not in kept:
-            full = step_product(n)
+            x = step_product(n)
             if n == n_max:
-                limit = full
-            kept[n] = side(full)
+                limit = x
+            if isinstance(x, ZenoProduct):
+                if goal is None:
+                    goal = target.core_in(x)
+                x = x.core
+            kept[n] = x
         return kept[n]
 
     rows = []
     for i, n in enumerate(ns):
-        rows.append((n, operator_norm(prod(n) - target_side), operator_norm(prod(n) - prod(2 * n))))
+        x = prod(n)
+        rows.append((n, operator_norm(x - goal), operator_norm(x - prod(2 * n))))
         needed = {m * k for m in ns[i + 1 :] for k in (1, 2)}
         for m in [m for m in kept if m not in needed]:
             del kept[m]
@@ -229,8 +299,8 @@ def product_convergence_report(
             exponent, constant, _ = loglog_fit(xs, ys)
     return ZenoConvergenceReport(
         per_n=tuple(rows),
-        limit_matrix=limit,
-        target_matrix=target,
+        limit=limit,
+        target=target,
         target_residual=residual,
         fitted_rate_exponent=exponent,
         fitted_rate_constant=constant,
@@ -244,19 +314,19 @@ def zeno_convergence_report(
     t: float,
     schedule: ZenoSchedule | Iterable[int] | None = None,
 ) -> ZenoConvergenceReport:
-    """Run the product over the schedule and compare against exp(i t EHE) E."""
+    """Run the product over the schedule and compare against exp(i t EHE) E.
+
+    The target Q G Q*, G = exp(i t Q*HQ), enters the products' frame as G,
+    WG or GW* (W = V*Q), so every distance is taken between r x r, d x r or
+    r x d cores and no d x d matrix is formed; ``limit_matrix`` and
+    ``target_matrix`` are lifted only when read.
+    """
     check_dims(h, e)
     sched = _normalize_schedule(schedule, t)
-    target = reduced_dynamics(h, e, t)
-    # products and target satisfy X = EXE, XE or EX, so ||X|| = ||Q*XQ||, ||XQ||, ||Q*X||
     q = e.basis
-    side = {
-        "EUE": lambda x: q.conj().T @ x @ q,
-        "UE": lambda x: x @ q,
-        "EU": lambda x: q.conj().T @ x,
-    }[sched.ordering]
+    target = ZenoProduct(q, _limit_core(h, q, t), q)
     return product_convergence_report(
-        lambda n: zeno_product(h, e, t, n, sched.ordering), target, sched.n_values, side
+        lambda n: zeno_product(h, e, t, n, sched.ordering), target, sched.n_values
     )
 
 
@@ -294,6 +364,7 @@ def azc_fit(
 
     The exact small-tau behaviour is linear with level ||E_perp H E||; a
     commuting pair leaves nothing to fit and is reported as exactly Zeno.
+    Each norm is taken at d x r, as ||UQ - Q(Q*UQ)|| with Q = e.basis.
     """
     check_dims(h, e)
     taus = np.asarray(tau_grid, dtype=float)
@@ -303,8 +374,14 @@ def azc_fit(
         raise ValueError("tau grid must lie in (0, 1]")
     if np.any(np.diff(taus) >= 0):
         raise ValueError("tau grid must be strictly decreasing")
-    ec = complement(e).matrix
-    norms = np.array([operator_norm(ec @ evolve(h, t) @ e.matrix) for t in taus])
+    q, v = e.basis, h.eigenvectors
+    w = _adjoint_product(v, q)
+
+    def leakage(tau: float) -> float:
+        uq = _matmul(v, phase_factors(h, tau)[:, None] * w)  # UQ = V (Phi W), d x r
+        return operator_norm(uq - q @ (q.conj().T @ uq))  # ||E_perp U E|| = ||UQ - Q(Q*UQ)||
+
+    norms = np.array([leakage(tau) for tau in taus])
     if float(np.max(norms)) < 1e-14:
         return AzcFit(constant=0.0, exponent=None, exactly_zeno=True)
     exponent, level, _ = loglog_fit(taus, norms)

@@ -118,7 +118,7 @@ def test_criterion_03_rabi_closed_forms():
     for t in (0.5, 1.0, 2.0):
         for n in (1, 2, 7, 64, 513):
             expected = math.cos(t / n) ** n * e.matrix
-            worst_product = max(worst_product, operator_norm(zeno_product(h, e, t, n) - expected))
+            worst_product = max(worst_product, operator_norm(zeno_product(h, e, t, n).matrix - expected))
     ec = complement(e).matrix
     worst_sine = max(
         abs(operator_norm(ec @ evolve(h, tau) @ e.matrix) - abs(math.sin(tau)))

@@ -1,16 +1,20 @@
 """The range(E) path of the Zeno products against the dense d x d reference.
 
-``zeno_product`` raises the r x r step Q*UQ to powers and
-``zeno_convergence_report`` measures distances on the d x r or r x r side;
-the dense formulas they replace are kept here as the reference.
+``zeno_product`` raises the r x r step Q*UQ to powers and returns the
+product as its core in a frame, and ``zeno_convergence_report`` measures
+distances between r x r, d x r or r x d cores; the dense formulas they
+replace are kept here as the reference.
 """
 
 import functools
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
+import zenolab.scenarios
 import zenolab.zeno
 from conftest import random_hermitian_op, random_projection
 from zenolab.errors import DimensionMismatch, NonFinite
@@ -25,6 +29,7 @@ from zenolab.operators import (
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
 from zenolab.zeno import (
     ORDERINGS,
+    ZenoProduct,
     ZenoSchedule,
     product_convergence_report,
     reduced_dynamics,
@@ -79,7 +84,7 @@ def hamiltonian():
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_product_matches_dense_power(hamiltonian, name, ordering, n):
     e = PROJECTIONS[name]
-    fast = zeno_product(hamiltonian, e, T, n, ordering)
+    fast = zeno_product(hamiltonian, e, T, n, ordering).matrix
     assert fast.shape == (DIM, DIM)
     assert operator_norm(fast - dense_product(hamiltonian, e, T, n, ordering)) <= 1e-12
 
@@ -108,6 +113,39 @@ def test_report_distances_match_dense_svd(hamiltonian, name, ordering):
     assert report.target_residual == report.distance(ns[-1])
 
 
+def friedrichs_hamiltonian(dim):
+    """A Friedrichs H of dimension ``dim``: real eigenvectors on the real solver path."""
+    model = {"friedrichs": {**FRIEDRICHS_100["friedrichs"], "n_modes": dim - 1}}
+    h = build_scenario(parse_config({"schema_version": 1, "task": "converge", "model": model})).hamiltonian
+    assert h.eigenvectors.dtype == np.float64
+    return h
+
+
+@pytest.mark.parametrize("real_v", [True, False], ids=["real-V", "complex-V"])
+@pytest.mark.parametrize("dim", [6, 12, 200])
+@pytest.mark.parametrize("rank", [1, 3, "d"])
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_factored_products_and_report_match_dense(real_v, dim, rank, ordering):
+    """``.matrix`` is the dense power, and the report's core distances are the dense ones."""
+    rng = np.random.default_rng(dim + 7)
+    h = friedrichs_hamiltonian(dim) if real_v else random_hermitian_op(rng, dim, norm=1.0)
+    e = identity_projection(dim) if rank == "d" else random_projection(rng, dim, rank)
+    ns = (1, 3, 16)
+    dense = {n: dense_product(h, e, T, n, ordering) for n in ns + tuple(2 * n for n in ns)}
+    for n in ns[:2]:
+        product = zeno_product(h, e, T, n, ordering)
+        assert isinstance(product, ZenoProduct) and "matrix" not in vars(product)
+        assert operator_norm(product.matrix - dense[n]) <= 1e-12
+        assert product.matrix is product.matrix and not product.matrix.flags.writeable
+    report = zeno_convergence_report(h, e, T, ZenoSchedule(ns, ordering=ordering))
+    target = dense_target(h, e, T)
+    for n, distance, delta in report.per_n:
+        assert abs(distance - operator_norm(dense[n] - target)) <= 1e-12
+        assert abs(delta - operator_norm(dense[n] - dense[2 * n])) <= 1e-12
+    assert operator_norm(report.limit_matrix - dense[ns[-1]]) <= 1e-12
+    assert np.array_equal(report.target_matrix, reduced_dynamics(h, e, T))
+
+
 class TestOperatorNorm:
     @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (7, 1), (7, 0), (0, 7)])
     def test_accepts_rectangular(self, shape):
@@ -115,6 +153,20 @@ class TestOperatorNorm:
         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         expected = float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
         assert operator_norm(m) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 200), (200, 1), (100, 200), (200, 20)])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e200, 1e-200])
+    def test_rectangular_gram_route_matches_svd(self, shape, magnitude):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * magnitude
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = operator_norm(m)
+        assert got == pytest.approx(float(np.linalg.norm(m, 2)), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("shape", [(1, 200), (200, 1), (100, 200), (200, 20)])
+    def test_rectangular_zero_is_zero(self, shape):
+        assert operator_norm(np.zeros(shape, dtype=complex)) == 0.0
 
     def test_rejects_one_dimensional(self):
         with pytest.raises(DimensionMismatch):
@@ -232,3 +284,44 @@ def test_runs_never_form_the_projection_matrix(monkeypatch, tmp_path, task, mode
     assert formed == []
     e = build_scenario(config).projection
     assert e.matrix is e.matrix and formed == [e.dim]  # the spy sees a read
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize(
+    "model",
+    [{**FRIEDRICHS_100, "friedrichs": {**FRIEDRICHS_100["friedrichs"], "n_modes": 200}},
+     {"random": {"dim": 150, "rank_e": 3}}],
+    ids=["friedrichs", "random"],
+)
+def test_converge_report_forms_nothing_d_by_d(monkeypatch, tmp_path, ordering, model):
+    """Inside a CLI converge run's report no product is lifted and no d x d array is allocated."""
+    lifts = []
+    for cls in (ZenoProduct, OrthogonalProjection):
+        lazy = cls.matrix
+
+        def spy(self, lazy=lazy):
+            lifts.append(type(self).__name__)
+            return lazy.func(self)
+
+        prop = functools.cached_property(spy)
+        prop.__set_name__(cls, "matrix")
+        monkeypatch.setattr(cls, "matrix", prop)
+    peaks, inside = [], []
+    report = zenolab.scenarios.zeno_convergence_report
+
+    def traced(h, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = report(h, *args, **kwargs)
+            peaks.append((tracemalloc.get_traced_memory()[1], h.dim))
+        finally:
+            tracemalloc.stop()
+        inside.extend(lifts)
+        return out
+
+    monkeypatch.setattr(zenolab.scenarios, "zeno_convergence_report", traced)
+    config = parse_config({"schema_version": 1, "task": "converge", "model": model, "ordering": ordering})
+    run_scenario(config, out_dir=tmp_path)
+    assert len(peaks) == 1 and inside == []
+    peak, dim = peaks[0]
+    assert peak < dim * dim * 8  # less than one real d x d array

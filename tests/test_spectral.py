@@ -25,8 +25,26 @@ from zenolab.spectral import (
     suggested_tail_grid,
     tail_delta_curve,
     zeno_modulus_table,
+    _pareto_tail_integral_total,
 )
 from zenolab.survival import iterated_survival
+
+
+PARETO_GRID = [(alpha, t) for alpha in (0.25, 0.5, 0.9, 1.0, 1.2, 1.5, 1.9) for t in (1e-3, 0.3, 1.0, 5.0)]
+
+
+@pytest.mark.parametrize("alpha, t", PARETO_GRID)
+def test_two_sided_pareto_characteristic_function_on_ordinary_parameters(alpha, t):
+    """The QAWS head integral converges on the whole grid and keeps what plain quad got right."""
+    measure = TwoSidedPareto(alpha, 2.0)
+    phi = characteristic_fn(measure, t)
+    assert phi.imag == 0.0 and -1.0 <= phi.real <= 1.0
+    v = 2.0 * t
+    plain, err = integrate.quad(lambda u: 2.0 * math.sin(u / 2.0) ** 2 * u ** (-alpha - 1.0), 0.0, v, limit=400)
+    if err <= 1e-11 * max(1.0, abs(plain)):  # the plain quadrature's own acceptance rule
+        total = _pareto_tail_integral_total(alpha)
+        expected = alpha * 2.0**alpha * t**alpha * (total - plain)
+        assert measure.one_minus_phi(t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestSpectralMeasureOfState:

@@ -365,7 +365,7 @@ def test_real_path_kms_residuals_match_complex_path(real_scenario):
 @pytest.mark.parametrize("n", [1, 5, 64])
 def test_real_path_zeno_products_match_complex_path(real_scenario, ordering, n):
     scen, ref = real_scenario
-    got, want = (zeno_product(h, scen.projection, 1.3, n, ordering) for h in (scen.hamiltonian, ref))
+    got, want = (zeno_product(h, scen.projection, 1.3, n, ordering).matrix for h in (scen.hamiltonian, ref))
     assert operator_norm(got - want) <= 1e-12
 
 

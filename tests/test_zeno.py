@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import zenolab.zeno
 from conftest import rabi_pair, random_hermitian_op, random_projection, random_state
 from zenolab.errors import ProbeOutsideRange
 from zenolab.operators import complement, eigendecompose, evolve, identity_projection, operator_norm
@@ -33,13 +34,13 @@ class TestZenoProduct:
         h = random_hermitian_op(rng, 4)
         e = identity_projection(4)
         for n in (1, 7, 64):
-            assert operator_norm(zeno_product(h, e, 1.3, n) - evolve(h, 1.3)) < 1e-10
+            assert operator_norm(zeno_product(h, e, 1.3, n).matrix - evolve(h, 1.3)) < 1e-10
 
     def test_commuting_case_n_independent(self):
         h, e = commuting_pair()
         expected = e.matrix @ evolve(h, 0.8) @ e.matrix
         for n in (1, 5, 256):
-            assert operator_norm(zeno_product(h, e, 0.8, n) - expected) < 1e-12
+            assert operator_norm(zeno_product(h, e, 0.8, n).matrix - expected) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 3, 16, 255])
     def test_rabi_closed_form(self, n):
@@ -47,14 +48,14 @@ class TestZenoProduct:
         h, e = rabi_pair()
         t = 1.0
         expected = math.cos(t / n) ** n * e.matrix
-        assert operator_norm(zeno_product(h, e, t, n) - expected) < 1e-13
+        assert operator_norm(zeno_product(h, e, t, n).matrix - expected) < 1e-13
 
     def test_contraction(self):
         rng = np.random.default_rng(7)
         h = random_hermitian_op(rng, 5)
         e = random_projection(rng, 5, 2)
         for ordering in ("EUE", "UE", "EU"):
-            assert operator_norm(zeno_product(h, e, 2.0, 9, ordering)) <= 1.0 + 1e-10
+            assert operator_norm(zeno_product(h, e, 2.0, 9, ordering).matrix) <= 1.0 + 1e-10
 
 
 class TestConvergenceReport:
@@ -78,7 +79,7 @@ class TestConvergenceReport:
         h = random_hermitian_op(rng, 6, norm=1.0)
         e = random_projection(rng, 6, 3)
         report = zeno_convergence_report(h, e, 1.0)
-        oracle = zeno_product(h, e, 1.0, 2**16)
+        oracle = zeno_product(h, e, 1.0, 2**16).matrix
         assert operator_norm(oracle - report.target_matrix) < 1e-4
         assert report.target_residual < 1e-3
         ratio = report.distance(2048) / report.distance(4096)
@@ -154,6 +155,30 @@ class TestAzcFit:
         assert 0.98 <= fit.exponent <= 1.02
         exact = operator_norm(complement(e).matrix @ h.matrix @ e.matrix)
         assert abs(fit.constant - exact) <= 0.02 * exact
+
+    @pytest.mark.parametrize("real_v", [True, False], ids=["real-V", "complex-V"])
+    @pytest.mark.parametrize("rank", [1, 3, 12])
+    def test_leakage_matches_dense_formula(self, monkeypatch, real_v, rank):
+        """The fitted norms ||UQ - Q(Q*UQ)|| (d x r) are the dense ||E_perp U E||."""
+        rng = np.random.default_rng(30 + rank)
+        if real_v:
+            g = rng.standard_normal((12, 12))
+            h = eigendecompose(g + g.T)
+            assert h.eigenvectors.dtype == np.float64
+        else:
+            h = random_hermitian_op(rng, 12, norm=1.0)
+        e = identity_projection(12) if rank == 12 else random_projection(rng, 12, rank)
+        taus = np.logspace(-3, 0, 7)[::-1]
+        ec = complement(e).matrix
+        dense = [operator_norm(ec @ evolve(h, tau) @ e.matrix) for tau in taus]
+        seen = []
+        fit_original = zenolab.zeno.loglog_fit
+        monkeypatch.setattr(zenolab.zeno, "loglog_fit", lambda x, y: seen.append(y) or fit_original(x, y))
+        fit = azc_fit(h, e, taus)
+        if rank == 12:
+            assert fit.exactly_zeno and seen == [] and max(dense) == 0.0
+        else:
+            assert np.max(np.abs(seen[0] - dense)) <= 1e-12
 
     def test_grid_validation(self):
         h, e = rabi_pair()
@@ -246,7 +271,7 @@ class TestLimitProperties:
         e = random_projection(rng, 5, 2)
         target = reduced_dynamics(h, e, 1.0)
         n = 4096
-        prods = {o: zeno_product(h, e, 1.0, n, o) for o in ("EUE", "UE", "EU")}
+        prods = {o: zeno_product(h, e, 1.0, n, o).matrix for o in ("EUE", "UE", "EU")}
         ref = operator_norm(prods["EUE"] - target)
         for a in prods:
             for b in prods:
