@@ -9,7 +9,8 @@ imported inside ``expm``, by the non-Hermitian branches that call it.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import math
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable
 
@@ -110,6 +111,16 @@ def operator_norm(m) -> float:
 _SCREEN_MARGIN = 1.0 - 1e-8
 
 
+def _frobenius(x: np.ndarray, axis: int | None = None) -> float:
+    """The largest of np.linalg.norm(x, axis=axis), taken of x / max|x| only when the plain norm overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(x, axis=axis).max())
+        if not math.isfinite(norm):
+            scale = np.max(np.abs(x))
+            norm = float(scale * np.linalg.norm(x / scale, axis=axis).max())
+    return norm
+
+
 def _violation(
     x: np.ndarray, base: float, ref: float = 0.0, exact_ref: Callable[[], float] | None = None
 ) -> float | None:
@@ -121,7 +132,7 @@ def _violation(
     is computed once the screen fails. The verdict is the one the exact
     2-norm against the exact scale gives.
     """
-    if float(np.linalg.norm(x)) <= tol(base, ref) * _SCREEN_MARGIN:
+    if _frobenius(x) <= tol(base, ref) * _SCREEN_MARGIN:
         return None
     if exact_ref is not None:
         ref = exact_ref()
@@ -133,7 +144,7 @@ def _column_norm_bound(a: np.ndarray) -> float:
     """Largest column 2-norm: a lower bound on ||A||_2 (||A e_j|| <= ||A||)."""
     if not a.size:
         return 0.0
-    return float(np.max(np.linalg.norm(a, axis=0)))
+    return _frobenius(a, axis=0)
 
 
 @dataclass(frozen=True)
@@ -189,76 +200,40 @@ class HermitianOperator:
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
 
-@dataclass(frozen=True, eq=False)  # rank, the one field, does not identify a projection
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class OrthogonalProjection:
-    """Orthogonal projection P of integer rank, with an orthonormal basis Q of its range.
+    """Orthogonal projection P = QQ*, held as an orthonormal basis Q of its range.
 
-    ``basis`` Q is dim x rank with QQ* = P. ``OrthogonalProjection(None,
-    rank, Q)``, as ``projection_from_span`` and ``identity_projection``
-    build it, holds only Q and checks ||Q*Q - I|| at O(d r^2); ``matrix``
-    is then QQ*, formed and cached the first time something reads it.
-
-    ``OrthogonalProjection(matrix, rank[, known_basis])`` holds P and checks
-    it for self-adjointness (O(d^2)) and trace P = rank. Without a basis it
-    is also checked for idempotence, ||P^2 - P||, with a d x d product, and
-    ``basis`` comes from one SVD of P on first use. A ``known_basis`` Q is
-    checked against P instead: ||Q*Q - I|| at O(d r^2) and ||P - QQ*|| at
-    O(d^2 r), both at the idempotence tolerance, so a Q that does not span
-    range(P) is rejected.
+    ``basis`` Q is dim x rank, checked for ||Q*Q - I|| at O(d r^2); ``dim``
+    and ``rank`` are read off its shape. ``matrix`` is QQ*, formed and cached
+    the first time something reads it.
     """
 
-    p: InitVar[np.ndarray | None]
-    rank: int
-    known_basis: InitVar[np.ndarray | None] = None
+    basis: np.ndarray
 
-    def __post_init__(self, p, known_basis=None):
-        q = known_basis
-        if p is None:
-            if q is None or q.ndim != 2 or q.shape[1] != self.rank:
-                raise DimensionMismatch(f"a projection built from a basis needs one of shape (dim, {self.rank})")
-            gram = q.conj().T @ q
-            # ||QQ*|| = ||Q*Q||, bounded below by its largest diagonal entry
-            bound = float(np.max(gram.diagonal().real)) if self.rank else 0.0
-            if _violation(gram - np.eye(self.rank), 1e-10, bound, lambda: operator_norm(gram)) is not None:
-                raise ValueError("basis is not orthonormal within tolerance")
-            self.__dict__["basis"] = q
-            return
-        self.__dict__["matrix"] = p
-        bound, norm = _column_norm_bound(p), cache(lambda: operator_norm(p))
-        if _violation(p - p.conj().T, 1e-12, bound, norm) is not None:
-            raise NotHermitian("projection is not self-adjoint within tolerance")
-        if q is None:
-            if _violation(p @ p - p, 1e-10, bound, norm) is not None:
-                raise ValueError("projection is not idempotent within tolerance")
-        else:
-            if q.shape != (self.dim, self.rank):
-                raise DimensionMismatch(f"basis has shape {q.shape}, expected {(self.dim, self.rank)}")
-            if _violation(q.conj().T @ q - np.eye(self.rank), 1e-10, bound, norm) is not None:
-                raise ValueError("basis is not orthonormal within tolerance")
-            if _violation(p - q @ q.conj().T, 1e-10, bound, norm) is not None:
-                raise ValueError("projection disagrees with its basis beyond tolerance")
-            self.__dict__["basis"] = q
-        trace = float(np.trace(p).real)
-        if abs(trace - self.rank) > tol(1e-8):
-            raise ValueError(f"trace {trace:.12f} disagrees with rank {self.rank}")
+    def __post_init__(self):
+        q = self.basis
+        if q.ndim != 2:
+            raise DimensionMismatch(f"a projection's basis must be a 2-D array, got shape {q.shape}")
+        gram = q.conj().T @ q
+        # ||QQ*|| = ||Q*Q||, bounded below by its largest diagonal entry
+        bound = float(np.max(gram.diagonal().real)) if self.rank else 0.0
+        if _violation(gram - np.eye(self.rank), 1e-10, bound, lambda: operator_norm(gram)) is not None:
+            raise ValueError("basis is not orthonormal within tolerance")
 
     @property
     def dim(self) -> int:
-        held = self.__dict__.get("matrix")
-        return (self.basis if held is None else held).shape[0]
+        return self.basis.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
     @cached_property
     def matrix(self) -> np.ndarray:
         q = self.basis
         p = q @ q.conj().T
         return _freeze((p + p.conj().T) / 2.0)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        if self.rank == 0:
-            return _freeze(np.zeros((self.dim, 0), dtype=complex))
-        u, _, _ = np.linalg.svd(self.matrix)
-        return _freeze(u[:, : self.rank])
 
 
 def eigendecompose(m) -> HermitianOperator:
@@ -293,15 +268,17 @@ def phase_factors(h: HermitianOperator, z: complex) -> np.ndarray:
     """exp(i z w) over the eigenvalues w of H: exp(i z H) in its eigenbasis.
 
     Raises Overflow if |Im z| * max|eigenvalue| would overflow the
-    exponential rather than clamping silently.
+    exponential rather than clamping silently, and if |z| * max|eigenvalue|
+    * eps >= 1, where rounding the phases z w leaves them no correct digit.
     """
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise NonFinite("time argument must be finite")
-    if h.eigenvalues.size:
-        worst = abs(z.imag) * float(np.max(np.abs(h.eigenvalues)))
-        if worst > EXP_LIMIT:
-            raise Overflow(f"exp argument magnitude {worst:.3e} exceeds {EXP_LIMIT}")
+    norm = h.norm
+    if abs(z.imag) * norm > EXP_LIMIT:
+        raise Overflow(f"exp argument magnitude {abs(z.imag) * norm:.3e} exceeds {EXP_LIMIT}")
+    if abs(z) * norm * np.finfo(float).eps >= 1.0:
+        raise Overflow(f"phase magnitude {abs(z) * norm:.3e} leaves no correct digit in exp(i z H)")
     return np.exp(1j * z * h.eigenvalues)
 
 
@@ -374,35 +351,45 @@ def projection_from_span(vectors) -> OrthogonalProjection:
     if not s.size or s[0] <= tol(1e-300):
         raise ZeroSpan("all spanning vectors are numerically zero")
     keep = s > tol(1e-10) * s[0]
-    q = _freeze(u[:, keep])
-    return OrthogonalProjection(None, q.shape[1], q)
+    return OrthogonalProjection(_freeze(u[:, keep]))
 
 
 def projection_from_matrix(p) -> OrthogonalProjection:
-    """Wrap an already-idempotent self-adjoint matrix, validating its invariants."""
+    """The projection onto range(P), for P self-adjoint, idempotent and of integer trace.
+
+    Its basis is the leading rank left singular vectors of P, so its
+    ``matrix`` is QQ*, which agrees with P within those checks.
+    """
     a = as_complex_matrix(p)
-    rank = int(round(float(np.trace(a).real)))
-    return OrthogonalProjection(_freeze(a), rank)
+    trace = float(np.trace(a).real)
+    rank = int(round(trace))
+    bound, norm = _column_norm_bound(a), cache(lambda: operator_norm(a))
+    if _violation(a - a.conj().T, 1e-12, bound, norm) is not None:
+        raise NotHermitian("projection is not self-adjoint within tolerance")
+    if _violation(a @ a - a, 1e-10, bound, norm) is not None:
+        raise ValueError("projection is not idempotent within tolerance")
+    if abs(trace - rank) > tol(1e-8):
+        raise ValueError(f"trace {trace:.12f} disagrees with rank {rank}")
+    u, _, _ = np.linalg.svd(a)
+    return OrthogonalProjection(_freeze(u[:, :rank]))
 
 
 def identity_projection(dim: int) -> OrthogonalProjection:
-    return OrthogonalProjection(None, dim, _freeze(np.eye(dim, dtype=complex)))
+    return OrthogonalProjection(_freeze(np.eye(dim, dtype=complex)))
 
 
 def complement(p: OrthogonalProjection) -> OrthogonalProjection:
-    """The projection onto the orthogonal complement of range(P)."""
-    q = np.eye(p.dim, dtype=complex) - p.matrix
-    return OrthogonalProjection(_freeze((q + q.conj().T) / 2.0), p.dim - p.rank)
+    """The projection onto range(P)'s orthogonal complement: the trailing left singular vectors of P's basis."""
+    u, _, _ = np.linalg.svd(p.basis)
+    return OrthogonalProjection(_freeze(u[:, p.rank :]))
 
 
 def check_dims(*operands) -> int:
     """Assert all operands act on the same dimension; return it."""
-    dims = []
-    for op in operands:
-        if isinstance(op, (HermitianOperator, OrthogonalProjection)):
-            dims.append(op.dim)
-        else:
-            dims.append(np.asarray(op).shape[0])
+    dims = [
+        op.dim if isinstance(op, (HermitianOperator, OrthogonalProjection)) else np.asarray(op).shape[0]
+        for op in operands
+    ]
     if len(set(dims)) > 1:
         raise DimensionMismatch(f"operands have mismatched dimensions {dims}")
     return dims[0]

@@ -18,6 +18,7 @@ from .numeric import tol
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
+    _freeze,
     _matmul,
     as_complex_matrix,
     check_dims,
@@ -25,7 +26,6 @@ from .operators import (
     expm,
     identity_projection,
     operator_norm,
-    projection_from_matrix,
 )
 from .zeno import ZenoConvergenceReport, ZenoSchedule, _normalize_schedule, product_convergence_report
 
@@ -145,17 +145,22 @@ def degenerate_product(
     t: float,
     n_schedule: ZenoSchedule | Iterable[int] | None = None,
 ) -> ZenoConvergenceReport:
-    """Products [exp(-tA/n) E]^n compared against exp(-t EAE) E."""
+    """Products [exp(-tA/n) E]^n compared against exp(-t EAE) E.
+
+    With Q = e.basis and S = exp(-tA/n) they are SQ (Q*SQ)^(n-1) Q*, an r x r
+    power, against Q exp(-t Q*AQ) Q*.
+    """
     if t <= 0:
         raise ValueError("t must be positive")
     check_dims(a.matrix, e)
     sched = _normalize_schedule(n_schedule, t)
-    compressed = e.matrix @ a.matrix @ e.matrix
-    target = expm(-t * compressed) @ e.matrix
+    q = e.basis
+    qh = q.conj().T
+    target = q @ expm(-t * (qh @ a.matrix @ q)) @ qh
 
     def step_product(n: int) -> np.ndarray:
-        step = expm(-(t / n) * a.matrix) @ e.matrix
-        return np.linalg.matrix_power(step, n)
+        sq = expm(-(t / n) * a.matrix) @ q
+        return sq @ np.linalg.matrix_power(qh @ sq, n - 1) @ qh
 
     return product_convergence_report(step_product, target, sched.n_values)
 
@@ -169,15 +174,10 @@ def form_sum_operator(a: DegenerateForm, b: DegenerateForm) -> DegenerateForm:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"forms live on dimensions {a.dim} != {b.dim}")
-    d = a.dim
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(a.dim, dtype=complex)
     gap = (eye - a.support.matrix) + (eye - b.support.matrix)
     w, v = np.linalg.eigh((gap + gap.conj().T) / 2.0)
-    null = w <= tol(1e-10)
-    q = v[:, null]
-    p_cap = q @ q.conj().T
-    p_cap = (p_cap + p_cap.conj().T) / 2.0
-    support = projection_from_matrix(p_cap)
+    support = OrthogonalProjection(_freeze(v[:, w <= tol(1e-10)]))
     total = a.psd_part.matrix + b.psd_part.matrix
     return degenerate_form(support, total)
 

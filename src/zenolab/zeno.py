@@ -30,7 +30,6 @@ from .operators import (
     _freeze,
     _matmul,
     check_dims,
-    complement,
     eigendecompose,
     evolve,
     operator_norm,
@@ -355,6 +354,14 @@ def zeno_generator(h: HermitianOperator, e: OrthogonalProjection) -> ZenoGenerat
     return ZenoGenerator(eigendecompose(direct), q)
 
 
+def _leakage(h: HermitianOperator, e: OrthogonalProjection, times: Iterable[float]) -> np.ndarray:
+    """||E_perp exp(i t H) E|| at each t, as ||UQ - Q(Q*UQ)|| at d x r with Q = e.basis."""
+    q, v = e.basis, h.eigenvectors
+    w = _adjoint_product(v, q)
+    uqs = (_matmul(v, phase_factors(h, t)[:, None] * w) for t in times)  # UQ = V (Phi W), d x r
+    return np.array([operator_norm(uq - q @ (q.conj().T @ uq)) for uq in uqs])
+
+
 def azc_fit(
     h: HermitianOperator,
     e: OrthogonalProjection,
@@ -364,7 +371,7 @@ def azc_fit(
 
     The exact small-tau behaviour is linear with level ||E_perp H E||; a
     commuting pair leaves nothing to fit and is reported as exactly Zeno.
-    Each norm is taken at d x r, as ||UQ - Q(Q*UQ)|| with Q = e.basis.
+    Each norm is taken at d x r by ``_leakage``.
     """
     check_dims(h, e)
     taus = np.asarray(tau_grid, dtype=float)
@@ -374,14 +381,7 @@ def azc_fit(
         raise ValueError("tau grid must lie in (0, 1]")
     if np.any(np.diff(taus) >= 0):
         raise ValueError("tau grid must be strictly decreasing")
-    q, v = e.basis, h.eigenvectors
-    w = _adjoint_product(v, q)
-
-    def leakage(tau: float) -> float:
-        uq = _matmul(v, phase_factors(h, tau)[:, None] * w)  # UQ = V (Phi W), d x r
-        return operator_norm(uq - q @ (q.conj().T @ uq))  # ||E_perp U E|| = ||UQ - Q(Q*UQ)||
-
-    norms = np.array([leakage(tau) for tau in taus])
+    norms = _leakage(h, e, taus)
     if float(np.max(norms)) < 1e-14:
         return AzcFit(constant=0.0, exponent=None, exactly_zeno=True)
     exponent, level, _ = loglog_fit(taus, norms)
@@ -405,12 +405,12 @@ def continuous_measurement_compare(
     if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
         raise ValueError("k_values must be increasing and positive")
     probes = [np.asarray(p, dtype=complex) for p in probe_states]
-    ec = complement(e).matrix
     for i, p in enumerate(probes):
-        leak = float(np.linalg.norm(ec @ p))
+        leak = float(np.linalg.norm(p - e.basis @ (e.basis.conj().T @ p)))
         if leak > tol(1e-10, float(np.linalg.norm(p))):
             raise ProbeOutsideRange(f"probe {i} leaks {leak:.3e} outside range(E)")
     target = reduced_dynamics(h, e, t)
+    ec = np.eye(h.dim, dtype=complex) - e.matrix  # for the generator, which is d x d anyway
     out = []
     for k in ks:
         hk = eigendecompose(h.matrix + k * ec)

@@ -1,4 +1,5 @@
 import builtins
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,37 @@ class TestExitCodes:
         config = write(tmp_path / "r.yaml", "schema_version: 1\ntask: converge\nmodel:\n  random: {dim: 4}\n")
         assert main(["converge", "--config", config, "--out", str(tmp_path / "o"), "--seed", "-3", "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error: model.random.seed: must be >= 0")
+
+    def test_phases_without_a_correct_digit_exit_two(self, tmp_path, capsys):
+        # t / n ~ 5e299 against eigenvalues +-1: the phases t w / n carry no digit
+        config = write(tmp_path / "c.yaml", RABI_CONVERGE.replace("t: 1.0", "t: 1.0e+300"))
+        assert main(["converge", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: phase magnitude ") and "no correct digit" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_perturbation_norm_beyond_its_cap_names_the_key(self, tmp_path, capsys):
+        config = write(
+            tmp_path / "p.yaml",
+            "schema_version: 1\ntask: converge\nmodel:\n  perturbed: {dim: 6, perturbation_norm: 1.0e+300}\n"
+            "t: 1.0e+6\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["converge", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: model.perturbed.perturbation_norm: must be <= 1000000.0, got 1e+300"]
+
+    def test_huge_band_classifies_without_numpy_warnings(self, tmp_path, capsys):
+        # the validation screens of H (entries ~1e300) rescale instead of overflowing
+        config = write(
+            tmp_path / "f.yaml",
+            "schema_version: 1\ntask: classify\nmodel:\n  friedrichs: {band: [-1.0e+300, 1.0e+300]}\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "exc", [ArithmeticError("products diverged"), np.linalg.LinAlgError("SVD did not\nconverge")]

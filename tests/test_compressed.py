@@ -63,7 +63,7 @@ def projections():
     rng = np.random.default_rng(41)
     rank3 = random_projection(rng, DIM, 3)
     return {
-        "rank0": OrthogonalProjection(np.zeros((DIM, DIM), dtype=complex), 0),
+        "rank0": OrthogonalProjection(np.zeros((DIM, 0), dtype=complex)),
         "rank1": random_projection(rng, DIM, 1),
         "rank3": rank3,
         "rank3-from-matrix": projection_from_matrix(rank3.matrix.copy()),

@@ -354,7 +354,7 @@ class TestZenoGibbs:
 
     def test_zero_rank_rejected(self):
         h = random_hermitian_op(np.random.default_rng(10), 3)
-        empty = OrthogonalProjection(np.zeros((3, 3), dtype=complex), 0)
+        empty = OrthogonalProjection(np.zeros((3, 0), dtype=complex))
         with pytest.raises(ZeroRank):
             zeno_gibbs_state(h, empty, 1.0)
 
@@ -486,7 +486,7 @@ class TestReducedAgainstDense:
 
     def test_zero_rank_raises(self):
         h = random_hermitian_op(np.random.default_rng(19), 6)
-        empty = OrthogonalProjection(np.zeros((6, 6), dtype=complex), 0)
+        empty = OrthogonalProjection(np.zeros((6, 0), dtype=complex))
         pairs = [(np.eye(6), np.eye(6))]
         with pytest.raises(ZeroRank):
             reduced_kms_residual(h, empty, 1.0, pairs, [0.5])

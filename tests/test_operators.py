@@ -205,7 +205,7 @@ class TestProjectionFromSpan:
         if rank == 0:
             from zenolab.operators import OrthogonalProjection
 
-            p = OrthogonalProjection(np.zeros((4, 4), dtype=complex), 0)
+            p = OrthogonalProjection(np.zeros((4, 0), dtype=complex))
         else:
             p = random_projection(np.random.default_rng(rank), 4, rank)
         assert min(abs(operator_norm(p.matrix) - 1.0), operator_norm(p.matrix)) < 1e-10

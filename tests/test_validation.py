@@ -7,9 +7,9 @@ with a Frobenius norm over it, and asserts the verdict of the exact rule:
 the 2-norm of the defect against the tolerance at the exact reference scale.
 The HermitianOperator checks are covered twice: on complex data and on data
 with an exactly zero imaginary part, which they check in real arithmetic. A
-projection given its matrix and a basis Q is covered by its two basis checks,
-||Q*Q - I|| and ||P - QQ*||, in place of idempotence; one given only Q by
-its one check, ||Q*Q - I||.
+projection built from a matrix P is covered by the self-adjointness and
+idempotence checks of ``projection_from_matrix``; one built from a basis Q
+by its one check, ||Q*Q - I||.
 
 The real solver path stores float64 arrays; every consumer of them is
 compared with the same matrix taken through the complex solver.
@@ -32,6 +32,7 @@ from zenolab.operators import (
     eigendecompose,
     evolve,
     operator_norm,
+    projection_from_matrix,
 )
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
 from zenolab.spectral import spectral_measure_of_state
@@ -116,7 +117,7 @@ def _projection_self_adjoint(ratio):
     q = _unitary(5)
     p = _hermitian(q, np.arange(DIM) < 5) + 1j * (ratio * tol(1e-12, 1.0) / 2.0) * _flat(q, 5)
     limit = tol(1e-12, operator_norm(p))
-    return (lambda: OrthogonalProjection(p, 5)), p - p.conj().T, limit, NotHermitian
+    return (lambda: projection_from_matrix(p)), p - p.conj().T, limit, NotHermitian
 
 
 def _projection_idempotence(ratio):
@@ -124,35 +125,15 @@ def _projection_idempotence(ratio):
     p = _hermitian(q, np.arange(DIM) < 5) + ratio * tol(1e-10, 1.0) * _flat(q, 5)
     p = (p + p.conj().T) / 2.0
     limit = tol(1e-10, operator_norm(p))
-    return (lambda: OrthogonalProjection(p, 5)), p @ p - p, limit, ValueError
-
-
-def _basis_orthonormality(ratio):
-    # K basis vectors stretched alike; P = QQ* stays consistent with them
-    stretch = np.sqrt(1.0 + ratio * tol(1e-10, 1.0))
-    q = _unitary(14)[:, :K] * stretch
-    p = q @ q.conj().T
-    p = (p + p.conj().T) / 2.0
-    limit = tol(1e-10, operator_norm(p))
-    return (lambda: OrthogonalProjection(p, K, q)), q.conj().T @ q - np.eye(K), limit, ValueError
-
-
-def _basis_span(ratio):
-    # P carries a small part on K directions outside range(Q)
-    rank, u = DIM - K, _unitary(15)
-    q = u[:, :rank]
-    p = q @ q.conj().T + ratio * tol(1e-10, 1.0) * _flat(u, rank)
-    p = (p + p.conj().T) / 2.0
-    limit = tol(1e-10, operator_norm(p))
-    return (lambda: OrthogonalProjection(p, rank, q)), p - q @ q.conj().T, limit, ValueError
+    return (lambda: projection_from_matrix(p)), p @ p - p, limit, ValueError
 
 
 def _basis_only_orthonormality(ratio):
-    # as above, with no matrix given: the projection holds only Q
+    # K basis vectors stretched alike
     stretch = np.sqrt(1.0 + ratio * tol(1e-10, 1.0))
     q = _unitary(18)[:, :K] * stretch
     gram = q.conj().T @ q
-    return (lambda: OrthogonalProjection(None, K, q)), gram - np.eye(K), tol(1e-10, operator_norm(gram)), ValueError
+    return (lambda: OrthogonalProjection(q)), gram - np.eye(K), tol(1e-10, operator_norm(gram)), ValueError
 
 
 def _density_commutator(ratio):
@@ -180,8 +161,6 @@ CHECKS = {
     "HermitianOperator.real.orthonormality": lambda ratio: _operator_orthonormality(ratio, _orthogonal(14)),
     "OrthogonalProjection.self_adjoint": _projection_self_adjoint,
     "OrthogonalProjection.idempotence": _projection_idempotence,
-    "OrthogonalProjection.basis_orthonormality": _basis_orthonormality,
-    "OrthogonalProjection.basis_span": _basis_span,
     "OrthogonalProjection.basis_only_orthonormality": _basis_only_orthonormality,
     "DensityState.commutator": _density_commutator,
 }
@@ -266,14 +245,11 @@ def test_operator_checks_run_in_real_arithmetic_only_on_real_data(monkeypatch, c
 
 def test_projection_rejects_a_basis_that_does_not_span_its_range():
     e = np.eye(3, dtype=complex)
-    p = np.outer(e[:, 0], e[:, 0])
-    assert OrthogonalProjection(p, 1, e[:, :1]).basis is not None
-    with pytest.raises(ValueError, match="disagrees with its basis"):
-        OrthogonalProjection(p, 1, e[:, 1:2])
+    assert OrthogonalProjection(e[:, :1]).rank == 1
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OrthogonalProjection(e[:, [0, 0]])  # two columns, one direction
     with pytest.raises(DimensionMismatch):
-        OrthogonalProjection(p, 1, e[:, :2])
-    with pytest.raises(DimensionMismatch):
-        OrthogonalProjection(None, 1, e[:, :2])
+        OrthogonalProjection(e[:, 0])  # not 2-D
 
 
 def test_clean_friedrichs_build_takes_no_svd(monkeypatch):
