@@ -6,11 +6,9 @@ at finite dimension the Gibbs density matrix is its unique solution. The
 same check runs on the compressed algebra, where the frozen-dynamics
 equilibria live, at r x r on the compressions Q*HQ, Q*AQ, Q*BQ and Q*rhoQ
 (Q an orthonormal basis of range(E)); that is exact for any state. Both
-checks share one kernel, which takes B into H's eigenbasis once per pair
-and then calls ``heisenberg_evolve`` twice per (pair, t) for the
-back-transform only. Each call still forms one tau_z(B), because the
-benchmark's traced test counts those calls; a bilinear kernel (ROADMAP.md,
-item 1) that needs no tau_z(B) at all waits until it stops counting them.
+checks share one kernel, which runs wholly in H's eigenbasis: rho, A and B
+enter it once per pair, and each (pair, t) costs two ``heisenberg_evolve``
+calls on V*BV, each an elementwise phase multiply with no matrix product.
 """
 
 from __future__ import annotations
@@ -105,11 +103,11 @@ def _to_eigenbasis(h: HermitianOperator, a: np.ndarray) -> np.ndarray:
 def heisenberg_evolve(h: HermitianOperator, a, z: complex, *, in_eigenbasis: bool = False) -> np.ndarray:
     """exp(izH) A exp(-izH) through the eigenbasis; exact at complex time.
 
-    With ``in_eigenbasis=True``, ``a`` is taken to be V*AV already (V the
-    eigenvectors of H), and only the back-transform to the standard basis
-    is done; the result is the same to the bit as the default path on A.
-    Raises NonFinite for a non-finite z, and Overflow when |Im z| times the
-    spectral spread would overflow.
+    With ``in_eigenbasis=True``, ``a`` is V*AV already (V the eigenvectors
+    of H) and the result is V* tau_z(A) V = (V*AV) o outer(e^s, e^-s),
+    s = iz(w - mid), with no matrix product; the default path takes that
+    array back by V. Raises NonFinite for a non-finite z, and Overflow when
+    |Im z| times the spectral spread would overflow.
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -123,7 +121,8 @@ def heisenberg_evolve(h: HermitianOperator, a, z: complex, *, in_eigenbasis: boo
     in_basis = mat if in_eigenbasis else _to_eigenbasis(h, mat)
     # about the spectrum's midpoint neither factor exceeds exp(|Im z| spread / 2)
     s = 1j * z * (w - (w[0] + w[-1]) / 2.0) if w.size else w
-    return _matmul(_matmul(v, in_basis * np.outer(np.exp(s), np.exp(-s))), v.conj().T)
+    evolved = in_basis * np.outer(np.exp(s), np.exp(-s))
+    return evolved if in_eigenbasis else _matmul(_matmul(v, evolved), v.conj().T)
 
 
 def _kms_gaps(
@@ -131,16 +130,18 @@ def _kms_gaps(
 ) -> list[float]:
     """|tr(rho A tau_{t+i beta}(B)) - tr(rho tau_t(B) A)| for each t in ``ts``.
 
-    Each trace is sum(Y^T o X), with Y = rho A or A rho formed once for all t.
-    Y^T is stored contiguous, which is faster and gives the same sums to the
-    bit: the product Y^T o X is C-ordered either way. B enters H's
-    eigenbasis once for all t, so each call below only transforms back.
+    The traces are taken in H's eigenbasis, tr(YX) = tr(V*YV V*XV): rho, A
+    and B enter it once for all t, and each trace is sum(Y^T o X) with
+    Y = rho A or A rho formed there once, as the C-ordered product of
+    transposes Y^T = A^T rho^T or rho^T A^T. So no matrix product depends on t.
     """
-    rho_a, a_rho = (np.ascontiguousarray(y.T) for y in (_matmul(rho, a), _matmul(a, rho)))
-    b_eig = _to_eigenbasis(h, b)
+    rho_v, a_v = _to_eigenbasis(h, rho), _to_eigenbasis(h, a)
+    rho_a, a_rho = _matmul(a_v.T, rho_v.T), _matmul(rho_v.T, a_v.T)
+    del rho_v, a_v  # peak memory: only the two Y^T and B~ stay live through the t loop
+    b_v = _to_eigenbasis(h, b)
 
     def tau(z: complex) -> np.ndarray:
-        return heisenberg_evolve(h, b_eig, z, in_eigenbasis=True)
+        return heisenberg_evolve(h, b_v, z, in_eigenbasis=True)
 
     return [float(abs(np.sum(rho_a * tau(t + 1j * beta)) - np.sum(a_rho * tau(t)))) for t in ts]
 

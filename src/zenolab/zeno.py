@@ -185,6 +185,8 @@ def zeno_product(
     t: float,
     n: int,
     ordering: str = "EUE",
+    *,
+    _w: np.ndarray | None = None,
 ) -> ZenoProduct:
     """n-fold product of U = exp(i (t/n) H) interleaved with E, in the given ordering.
 
@@ -193,7 +195,8 @@ def zeno_product(
     and the product is returned in factored form (``ZenoProduct``):
     EUE = Q A^n Q* with the r x r core A^n, UE = V (Phi W A^(n-1)) Q* with a
     d x r core and EU = Q (A^(n-1) W* Phi) V* with an r x d core. Read
-    ``.matrix`` for the d x d product.
+    ``.matrix`` for the d x d product. The private ``_w`` is W from
+    ``_overlap(h, e)``, passed by a caller that reuses it over many n.
     """
     check_dims(h, e)
     n = int(n)
@@ -203,7 +206,7 @@ def zeno_product(
         raise ValueError(f"ordering must be one of {ORDERINGS}")
     q, v = e.basis, h.eigenvectors
     phases = phase_factors(h, t / n)
-    w = _adjoint_product(v, q)
+    w = _overlap(h, e) if _w is None else _w
     w_adj_u = w.conj().T * phases  # W* Phi, so Q*U = W* Phi V*
     a = w_adj_u @ w
     if ordering == "EUE":
@@ -212,6 +215,11 @@ def zeno_product(
     if ordering == "UE":
         return ZenoProduct(v, (phases[:, None] * w) @ power, q)
     return ZenoProduct(q, power @ w_adj_u, v)
+
+
+def _overlap(h: HermitianOperator, e: OrthogonalProjection) -> np.ndarray:
+    """W = V*Q, the basis of range(E) in H's eigenbasis: d^2 r work, fixed by (H, E)."""
+    return _adjoint_product(h.eigenvectors, e.basis)
 
 
 def _compress(h: HermitianOperator, q: np.ndarray) -> np.ndarray:
@@ -318,14 +326,14 @@ def zeno_convergence_report(
     The target Q G Q*, G = exp(i t Q*HQ), enters the products' frame as G,
     WG or GW* (W = V*Q), so every distance is taken between r x r, d x r or
     r x d cores and no d x d matrix is formed; ``limit_matrix`` and
-    ``target_matrix`` are lifted only when read.
+    ``target_matrix`` are lifted only when read. W is formed once for every n.
     """
     check_dims(h, e)
     sched = _normalize_schedule(schedule, t)
-    q = e.basis
+    q, w = e.basis, _overlap(h, e)
     target = ZenoProduct(q, _limit_core(h, q, t), q)
     return product_convergence_report(
-        lambda n: zeno_product(h, e, t, n, sched.ordering), target, sched.n_values
+        lambda n: zeno_product(h, e, t, n, sched.ordering, _w=w), target, sched.n_values
     )
 
 

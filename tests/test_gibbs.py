@@ -27,18 +27,25 @@ def compressed_generator_matrix(h, e):
     return (c + c.conj().T) / 2.0
 
 
-def dense_reduced_residual(h, e, beta, pairs, ts, rho):
-    """The d x d reference loop: EAE and EBE under the flow of the d x d EHE."""
+def dense_gaps(rho, h, a, b, ts, beta):
+    """The dense loop on the default heisenberg_evolve: |tr(rho A tau_{t+i beta}(B)) - tr(rho tau_t(B) A)| per t."""
+    gaps = []
+    for t in ts:
+        left = np.trace(rho @ a @ heisenberg_evolve(h, b, t + 1j * beta))
+        right = np.trace(rho @ heisenberg_evolve(h, b, t) @ a)
+        gaps.append(float(abs(left - right)))
+    return gaps
+
+
+def dense_reduced_gaps(h, e, beta, pairs, ts, rho):
+    """The d x d reference loop, one row per pair: EAE and EBE under the flow of the d x d EHE."""
     p = e.matrix
     generator = eigendecompose(compressed_generator_matrix(h, e))
-    worst = 0.0
-    for a, b in pairs:
-        a_e, b_e = p @ a @ p, p @ b @ p
-        for t in ts:
-            left = np.trace(rho @ a_e @ heisenberg_evolve(generator, b_e, t + 1j * beta))
-            right = np.trace(rho @ heisenberg_evolve(generator, b_e, t) @ a_e)
-            worst = max(worst, float(abs(left - right)))
-    return worst
+    return [dense_gaps(rho, generator, p @ a @ p, p @ b @ p, ts, beta) for a, b in pairs]
+
+
+def dense_reduced_residual(h, e, beta, pairs, ts, rho):
+    return max(max(row) for row in dense_reduced_gaps(h, e, beta, pairs, ts, rho))
 
 
 class TestGibbsState:
@@ -205,8 +212,10 @@ class TestEigenbasisPath:
             h, b = zenolab.gibbs._compressed_gibbs(h, e, 1.0)[0], q.conj().T @ b @ q
         b_eig = zenolab.gibbs._to_eigenbasis(h, b)
         fast = heisenberg_evolve(h, b_eig, z, in_eigenbasis=True)
-        assert np.array_equal(fast, heisenberg_evolve(h, b, z))
-        v = h.eigenvectors
+        v, matmul = h.eigenvectors, zenolab.gibbs._matmul
+        dense = heisenberg_evolve(h, b, z)
+        assert np.array_equal(matmul(matmul(v, fast), v.conj().T), dense)
+        assert operator_norm(fast - v.conj().T @ dense @ v) <= 1e-12 * operator_norm(dense)
         assert operator_norm(b_eig - v.conj().T @ b @ v) <= 1e-13 * (1.0 + operator_norm(b))
 
     def test_guards_still_run_on_the_eigenbasis_path(self):
@@ -221,7 +230,7 @@ class TestEigenbasisPath:
             heisenberg_evolve(h, np.eye(2), math.nan, in_eigenbasis=True)
 
     def test_observable_enters_the_eigenbasis_once_per_pair_in_each_check(self, tmp_path, monkeypatch):
-        """Two pairs: B-tilde is formed twice at d = 30 and twice at r = 5, and every evolution reuses it."""
+        """Two pairs: rho, A and B enter once per pair at d = 30 and at r = 5, and every evolution stays there."""
         formed, paths = [], []
         to_eigenbasis, evolve_ = zenolab.gibbs._to_eigenbasis, zenolab.gibbs.heisenberg_evolve
 
@@ -239,7 +248,7 @@ class TestEigenbasisPath:
             {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 30, "rank_e": 5}}, "pairs": 2}
         )
         run_scenario(config, out_dir=tmp_path)
-        assert sorted(formed) == [5, 5, 30, 30]
+        assert sorted(formed) == [5] * 6 + [30] * 6
         assert len(paths) == 72 and all(paths)
 
 
@@ -504,6 +513,107 @@ class TestReducedAgainstDense:
         )
         run_scenario(config, out_dir=tmp_path)
         assert {n: dims.count(n) for n in set(dims)} == {30: 36, 5: 36}
+
+
+class TestKernelAgainstDenseLoop:
+    """Both checks, entry by entry, against the dense loop on the default ``heisenberg_evolve``.
+
+    Real V comes from a Friedrichs model compressed by a real basis Q, complex
+    V from a random H and a complex Q. At r = 1 the compressed algebra is the
+    scalars and every state passes, so the negative controls (a state at the
+    wrong beta, a state from another projection) start at r = 3. Each
+    control must fail by 100 times the check's 1e-10 tolerance.
+    """
+
+    TS = np.linspace(-2.0, 2.0, 3)
+    BETA = 1.0
+
+    @staticmethod
+    def case(d, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "real":
+            h, _ = model_and_compression({"friedrichs": {"n_modes": d - 1}})
+        else:
+            h = random_hermitian_op(rng, d, norm=2.0)
+        assert (h.eigenvectors.dtype == np.float64) == (kind == "real")
+        draw = [random_hermitian(rng, d, norm=1.0) for _ in range(2 if d > 100 else 4)]
+        return rng, h, list(zip(draw[::2], draw[1::2]))
+
+    @staticmethod
+    def projection(rng, d, r, kind):
+        if r == d:
+            return identity_projection(d)
+        g = rng.standard_normal((d, r))
+        if kind == "complex":
+            g = g + 1j * rng.standard_normal((d, r))
+        return OrthogonalProjection(np.linalg.qr(g)[0])
+
+    @pytest.mark.parametrize("d", [6, 12, 200])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("state_beta", [1.0, 2.5], ids=["gibbs", "wrong-beta"])
+    def test_full_check(self, d, kind, state_beta):
+        _, h, pairs = self.case(d, kind, 300 + d)
+        state = gibbs_state(h, state_beta)
+        for a, b in pairs:
+            scale = kms_scale(h, a, b, self.BETA)
+            fast = kms_residual(state, a, b, self.TS, self.BETA)
+            dense = np.array(dense_gaps(state.rho, h, a, b, self.TS, self.BETA))
+            assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
+            if state_beta != self.BETA:
+                assert dense.max() > 1e-8 * scale
+
+    @pytest.mark.parametrize("d", [6, 12, 200])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "r, control",
+        [(1, None)] + [(r, c) for r in (3, "d") for c in (None, "beta", "projection")],
+    )
+    def test_reduced_check(self, monkeypatch, d, kind, r, control):
+        r = d if r == "d" else r
+        rng, h, pairs = self.case(d, kind, 400 + d + r)
+        e = self.projection(rng, d, r, kind)
+        if control == "beta":
+            state = zeno_gibbs_state(h, e, 2.5)
+        elif control == "projection":
+            state = zeno_gibbs_state(h, self.projection(rng, d, min(r, d - 1), kind), self.BETA)
+        else:
+            state = None
+        kernel, gaps = zenolab.gibbs._kms_gaps, []
+
+        def spy(*args):
+            gaps.append(kernel(*args))
+            return gaps[-1]
+
+        monkeypatch.setattr(zenolab.gibbs, "_kms_gaps", spy)
+        report = reduced_kms_residual(h, e, self.BETA, pairs, self.TS, state=state)
+        rho = (state or zeno_gibbs_state(h, e, self.BETA)).rho
+        dense = dense_reduced_gaps(h, e, self.BETA, pairs, self.TS, rho)
+        scales = [kms_scale(h, a, b, self.BETA) for a, b in pairs]
+        assert len(gaps) == len(pairs)
+        for fast_row, dense_row, scale in zip(gaps, dense, scales):
+            assert np.all(np.abs(np.array(fast_row) - dense_row) <= 1e-12 * scale)
+        assert report.max_residual == max(map(max, gaps))
+        if control:
+            assert max(map(max, dense)) > 1e-8 * max(scales)
+
+    def test_no_matrix_product_per_time(self, tmp_path, monkeypatch):
+        """A gibbs run makes as many ``_matmul`` calls on a 50-point grid as on a 3-point one."""
+        matmul, calls = zenolab.gibbs._matmul, []
+
+        def spy(a, b):
+            calls.append(1)
+            return matmul(a, b)
+
+        monkeypatch.setattr(zenolab.gibbs, "_matmul", spy)
+        counts = []
+        for num in (3, 50):
+            calls.clear()
+            config = parse_config(
+                {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 30}}, "t_grid": [-2, 2, num]}
+            )
+            run_scenario(config, out_dir=tmp_path / str(num))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestGibbsTimeGrid:

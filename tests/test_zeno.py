@@ -85,6 +85,31 @@ class TestConvergenceReport:
         ratio = report.distance(2048) / report.distance(4096)
         assert 1.7 <= ratio <= 2.3
 
+    @pytest.mark.parametrize("ordering", ["EUE", "UE", "EU"])
+    def test_overlap_formed_once_per_report(self, monkeypatch, ordering):
+        """W = V*Q is formed once for all 13 products, which match the public call's bit for bit."""
+        rng = np.random.default_rng(13)
+        h = random_hermitian_op(rng, 8, norm=1.0)
+        e = random_projection(rng, 8, 3)
+        overlap, formed, products = zenolab.zeno._overlap, [], []
+        product = zenolab.zeno.zeno_product
+
+        def spy_overlap(*args):
+            formed.append(1)
+            return overlap(*args)
+
+        def spy_product(*args, **kwargs):
+            products.append(product(*args, **kwargs))
+            return products[-1]
+
+        monkeypatch.setattr(zenolab.zeno, "_overlap", spy_overlap)
+        monkeypatch.setattr(zenolab.zeno, "zeno_product", spy_product)
+        zeno_convergence_report(h, e, 1.0, ZenoSchedule(ordering=ordering))
+        assert len(formed) == 1 and len(products) == 13
+        monkeypatch.undo()
+        for n, got in zip([2**k for k in range(1, 14)], products):
+            assert np.array_equal(got.core, zeno_product(h, e, 1.0, n, ordering).core)
+
     def test_schedule_time_conflict_rejected(self):
         h, e = rabi_pair()
         with pytest.raises(ValueError):
