@@ -30,10 +30,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, args.seed)
         if config.task != args.task:
             raise ConfigError(f"task: config declares {config.task!r} but subcommand is {args.task!r}")
-        report = run_scenario(config, out_dir=args.out, seed_override=args.seed)
+        report = run_scenario(config, out_dir=args.out)
     except Exception as exc:
         # every failure, a crash included, is exit 2 with one line; exit 1 means warnings
         text = str(exc) if isinstance(exc, ZenoLabError) else f"{type(exc).__name__}: {exc}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -224,13 +224,14 @@ def reduced_kms_residual(
     h: HermitianOperator,
     e: OrthogonalProjection,
     beta: float,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    pairs: Iterable[tuple[np.ndarray, np.ndarray]],
     t_grid: Sequence[float],
     state: DensityState | None = None,
 ) -> KMSReport:
     """Boundary residuals of the compressed-algebra state under the reduced dynamics.
 
-    Observables are compressed with E before testing. Passing a different
+    Observables are compressed with E before testing; ``pairs`` may be a
+    generator, and is read one pair at a time. Passing a different
     ``state`` (built from another projection or temperature) turns this into
     a negative control; the dynamics still come from (h, e).
 
@@ -243,12 +244,12 @@ def reduced_kms_residual(
     generator, rho = _compressed_gibbs(h, e, beta)
     q = e.basis
     rho = _matmul(q.conj().T, rho if state is None else state.rho) @ q
-    worst = 0.0
-    for a, b in pairs:
+    worst, tested = 0.0, 0
+    for tested, (a, b) in enumerate(pairs, 1):
         a_e, b_e = (q.conj().T @ as_complex_matrix(m) @ q for m in (a, b))
         worst = max(worst, *_kms_gaps(rho, generator, a_e, b_e, ts, beta))
     return KMSReport(
-        pairs_tested=len(pairs),
+        pairs_tested=tested,
         max_residual=worst,
         t_range=(min(ts), max(ts)),
         beta=float(beta),

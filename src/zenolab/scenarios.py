@@ -9,6 +9,11 @@ key, with its type, bounds and default, is declared once in
 config against them and fills in the defaults. A sweep's ``runs`` is a list
 of sub-configs (``schema_version`` optional), all parsed before any runs.
 
+``run_scenario`` is the one runner: it builds the scenario, calls the
+task, which returns its tables and touches no path, and writes them in the
+order the task lists them. So a run that raises writes no CSV. A seed
+override (``--seed``) is applied once, where the config is parsed.
+
 Every run is deterministic for a fixed config, seeds included: two runs
 write byte-identical CSVs.
 """
@@ -86,6 +91,7 @@ class _Key:
 _SEED = _Key(int, 0, lo=0, seed=True)
 _T = _Key(float, 1.0)
 _PAIR = (_Key(float), _Key(float))  # [lo, hi]
+_BAND_END = _Key(float, lo=-1e6, hi=1e6)  # the perturbation_norm cap: a wider band leaves no digit in the phases
 _T_GRID = (_Key(float), _Key(float), _Key(int, lo=2, hi=10**5))  # [start, stop, num]
 
 # the schema: every key of a model body and of each task, apart from the
@@ -99,7 +105,7 @@ _MODEL_SCHEMA = {
     },
     "friedrichs": {
         "n_modes": _Key(int, 200, lo=2, hi=2000),
-        "band": _Key(default=(-2.0, 2.0), items=_PAIR),
+        "band": _Key(default=(-2.0, 2.0), items=(_BAND_END, _BAND_END)),
         "excited_energy": _Key(float, 0.0),
         "coupling_strength": _Key(float, 0.05, above=0),
         "profile": _Key(("flat", "gaussian"), "flat"),
@@ -294,8 +300,8 @@ def parse_config(data: dict[str, Any], seed: int | None = None) -> ScenarioConfi
     return ScenarioConfig(task, kind, model, options, output_path, data)
 
 
-def load_config(path) -> ScenarioConfig:
-    """Read and validate a YAML config file."""
+def load_config(path, seed: int | None = None) -> ScenarioConfig:
+    """Read and validate a YAML config file; ``seed`` is ``parse_config``'s."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -304,7 +310,7 @@ def load_config(path) -> ScenarioConfig:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    return parse_config(data)
+    return parse_config(data, seed)
 
 
 @dataclass(frozen=True)
@@ -537,45 +543,43 @@ class RunReport:
     csv_paths: tuple[str, ...]
 
 
-def run_scenario(config: ScenarioConfig, out_dir=None, seed_override: int | None = None) -> RunReport:
-    """Execute the configured task, write its CSVs, and return the report."""
-    if seed_override is not None:
-        config = parse_config(config.raw, seed_override)
+def run_scenario(config: ScenarioConfig, out_dir=None) -> RunReport:
+    """Run the configured task: the one place that builds, writes and reports.
+
+    The scenario is built once and handed to the task, which returns its
+    tables; they are written only after it returns, so a run that raises
+    writes no CSV. A sweep runs each of its runs through here in turn.
+    """
     out = Path(out_dir) if out_dir is not None else Path(config.output_path)
-    runner = {
-        "converge": _run_converge,
-        "survival": _run_survival,
-        "classify": _run_classify,
-        "gibbs": _run_gibbs,
-        "sweep": _run_sweep,
-    }[config.task]
-    return runner(config, out)
+    if config.task == "sweep":
+        reports = [run_scenario(sub, out / f"run_{i:03d}") for i, sub in enumerate(config.runs)]
+        headline = {f"run_{i:03d}": r.headline for i, r in enumerate(reports)}
+        warnings = [f"run_{i:03d}: {w}" for i, r in enumerate(reports) for w in r.warnings]
+        paths = [p for r in reports for p in r.csv_paths]
+        return RunReport(config.raw, "sweep", headline, tuple(warnings), tuple(paths))
+    tables, headline, warnings = _TASKS[config.task](config, build_scenario(config))
+    paths = tuple(str(out / name) for name in tables)
+    for table, path in zip(tables.values(), paths):
+        emit_csv(table, path)
+    return RunReport(config.raw, config.task, headline, tuple(warnings), paths)
 
 
-def _run_converge(config: ScenarioConfig, out: Path) -> RunReport:
-    scen = build_scenario(config)
+def _converge(config: ScenarioConfig, scen: Scenario):
     schedule = ZenoSchedule(config.options["n_schedule"], ordering=config.options["ordering"])
     report = zeno_convergence_report(scen.hamiltonian, scen.projection, config.options["t"], schedule)
-    table = Table(
-        columns=("n", "distance_to_limit", "cauchy_delta"),
-        rows=tuple((n, d, c) for n, d, c in report.per_n),
-    )
-    path = out / "converge.csv"
-    emit_csv(table, path)
+    table = Table(columns=("n", "distance_to_limit", "cauchy_delta"), rows=report.per_n)
     headline = {
         "target_residual": report.target_residual,
         "fitted_rate_exponent": report.fitted_rate_exponent,
         "fitted_rate_constant": report.fitted_rate_constant,
         "exact": report.exact,
     }
-    return RunReport(config.raw, "converge", headline, (), (str(path),))
+    return {"converge.csv": table}, headline, ()
 
 
-def _run_survival(config: ScenarioConfig, out: Path) -> RunReport:
-    scen = build_scenario(config)
+def _survival(config: ScenarioConfig, scen: Scenario):
     if "t_grid" in config.options:
-        start, stop, num = config.options["t_grid"]
-        grid = np.linspace(start, stop, num)
+        grid = np.linspace(*config.options["t_grid"])
     elif scen.t_grid is not None:
         grid = scen.t_grid
     else:
@@ -589,15 +593,13 @@ def _run_survival(config: ScenarioConfig, out: Path) -> RunReport:
             for t, p, g in zip(profile.times, profile.probabilities, curve[:, 1])
         ),
     )
-    path = out / "survival.csv"
-    emit_csv(table, path)
-
-    warnings: list[str] = []
-    headline: dict[str, Any] = {}
     window = config.options.get("fit_window", scen.fit_window)
     if window is not None and not window[0] < window[1]:
         key = "coupling_strength" if window[1] == 3.0 / scen.golden_rate else "n_modes"
         _fail(f"model.friedrichs.{key}", f"the default fit window ({window[0]:.4g}, {window[1]:.4g}) is empty")
+
+    warnings: list[str] = []
+    headline: dict[str, Any] = {}
     try:
         fit = decay_fit(profile, window)
         headline["gamma0"] = fit.gamma0
@@ -615,24 +617,17 @@ def _run_survival(config: ScenarioConfig, out: Path) -> RunReport:
         headline["Z"] = None
     if scen.golden_rate is not None:
         headline["golden_rate"] = scen.golden_rate
-    return RunReport(config.raw, "survival", headline, tuple(warnings), (str(path),))
+    return {"survival.csv": table}, headline, warnings
 
 
-def _run_classify(config: ScenarioConfig, out: Path) -> RunReport:
-    scen = build_scenario(config)
+def _classify(config: ScenarioConfig, scen: Scenario):
     measure = spectral_measure_of_state(scen.hamiltonian, scen.state)
-    grid = suggested_tail_grid(measure)
-    report = classify_regime(measure, grid)
+    report = classify_regime(measure, suggested_tail_grid(measure))
     tails = Table(
         columns=("x", "delta"),
         rows=tuple((float(x), float(d)) for x, d in zip(report.x_grid, report.delta_values)),
     )
-    tails_path = out / "tails.csv"
-    emit_csv(tails, tails_path)
-    table = zeno_modulus_table(measure, config.options["t"], [2**k for k in range(0, 13)])
-    moduli = Table(columns=("n", "modulus"), rows=tuple(table))
-    moduli_path = out / "moduli.csv"
-    emit_csv(moduli, moduli_path)
+    moduli = zeno_modulus_table(measure, config.options["t"], [2**k for k in range(0, 13)])
     warnings = []
     if report.classification is Classification.INDETERMINATE:
         warnings.append("Indeterminate: tail trend is not straight on the sampled grid")
@@ -640,11 +635,10 @@ def _run_classify(config: ScenarioConfig, out: Path) -> RunReport:
         "classification": report.classification.value,
         "trend": report.trend,
     }
-    return RunReport(config.raw, "classify", headline, tuple(warnings), (str(tails_path), str(moduli_path)))
+    return {"tails.csv": tails, "moduli.csv": Table(("n", "modulus"), tuple(moduli))}, headline, warnings
 
 
-def _run_gibbs(config: ScenarioConfig, out: Path) -> RunReport:
-    scen = build_scenario(config)
+def _gibbs(config: ScenarioConfig, scen: Scenario):
     beta = config.options["beta"]
     n_pairs = config.options["pairs"]
     ts = np.linspace(*config.options["t_grid"])
@@ -662,11 +656,9 @@ def _run_gibbs(config: ScenarioConfig, out: Path) -> RunReport:
             rows.append((i, float(t), r, scale))
             worst = max(worst, r)
             worst_scaled = max(worst_scaled, r / scale)
-    table = Table(columns=("pair", "t", "residual", "scale"), rows=tuple(rows))
-    path = out / "kms.csv"
-    emit_csv(table, path)
 
-    pairs = [(_random_hermitian(rng, h.dim), _random_hermitian(rng, h.dim)) for _ in range(n_pairs)]
+    # drawn one pair at a time, after the full check's, in the same rng order
+    pairs = ((_random_hermitian(rng, h.dim), _random_hermitian(rng, h.dim)) for _ in range(n_pairs))
     reduced = reduced_kms_residual(h, scen.projection, beta, pairs, ts)
     headline = {
         "max_residual": worst,
@@ -674,16 +666,8 @@ def _run_gibbs(config: ScenarioConfig, out: Path) -> RunReport:
         "reduced_max_residual": reduced.max_residual,
         "beta": beta,
     }
-    return RunReport(config.raw, "gibbs", headline, (), (str(path),))
+    return {"kms.csv": Table(("pair", "t", "residual", "scale"), tuple(rows))}, headline, ()
 
 
-def _run_sweep(config: ScenarioConfig, out: Path) -> RunReport:
-    warnings: list[str] = []
-    paths: list[str] = []
-    headline: dict[str, Any] = {}
-    for i, sub in enumerate(config.runs):
-        sub_report = run_scenario(sub, out / f"run_{i:03d}")
-        paths.extend(sub_report.csv_paths)
-        warnings.extend(f"run_{i:03d}: {w}" for w in sub_report.warnings)
-        headline[f"run_{i:03d}"] = sub_report.headline
-    return RunReport(config.raw, "sweep", headline, tuple(warnings), tuple(paths))
+# each task maps (config, scenario) to (tables by CSV name, headline, warnings)
+_TASKS = {"converge": _converge, "survival": _survival, "classify": _classify, "gibbs": _gibbs}

@@ -3,6 +3,12 @@
 The non-unitary side of the story: generators whose numerical range sits in
 a complex sector, products of their semigroups with a projection, and sums
 of subspace-supported quadratic forms with the associated product formula.
+
+Both product formulas hand ``zeno.product_convergence_report`` the one
+product type, ``ZenoProduct``: the degenerate products sit in the frame
+(I, Q) with d x r cores, Q the basis of range(E), so each distance is a
+d x r norm; the form-sum products share one identity array as the frame
+(I, I).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .operators import (
     identity_projection,
     operator_norm,
 )
-from .zeno import ZenoConvergenceReport, ZenoSchedule, _normalize_schedule, product_convergence_report
+from .zeno import ZenoConvergenceReport, ZenoProduct, ZenoSchedule, _normalize_schedule, product_convergence_report
 
 __all__ = [
     "SectorialOperator",
@@ -148,19 +154,21 @@ def degenerate_product(
     """Products [exp(-tA/n) E]^n compared against exp(-t EAE) E.
 
     With Q = e.basis and S = exp(-tA/n) they are SQ (Q*SQ)^(n-1) Q*, an r x r
-    power, against Q exp(-t Q*AQ) Q*.
+    power, held as the d x r core SQ (Q*SQ)^(n-1) in the frame (I, Q),
+    against Q exp(-t Q*AQ) Q* in the frame (Q, Q).
     """
     if t <= 0:
         raise ValueError("t must be positive")
     check_dims(a.matrix, e)
-    sched = _normalize_schedule(n_schedule, t)
+    sched = _normalize_schedule(n_schedule)
     q = e.basis
     qh = q.conj().T
-    target = q @ expm(-t * (qh @ a.matrix @ q)) @ qh
+    eye = np.eye(e.dim, dtype=complex)
+    target = ZenoProduct(q, expm(-t * (qh @ a.matrix @ q)), q)
 
-    def step_product(n: int) -> np.ndarray:
+    def step_product(n: int) -> ZenoProduct:
         sq = expm(-(t / n) * a.matrix) @ q
-        return sq @ np.linalg.matrix_power(qh @ sq, n - 1) @ qh
+        return ZenoProduct(eye, sq @ np.linalg.matrix_power(qh @ sq, n - 1), q)
 
     return product_convergence_report(step_product, target, sched.n_values)
 
@@ -193,12 +201,12 @@ def kato_form_sum_product(
         raise ValueError("t must be positive")
     if a.dim != b.dim:
         raise DimensionMismatch(f"forms live on dimensions {a.dim} != {b.dim}")
-    sched = _normalize_schedule(n_schedule, t)
-    total = form_sum_operator(a, b)
-    target = form_semigroup(total, t)
+    sched = _normalize_schedule(n_schedule)
+    eye = np.eye(a.dim, dtype=complex)
+    target = ZenoProduct(eye, form_semigroup(form_sum_operator(a, b), t), eye)
 
-    def step_product(n: int) -> np.ndarray:
+    def step_product(n: int) -> ZenoProduct:
         step = form_semigroup(a, t / n) @ form_semigroup(b, t / n)
-        return np.linalg.matrix_power(step, n)
+        return ZenoProduct(eye, np.linalg.matrix_power(step, n), eye)
 
     return product_convergence_report(step_product, target, sched.n_values)

@@ -12,6 +12,10 @@ matrix in a frame (Q, Q), (V, Q) or (Q, V) fixed by its ordering, only the
 r x r step Q*UQ is raised to powers, and each distance is the norm of a
 difference of r x r, d x r or r x d cores, with the same value as the d x d
 one. Nothing d x d is formed unless a caller reads ``.matrix``.
+
+``ZenoProduct`` is the one product type: ``product_convergence_report``,
+shared with the semigroup and form-sum formulas of ``semigroup``, takes
+products and a target in that form only.
 """
 
 from __future__ import annotations
@@ -44,10 +48,9 @@ _DEFAULT_N_VALUES = tuple(2**k for k in range(1, 13))
 
 @dataclass(frozen=True)
 class ZenoSchedule:
-    """Which product lengths to evaluate, at which time, in which ordering."""
+    """Which product lengths to evaluate, in which ordering."""
 
     n_values: tuple[int, ...] = _DEFAULT_N_VALUES
-    t: float | None = None
     ordering: str = "EUE"
 
     def __post_init__(self):
@@ -105,27 +108,22 @@ class ZenoProduct:
         return _freeze(_lift(self.left, self.core, self.right))
 
 
-def _dense(x: np.ndarray | ZenoProduct) -> np.ndarray:
-    return x.matrix if isinstance(x, ZenoProduct) else x
-
-
 @dataclass(frozen=True)
 class ZenoConvergenceReport:
     """Per-n distances of the products to the limit, with a fitted decay rate.
 
     ``limit`` is the product at the largest n evaluated (the best numerical
     stand-in for the limit) and ``target`` the compressed dynamics it is
-    compared against, each as the route built it: a d x d array, or for the
-    Zeno products a ``ZenoProduct`` (the target is Q exp(i t Q*HQ) Q* in the
-    frame (Q, Q)). ``limit_matrix`` and ``target_matrix`` are their d x d
-    forms, formed only when read. ``target_residual`` is their distance.
-    ``exact`` flags commuting cases where every distance is already at
+    compared against, each a ``ZenoProduct`` (for the Zeno products the
+    target is Q exp(i t Q*HQ) Q* in the frame (Q, Q)). ``limit_matrix`` and
+    ``target_matrix`` are their d x d forms, formed only when read.
+    ``target_residual`` is their distance. ``exact`` flags commuting cases where every distance is already at
     rounding level and the rate fit is skipped.
     """
 
     per_n: tuple[tuple[int, float, float], ...]  # (n, distance_to_limit, cauchy_delta)
-    limit: np.ndarray | ZenoProduct
-    target: np.ndarray | ZenoProduct
+    limit: ZenoProduct
+    target: ZenoProduct
     target_residual: float
     fitted_rate_exponent: float | None
     fitted_rate_constant: float | None
@@ -133,23 +131,23 @@ class ZenoConvergenceReport:
 
     @property
     def limit_matrix(self) -> np.ndarray:
-        return _dense(self.limit)
+        return self.limit.matrix
 
     @property
     def target_matrix(self) -> np.ndarray:
-        return _dense(self.target)
+        return self.target.matrix
+
+    def _row(self, n: int) -> tuple[int, float, float]:
+        for row in self.per_n:
+            if row[0] == n:
+                return row
+        raise KeyError(f"n={n} not in report")
 
     def distance(self, n: int) -> float:
-        for row in self.per_n:
-            if row[0] == n:
-                return row[1]
-        raise KeyError(f"n={n} not in report")
+        return self._row(n)[1]
 
     def cauchy_delta(self, n: int) -> float:
-        for row in self.per_n:
-            if row[0] == n:
-                return row[2]
-        raise KeyError(f"n={n} not in report")
+        return self._row(n)[2]
 
 
 @dataclass(frozen=True)
@@ -243,26 +241,23 @@ def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) ->
     return _lift(q, _limit_core(h, q, t), q)
 
 
-def _normalize_schedule(schedule, t: float, ordering: str | None = None) -> ZenoSchedule:
+def _normalize_schedule(schedule) -> ZenoSchedule:
     if schedule is None:
-        return ZenoSchedule(t=t, ordering=ordering or "EUE")
+        return ZenoSchedule()
     if isinstance(schedule, ZenoSchedule):
-        if schedule.t is not None and schedule.t != t:
-            raise ValueError(f"schedule time {schedule.t} conflicts with t={t}")
         return schedule
-    return ZenoSchedule(n_values=tuple(int(n) for n in schedule), t=t, ordering=ordering or "EUE")
+    return ZenoSchedule(tuple(schedule))
 
 
 def product_convergence_report(
-    step_product: Callable[[int], np.ndarray | ZenoProduct],
-    target: np.ndarray | ZenoProduct,
+    step_product: Callable[[int], ZenoProduct],
+    target: ZenoProduct,
     n_values: Sequence[int],
 ) -> ZenoConvergenceReport:
     """Distances of step products to a target, with Cauchy deltas and a rate fit.
 
     Shared by the unitary, sectorial-semigroup, and form-sum product routes.
-    The products and the target are d x d arrays, or ``ZenoProduct``s whose
-    products share one frame; then every distance is the norm of a
+    The products share one frame, so every distance is the norm of a
     difference of cores, with the target's core taken into that frame once.
     Each product is built once and dropped as soon as no later row needs it;
     the one at the largest n is kept as the limit.
@@ -270,8 +265,7 @@ def product_convergence_report(
     ns = [int(n) for n in n_values]
     n_max = ns[-1]
     kept: dict[int, np.ndarray] = {}
-    limit = None
-    goal = None if isinstance(target, ZenoProduct) else target
+    limit = goal = None
 
     def prod(n: int) -> np.ndarray:
         nonlocal limit, goal
@@ -279,11 +273,9 @@ def product_convergence_report(
             x = step_product(n)
             if n == n_max:
                 limit = x
-            if isinstance(x, ZenoProduct):
-                if goal is None:
-                    goal = target.core_in(x)
-                x = x.core
-            kept[n] = x
+            if goal is None:
+                goal = target.core_in(x)
+            kept[n] = x.core
         return kept[n]
 
     rows = []
@@ -329,7 +321,7 @@ def zeno_convergence_report(
     ``target_matrix`` are lifted only when read. W is formed once for every n.
     """
     check_dims(h, e)
-    sched = _normalize_schedule(schedule, t)
+    sched = _normalize_schedule(schedule)
     q, w = e.basis, _overlap(h, e)
     target = ZenoProduct(q, _limit_core(h, q, t), q)
     return product_convergence_report(
@@ -364,8 +356,7 @@ def zeno_generator(h: HermitianOperator, e: OrthogonalProjection) -> ZenoGenerat
 
 def _leakage(h: HermitianOperator, e: OrthogonalProjection, times: Iterable[float]) -> np.ndarray:
     """||E_perp exp(i t H) E|| at each t, as ||UQ - Q(Q*UQ)|| at d x r with Q = e.basis."""
-    q, v = e.basis, h.eigenvectors
-    w = _adjoint_product(v, q)
+    q, v, w = e.basis, h.eigenvectors, _overlap(h, e)
     uqs = (_matmul(v, phase_factors(h, t)[:, None] * w) for t in times)  # UQ = V (Phi W), d x r
     return np.array([operator_norm(uq - q @ (q.conj().T @ uq)) for uq in uqs])
 

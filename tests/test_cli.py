@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import zenolab.cli
+import zenolab.scenarios
 from zenolab.cli import main
 
 
@@ -75,9 +76,20 @@ class TestExitCodes:
         assert main(["survival", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: model.friedrichs.{key}: the default fit window")
+        assert not (tmp_path / "o").exists()  # a run that raises writes no CSV
         for task in ("classify", "converge"):
             config = write(tmp_path / f"{task}.yaml", body.replace("survival", task))
             assert main([task, "--config", config, "--out", str(tmp_path / task), "--quiet"]) == 0
+
+    def test_failed_sweep_run_keeps_the_runs_before_it(self, tmp_path, capsys):
+        config = write(
+            tmp_path / "s.yaml",
+            "schema_version: 1\ntask: sweep\nruns:\n  - {task: converge, model: {rabi: {}}}\n"
+            "  - {task: survival, model: {friedrichs: {n_modes: 5}}}\n",
+        )
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: model.friedrichs.n_modes: the default fit window")
+        assert [p.name for p in (tmp_path / "o").rglob("*.csv")] == ["converge.csv"]
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["converge", "--config", str(tmp_path / "nope.yaml"), "--quiet"]) == 2
@@ -126,16 +138,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: model.perturbed.perturbation_norm: must be <= 1000000.0, got 1e+300"]
 
-    def test_huge_band_classifies_without_numpy_warnings(self, tmp_path, capsys):
-        # the validation screens of H (entries ~1e300) rescale instead of overflowing
+    @pytest.mark.parametrize("task", ["classify", "survival"])
+    def test_huge_band_names_the_key(self, tmp_path, capsys, task):
+        # a band this wide leaves no digit in the phases; the cap rejects it before any numpy call
         config = write(
             tmp_path / "f.yaml",
-            "schema_version: 1\ntask: classify\nmodel:\n  friedrichs: {band: [-1.0e+300, 1.0e+300]}\n",
+            f"schema_version: 1\ntask: {task}\nmodel:\n  friedrichs: {{band: [-1.0e+300, 1.0e+300]}}\n",
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["classify", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 0
-        assert capsys.readouterr().err == ""
+            assert main([task, "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: model.friedrichs.band[0]: must be >= -1000000.0, got -1e+300"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "exc", [ArithmeticError("products diverged"), np.linalg.LinAlgError("SVD did not\nconverge")]
@@ -172,6 +187,19 @@ class TestDeterminism:
         a = (tmp_path / "a" / "converge.csv").read_bytes()
         b = (tmp_path / "b" / "converge.csv").read_bytes()
         assert a != b
+
+    def test_seed_flag_parses_the_config_once(self, tmp_path, monkeypatch):
+        parse = zenolab.scenarios.parse_config
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:] + tuple(kwargs.values()))
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(zenolab.scenarios, "parse_config", counting)
+        config = write(tmp_path / "r.yaml", "schema_version: 1\ntask: converge\nmodel:\n  random: {dim: 4}\n")
+        assert main(["converge", "--config", config, "--out", str(tmp_path / "o"), "--seed", "2", "--quiet"]) == 0
+        assert calls == [(2,)]
 
     def test_report_printout(self, tmp_path, capsys):
         config = write(tmp_path / "c.yaml", RABI_CONVERGE)

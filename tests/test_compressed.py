@@ -224,9 +224,10 @@ class TestProductCache:
             built.append(n)
             x = np.eye(3, dtype=complex) * (1.0 + 1.0 / n)
             alive.append(weakref.ref(x))
-            return x
+            return ZenoProduct(eye, x, eye)
 
-        report = product_convergence_report(step_product, np.eye(3, dtype=complex), ns)
+        eye = np.eye(3, dtype=complex)
+        report = product_convergence_report(step_product, ZenoProduct(eye, eye, eye), ns)
         assert sorted(built) == sorted(set(ns) | {2 * n for n in ns})
         assert len(built) == len(set(built))
         # while the next product is built, at most the current row's and the limit are held

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -446,6 +447,40 @@ class TestReducedKMS:
         implicit = reduced_kms_residual(h, e, 0.8, pairs, ts)
         explicit = reduced_kms_residual(h, e, 0.8, pairs, ts, state=zeno_gibbs_state(h, e, 0.8))
         assert implicit.max_residual == explicit.max_residual
+
+
+    def test_pairs_are_read_one_at_a_time(self):
+        rng = np.random.default_rng(16)
+        h = random_hermitian_op(rng, 6)
+        e = random_projection(rng, 6, 2)
+        pairs = [(random_hermitian(rng, 6), random_hermitian(rng, 6)) for _ in range(4)]
+        listed = reduced_kms_residual(h, e, 1.0, pairs, [0.3, 0.9])
+        streamed = reduced_kms_residual(h, e, 1.0, iter(pairs), [0.3, 0.9])
+        assert streamed == listed and streamed.pairs_tested == 4
+
+    def test_gibbs_run_holds_few_draws_during_the_reduced_check(self, tmp_path, monkeypatch):
+        draw, gaps = zenolab.scenarios._random_hermitian, zenolab.gibbs._kms_gaps
+        drawn = []
+        alive = []
+
+        def spy_draw(rng, dim):
+            m = draw(rng, dim)
+            drawn.append(weakref.ref(m))
+            return m
+
+        def spy_gaps(rho, h, *args):
+            if h.dim == 3:  # the reduced check runs at r x r
+                alive.append(sum(ref() is not None for ref in drawn))
+            return gaps(rho, h, *args)
+
+        monkeypatch.setattr(zenolab.scenarios, "_random_hermitian", spy_draw)
+        monkeypatch.setattr(zenolab.gibbs, "_kms_gaps", spy_gaps)
+        config = parse_config(
+            {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 8, "rank_e": 3}}, "pairs": 5}
+        )
+        run_scenario(config, out_dir=tmp_path)
+        # the full check's last pair and the pair under test, not all five pairs at once
+        assert len(alive) == 5 and max(alive) <= 4
 
 
 class TestReducedAgainstDense:

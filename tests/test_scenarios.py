@@ -352,9 +352,10 @@ class TestRunScenario:
         assert [r.options["pairs_seed"] for r in c.runs] == [6, 7]
 
     def test_seed_override_changes_model(self, tmp_path):
-        c = cfg(model={"random": {"dim": 4, "rank_e": 2, "seed": 3}}, t=1.0)
-        r1 = run_scenario(c, out_dir=tmp_path / "a", seed_override=99)
-        r2 = run_scenario(c, out_dir=tmp_path / "b", seed_override=99)
-        r3 = run_scenario(c, out_dir=tmp_path / "c")
+        path = tmp_path / "c.yaml"
+        path.write_text("schema_version: 1\ntask: converge\nmodel:\n  random: {dim: 4, rank_e: 2, seed: 3}\nt: 1.0\n")
+        r1 = run_scenario(load_config(path, seed=99), out_dir=tmp_path / "a")
+        r2 = run_scenario(load_config(path, seed=99), out_dir=tmp_path / "b")
+        r3 = run_scenario(load_config(path), out_dir=tmp_path / "c")
         assert (tmp_path / "a" / "converge.csv").read_bytes() == (tmp_path / "b" / "converge.csv").read_bytes()
         assert (tmp_path / "a" / "converge.csv").read_bytes() != (tmp_path / "c" / "converge.csv").read_bytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import zenolab.zeno
 from conftest import SIGMA_X, random_projection
 from zenolab.errors import NotSectorial
 from zenolab.operators import expm, operator_norm, projection_from_span
@@ -51,6 +52,33 @@ class TestDegenerateProduct:
         report = degenerate_product(a, e, 1.0, (2, 8, 32))
         assert report.exact
         assert all(d < 1e-12 for _, d, _ in report.per_n)
+
+    @pytest.mark.parametrize("rank", [1, 3, 6])
+    def test_factored_distances_match_the_dense_products(self, monkeypatch, rank):
+        # the products are held as d x r cores in the frame (I, Q); the distances are the d x d ones
+        rng = np.random.default_rng(20 + rank)
+        m = random_psd(rng, 6) + 0.5 * np.eye(6) + 0.3j * random_psd(rng, 6)  # |Im| <= Re: not normal
+        a = sectorial_operator(m, math.pi / 4)
+        e = random_projection(rng, 6, rank)
+        ns, t = (1, 3, 8), 0.8
+        shapes = []
+
+        def spy_norm(x):
+            shapes.append(x.shape)
+            return operator_norm(x)
+
+        monkeypatch.setattr(zenolab.zeno, "operator_norm", spy_norm)
+        report = degenerate_product(a, e, t, ns)
+        monkeypatch.undo()
+        assert set(shapes) == {(6, rank)}
+        p = e.matrix
+        dense = {n: np.linalg.matrix_power(expm(-(t / n) * m) @ p, n) for n in ns + tuple(2 * n for n in ns)}
+        target = e.basis @ expm(-t * (e.basis.conj().T @ m @ e.basis)) @ e.basis.conj().T
+        for n, dist, cauchy in report.per_n:
+            assert abs(dist - operator_norm(dense[n] - target)) <= 1e-12
+            assert abs(cauchy - operator_norm(dense[n] - dense[2 * n])) <= 1e-12
+        assert operator_norm(report.limit_matrix - dense[8]) <= 1e-12
+        assert operator_norm(report.target_matrix - target) <= 1e-12
 
     def test_commuting_psd_exact_at_n_one(self):
         d = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)

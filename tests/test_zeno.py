@@ -110,11 +110,6 @@ class TestConvergenceReport:
         for n, got in zip([2**k for k in range(1, 14)], products):
             assert np.array_equal(got.core, zeno_product(h, e, 1.0, n, ordering).core)
 
-    def test_schedule_time_conflict_rejected(self):
-        h, e = rabi_pair()
-        with pytest.raises(ValueError):
-            zeno_convergence_report(h, e, 1.0, ZenoSchedule((2, 4), t=2.0))
-
 
 class TestZenoGenerator:
     def test_full_projection_gives_h_itself(self):
