@@ -38,7 +38,6 @@ from .gibbs import (
     reduced_kms_residual,
     zeno_gibbs_state,
 )
-from .numeric import set_tolerance_scale, tolerance_scale
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,

@@ -1,36 +1,20 @@
 """Shared numeric policy and small fitting helpers.
 
 All validation tolerances in the package are absolute-plus-relative,
-``base * (1 + reference_scale)``, multiplied by one global policy factor
-that can be raised for ill-conditioned problems.
+``base * (1 + reference_scale)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_DEFAULT_SCALE = 1.0
-_scale = _DEFAULT_SCALE
-
 # exp() overflows IEEE doubles just above this exponent
 EXP_LIMIT = 700.0
 
 
-def tolerance_scale() -> float:
-    return _scale
-
-
-def set_tolerance_scale(value: float) -> None:
-    """Set the global multiplier applied to every default tolerance."""
-    global _scale
-    if not (value > 0.0 and np.isfinite(value)):
-        raise ValueError(f"tolerance scale must be a positive finite number, got {value!r}")
-    _scale = float(value)
-
-
 def tol(base: float, ref: float = 0.0) -> float:
-    """Absolute-plus-relative tolerance: base * (1 + ref), under the global policy."""
-    return base * (1.0 + ref) * _scale
+    """Absolute-plus-relative tolerance: base * (1 + ref)."""
+    return base * (1.0 + ref)
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:

@@ -264,12 +264,19 @@ def eigendecompose(m) -> HermitianOperator:
     return HermitianOperator(_freeze(sym), _freeze(w), _freeze(v))
 
 
+def _require_phase_digits(z: complex, scale: float) -> None:
+    """Raise Overflow once |z| * scale * eps >= 1: rounding the phases z w,
+    |w| <= scale, then leaves them no correct digit."""
+    if abs(z) * scale * np.finfo(float).eps >= 1.0:
+        raise Overflow(f"phase magnitude {abs(z) * scale:.3e} leaves no correct digit in exp(i z H)")
+
+
 def phase_factors(h: HermitianOperator, z: complex) -> np.ndarray:
     """exp(i z w) over the eigenvalues w of H: exp(i z H) in its eigenbasis.
 
     Raises Overflow if |Im z| * max|eigenvalue| would overflow the
     exponential rather than clamping silently, and if |z| * max|eigenvalue|
-    * eps >= 1, where rounding the phases z w leaves them no correct digit.
+    * eps >= 1 (``_require_phase_digits``).
     """
     z = complex(z)
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
@@ -277,8 +284,7 @@ def phase_factors(h: HermitianOperator, z: complex) -> np.ndarray:
     norm = h.norm
     if abs(z.imag) * norm > EXP_LIMIT:
         raise Overflow(f"exp argument magnitude {abs(z.imag) * norm:.3e} exceeds {EXP_LIMIT}")
-    if abs(z) * norm * np.finfo(float).eps >= 1.0:
-        raise Overflow(f"phase magnitude {abs(z) * norm:.3e} leaves no correct digit in exp(i z H)")
+    _require_phase_digits(z, norm)
     return np.exp(1j * z * h.eigenvalues)
 
 

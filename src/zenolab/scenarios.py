@@ -14,6 +14,9 @@ task, which returns its tables and touches no path, and writes them in the
 order the task lists them. So a run that raises writes no CSV. A seed
 override (``--seed``) is applied once, where the config is parsed.
 
+A ``Table`` is its named columns, the 1-D integer or real arrays that the
+task already holds; ``emit_csv`` formats each column once, by its dtype.
+
 Every run is deterministic for a fixed config, seeds included: two runs
 write byte-identical CSVs.
 """
@@ -365,7 +368,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             psi = q @ q[0].conj()  # the first column of QQ*
             nrm = float(np.linalg.norm(psi))
         psi = psi / nrm
-        return Scenario(h, e, psi)
+        return Scenario(h, e, psi, t_grid=np.linspace(0.01, 10.0, 500))
 
     if kind == "friedrichs":
         return _build_friedrichs(config.model)
@@ -444,6 +447,7 @@ def _build_perturbed(m: dict[str, Any]) -> Scenario:
         eigendecompose(h0 + p),
         e,
         psi,
+        t_grid=np.linspace(0.01, 10.0, 500),
         perturbation=p,
     )
 
@@ -491,39 +495,35 @@ def perturbed_invariance_check(config: ScenarioConfig, t_points: int = 21) -> Pe
 
 @dataclass(frozen=True)
 class Table:
-    """Named rectangular data destined for one CSV file."""
+    """Named columns destined for one CSV file: each header maps to a 1-D
+    integer or real array, and all columns have one length."""
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    columns: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if not self.columns:
+        columns = {name: np.asarray(column) for name, column in self.columns.items()}
+        if not columns:
             raise ValueError("table needs at least one column")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise ValueError(f"row {i} has {len(row)} cells, expected {len(self.columns)}")
+        for name, column in columns.items():
+            if column.ndim != 1 or column.dtype.kind not in "iuf":
+                raise ValueError(f"column {name!r} must be 1-D integer or real, got {column.dtype} {column.shape}")
+        if len({column.size for column in columns.values()}) > 1:
+            raise ValueError("columns differ in length")
+        object.__setattr__(self, "columns", columns)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    if isinstance(value, (complex, np.complexfloating)):
-        z = complex(value)
-        return f"{z.real:.17g}{z.imag:+.17g}j"
-    return str(value)
+def _column_text(column: np.ndarray) -> list[str]:
+    """One column's cells: integers exactly, reals with 17 significant digits."""
+    if column.dtype.kind == "f":
+        return [format(x, ".17g") for x in column.tolist()]
+    return [str(x) for x in column.tolist()]
 
 
 def emit_csv(table: Table, path) -> None:
     """Write UTF-8 CSV with a header row; floats carry 17 significant digits
     so values round-trip exactly."""
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    cells = zip(*(_column_text(column) for column in table.columns.values()))
+    text = "".join(",".join(row) + "\n" for row in (tuple(table.columns), *cells))
     try:
         p = Path(path)
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -567,7 +567,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunReport:
 def _converge(config: ScenarioConfig, scen: Scenario):
     schedule = ZenoSchedule(config.options["n_schedule"], ordering=config.options["ordering"])
     report = zeno_convergence_report(scen.hamiltonian, scen.projection, config.options["t"], schedule)
-    table = Table(columns=("n", "distance_to_limit", "cauchy_delta"), rows=report.per_n)
+    ns, distances, deltas = zip(*report.per_n)
+    table = Table({"n": ns, "distance_to_limit": distances, "cauchy_delta": deltas})
     headline = {
         "target_residual": report.target_residual,
         "fitted_rate_exponent": report.fitted_rate_exponent,
@@ -578,21 +579,10 @@ def _converge(config: ScenarioConfig, scen: Scenario):
 
 
 def _survival(config: ScenarioConfig, scen: Scenario):
-    if "t_grid" in config.options:
-        grid = np.linspace(*config.options["t_grid"])
-    elif scen.t_grid is not None:
-        grid = scen.t_grid
-    else:
-        grid = np.linspace(0.01, 10.0, 500)
+    grid = np.linspace(*config.options["t_grid"]) if "t_grid" in config.options else scen.t_grid
     profile = decay_profile(scen.hamiltonian, scen.state, grid)
     curve = effective_rate_curve(profile)
-    table = Table(
-        columns=("t", "probability", "gamma_eff"),
-        rows=tuple(
-            (float(t), float(p), float(g))
-            for t, p, g in zip(profile.times, profile.probabilities, curve[:, 1])
-        ),
-    )
+    table = Table({"t": profile.times, "probability": profile.probabilities, "gamma_eff": curve[:, 1]})
     window = config.options.get("fit_window", scen.fit_window)
     if window is not None and not window[0] < window[1]:
         key = "coupling_strength" if window[1] == 3.0 / scen.golden_rate else "n_modes"
@@ -623,11 +613,8 @@ def _survival(config: ScenarioConfig, scen: Scenario):
 def _classify(config: ScenarioConfig, scen: Scenario):
     measure = spectral_measure_of_state(scen.hamiltonian, scen.state)
     report = classify_regime(measure, suggested_tail_grid(measure))
-    tails = Table(
-        columns=("x", "delta"),
-        rows=tuple((float(x), float(d)) for x, d in zip(report.x_grid, report.delta_values)),
-    )
-    moduli = zeno_modulus_table(measure, config.options["t"], [2**k for k in range(0, 13)])
+    tails = Table({"x": report.x_grid, "delta": report.delta_values})
+    ns, moduli = zip(*zeno_modulus_table(measure, config.options["t"], [2**k for k in range(0, 13)]))
     warnings = []
     if report.classification is Classification.INDETERMINATE:
         warnings.append("Indeterminate: tail trend is not straight on the sampled grid")
@@ -635,7 +622,7 @@ def _classify(config: ScenarioConfig, scen: Scenario):
         "classification": report.classification.value,
         "trend": report.trend,
     }
-    return {"tails.csv": tails, "moduli.csv": Table(("n", "modulus"), tuple(moduli))}, headline, warnings
+    return {"tails.csv": tails, "moduli.csv": Table({"n": ns, "modulus": moduli})}, headline, warnings
 
 
 def _gibbs(config: ScenarioConfig, scen: Scenario):
@@ -645,28 +632,29 @@ def _gibbs(config: ScenarioConfig, scen: Scenario):
     h = scen.hamiltonian
     rng = np.random.default_rng(config.options["pairs_seed"])
     state = gibbs_state(h, beta)
-    rows = []
-    worst = 0.0
-    worst_scaled = 0.0
-    for i in range(n_pairs):
-        a = _random_hermitian(rng, h.dim)
-        b = _random_hermitian(rng, h.dim)
-        scale = kms_scale(h, a, b, beta)
-        for t, r in zip(ts, kms_residual(state, a, b, ts, beta).tolist()):
-            rows.append((i, float(t), r, scale))
-            worst = max(worst, r)
-            worst_scaled = max(worst_scaled, r / scale)
 
-    # drawn one pair at a time, after the full check's, in the same rng order
-    pairs = ((_random_hermitian(rng, h.dim), _random_hermitian(rng, h.dim)) for _ in range(n_pairs))
-    reduced = reduced_kms_residual(h, scen.projection, beta, pairs, ts)
+    def pairs():
+        """n_pairs (A, B) draws from the one rng, one pair at a time."""
+        for _ in range(n_pairs):
+            yield _random_hermitian(rng, h.dim), _random_hermitian(rng, h.dim)
+
+    scales, residuals = [], []
+    for a, b in pairs():
+        scales.append(kms_scale(h, a, b, beta))
+        residuals.append(kms_residual(state, a, b, ts, beta))
+    residual = np.concatenate(residuals)
+    scale = np.repeat(scales, ts.size)
+    # the reduced check draws its pairs after the full check's, in the same rng order
+    reduced = reduced_kms_residual(h, scen.projection, beta, pairs(), ts)
     headline = {
-        "max_residual": worst,
-        "max_residual_over_scale": worst_scaled,
+        "max_residual": float(residual.max()),
+        "max_residual_over_scale": float((residual / scale).max()),
         "reduced_max_residual": reduced.max_residual,
         "beta": beta,
     }
-    return {"kms.csv": Table(("pair", "t", "residual", "scale"), tuple(rows))}, headline, ()
+    pair = np.repeat(np.arange(n_pairs), ts.size)
+    table = Table({"pair": pair, "t": np.tile(ts, n_pairs), "residual": residual, "scale": scale})
+    return {"kms.csv": table}, headline, ()
 
 
 # each task maps (config, scenario) to (tables by CSV name, headline, warnings)

@@ -5,10 +5,10 @@ a complex sector, products of their semigroups with a projection, and sums
 of subspace-supported quadratic forms with the associated product formula.
 
 Both product formulas hand ``zeno.product_convergence_report`` the one
-product type, ``ZenoProduct``: the degenerate products sit in the frame
-(I, Q) with d x r cores, Q the basis of range(E), so each distance is a
-d x r norm; the form-sum products share one identity array as the frame
-(I, I).
+product type, ``ZenoProduct``, with the target built in the products'
+frame: the degenerate products sit in the frame (I, Q) with d x r cores,
+Q the basis of range(E), so each distance is a d x r norm; the form-sum
+products and their target sit in the frame (I, I).
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def degenerate_product(
 
     With Q = e.basis and S = exp(-tA/n) they are SQ (Q*SQ)^(n-1) Q*, an r x r
     power, held as the d x r core SQ (Q*SQ)^(n-1) in the frame (I, Q),
-    against Q exp(-t Q*AQ) Q* in the frame (Q, Q).
+    against Q exp(-t Q*AQ) Q*, held as the core Q exp(-t Q*AQ) in that frame.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -164,7 +164,7 @@ def degenerate_product(
     q = e.basis
     qh = q.conj().T
     eye = np.eye(e.dim, dtype=complex)
-    target = ZenoProduct(q, expm(-t * (qh @ a.matrix @ q)), q)
+    target = ZenoProduct(eye, q @ expm(-t * (qh @ a.matrix @ q)), q)
 
     def step_product(n: int) -> ZenoProduct:
         sq = expm(-(t / n) * a.matrix) @ q

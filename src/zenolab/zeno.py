@@ -15,7 +15,8 @@ one. Nothing d x d is formed unless a caller reads ``.matrix``.
 
 ``ZenoProduct`` is the one product type: ``product_convergence_report``,
 shared with the semigroup and form-sum formulas of ``semigroup``, takes
-products and a target in that form only.
+products and a target in that form only, the target built in the
+products' frame by the formula that owns them.
 """
 
 from __future__ import annotations
@@ -81,27 +82,13 @@ class ZenoProduct:
     ``left`` L and ``right`` R have orthonormal columns, so ||X - Y|| =
     ||C_X - C_Y|| for two products in one frame. ``zeno_product`` puts each
     ordering in its own frame: (Q, Q) for EUE, (V, Q) for UE and (Q, V) for
-    EU, with Q the basis of range(E) and V the eigenvectors of H; the
-    products of one (H, E) and ordering share the frame's arrays. ``matrix``
+    EU, with Q the basis of range(E) and V the eigenvectors of H. ``matrix``
     is L C R*, formed and cached the first time something reads it.
     """
 
     left: np.ndarray
     core: np.ndarray
     right: np.ndarray
-
-    def core_in(self, frame: ZenoProduct) -> np.ndarray:
-        """L'* X R', the core of this product in the frame (L', R') of ``frame``.
-
-        Valid when range(X) lies in range(L') and range(X*) in range(R'); a
-        side whose array is already the frame's is left as it is.
-        """
-        core = self.core
-        if frame.left is not self.left:
-            core = _matmul(_adjoint_product(frame.left, self.left), core)
-        if frame.right is not self.right:
-            core = _matmul(core, _matmul(self.right.conj().T, frame.right))
-        return core
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -114,8 +101,9 @@ class ZenoConvergenceReport:
 
     ``limit`` is the product at the largest n evaluated (the best numerical
     stand-in for the limit) and ``target`` the compressed dynamics it is
-    compared against, each a ``ZenoProduct`` (for the Zeno products the
-    target is Q exp(i t Q*HQ) Q* in the frame (Q, Q)). ``limit_matrix`` and
+    compared against, each a ``ZenoProduct`` in the products' frame (for the
+    Zeno products the target Q G Q*, G = exp(i t Q*HQ), is held as G in
+    (Q, Q), WG in (V, Q) or GW* in (Q, V), W = V*Q). ``limit_matrix`` and
     ``target_matrix`` are their d x d forms, formed only when read.
     ``target_residual`` is their distance. ``exact`` flags commuting cases where every distance is already at
     rounding level and the rate fit is skipped.
@@ -257,31 +245,29 @@ def product_convergence_report(
     """Distances of step products to a target, with Cauchy deltas and a rate fit.
 
     Shared by the unitary, sectorial-semigroup, and form-sum product routes.
-    The products share one frame, so every distance is the norm of a
-    difference of cores, with the target's core taken into that frame once.
-    Each product is built once and dropped as soon as no later row needs it;
-    the one at the largest n is kept as the limit.
+    The products and the target share one frame, so every distance is the
+    norm of a difference of cores. Each product is built once and dropped as
+    soon as no later row needs it; the one at the largest n is kept as the
+    limit.
     """
     ns = [int(n) for n in n_values]
     n_max = ns[-1]
     kept: dict[int, np.ndarray] = {}
-    limit = goal = None
+    limit = None
 
     def prod(n: int) -> np.ndarray:
-        nonlocal limit, goal
+        nonlocal limit
         if n not in kept:
             x = step_product(n)
             if n == n_max:
                 limit = x
-            if goal is None:
-                goal = target.core_in(x)
             kept[n] = x.core
         return kept[n]
 
     rows = []
     for i, n in enumerate(ns):
         x = prod(n)
-        rows.append((n, operator_norm(x - goal), operator_norm(x - prod(2 * n))))
+        rows.append((n, operator_norm(x - target.core), operator_norm(x - prod(2 * n))))
         needed = {m * k for m in ns[i + 1 :] for k in (1, 2)}
         for m in [m for m in kept if m not in needed]:
             del kept[m]
@@ -315,15 +301,22 @@ def zeno_convergence_report(
 ) -> ZenoConvergenceReport:
     """Run the product over the schedule and compare against exp(i t EHE) E.
 
-    The target Q G Q*, G = exp(i t Q*HQ), enters the products' frame as G,
-    WG or GW* (W = V*Q), so every distance is taken between r x r, d x r or
-    r x d cores and no d x d matrix is formed; ``limit_matrix`` and
-    ``target_matrix`` are lifted only when read. W is formed once for every n.
+    The target Q G Q*, G = exp(i t Q*HQ), is built in the products' frame:
+    G in (Q, Q), WG in (V, Q) or GW* in (Q, V) (W = V*Q), so every distance
+    is taken between r x r, d x r or r x d cores and no d x d matrix is
+    formed; ``limit_matrix`` and ``target_matrix`` are lifted only when
+    read. W is formed once, for the target and every n.
     """
     check_dims(h, e)
     sched = _normalize_schedule(schedule)
-    q, w = e.basis, _overlap(h, e)
-    target = ZenoProduct(q, _limit_core(h, q, t), q)
+    q, v, w = e.basis, h.eigenvectors, _overlap(h, e)
+    g = _limit_core(h, q, t)
+    if sched.ordering == "UE":
+        target = ZenoProduct(v, _matmul(w, g), q)
+    elif sched.ordering == "EU":
+        target = ZenoProduct(q, _matmul(g, w.conj().T), v)
+    else:
+        target = ZenoProduct(q, g, q)
     return product_convergence_report(
         lambda n: zeno_product(h, e, t, n, sched.ordering, _w=w), target, sched.n_values
     )

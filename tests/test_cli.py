@@ -126,6 +126,15 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: phase magnitude ") and "no correct digit" in err[0]
         assert not (tmp_path / "o").exists()
 
+    def test_classify_moduli_without_a_correct_digit_exit_two(self, tmp_path, capsys):
+        # |phi(t)| at t = 1e16 against atoms +-1: the phases t x carry no digit
+        text = RABI_CONVERGE.replace("converge", "classify").replace("t: 1.0", "t: 1.0e+16")
+        config = write(tmp_path / "c.yaml", text)
+        assert main(["classify", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: phase magnitude ") and "no correct digit" in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_perturbation_norm_beyond_its_cap_names_the_key(self, tmp_path, capsys):
         config = write(
             tmp_path / "p.yaml",

@@ -220,19 +220,3 @@ class TestProjectionFromSpan:
     def test_identity_projection(self):
         p = identity_projection(4)
         assert p.rank == 4 and operator_norm(p.matrix - np.eye(4)) == 0.0
-
-
-class TestTolerancePolicy:
-    def test_global_scale_loosens_validation(self):
-        from zenolab.numeric import set_tolerance_scale, tolerance_scale
-
-        slightly_off = SIGMA_X + np.array([[0.0, 5e-12], [0.0, 0.0]])
-        with pytest.raises(NotHermitian):
-            eigendecompose(slightly_off)
-        set_tolerance_scale(100.0)
-        try:
-            h = eigendecompose(slightly_off)
-            assert np.allclose(h.eigenvalues, [-1.0, 1.0], atol=1e-9)
-        finally:
-            set_tolerance_scale(1.0)
-        assert tolerance_scale() == 1.0

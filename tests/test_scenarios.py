@@ -240,24 +240,41 @@ class TestPerturbedInvariance:
 class TestEmitCsv:
     def test_empty_table_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(Table(("a", "b"), ()), path)
+        emit_csv(Table({"a": np.zeros(0, dtype=int), "b": np.zeros(0)}), path)
         assert path.read_text(encoding="utf-8") == "a,b\n"
 
     def test_float_round_trip(self, tmp_path):
         path = tmp_path / "x.csv"
-        emit_csv(Table(("v",), ((0.1,),)), path)
+        emit_csv(Table({"v": [0.1]}), path)
         text = path.read_text(encoding="utf-8").splitlines()[1]
         assert float(text) == 0.1
 
-    def test_complex_cell_format(self, tmp_path):
-        path = tmp_path / "z.csv"
-        emit_csv(Table(("z",), ((1.5 - 2.25j,),)), path)
-        cell = path.read_text(encoding="utf-8").splitlines()[1]
-        assert complex(cell) == 1.5 - 2.25j
+    def test_columns_match_the_per_cell_reference(self, tmp_path):
+        """Each column is formatted once by dtype, exactly as cell by cell with .17g and int."""
+        info = np.iinfo(np.int64)
+        reals = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0, -3.0, 2.0**53, 1e16, 1e17, math.inf, 1 / 3]
+        ints = [info.min, info.max, 0, -1, 2**53 + 1, 10**17]
+        for column, cell in ((np.array(reals), lambda x: f"{float(x):.17g}"), (np.array(ints), lambda i: str(int(i)))):
+            path = tmp_path / "t.csv"
+            emit_csv(Table({"v": column}), path)
+            assert path.read_text(encoding="utf-8") == "".join(f"{line}\n" for line in ["v", *map(cell, column)])
 
-    def test_ragged_rows_rejected(self):
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {},
+            {"a": [1, 2], "b": [1.0]},
+            {"a": np.zeros((2, 2))},
+            {"a": [1.0 + 2.0j]},
+            {"a": [True, False]},
+            {"a": np.array([1.0, "x"], dtype=object)},
+            {"a": ["x"]},
+        ],
+        ids=["none", "ragged", "2-D", "complex", "bool", "object", "str"],
+    )
+    def test_table_rejects_what_is_not_equal_length_integer_or_real_columns(self, columns):
         with pytest.raises(ValueError):
-            Table(("a", "b"), ((1,),))
+            Table(columns)
 
 
 class TestRunScenario:

@@ -110,6 +110,23 @@ class TestConvergenceReport:
         for n, got in zip([2**k for k in range(1, 14)], products):
             assert np.array_equal(got.core, zeno_product(h, e, 1.0, n, ordering).core)
 
+    @pytest.mark.parametrize("ordering", ["EUE", "UE", "EU"])
+    def test_target_built_in_the_products_frame_with_one_overlap(self, monkeypatch, ordering):
+        """Every ordering takes one d x d by d x r adjoint product, W = V*Q, for its target and products."""
+        rng = np.random.default_rng(40)
+        h = random_hermitian_op(rng, 40, norm=1.0)
+        e = random_projection(rng, 40, 10)
+        adjoint, shapes = zenolab.zeno._adjoint_product, []
+
+        def spy_adjoint(a, b):
+            shapes.append((a.shape, b.shape))
+            return adjoint(a, b)
+
+        monkeypatch.setattr(zenolab.zeno, "_adjoint_product", spy_adjoint)
+        report = zeno_convergence_report(h, e, 1.0, ZenoSchedule((2, 4, 8), ordering=ordering))
+        assert shapes == [((40, 40), (40, 10))]
+        assert report.target.left is report.limit.left and report.target.right is report.limit.right
+
 
 class TestZenoGenerator:
     def test_full_projection_gives_h_itself(self):
