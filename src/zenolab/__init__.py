@@ -21,7 +21,6 @@ from .errors import (
     NotSectorial,
     NotSmooth,
     Overflow,
-    ProbeOutsideRange,
     QuadratureFailure,
     WindowTooSmall,
     ZenoLabError,
@@ -41,13 +40,11 @@ from .gibbs import (
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
-    complement,
     eigendecompose,
     evolve,
     expm,
     identity_projection,
     operator_norm,
-    projection_from_matrix,
     projection_from_span,
     psd_sqrt,
 )
@@ -80,14 +77,10 @@ from .spectral import (
     DiscreteMeasure,
     Gaussian,
     LLNReport,
-    Mixture,
-    PointMass,
     SpectralMeasure,
     TailReport,
     TwoSidedPareto,
-    characteristic_fn,
     classify_regime,
-    first_abs_moment,
     lln_mc,
     spectral_measure_of_state,
     tail_delta_curve,
@@ -105,7 +98,6 @@ from .survival import (
     iterated_survival,
     survival_amplitude,
     survival_probability,
-    zeno_time,
 )
 from .zeno import (
     AzcFit,
@@ -114,7 +106,6 @@ from .zeno import (
     ZenoProduct,
     ZenoSchedule,
     azc_fit,
-    continuous_measurement_compare,
     reduced_dynamics,
     zeno_convergence_report,
     zeno_generator,

@@ -49,10 +49,6 @@ class NotNormalized(ZenoLabError):
     """State vector is not of unit norm within tolerance."""
 
 
-class ProbeOutsideRange(ZenoLabError):
-    """Probe vector has a component outside the projection's range."""
-
-
 class ZeroRank(ZenoLabError):
     """Projection of rank zero where a nontrivial subspace is required."""
 

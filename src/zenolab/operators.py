@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,9 +36,7 @@ __all__ = [
     "operator_norm",
     "psd_sqrt",
     "projection_from_span",
-    "projection_from_matrix",
     "identity_projection",
-    "complement",
 ]
 
 
@@ -85,6 +83,9 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.real @ b + 1j * (a.imag @ b)
 
 
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
 def operator_norm(m) -> float:
     """Largest singular value of a 2-D matrix; zero exactly for the zero (or empty) matrix.
 
@@ -100,6 +101,10 @@ def operator_norm(m) -> float:
     if rows == cols:
         return float(np.linalg.norm(a, 2))
     scale = float(np.max(np.abs(a)))
+    if scale < _SMALLEST_NORMAL:
+        # complex division multiplies by 1 / scale, which overflows for a subnormal
+        # scale; a power of two lifts the entries exactly
+        return operator_norm(a * 2.0**64) / 2.0**64
     a = a / scale
     gram = a @ a.conj().T if rows < cols else a.conj().T @ a
     # the top eigenvalue is at least the largest diagonal entry, >= 1 after the scaling
@@ -360,34 +365,8 @@ def projection_from_span(vectors) -> OrthogonalProjection:
     return OrthogonalProjection(_freeze(u[:, keep]))
 
 
-def projection_from_matrix(p) -> OrthogonalProjection:
-    """The projection onto range(P), for P self-adjoint, idempotent and of integer trace.
-
-    Its basis is the leading rank left singular vectors of P, so its
-    ``matrix`` is QQ*, which agrees with P within those checks.
-    """
-    a = as_complex_matrix(p)
-    trace = float(np.trace(a).real)
-    rank = int(round(trace))
-    bound, norm = _column_norm_bound(a), cache(lambda: operator_norm(a))
-    if _violation(a - a.conj().T, 1e-12, bound, norm) is not None:
-        raise NotHermitian("projection is not self-adjoint within tolerance")
-    if _violation(a @ a - a, 1e-10, bound, norm) is not None:
-        raise ValueError("projection is not idempotent within tolerance")
-    if abs(trace - rank) > tol(1e-8):
-        raise ValueError(f"trace {trace:.12f} disagrees with rank {rank}")
-    u, _, _ = np.linalg.svd(a)
-    return OrthogonalProjection(_freeze(u[:, :rank]))
-
-
 def identity_projection(dim: int) -> OrthogonalProjection:
     return OrthogonalProjection(_freeze(np.eye(dim, dtype=complex)))
-
-
-def complement(p: OrthogonalProjection) -> OrthogonalProjection:
-    """The projection onto range(P)'s orthogonal complement: the trailing left singular vectors of P's basis."""
-    u, _, _ = np.linalg.svd(p.basis)
-    return OrthogonalProjection(_freeze(u[:, p.rank :]))
 
 
 def check_dims(*operands) -> int:

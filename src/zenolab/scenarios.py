@@ -18,7 +18,10 @@ A ``Table`` is its named columns, the 1-D integer or real arrays that the
 task already holds; ``emit_csv`` formats each column once, by its dtype.
 
 Every run is deterministic for a fixed config, seeds included: two runs
-write byte-identical CSVs.
+on one machine, at the same BLAS thread count and with the same library
+versions, write byte-identical CSVs. Across BLAS thread counts only the
+last bits move (a Friedrichs converge run at 1 and 2 threads agrees to
+1e-11 absolute); the thread count is not pinned.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .spectral import (
     suggested_tail_grid,
     zeno_modulus_table,
 )
-from .survival import decay_fit, decay_profile, effective_rate_curve, find_crossing
+from .survival import decay_fit, decay_profile, default_fit_window, effective_rate_curve, find_crossing
 from .zeno import _DEFAULT_N_VALUES, ORDERINGS, ZenoSchedule, _leakage, azc_fit, zeno_convergence_report
 
 __all__ = [
@@ -583,10 +586,14 @@ def _survival(config: ScenarioConfig, scen: Scenario):
     profile = decay_profile(scen.hamiltonian, scen.state, grid)
     curve = effective_rate_curve(profile)
     table = Table({"t": profile.times, "probability": profile.probabilities, "gamma_eff": curve[:, 1]})
-    window = config.options.get("fit_window", scen.fit_window)
-    if window is not None and not window[0] < window[1]:
-        key = "coupling_strength" if window[1] == 3.0 / scen.golden_rate else "n_modes"
-        _fail(f"model.friedrichs.{key}", f"the default fit window ({window[0]:.4g}, {window[1]:.4g}) is empty")
+    # a given fit_window is nonempty (parse_config), so an empty window is a default one
+    window = config.options.get("fit_window") or scen.fit_window or default_fit_window(profile)
+    if not window[0] < window[1]:
+        if scen.fit_window is None:
+            key = "fit_window"
+        else:
+            key = "model.friedrichs." + ("coupling_strength" if window[1] == 3.0 / scen.golden_rate else "n_modes")
+        _fail(key, f"the default fit window ({window[0]:.4g}, {window[1]:.4g}) is empty")
 
     warnings: list[str] = []
     headline: dict[str, Any] = {}

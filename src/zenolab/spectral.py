@@ -8,7 +8,7 @@ distributions with cdf / sampler / characteristic function, the tail
 functional and its classification, iterated-modulus tables, and seeded
 Monte Carlo checks of the two law-of-large-numbers reformulations. scipy
 is imported inside the functions that call it (the Gaussian cdf and the
-quadratures), so discrete measures never load it.
+``TwoSidedPareto`` quadrature), so discrete measures never load it.
 """
 
 from __future__ import annotations
@@ -30,22 +30,17 @@ __all__ = [
     "ClassificationThresholds",
     "SpectralMeasure",
     "DiscreteMeasure",
-    "PointMass",
     "Gaussian",
     "Cauchy",
     "TwoSidedPareto",
-    "Mixture",
     "TailReport",
     "LLNReport",
     "spectral_measure_of_state",
-    "characteristic_fn",
     "tail_delta_curve",
     "classify_regime",
     "zeno_modulus_table",
     "modulus_below_threshold_n",
     "lln_mc",
-    "first_abs_moment",
-    "standard_family_registry",
     "suggested_tail_grid",
 ]
 
@@ -105,34 +100,6 @@ class SpectralMeasure(ABC):
     def median(self) -> float:
         raise NotImplementedError
 
-    def abs_moment(self) -> float:
-        """E|X|; math.inf when the tail exponent is at or below 1."""
-        if self.tail_exponent <= 1.0:
-            return math.inf
-        return _abs_moment_by_quadrature(self)
-
-
-def _abs_moment_by_quadrature(measure: SpectralMeasure) -> float:
-    # E|X| = integral over x >= 0 of Pr(|X| > x), plus the analytic power tail.
-    # Geometric breakpoints force the adaptive rule to see every scale.
-    from scipy import integrate
-
-    cutoff = 1.0
-    while float(measure.prob_abs_greater(cutoff)) > 1e-14 and cutoff < 1e12:
-        cutoff *= 2.0
-    points = [cutoff * 2.0**-k for k in range(1, 40) if cutoff * 2.0**-k > 1e-12]
-    body, err = integrate.quad(
-        lambda x: float(measure.prob_abs_greater(x)), 0.0, cutoff, points=points, limit=800
-    )
-    if err > 1e-8 * max(1.0, abs(body)):
-        raise QuadratureFailure("absolute-moment quadrature did not converge", error_bound=err)
-    alpha = measure.tail_exponent
-    if math.isinf(alpha):
-        return body
-    survival_at_cut = float(measure.prob_abs_greater(cutoff))
-    tail = survival_at_cut * cutoff / (alpha - 1.0)
-    return body + tail
-
 
 @dataclass(frozen=True)
 class DiscreteMeasure(SpectralMeasure):
@@ -190,44 +157,9 @@ class DiscreteMeasure(SpectralMeasure):
         cum = np.cumsum(self.weights)
         return float(self.atoms[int(np.searchsorted(cum, 0.5))])
 
-    def abs_moment(self) -> float:
-        return float(np.sum(self.weights * np.abs(self.atoms)))
-
     @property
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.atoms)))
-
-
-@dataclass(frozen=True)
-class PointMass(SpectralMeasure):
-    loc: float
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x > self.loc).astype(float)
-
-    def survival(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x < self.loc).astype(float)
-
-    def sample(self, n, rng):
-        return np.full(n, self.loc)
-
-    @property
-    def tail_exponent(self) -> float:
-        return math.inf
-
-    def phi(self, t: float) -> complex:
-        return complex(np.exp(-1j * t * self.loc))
-
-    def log_abs_phi(self, t: float) -> float:
-        return 0.0
-
-    def median(self) -> float:
-        return self.loc
-
-    def abs_moment(self) -> float:
-        return abs(self.loc)
 
 
 @dataclass(frozen=True)
@@ -396,51 +328,6 @@ class TwoSidedPareto(SpectralMeasure):
     def median(self) -> float:
         return 0.0
 
-    def abs_moment(self) -> float:
-        if self.alpha <= 1.0:
-            return math.inf
-        return self.alpha * self.scale / (self.alpha - 1.0)
-
-
-@dataclass(frozen=True)
-class Mixture(SpectralMeasure):
-    """Convex combination of measures; weights must sum to one."""
-
-    components: tuple[tuple[float, SpectralMeasure], ...]
-
-    def __post_init__(self):
-        weights = [w for w, _ in self.components]
-        if not weights or any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > tol(1e-12):
-            raise ValueError("mixture weights must sum to 1")
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return sum(w * m.cdf(x) for w, m in self.components)
-
-    def survival(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return sum(w * m.survival(x) for w, m in self.components)
-
-    def sample(self, n, rng):
-        weights = np.array([w for w, _ in self.components])
-        counts = rng.multinomial(n, weights)
-        parts = [m.sample(k, rng) for (_, m), k in zip(self.components, counts) if k]
-        out = np.concatenate(parts) if parts else np.zeros(0)
-        rng.shuffle(out)
-        return out
-
-    @property
-    def tail_exponent(self) -> float:
-        return min(m.tail_exponent for w, m in self.components if w > 0)
-
-    def phi(self, t: float) -> complex:
-        return sum(w * m.phi(t) for w, m in self.components)
-
-    def abs_moment(self) -> float:
-        return sum(w * m.abs_moment() for w, m in self.components if w > 0)
-
 
 def spectral_measure_of_state(h: HermitianOperator, psi) -> DiscreteMeasure:
     """Atoms at the eigenvalues with weights |<e_k, psi>|^2.
@@ -474,13 +361,6 @@ def spectral_measure_of_state(h: HermitianOperator, psi) -> DiscreteMeasure:
     keep = w > 1e-14
     a, w = a[keep], w[keep]
     return DiscreteMeasure(a, w / np.sum(w))
-
-
-def characteristic_fn(measure: SpectralMeasure, t: float) -> complex:
-    """Characteristic function at t, by closed form where the family has one."""
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    return measure.phi(float(t))
 
 
 @dataclass(frozen=True)
@@ -600,10 +480,6 @@ class LLNReport:
     epsilon: float
     c: float
 
-    @property
-    def stats(self) -> tuple[tuple[int, float, float], ...]:
-        return self.concentration_stats
-
 
 def _empirical_means(measure: SpectralMeasure, n: int, trials: int, rng) -> np.ndarray:
     means = np.empty(trials)
@@ -666,32 +542,10 @@ def lln_mc(
     )
 
 
-def first_abs_moment(measure: SpectralMeasure) -> float:
-    """E|X| by atom sum or quadrature with power-tail continuation; inf for alpha <= 1."""
-    return measure.abs_moment()
-
-
-def standard_family_registry() -> dict[str, SpectralMeasure]:
-    """Representative measures covering all classification outcomes."""
-    return {
-        "point_mass": PointMass(0.7),
-        "gaussian": Gaussian(0.0, 1.0),
-        "gaussian_shifted": Gaussian(2.0, 0.5),
-        "cauchy": Cauchy(0.0, 1.0),
-        "pareto_heavy": TwoSidedPareto(0.5, 1.0),
-        "pareto_integrable": TwoSidedPareto(1.5, 0.01),
-        "gauss_pareto_mix": Mixture(((0.7, Gaussian(0.0, 1.0)), (0.3, TwoSidedPareto(1.5, 0.01)))),
-        "two_level": DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
-    }
-
-
 def suggested_tail_grid(measure: SpectralMeasure, points: int = 48) -> np.ndarray:
     """A 3+ decade grid adapted to where the family's tail lives."""
     if isinstance(measure, DiscreteMeasure):
         top = max(measure.support_radius, 1e-6)
-        return np.logspace(math.log10(top) - 2.5, math.log10(top) + 1.0, points)
-    if isinstance(measure, PointMass):
-        top = max(abs(measure.loc), 1e-6)
         return np.logspace(math.log10(top) - 2.5, math.log10(top) + 1.0, points)
     if isinstance(measure, Gaussian):
         hi = abs(measure.mu) + 12.0 * measure.sigma
@@ -700,9 +554,4 @@ def suggested_tail_grid(measure: SpectralMeasure, points: int = 48) -> np.ndarra
         return np.logspace(0.0, 5.0, points) * measure.gamma
     if isinstance(measure, TwoSidedPareto):
         return np.logspace(0.0, 6.0, points) * measure.scale
-    if isinstance(measure, Mixture):
-        grids = [suggested_tail_grid(m, points) for _, m in measure.components]
-        lo = min(float(g[0]) for g in grids)
-        hi = max(float(g[-1]) for g in grids)
-        return np.logspace(math.log10(lo), math.log10(hi), points)
     return np.logspace(-1.0, 4.0, points)

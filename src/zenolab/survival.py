@@ -26,7 +26,6 @@ __all__ = [
     "CrossingResult",
     "survival_amplitude",
     "survival_probability",
-    "zeno_time",
     "iterated_survival",
     "geometric_speed",
     "decay_profile",
@@ -65,15 +64,6 @@ def energy_moments(h: HermitianOperator, psi) -> tuple[float, float]:
     m1 = float(np.sum(weights * h.eigenvalues))
     m2 = float(np.sum(weights * h.eigenvalues**2))
     return m1, m2
-
-
-def zeno_time(h: HermitianOperator, psi) -> float:
-    """Inverse energy spread; infinite for (numerical) eigenvectors."""
-    m1, m2 = energy_moments(h, psi)
-    variance = m2 - m1 * m1
-    if variance < 1e-14:
-        return math.inf
-    return variance**-0.5
 
 
 def iterated_survival(h: HermitianOperator, psi, t: float, n: int) -> float:
@@ -194,10 +184,6 @@ class DecayFit:
         if not self.window[0] < self.window[1]:
             raise ValueError("window must satisfy t_lo < t_hi")
 
-    @property
-    def Z(self) -> float:
-        return self.prefactor
-
 
 def default_fit_window(profile: DecayProfile) -> tuple[float, float]:
     """Heuristic window: start where gamma_eff flattens, stop at half the
@@ -206,8 +192,9 @@ def default_fit_window(profile: DecayProfile) -> tuple[float, float]:
     taus, gammas = curve[:, 0], curve[:, 1]
     t_hi = min(float(taus[-1]), 0.5 * heisenberg_time(profile.generator_ref))
     t_lo = float(taus[0])
-    slopes = np.gradient(gammas, taus)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # at tiny t, P rounds to 1 + ulps, so -ln P / t is huge and its slope may overflow: an infinite slope is not flat
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        slopes = np.gradient(gammas, taus)
         rel = np.abs(slopes) / np.maximum(np.abs(gammas), 1e-300)
     flat = np.nonzero((rel < 0.05) & (taus < t_hi))[0]
     if flat.size:
@@ -215,7 +202,7 @@ def default_fit_window(profile: DecayProfile) -> tuple[float, float]:
     return (t_lo, t_hi)
 
 
-def decay_fit(profile: DecayProfile, window: tuple[float, float] | None = None) -> DecayFit:
+def decay_fit(profile: DecayProfile, window: tuple[float, float]) -> DecayFit:
     """Least squares of ln P against t on the window.
 
     Samples past half the Heisenberg time are refused (finite models recur).
@@ -223,8 +210,6 @@ def decay_fit(profile: DecayProfile, window: tuple[float, float] | None = None) 
     NonExponential when the rms log residual exceeds 0.1 or the slope is not
     a decay.
     """
-    if window is None:
-        window = default_fit_window(profile)
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo < t_hi:
         raise WindowTooSmall(f"empty window ({t_lo}, {t_hi})")

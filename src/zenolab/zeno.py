@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ProbeOutsideRange
 from .numeric import loglog_fit, tol
 from .operators import (
     HermitianOperator,
@@ -103,10 +102,10 @@ class ZenoConvergenceReport:
     stand-in for the limit) and ``target`` the compressed dynamics it is
     compared against, each a ``ZenoProduct`` in the products' frame (for the
     Zeno products the target Q G Q*, G = exp(i t Q*HQ), is held as G in
-    (Q, Q), WG in (V, Q) or GW* in (Q, V), W = V*Q). ``limit_matrix`` and
-    ``target_matrix`` are their d x d forms, formed only when read.
-    ``target_residual`` is their distance. ``exact`` flags commuting cases where every distance is already at
-    rounding level and the rate fit is skipped.
+    (Q, Q), WG in (V, Q) or GW* in (Q, V), W = V*Q); their ``.matrix`` is
+    the d x d form, formed only when read. ``target_residual`` is their
+    distance. ``exact`` flags commuting cases where every distance is
+    already at rounding level and the rate fit is skipped.
     """
 
     per_n: tuple[tuple[int, float, float], ...]  # (n, distance_to_limit, cauchy_delta)
@@ -117,25 +116,11 @@ class ZenoConvergenceReport:
     fitted_rate_constant: float | None
     exact: bool
 
-    @property
-    def limit_matrix(self) -> np.ndarray:
-        return self.limit.matrix
-
-    @property
-    def target_matrix(self) -> np.ndarray:
-        return self.target.matrix
-
-    def _row(self, n: int) -> tuple[int, float, float]:
+    def distance(self, n: int) -> float:
         for row in self.per_n:
             if row[0] == n:
-                return row
+                return row[1]
         raise KeyError(f"n={n} not in report")
-
-    def distance(self, n: int) -> float:
-        return self._row(n)[1]
-
-    def cauchy_delta(self, n: int) -> float:
-        return self._row(n)[2]
 
 
 @dataclass(frozen=True)
@@ -304,8 +289,8 @@ def zeno_convergence_report(
     The target Q G Q*, G = exp(i t Q*HQ), is built in the products' frame:
     G in (Q, Q), WG in (V, Q) or GW* in (Q, V) (W = V*Q), so every distance
     is taken between r x r, d x r or r x d cores and no d x d matrix is
-    formed; ``limit_matrix`` and ``target_matrix`` are lifted only when
-    read. W is formed once, for the target and every n.
+    formed; ``report.limit.matrix`` and ``report.target.matrix`` are lifted
+    only when read. W is formed once, for the target and every n.
     """
     check_dims(h, e)
     sched = _normalize_schedule(schedule)
@@ -379,42 +364,3 @@ def azc_fit(
     exponent, level, _ = loglog_fit(taus, norms)
     return AzcFit(constant=level, exponent=exponent)
 
-
-def continuous_measurement_compare(
-    h: HermitianOperator,
-    e: OrthogonalProjection,
-    k_values: Sequence[float],
-    t: float,
-    probe_states: Sequence[np.ndarray],
-) -> list[tuple[float, float]]:
-    """Deviation of the strongly-detuned evolution from the limit dynamics.
-
-    For each coupling K the generator is H + K E_perp; states inside range(E)
-    approach exp(i t EHE) psi as K grows. Probes must lie in range(E).
-    """
-    check_dims(h, e)
-    ks = np.asarray(k_values, dtype=float)
-    if np.any(ks <= 0) or np.any(np.diff(ks) <= 0):
-        raise ValueError("k_values must be increasing and positive")
-    probes = [np.asarray(p, dtype=complex) for p in probe_states]
-    for i, p in enumerate(probes):
-        leak = float(np.linalg.norm(p - e.basis @ (e.basis.conj().T @ p)))
-        if leak > tol(1e-10, float(np.linalg.norm(p))):
-            raise ProbeOutsideRange(f"probe {i} leaks {leak:.3e} outside range(E)")
-    target = reduced_dynamics(h, e, t)
-    ec = np.eye(h.dim, dtype=complex) - e.matrix  # for the generator, which is d x d anyway
-    out = []
-    for k in ks:
-        hk = eigendecompose(h.matrix + k * ec)
-        u = evolve(hk, t)
-        dev = max(float(np.linalg.norm((u - target) @ p)) for p in probes)
-        out.append((float(k), dev))
-    # the detuning suppresses the deviation ~ 1/K; the tail must not rise
-    # beyond 10% ripple (commuting cases sit at rounding level and are exempt)
-    tail = out[len(out) // 2 :]
-    for (_, prev), (_, cur) in zip(tail, tail[1:]):
-        if cur > 1.1 * prev + 1e-13:
-            raise ArithmeticError(
-                f"deviation rose from {prev:.3e} to {cur:.3e} on the large-coupling tail"
-            )
-    return out

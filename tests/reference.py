@@ -1,0 +1,99 @@
+"""The dense d x d definitions that the library's fast paths are checked against.
+
+The library works in range(E) through an orthonormal basis Q and in H's
+eigenbasis V, and forms nothing d x d that it can avoid. Each function here
+is the plain formula on the full space: E_perp as a projection, the step
+PUP, UP or PU raised to the n-th power, the limit exp(itEHE)E from the
+d x d EHE, the leakage ||E_perp U(t) E||, and the KMS residual loop over
+tau_z(B) = V (V*BV o phases) V*. The equivalence tests import them from
+here, so each dense definition exists once.
+"""
+
+from functools import cache
+
+import numpy as np
+
+from zenolab.errors import NotHermitian
+from zenolab.gibbs import heisenberg_evolve
+from zenolab.numeric import tol
+from zenolab.operators import (
+    OrthogonalProjection,
+    _column_norm_bound,
+    _freeze,
+    _violation,
+    as_complex_matrix,
+    eigendecompose,
+    evolve,
+    operator_norm,
+)
+
+
+def complement(p: OrthogonalProjection) -> OrthogonalProjection:
+    """The projection onto range(P)'s orthogonal complement: the trailing left singular vectors of P's basis."""
+    u, _, _ = np.linalg.svd(p.basis)
+    return OrthogonalProjection(_freeze(u[:, p.rank :]))
+
+
+def projection_from_matrix(p) -> OrthogonalProjection:
+    """The projection onto range(P), for P self-adjoint, idempotent and of integer trace.
+
+    Its basis is the leading rank left singular vectors of P, so its
+    ``matrix`` is QQ*, which agrees with P within those checks.
+    """
+    a = as_complex_matrix(p)
+    trace = float(np.trace(a).real)
+    rank = int(round(trace))
+    bound, norm = _column_norm_bound(a), cache(lambda: operator_norm(a))
+    if _violation(a - a.conj().T, 1e-12, bound, norm) is not None:
+        raise NotHermitian("projection is not self-adjoint within tolerance")
+    if _violation(a @ a - a, 1e-10, bound, norm) is not None:
+        raise ValueError("projection is not idempotent within tolerance")
+    if abs(trace - rank) > tol(1e-8):
+        raise ValueError(f"trace {trace:.12f} disagrees with rank {rank}")
+    u, _, _ = np.linalg.svd(a)
+    return OrthogonalProjection(_freeze(u[:, :rank]))
+
+
+def compressed_generator_matrix(h, e):
+    """E H E on the full space, symmetrized."""
+    c = e.matrix @ h.matrix @ e.matrix
+    return (c + c.conj().T) / 2.0
+
+
+def dense_product(h, e, t, n, ordering):
+    """The step PUP, UP or PU, U = exp(i (t/n) H), raised to the n-th power."""
+    u = evolve(h, t / n)
+    p = e.matrix
+    step = {"EUE": p @ u @ p, "UE": u @ p, "EU": p @ u}[ordering]
+    return np.linalg.matrix_power(step, n)
+
+
+def dense_target(h, e, t):
+    """exp(i t EHE) E from the d x d EHE."""
+    return evolve(eigendecompose(compressed_generator_matrix(h, e)), t) @ e.matrix
+
+
+def dense_leakage(h, e, t):
+    """||E_perp exp(i t H) E||."""
+    return operator_norm(complement(e).matrix @ evolve(h, t) @ e.matrix)
+
+
+def dense_gaps(rho, h, a, b, ts, beta):
+    """|tr(rho A tau_{t+i beta}(B)) - tr(rho tau_t(B) A)| per t, with tau_z(B) formed at d x d."""
+    gaps = []
+    for t in ts:
+        left = np.trace(rho @ a @ heisenberg_evolve(h, b, t + 1j * beta))
+        right = np.trace(rho @ heisenberg_evolve(h, b, t) @ a)
+        gaps.append(float(abs(left - right)))
+    return gaps
+
+
+def dense_reduced_gaps(h, e, beta, pairs, ts, rho):
+    """``dense_gaps`` of EAE and EBE under the flow of the d x d EHE, one row per pair."""
+    p = e.matrix
+    generator = eigendecompose(compressed_generator_matrix(h, e))
+    return [dense_gaps(rho, generator, p @ a @ p, p @ b @ p, ts, beta) for a, b in pairs]
+
+
+def dense_reduced_residual(h, e, beta, pairs, ts, rho):
+    return max(max(row) for row in dense_reduced_gaps(h, e, beta, pairs, ts, rho))

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from conftest import rabi_pair, random_hermitian, random_hermitian_op, random_projection, random_state
+from reference import complement
 from zenolab.errors import NoCrossing
 from zenolab.gibbs import (
     expectation,
@@ -18,7 +19,7 @@ from zenolab.gibbs import (
     reduced_kms_residual,
     zeno_gibbs_state,
 )
-from zenolab.operators import complement, eigendecompose, evolve, operator_norm
+from zenolab.operators import eigendecompose, evolve, operator_norm
 from zenolab.scenarios import build_scenario, parse_config, perturbed_invariance_check, run_scenario
 from zenolab.semigroup import degenerate_form, degenerate_product, full_support_form, kato_form_sum_product, sectorial_operator
 from zenolab.spectral import (
@@ -261,9 +262,9 @@ def test_criterion_07_tail_classification_and_lln():
         discrete_ok &= classify_regime(m, suggested_tail_grid(m)).classification is Classification.ZENO
 
     gauss_lln = lln_mc(gauss, [10**4], trials=10**4, seed=42, epsilon=0.1, c=1.0)
-    exceedance = gauss_lln.stats[0][1]
+    exceedance = gauss_lln.concentration_stats[0][1]
     pareto_lln = lln_mc(pareto, [10, 100, 1000], trials=10**4, seed=42, epsilon=0.1, c=10.0)
-    contains = [c for _, _, c in pareto_lln.stats]
+    contains = [c for _, _, c in pareto_lln.concentration_stats]
 
     ok = (
         gauss_class is Classification.ZENO
@@ -391,7 +392,7 @@ def test_criterion_10_form_sum_product_formulas():
         max(abs(d1 - d2), abs(c1 - c2))
         for (_, d1, c1), (_, d2, c2) in zip(kato.per_n, direct.per_n)
     )
-    reduction_gap = max(reduction_gap, operator_norm(kato.limit_matrix - direct.limit_matrix))
+    reduction_gap = max(reduction_gap, operator_norm(kato.limit.matrix - direct.limit.matrix))
 
     basis = np.eye(4, dtype=complex)
     from zenolab.operators import projection_from_span
@@ -404,7 +405,7 @@ def test_criterion_10_form_sum_product_formulas():
         1.0,
         (256, 4096),
     )
-    zero_ok = operator_norm(disjoint.target_matrix) < 1e-12 and operator_norm(disjoint.limit_matrix) < 1e-6
+    zero_ok = operator_norm(disjoint.target.matrix) < 1e-12 and operator_norm(disjoint.limit.matrix) < 1e-6
 
     ok = first_order_ok and reduction_gap < 1e-10 and zero_ok
     verdict(

@@ -1,9 +1,15 @@
 import builtins
+import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenolab
 import zenolab.cli
 import zenolab.scenarios
 from zenolab.cli import main
@@ -67,15 +73,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "model, key",
-        [("{n_modes: 22, coupling_strength: 1.0e+10}", "coupling_strength"), ("{n_modes: 5}", "n_modes")],
-        ids=["strong-coupling", "few-modes"],
+        [
+            ("friedrichs: {n_modes: 22, coupling_strength: 1.0e+10}", "model.friedrichs.coupling_strength"),
+            ("friedrichs: {n_modes: 5}", "model.friedrichs.n_modes"),
+            # half the Heisenberg time of this spectrum falls below the first grid time
+            ("perturbed: {dim: 6, perturbation_norm: 1.0e+6}", "fit_window"),
+        ],
+        ids=["strong-coupling", "few-modes", "perturbed"],
     )
     def test_empty_default_fit_window_names_the_key(self, tmp_path, capsys, model, key):
-        body = f"schema_version: 1\ntask: survival\nmodel:\n  friedrichs: {model}\n"
+        body = f"schema_version: 1\ntask: survival\nmodel:\n  {model}\n"
         config = write(tmp_path / "f.yaml", body)
         assert main(["survival", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: model.friedrichs.{key}: the default fit window")
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: the default fit window")
         assert not (tmp_path / "o").exists()  # a run that raises writes no CSV
         for task in ("classify", "converge"):
             config = write(tmp_path / f"{task}.yaml", body.replace("survival", task))
@@ -147,6 +158,17 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: model.perturbed.perturbation_norm: must be <= 1000000.0, got 1e+300"]
 
+    def test_tiny_survival_times_warn_nothing(self, tmp_path, capsys):
+        # P(t) rounds to 1 + ulps at t ~ 1e-258, so gamma_eff reaches 1e241 and its slope overflows
+        config = write(
+            tmp_path / "s.yaml",
+            "schema_version: 1\ntask: survival\nmodel:\n  rabi: {}\nt_grid: [5.51560886328264e-258, 2.8258148354348556e-76, 2]\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["survival", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: window (5.516e-258, 2.826e-76) holds 2 samples, need 10"]
+
     @pytest.mark.parametrize("task", ["classify", "survival"])
     def test_huge_band_names_the_key(self, tmp_path, capsys, task):
         # a band this wide leaves no digit in the phases; the cap rejects it before any numpy call
@@ -185,6 +207,28 @@ class TestDeterminism:
         assert main(["gibbs", "--config", config, "--out", str(tmp_path / "a"), "--quiet"]) == 0
         assert main(["gibbs", "--config", config, "--out", str(tmp_path / "b"), "--quiet"]) == 0
         assert (tmp_path / "a" / "kms.csv").read_bytes() == (tmp_path / "b" / "kms.csv").read_bytes()
+
+    def test_blas_thread_counts(self, tmp_path):
+        """Fresh processes rerun byte-identically at one BLAS thread count; across counts they agree to 1e-11.
+
+        The thread count is set through the OpenBLAS variables, so the cross-count half runs only on an
+        OpenBLAS build. The 1e-11 bound is from one measurement (3.2e-12, x86-64 Xeon, OpenBLAS 0.3.31).
+        """
+        config = write(tmp_path / "f.yaml", "schema_version: 1\ntask: converge\nmodel:\n  friedrichs: {n_modes: 400}\n")
+        src = str(Path(zenolab.__file__).resolve().parents[1])
+        csvs = {"1": [], "2": []}
+        for i, threads in enumerate(("1", "1", "2", "2")):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            out = tmp_path / f"run{i}"
+            argv = ["converge", "--config", config, "--out", str(out), "--quiet"]
+            subprocess.run([sys.executable, "-m", "zenolab.cli", *argv], env=env, check=True, timeout=120)
+            csvs[threads].append((out / "converge.csv").read_bytes())
+        assert csvs["1"][0] == csvs["1"][1] and csvs["2"][0] == csvs["2"][1]
+        if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower():
+            pytest.skip("the thread count is set only for OpenBLAS; both counts ran alike")
+        one, two = (np.loadtxt(io.BytesIO(csvs[k][0]), delimiter=",", skiprows=1) for k in ("1", "2"))
+        assert np.array_equal(one[:, 0], two[:, 0])
+        assert np.max(np.abs(one - two)) <= 1e-11
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write(

@@ -1,16 +1,23 @@
 """Property test of the CLI contract on configs drawn from the schema table.
 
 Whatever the config, valid or not, ``zenolab`` exits 0, 1 or 2, exits 1 only
-after printing a ``warning:`` line, and never prints a traceback. Valid
-values are drawn inside each key's bounds, with caps that keep every model
-and grid small; a broken config carries one fault: a value of the wrong
-type, out of bounds or not finite, or an unknown key.
+after printing a ``warning:`` line, and never prints a traceback, an
+``error:`` line from the fallback for a builtin exception, or a numpy
+``RuntimeWarning``. Valid values are drawn inside each key's bounds, with
+caps that keep every model and grid small, and reach the extremes the
+schema accepts: couplings from 1e-300 to 1e300, ``beta`` and ``t`` up to
+1e6, ``perturbation_norm`` and the band ends at their 1e6 caps, bands 1e-12
+wide, and an excited level one ulp inside a band edge. A broken config
+carries one fault: a value of the wrong type, out of bounds or not finite,
+or an unknown key.
 """
 
+import builtins
 import contextlib
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import yaml
@@ -31,6 +38,22 @@ SEED_CAP = 2**32
 RUN_TASKS = [task for task in _TASK_SCHEMA if task != "sweep"]
 WRONG_TYPES = st.sampled_from(["x", None, True, [1.0], {"a": 1}])
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def decades(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# valid values at the extremes the schema accepts, far beyond FLOAT_SPAN
+EXTREMES = {
+    "coupling_strength": decades(-300.0, 300.0) | st.sampled_from([1e-300, 1e300]),
+    "t": decades(-3.0, 6.0) | st.sampled_from([-1e6, 1e6]),
+    "beta": decades(-3.0, 6.0) | st.just(1e6),
+    "perturbation_norm": decades(-3.0, 6.0) | st.just(1e6),
+    "band": st.sampled_from([[-1e6, 1e6], [-1e6, 0.0], [0.0, 1e6]])
+    | st.floats(-FLOAT_SPAN, FLOAT_SPAN).map(lambda lo: [lo, lo + 1e-12]),
+}
+BUILTIN_ERRORS = [name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)]
 
 
 def scalar(key: _Key, cap: int | None):
@@ -83,12 +106,15 @@ def invalid(key: _Key):
 
 
 @st.composite
-def fill(draw, schema: dict[str, _Key], fault: str | None) -> dict:
-    """A body for ``schema``; ``fault`` names the key drawn invalid, if any."""
+def fill(draw, schema: dict[str, _Key], fault: str | None, extreme: bool) -> dict:
+    """A body for ``schema``; ``fault`` names the key drawn invalid, if any, and
+    ``extreme`` sets every key of ``EXTREMES`` to one of its extremes."""
     body = {}
     for name, key in schema.items():
         if name == fault:
             body[name] = draw(invalid(key))
+        elif extreme and name in EXTREMES:
+            body[name] = draw(EXTREMES[name])
         elif name in ALWAYS_SET or draw(st.booleans()):
             body[name] = draw(valid(name, key))
     if fault == "unknown":
@@ -102,10 +128,16 @@ def run_config(draw) -> dict:
     kind = draw(st.sampled_from(list(_MODEL_SCHEMA)))
     task_keys, model_keys = list(_TASK_SCHEMA[task]), list(_MODEL_SCHEMA[kind])
     faults = ["unknown", "model.unknown"] + task_keys + [f"model.{k}" for k in model_keys]
-    fault = draw(st.none() | st.sampled_from(faults))
+    # half the runs are valid configs at the extremes, the other half carry at most one fault
+    extreme = draw(st.booleans())
+    fault = None if extreme else draw(st.none() | st.sampled_from(faults))
     model_fault = fault[len("model.") :] if fault and fault.startswith("model.") else None
-    model = draw(fill(_MODEL_SCHEMA[kind], model_fault))
-    return {"task": task, "model": {kind: model}, **draw(fill(_TASK_SCHEMA[task], fault))}
+    model = draw(fill(_MODEL_SCHEMA[kind], model_fault, extreme))
+    if kind == "friedrichs" and extreme:
+        lo, hi = model["band"]
+        # one ulp inside either band edge, or the midpoint of the band
+        model["excited_energy"] = draw(st.sampled_from([math.nextafter(lo, hi), math.nextafter(hi, lo), (lo + hi) / 2]))
+    return {"task": task, "model": {kind: model}, **draw(fill(_TASK_SCHEMA[task], fault, extreme))}
 
 
 @st.composite
@@ -127,10 +159,16 @@ def check_exit_code_contract(data, seed):
             argv += ["--seed", str(seed)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv)
     assert rc in (0, 1, 2)
     assert rc != 1 or "  warning: " in out.getvalue()
     assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert not [line for line in lines if any(line.startswith(f"error: {name}:") for name in BUILTIN_ERRORS)]
+    assert not [line for line in lines if "RuntimeWarning" in line]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_exit_code_contract(tmp_path):

@@ -3,7 +3,7 @@
 ``zeno_product`` raises the r x r step Q*UQ to powers and returns the
 product as its core in a frame, and ``zeno_convergence_report`` measures
 distances between r x r, d x r or r x d cores; the dense formulas they
-replace are kept here as the reference.
+replace are the reference, imported from ``reference``.
 """
 
 import functools
@@ -17,15 +17,9 @@ import pytest
 import zenolab.scenarios
 import zenolab.zeno
 from conftest import random_hermitian_op, random_projection
+from reference import dense_product, dense_target, projection_from_matrix
 from zenolab.errors import DimensionMismatch, NonFinite
-from zenolab.operators import (
-    OrthogonalProjection,
-    eigendecompose,
-    evolve,
-    identity_projection,
-    operator_norm,
-    projection_from_matrix,
-)
+from zenolab.operators import OrthogonalProjection, identity_projection, operator_norm
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
 from zenolab.zeno import (
     ORDERINGS,
@@ -39,24 +33,6 @@ from zenolab.zeno import (
 
 DIM = 8
 T = 1.3
-
-
-def dense_product(h, e, t, n, ordering):
-    """The d x d reference: the step PUP, UP or PU raised to the n-th power."""
-    u = evolve(h, t / n)
-    p = e.matrix
-    step = {"EUE": p @ u @ p, "UE": u @ p, "EU": p @ u}[ordering]
-    return np.linalg.matrix_power(step, n)
-
-
-def compressed_generator_matrix(h, e):
-    """The d x d reference: E H E on the full space, symmetrized."""
-    c = e.matrix @ h.matrix @ e.matrix
-    return (c + c.conj().T) / 2.0
-
-
-def dense_target(h, e, t):
-    return evolve(eigendecompose(compressed_generator_matrix(h, e)), t) @ e.matrix
 
 
 def projections():
@@ -107,9 +83,9 @@ def test_report_distances_match_dense_svd(hamiltonian, name, ordering):
         dense_n = dense_product(hamiltonian, e, T, n, ordering)
         assert abs(distance - operator_norm(dense_n - target)) <= 1e-11
         assert abs(delta - operator_norm(dense_n - dense_product(hamiltonian, e, T, 2 * n, ordering))) <= 1e-11
-    assert report.limit_matrix.shape == report.target_matrix.shape == (DIM, DIM)
-    assert operator_norm(report.limit_matrix - dense_product(hamiltonian, e, T, ns[-1], ordering)) <= 1e-12
-    assert operator_norm(report.target_matrix - target) <= 1e-12
+    assert report.limit.matrix.shape == report.target.matrix.shape == (DIM, DIM)
+    assert operator_norm(report.limit.matrix - dense_product(hamiltonian, e, T, ns[-1], ordering)) <= 1e-12
+    assert operator_norm(report.target.matrix - target) <= 1e-12
     assert report.target_residual == report.distance(ns[-1])
 
 
@@ -142,13 +118,13 @@ def test_factored_products_and_report_match_dense(real_v, dim, rank, ordering):
     for n, distance, delta in report.per_n:
         assert abs(distance - operator_norm(dense[n] - target)) <= 1e-12
         assert abs(delta - operator_norm(dense[n] - dense[2 * n])) <= 1e-12
-    assert operator_norm(report.limit_matrix - dense[ns[-1]]) <= 1e-12
+    assert operator_norm(report.limit.matrix - dense[ns[-1]]) <= 1e-12
     # the target is built in the products' frame: G in (Q, Q), WG in (V, Q), GW* in (Q, V)
     assert report.target.left is report.limit.left and report.target.right is report.limit.right
     if ordering == "EUE":
-        assert np.array_equal(report.target_matrix, reduced_dynamics(h, e, T))
+        assert np.array_equal(report.target.matrix, reduced_dynamics(h, e, T))
     else:
-        assert operator_norm(report.target_matrix - reduced_dynamics(h, e, T)) <= 1e-12
+        assert operator_norm(report.target.matrix - reduced_dynamics(h, e, T)) <= 1e-12
 
 
 class TestOperatorNorm:
@@ -237,7 +213,7 @@ class TestProductCache:
         assert len(built) == len(set(built))
         # while the next product is built, at most the current row's and the limit are held
         assert most_held <= 2
-        assert np.array_equal(report.limit_matrix, np.eye(3) * (1.0 + 1.0 / ns[-1]))
+        assert np.array_equal(report.limit.matrix, np.eye(3) * (1.0 + 1.0 / ns[-1]))
         assert [row[0] for row in report.per_n] == list(ns)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rabi_pair, random_hermitian, random_hermitian_op, random_projection
+from reference import compressed_generator_matrix, dense_gaps, dense_reduced_gaps, dense_reduced_residual
 from zenolab.errors import ConfigError, DimensionMismatch, NonFinite, Overflow, ZeroRank
 from zenolab.gibbs import (
     DensityState,
@@ -20,33 +21,6 @@ import zenolab.gibbs
 import zenolab.scenarios
 from zenolab.operators import OrthogonalProjection, eigendecompose, identity_projection, operator_norm
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
-
-
-def compressed_generator_matrix(h, e):
-    """The d x d reference: E H E on the full space, symmetrized."""
-    c = e.matrix @ h.matrix @ e.matrix
-    return (c + c.conj().T) / 2.0
-
-
-def dense_gaps(rho, h, a, b, ts, beta):
-    """The dense loop on the default heisenberg_evolve: |tr(rho A tau_{t+i beta}(B)) - tr(rho tau_t(B) A)| per t."""
-    gaps = []
-    for t in ts:
-        left = np.trace(rho @ a @ heisenberg_evolve(h, b, t + 1j * beta))
-        right = np.trace(rho @ heisenberg_evolve(h, b, t) @ a)
-        gaps.append(float(abs(left - right)))
-    return gaps
-
-
-def dense_reduced_gaps(h, e, beta, pairs, ts, rho):
-    """The d x d reference loop, one row per pair: EAE and EBE under the flow of the d x d EHE."""
-    p = e.matrix
-    generator = eigendecompose(compressed_generator_matrix(h, e))
-    return [dense_gaps(rho, generator, p @ a @ p, p @ b @ p, ts, beta) for a, b in pairs]
-
-
-def dense_reduced_residual(h, e, beta, pairs, ts, rho):
-    return max(max(row) for row in dense_reduced_gaps(h, e, beta, pairs, ts, rho))
 
 
 class TestGibbsState:

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import SIGMA_X, random_hermitian_op, random_projection
+from reference import complement
 from zenolab.errors import NonFinite, NotHermitian, NotPSD, Overflow, ZeroSpan
 from zenolab.operators import (
-    complement,
     eigendecompose,
     evolve,
     expm,
@@ -140,6 +141,15 @@ class TestOperatorNorm:
             v /= np.linalg.norm(v)
         sigma = math.sqrt(float(np.vdot(v, gram @ v).real))
         assert abs(operator_norm(m) - sigma) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_non_square_subnormal_entries(self, shape):
+        # every entry below the smallest normal double: the scaling must not divide through 1 / scale
+        m = np.full(shape, 3e-320 + 4e-320j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert operator_norm(m) == pytest.approx(5e-320 * math.sqrt(6.0), rel=1e-3)
+            assert operator_norm(1e300 * m) == pytest.approx(5e-20 * math.sqrt(6.0), rel=1e-12)
 
     def test_submultiplicative(self):
         rng = np.random.default_rng(2)

@@ -3,7 +3,7 @@
 The library measures leakage as ||UQ - Q(Q*UQ)|| at d x r, builds every
 projection from a basis Q, and raises only the r x r matrix Q*SQ to powers
 in ``degenerate_product``. The dense formulas, with E_perp taken from
-``complement(e).matrix``, are kept here as the reference.
+``complement(e).matrix``, are the reference, imported from ``reference``.
 """
 
 import math
@@ -12,26 +12,26 @@ import warnings
 import numpy as np
 import pytest
 
+import zenolab
+import zenolab.gibbs
 import zenolab.operators
 import zenolab.scenarios
 import zenolab.semigroup
 import zenolab.zeno
 from conftest import random_hermitian, random_hermitian_op, random_projection, random_state
-from zenolab.cli import main
+from reference import complement, dense_leakage, projection_from_matrix
 from zenolab.errors import Overflow
 from zenolab.numeric import tol
 from zenolab.operators import (
     OrthogonalProjection,
     _column_norm_bound,
     _frobenius,
-    complement,
     eigendecompose,
     evolve,
     expm,
     identity_projection,
     operator_norm,
     phase_factors,
-    projection_from_matrix,
     projection_from_span,
 )
 from zenolab.scenarios import build_scenario, parse_config, perturbed_invariance_check
@@ -39,11 +39,9 @@ from zenolab.semigroup import (
     degenerate_form,
     degenerate_product,
     form_sum_operator,
-    full_support_form,
-    kato_form_sum_product,
     sectorial_operator,
 )
-from zenolab.zeno import _leakage, azc_fit, continuous_measurement_compare, reduced_dynamics
+from zenolab.zeno import _leakage
 
 
 def projection(rng, dim, rank):
@@ -59,10 +57,6 @@ def hamiltonian(rng, dim, real_v):
         assert h.eigenvectors.dtype == np.float64
         return h
     return random_hermitian_op(rng, dim, norm=1.0)
-
-
-def dense_leakage(h, e, t):
-    return operator_norm(complement(e).matrix @ evolve(h, t) @ e.matrix)
 
 
 @pytest.mark.parametrize("real_v", [True, False], ids=["real-V", "complex-V"])
@@ -87,30 +81,8 @@ def test_perturbed_invariance_check_matches_dense_formulas(seed, dim):
     h, e = scen.hamiltonian, scen.projection
     dense = [dense_leakage(h, e, t) for t in report.t_grid]
     assert np.max(np.abs(report.leakage - dense)) <= 1e-12
-    dense_target_leak = operator_norm(complement(e).matrix @ report.convergence.target_matrix)
+    dense_target_leak = operator_norm(complement(e).matrix @ report.convergence.target.matrix)
     assert abs(report.target_leak - dense_target_leak) <= 1e-12
-
-
-def dense_continuous_measurement(h, e, ks, t, probes):
-    ec = complement(e).matrix
-    target = reduced_dynamics(h, e, t)
-    out = []
-    for k in ks:
-        u = evolve(eigendecompose(h.matrix + k * ec), t)
-        out.append((float(k), max(float(np.linalg.norm((u - target) @ p)) for p in probes)))
-    return out
-
-
-@pytest.mark.parametrize("rank", [1, 3, 6])
-def test_continuous_measurement_matches_dense_formula(rank):
-    rng = np.random.default_rng(60 + rank)
-    h = random_hermitian_op(rng, 6, norm=1.0)
-    e = projection(rng, 6, rank)
-    probes = [e.basis @ random_state(rng, rank) for _ in range(2)]
-    ks = [10.0, 100.0, 1000.0]
-    got = np.array(continuous_measurement_compare(h, e, ks, 1.0, probes))
-    want = np.array(dense_continuous_measurement(h, e, ks, 1.0, probes))
-    assert np.array_equal(got[:, 0], ks) and np.max(np.abs(got[:, 1] - want[:, 1])) <= 1e-12
 
 
 @pytest.mark.parametrize("rank", [0, 1, 7, 8])
@@ -179,8 +151,8 @@ def test_degenerate_product_matches_dense_power(dim, rank):
     p = e.matrix
     target = expm(-t * (p @ a.matrix @ p)) @ p
     products = {n: np.linalg.matrix_power(expm(-(t / n) * a.matrix) @ p, n) for n in ns + tuple(2 * n for n in ns)}
-    assert operator_norm(report.target_matrix - target) <= 1e-12
-    assert operator_norm(report.limit_matrix - products[64]) <= 1e-12
+    assert operator_norm(report.target.matrix - target) <= 1e-12
+    assert operator_norm(report.limit.matrix - products[64]) <= 1e-12
     for n, distance, cauchy in report.per_n:
         assert abs(distance - operator_norm(products[n] - target)) <= 1e-12
         assert abs(cauchy - operator_norm(products[n] - products[2 * n])) <= 1e-12
@@ -210,28 +182,8 @@ def test_phase_factors_refuse_phases_without_a_correct_digit():
         evolve(h, 3 * limit)
 
 
-def test_library_paths_build_no_projection_from_a_matrix(monkeypatch, tmp_path):
-    """No library path calls ``complement`` or ``projection_from_matrix``, the d x d routes."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a d x d projection route was taken")
-
-    for module in (zenolab.operators, zenolab.zeno, zenolab.scenarios, zenolab.semigroup):
+def test_library_paths_build_no_projection_from_a_matrix():
+    """The d x d projection routes, ``complement`` and ``projection_from_matrix``, live only in ``reference``."""
+    for module in (zenolab, zenolab.operators, zenolab.zeno, zenolab.scenarios, zenolab.semigroup, zenolab.gibbs):
         for name in ("complement", "projection_from_matrix"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
-    rng = np.random.default_rng(90)
-    h = random_hermitian_op(rng, 8, norm=1.0)
-    e = random_projection(rng, 8, 3)
-    azc_fit(h, e, np.logspace(-4, -2, 6)[::-1])
-    continuous_measurement_compare(h, e, [10.0, 100.0], 1.0, [e.basis[:, 0]])
-    config = parse_config({"schema_version": 1, "task": "converge", "model": {"perturbed": {"dim": 8}}})
-    perturbed_invariance_check(config)
-    psd = random_psd(rng, 8)
-    a, b = full_support_form(psd), degenerate_form(e, psd)
-    kato_form_sum_product(a, b, 1.0, (2, 8))
-    degenerate_product(sectorial(rng, 8), e, 1.0, (2, 8))
-    (tmp_path / "c.yaml").write_text(
-        "schema_version: 1\ntask: converge\nmodel:\n  random: {dim: 8, rank_e: 3}\n", encoding="utf-8"
-    )
-    assert main(["converge", "--config", str(tmp_path / "c.yaml"), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

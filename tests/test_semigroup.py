@@ -77,8 +77,8 @@ class TestDegenerateProduct:
         for n, dist, cauchy in report.per_n:
             assert abs(dist - operator_norm(dense[n] - target)) <= 1e-12
             assert abs(cauchy - operator_norm(dense[n] - dense[2 * n])) <= 1e-12
-        assert operator_norm(report.limit_matrix - dense[8]) <= 1e-12
-        assert operator_norm(report.target_matrix - target) <= 1e-12
+        assert operator_norm(report.limit.matrix - dense[8]) <= 1e-12
+        assert operator_norm(report.target.matrix - target) <= 1e-12
 
     def test_commuting_psd_exact_at_n_one(self):
         d = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
@@ -98,7 +98,7 @@ class TestDegenerateProduct:
         # oracle: product at n = 2^16
         step = expm(-(1.0 / 2**16) * a.matrix) @ e.matrix
         brute = np.linalg.matrix_power(step, 2**16)
-        assert operator_norm(brute - report.target_matrix) < 1e-4
+        assert operator_norm(brute - report.target.matrix) < 1e-4
 
 
 class TestFormSum:
@@ -150,7 +150,7 @@ class TestKatoProduct:
         direct = degenerate_product(sectorial_operator(mat, math.pi / 2), e, 1.0, (2, 16, 128, 1024))
         for (n1, d1, c1), (n2, d2, c2) in zip(kato.per_n, direct.per_n):
             assert n1 == n2 and abs(d1 - d2) < 1e-10 and abs(c1 - c2) < 1e-10
-        assert operator_norm(kato.limit_matrix - direct.limit_matrix) < 1e-10
+        assert operator_norm(kato.limit.matrix - direct.limit.matrix) < 1e-10
 
     def test_full_support_pair_recovers_additive_exponential(self):
         # commutator smaller than 1e-3 keeps first-order error below 1e-6 at n = 4096
@@ -160,8 +160,8 @@ class TestKatoProduct:
         a, b = full_support_form(ma), full_support_form(mb)
         report = kato_form_sum_product(a, b, 1.0, (4096,))
         oracle = expm(-(ma + mb))
-        assert operator_norm(report.limit_matrix - oracle) < 1e-6
-        assert operator_norm(report.target_matrix - oracle) < 1e-12
+        assert operator_norm(report.limit.matrix - oracle) < 1e-6
+        assert operator_norm(report.target.matrix - oracle) < 1e-12
 
     def test_disjoint_supports_kill_the_product(self):
         basis = np.eye(4, dtype=complex)
@@ -171,8 +171,8 @@ class TestKatoProduct:
         a = degenerate_form(pa, pa.matrix @ random_psd(rng, 4) @ pa.matrix)
         b = degenerate_form(pb, pb.matrix @ random_psd(rng, 4) @ pb.matrix)
         report = kato_form_sum_product(a, b, 1.0, (256, 4096))
-        assert operator_norm(report.target_matrix) < 1e-12
-        assert operator_norm(report.limit_matrix) < 1e-6
+        assert operator_norm(report.target.matrix) < 1e-12
+        assert operator_norm(report.limit.matrix) < 1e-6
 
     @pytest.mark.parametrize("seed", range(3))
     def test_subspace_pair_first_order_to_intersection_dynamics(self, seed):
@@ -194,14 +194,14 @@ class TestSemigroupProperties:
         e = random_projection(rng, 5, 3)
         small = (2, 4)
         rep = {t: degenerate_product(a, e, t, small) for t in (0.4, 0.6, 1.0)}
-        lhs = rep[0.4].target_matrix @ rep[0.6].target_matrix
-        assert operator_norm(lhs - rep[1.0].target_matrix) < 1e-8
+        lhs = rep[0.4].target.matrix @ rep[0.6].target.matrix
+        assert operator_norm(lhs - rep[1.0].target.matrix) < 1e-8
 
     def test_value_at_zero_plus_is_projection(self):
         rng = np.random.default_rng(9)
         a = sectorial_operator(random_psd(rng, 5), math.pi / 2)
         e = random_projection(rng, 5, 2)
-        s0 = degenerate_product(a, e, 1e-9, (2,)).target_matrix
+        s0 = degenerate_product(a, e, 1e-9, (2,)).target.matrix
         assert operator_norm(s0 @ s0 - s0) < 1e-8
 
     def test_contractivity_of_products(self):

@@ -12,22 +12,33 @@ from zenolab.spectral import (
     Classification,
     DiscreteMeasure,
     Gaussian,
-    PointMass,
     SpectralMeasure,
     TwoSidedPareto,
-    characteristic_fn,
     classify_regime,
-    first_abs_moment,
     lln_mc,
     modulus_below_threshold_n,
     spectral_measure_of_state,
-    standard_family_registry,
     suggested_tail_grid,
     tail_delta_curve,
     zeno_modulus_table,
     _pareto_tail_integral_total,
 )
 from zenolab.survival import iterated_survival
+
+
+# the analytic and discrete families, covering the Zeno, Borderline and AntiZeno outcomes
+FAMILIES = {
+    "gaussian": Gaussian(0.0, 1.0),
+    "gaussian_shifted": Gaussian(2.0, 0.5),
+    "cauchy": Cauchy(0.0, 1.0),
+    "pareto_heavy": TwoSidedPareto(0.5, 1.0),
+    "pareto_integrable": TwoSidedPareto(1.5, 0.01),
+    "two_level": DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+}
+
+
+def point_mass(x):
+    return DiscreteMeasure(np.array([x]), np.array([1.0]))
 
 
 PARETO_GRID = [(alpha, t) for alpha in (0.25, 0.5, 0.9, 1.0, 1.2, 1.5, 1.9) for t in (1e-3, 0.3, 1.0, 5.0)]
@@ -37,7 +48,7 @@ PARETO_GRID = [(alpha, t) for alpha in (0.25, 0.5, 0.9, 1.0, 1.2, 1.5, 1.9) for 
 def test_two_sided_pareto_characteristic_function_on_ordinary_parameters(alpha, t):
     """The QAWS head integral converges on the whole grid and keeps what plain quad got right."""
     measure = TwoSidedPareto(alpha, 2.0)
-    phi = characteristic_fn(measure, t)
+    phi = measure.phi(t)
     assert phi.imag == 0.0 and -1.0 <= phi.real <= 1.0
     v = 2.0 * t
     plain, err = integrate.quad(lambda u: 2.0 * math.sin(u / 2.0) ** 2 * u ** (-alpha - 1.0), 0.0, v, limit=400)
@@ -91,9 +102,9 @@ def quad_cos_transform(density, t, lower):
 
 class TestCharacteristicFunction:
     def test_point_mass_pure_phase(self):
-        m = PointMass(0.8)
+        m = point_mass(0.8)
         for t in (0.2, 1.0, 9.0):
-            phi = characteristic_fn(m, t)
+            phi = m.phi(t)
             assert abs(phi - np.exp(-1j * t * 0.8)) < 1e-14
             assert abs(abs(phi) - 1.0) < 1e-14
 
@@ -101,7 +112,7 @@ class TestCharacteristicFunction:
     def test_cauchy_against_quadrature(self, t):
         m = Cauchy(0.0, 1.0)
         oracle, err = quad_cos_transform(lambda x: 1.0 / (math.pi * (1.0 + x * x)), t, 0.0)
-        phi = characteristic_fn(m, t)
+        phi = m.phi(t)
         assert abs(phi.real - oracle) < 1e-8 + 10 * err
         assert abs(phi - math.exp(-abs(t))) < 1e-14
 
@@ -110,7 +121,7 @@ class TestCharacteristicFunction:
         m = Gaussian(0.0, 1.0)
         norm = 1.0 / math.sqrt(2.0 * math.pi)
         oracle, err = quad_cos_transform(lambda x: norm * math.exp(-x * x / 2.0), t, 0.0)
-        phi = characteristic_fn(m, t)
+        phi = m.phi(t)
         assert abs(phi.real - oracle) < 1e-10 + 10 * err
         assert abs(phi - math.exp(-t * t / 2.0)) < 1e-14
 
@@ -120,14 +131,14 @@ class TestCharacteristicFunction:
         m = TwoSidedPareto(alpha, scale)
         density = lambda x: (alpha / 2.0) * scale**alpha * x ** (-alpha - 1.0)
         oracle, err = quad_cos_transform(density, t, scale)
-        phi = characteristic_fn(m, t)
+        phi = m.phi(t)
         assert abs(phi.real - oracle) < 1e-8 + 10 * err
 
     def test_normalization_and_bound(self):
-        for m in standard_family_registry().values():
-            assert characteristic_fn(m, 0.0) == pytest.approx(1.0)
+        for m in FAMILIES.values():
+            assert m.phi(0.0) == pytest.approx(1.0)
             for t in (0.5, 2.0):
-                assert abs(characteristic_fn(m, t)) <= 1.0 + 1e-12
+                assert abs(m.phi(t)) <= 1.0 + 1e-12
 
 
 class TestTailDeltaCurve:
@@ -192,16 +203,14 @@ class _StaircaseSurvival(SpectralMeasure):
 class TestClassification:
     def test_registry_families(self):
         expected = {
-            "point_mass": Classification.ZENO,
             "gaussian": Classification.ZENO,
             "gaussian_shifted": Classification.ZENO,
             "cauchy": Classification.BORDERLINE,
             "pareto_heavy": Classification.ANTI_ZENO,
             "pareto_integrable": Classification.ZENO,
-            "gauss_pareto_mix": Classification.ZENO,
             "two_level": Classification.ZENO,
         }
-        for name, measure in standard_family_registry().items():
+        for name, measure in FAMILIES.items():
             report = classify_regime(measure, suggested_tail_grid(measure))
             assert report.classification is expected[name], name
             assert report.thresholds is not None
@@ -218,7 +227,7 @@ class TestClassification:
 
 class TestModulusTable:
     def test_point_mass_stays_at_one(self):
-        table = zeno_modulus_table(PointMass(0.3), 1.0, [1, 10, 10**6])
+        table = zeno_modulus_table(point_mass(0.3), 1.0, [1, 10, 10**6])
         assert all(v == pytest.approx(1.0) for _, v in table)
 
     def test_cauchy_constant_at_exp_minus_two(self):
@@ -243,7 +252,7 @@ class TestModulusTable:
 
 class TestTheoremConsistency:
     def test_zeno_families_modulus_tends_to_one(self):
-        for name, m in standard_family_registry().items():
+        for name, m in FAMILIES.items():
             report = classify_regime(m, suggested_tail_grid(m))
             if report.classification is Classification.ZENO:
                 value = zeno_modulus_table(m, 1.0, [10**6])[0][1]
@@ -255,47 +264,24 @@ class TestTheoremConsistency:
         assert value < 1e-3
 
     def test_finite_first_moment_implies_zeno(self):
-        for name, m in standard_family_registry().items():
-            if math.isfinite(first_abs_moment(m)):
+        # E|X| is finite exactly when the tail exponent exceeds 1
+        for name, m in FAMILIES.items():
+            if m.tail_exponent > 1.0:
                 report = classify_regime(m, suggested_tail_grid(m))
                 assert report.classification is Classification.ZENO, name
 
 
-class TestFirstAbsMoment:
-    def test_discrete_exact(self):
-        m = DiscreteMeasure(np.array([-2.0, 1.0]), np.array([0.25, 0.75]))
-        assert first_abs_moment(m) == pytest.approx(0.25 * 2.0 + 0.75 * 1.0)
-
-    def test_cauchy_infinite(self):
-        assert math.isinf(first_abs_moment(Cauchy(0.0, 1.0)))
-
-    def test_heavy_pareto_infinite(self):
-        assert math.isinf(first_abs_moment(TwoSidedPareto(0.5, 1.0)))
-
-    def test_gaussian_against_quadrature(self):
-        # oracle: direct quadrature of |x| times the density
-        norm = 1.0 / math.sqrt(2.0 * math.pi)
-        oracle, err = integrate.quad(lambda x: 2.0 * x * norm * math.exp(-x * x / 2), 0, 50)
-        value = first_abs_moment(Gaussian(0.0, 1.0))
-        assert value == pytest.approx(oracle, abs=1e-9 + 10 * err)
-        assert value == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-12)
-
-    def test_integrable_pareto_closed_form(self):
-        m = TwoSidedPareto(1.5, 1.0)
-        assert first_abs_moment(m) == pytest.approx(3.0, rel=1e-10)
-
-
 class TestLLN:
     def test_point_mass_never_exceeds(self):
-        report = lln_mc(PointMass(0.4), [10, 100], trials=1000, seed=3, epsilon=0.1, c=1.0)
-        for _, exceed, contain in report.stats:
+        report = lln_mc(point_mass(0.4), [10, 100], trials=1000, seed=3, epsilon=0.1, c=1.0)
+        for _, exceed, contain in report.concentration_stats:
             assert exceed == 0.0
             assert contain == 1.0
 
     def test_gaussian_concentrates(self):
         # oracle: normal tail bound 2 Phi(-eps sqrt(n)) is already tiny
         report = lln_mc(Gaussian(0.0, 1.0), [2500], trials=2000, seed=3, epsilon=0.1, c=1.0)
-        _, exceed, _ = report.stats[0]
+        _, exceed, _ = report.concentration_stats[0]
         from scipy.special import ndtr
 
         assert 2.0 * ndtr(-0.1 * math.sqrt(2500)) < 0.01
@@ -305,13 +291,13 @@ class TestLLN:
         report = lln_mc(
             TwoSidedPareto(0.5, 1.0), [10, 100, 1000], trials=2000, seed=3, epsilon=0.1, c=10.0
         )
-        contains = [c for _, _, c in report.stats]
+        contains = [c for _, _, c in report.concentration_stats]
         assert contains[0] > contains[1] > contains[2]
 
     def test_deterministic_for_fixed_seed(self):
         a = lln_mc(Gaussian(0.0, 1.0), [50], trials=1000, seed=11, epsilon=0.05, c=0.5)
         b = lln_mc(Gaussian(0.0, 1.0), [50], trials=1000, seed=11, epsilon=0.05, c=0.5)
-        assert a.stats == b.stats
+        assert a.concentration_stats == b.concentration_stats
 
     def test_rejects_few_trials(self):
         with pytest.raises(ValueError):

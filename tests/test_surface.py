@@ -1,0 +1,55 @@
+"""No dead library code: every top-level function and class in ``src/zenolab`` has a user.
+
+A name counts as used when it appears outside its own definition and its
+module's ``__all__``: in its own module, in another library module (the
+package ``__init__`` only re-exports, so it does not count), in the
+acceptance criteria, or in the benchmark's layer tracer, which looks names
+up by string. Unit tests do not count; a dense reference that only tests
+call lives in ``tests/reference.py``.
+"""
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "zenolab"
+USERS = (REPO / "tests" / "test_acceptance.py", REPO / "perfbench" / "tracer.py")
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every identifier under ``node``: names, attributes, imported names and identifier strings."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rpartition(".")[2])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            out.add(sub.value)
+    return out
+
+
+def is_all(statement: ast.stmt) -> bool:
+    return isinstance(statement, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in statement.targets
+    )
+
+
+def test_every_library_definition_has_a_user():
+    parse = lambda path: ast.parse(path.read_text(encoding="utf-8"))
+    modules = {path: parse(path) for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    everywhere = {path: names_read(tree) for path, tree in [*modules.items(), *((user, parse(user)) for user in USERS)]}
+    # per module: the names read anywhere but in it
+    outside = {path: set().union(*(names for other, names in everywhere.items() if other != path)) for path in modules}
+    dead = []
+    for path, tree in modules.items():
+        body = [statement for statement in tree.body if not is_all(statement)]
+        reads = [names_read(statement) for statement in body]
+        for i, statement in enumerate(body):
+            if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)) or statement.name in outside[path]:
+                continue
+            if not any(statement.name in names for j, names in enumerate(reads) if j != i):
+                dead.append(f"{path.stem}.{statement.name}")
+    assert not dead, f"no task, criterion or tracer reaches {dead}; delete them or move a test reference to tests/reference.py"

@@ -8,8 +8,8 @@ the 2-norm of the defect against the tolerance at the exact reference scale.
 The HermitianOperator checks are covered twice: on complex data and on data
 with an exactly zero imaginary part, which they check in real arithmetic. A
 projection built from a matrix P is covered by the self-adjointness and
-idempotence checks of ``projection_from_matrix``; one built from a basis Q
-by its one check, ||Q*Q - I||.
+idempotence checks of ``reference.projection_from_matrix``; one built from
+a basis Q by its one check, ||Q*Q - I||.
 
 The real solver path stores float64 arrays; every consumer of them is
 compared with the same matrix taken through the complex solver.
@@ -23,6 +23,7 @@ import pytest
 import zenolab.operators
 import zenolab.scenarios
 from conftest import SIGMA_X, random_hermitian
+from reference import projection_from_matrix
 from zenolab.errors import DimensionMismatch, NotHermitian
 from zenolab.gibbs import DensityState, gibbs_state, heisenberg_evolve, kms_residual, kms_scale
 from zenolab.numeric import tol
@@ -32,7 +33,6 @@ from zenolab.operators import (
     eigendecompose,
     evolve,
     operator_norm,
-    projection_from_matrix,
 )
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
 from zenolab.spectral import spectral_measure_of_state

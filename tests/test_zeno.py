@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import zenolab.zeno
-from conftest import rabi_pair, random_hermitian_op, random_projection, random_state
-from zenolab.errors import ProbeOutsideRange
-from zenolab.operators import complement, eigendecompose, evolve, identity_projection, operator_norm
+from conftest import rabi_pair, random_hermitian_op, random_projection
+from reference import complement
+from zenolab.operators import eigendecompose, evolve, identity_projection, operator_norm
 from zenolab.zeno import (
     ZenoSchedule,
     azc_fit,
-    continuous_measurement_compare,
     reduced_dynamics,
     zeno_convergence_report,
     zeno_generator,
@@ -80,7 +79,7 @@ class TestConvergenceReport:
         e = random_projection(rng, 6, 3)
         report = zeno_convergence_report(h, e, 1.0)
         oracle = zeno_product(h, e, 1.0, 2**16).matrix
-        assert operator_norm(oracle - report.target_matrix) < 1e-4
+        assert operator_norm(oracle - report.target.matrix) < 1e-4
         assert report.target_residual < 1e-3
         ratio = report.distance(2048) / report.distance(4096)
         assert 1.7 <= ratio <= 2.3
@@ -225,47 +224,6 @@ class TestAzcFit:
             azc_fit(h, e, [0.3, 0.2, 0.1])  # too few
 
 
-class TestContinuousMeasurement:
-    def test_full_projection_zero_deviation(self):
-        rng = np.random.default_rng(2)
-        h = random_hermitian_op(rng, 3)
-        e = identity_projection(3)
-        probes = [random_state(rng, 3)]
-        for _, dev in continuous_measurement_compare(h, e, [10.0, 100.0], 1.0, probes):
-            assert dev < 1e-10
-
-    def test_commuting_case_zero_deviation(self):
-        h, e = commuting_pair()
-        probe = e.matrix[:, 0] / np.linalg.norm(e.matrix[:, 0])
-        for _, dev in continuous_measurement_compare(h, e, [5.0, 50.0], 1.0, [probe]):
-            assert dev < 1e-10
-
-    def test_rabi_against_two_level_diagonalization(self):
-        # oracle: exact eigensystem of [[0, 1], [1, K]]
-        h, e = rabi_pair()
-        psi = np.array([1.0, 0.0], dtype=complex)
-        t = 1.0
-        out = continuous_measurement_compare(h, e, [10.0, 100.0, 1000.0], t, [psi])
-        for k, dev in out:
-            disc = math.sqrt(k * k + 4.0)
-            lams = [(k - disc) / 2.0, (k + disc) / 2.0]
-            amp = np.zeros(2, dtype=complex)
-            for lam in lams:
-                v = np.array([1.0, lam], dtype=complex)
-                v /= np.linalg.norm(v)
-                amp += np.exp(1j * t * lam) * v * np.vdot(v, psi)
-            expected = float(np.linalg.norm(amp - psi))  # target is E psi = psi
-            assert abs(dev - expected) < 1e-10
-        devs = [dev for _, dev in out]
-        assert 0.05 <= devs[1] / devs[0] <= 0.2  # roughly 1/K
-        assert 0.05 <= devs[2] / devs[1] <= 0.2
-
-    def test_probe_outside_range_rejected(self):
-        h, e = rabi_pair()
-        with pytest.raises(ProbeOutsideRange):
-            continuous_measurement_compare(h, e, [10.0], 1.0, [np.array([0.0, 1.0])])
-
-
 class TestReducedDynamics:
     def test_zero_time_is_projection(self):
         rng = np.random.default_rng(4)
@@ -283,7 +241,7 @@ class TestReducedDynamics:
         h = random_hermitian_op(rng, 5)
         e = random_projection(rng, 5, 2)
         report = zeno_convergence_report(h, e, 0.9, ZenoSchedule((2, 4, 8)))
-        assert np.array_equal(report.target_matrix, reduced_dynamics(h, e, 0.9))
+        assert np.array_equal(report.target.matrix, reduced_dynamics(h, e, 0.9))
 
 
 class TestLimitProperties:
