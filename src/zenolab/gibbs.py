@@ -9,23 +9,29 @@ equilibria live, at r x r on the compressions Q*HQ, Q*AQ, Q*BQ and Q*rhoQ
 checks share one kernel, which runs wholly in H's eigenbasis: rho, A and B
 enter it once per pair, and each (pair, t) costs two ``heisenberg_evolve``
 calls on V*BV, each an elementwise phase multiply with no matrix product.
+A state is its eigenvector frame U and weights p: rho is formed only when
+read, and the reduced check takes Q*rhoQ from Q*U, forming nothing d x d.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonFinite, Overflow, ZeroRank
-from .numeric import EXP_LIMIT, tol
+from .errors import DimensionMismatch, NonFinite, Overflow, ZeroRank
+from .numeric import tol
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
+    _checked_time,
+    _freeze,
+    _from_spectrum,
     _matmul,
-    _violation,
     as_complex_matrix,
     as_matrix,
     check_dims,
@@ -47,31 +53,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class DensityState:
-    """Density matrix commuting with its reference Hamiltonian."""
+    """rho = U diag(p) U*, held as a frame U (dim x k) of orthonormal eigenvectors
+    of ``hamiltonian_ref`` and weights p, so it commutes with H by construction.
 
-    rho: np.ndarray
+    Construction checks the shapes and the weights: finite, p >= -1e-10 and
+    |sum p - 1| <= 1e-10. ``rho`` is formed and cached on first read.
+    """
+
+    frame: np.ndarray
+    weights: np.ndarray
     beta: float
     hamiltonian_ref: HermitianOperator
 
     def __post_init__(self):
-        r = self.rho
-        check_dims(self.hamiltonian_ref, as_matrix(r))
-        h = self.hamiltonian_ref.matrix
-        w = np.linalg.eigvalsh((r + r.conj().T) / 2.0)
-        if w.size and float(w[0]) < -tol(1e-10):
-            raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-        trace = float(np.trace(r).real)
-        if abs(trace - 1.0) > tol(1e-10):
+        u, p = self.frame, self.weights
+        dim = self.hamiltonian_ref.dim
+        if u.ndim != 2 or p.shape != u.shape[1:] or len(u) != dim:
+            raise DimensionMismatch(f"frame {u.shape} and weights {p.shape} do not fit dimension {dim}")
+        if p.size and float(p.min()) < -tol(1e-10):
+            raise ValueError(f"density matrix has negative eigenvalue {p.min():.3e}")
+        trace = float(np.sum(p))
+        if not abs(trace - 1.0) <= tol(1e-10):  # a nan or inf weight makes the trace non-finite
             raise ValueError(f"trace {trace!r} deviates from 1")
-        comm = _violation(_matmul(r, h) - _matmul(h, r), 1e-10, self.hamiltonian_ref.norm)
-        if comm is not None:
-            raise ValueError(f"state does not commute with its Hamiltonian: {comm:.3e}")
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        return self.frame.shape[0]
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return _freeze(_from_spectrum(self.frame, self.weights))
 
 
 def expectation(state: DensityState, a) -> complex:
@@ -81,17 +94,14 @@ def expectation(state: DensityState, a) -> complex:
 def gibbs_state(h: HermitianOperator, beta: float) -> DensityState:
     """exp(-beta H) / Tr exp(-beta H), shifted by the ground energy for safety.
 
-    beta = 0 yields the tracial state.
+    beta = 0 yields the tracial state; a level whose beta * gap overflows gets weight 0.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     w = h.eigenvalues
-    shifted = np.exp(-beta * (w - w[0]))
-    weights = shifted / np.sum(shifted)
-    v = h.eigenvectors
-    rho = (v * weights) @ v.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityState(rho, float(beta), h)
+    with np.errstate(over="ignore"):
+        shifted = np.exp(-beta * (w - w[0]))
+    return DensityState(h.eigenvectors, shifted / np.sum(shifted), float(beta), h)
 
 
 def _to_eigenbasis(h: HermitianOperator, a: np.ndarray) -> np.ndarray:
@@ -106,18 +116,13 @@ def heisenberg_evolve(h: HermitianOperator, a, z: complex, *, in_eigenbasis: boo
     With ``in_eigenbasis=True``, ``a`` is V*AV already (V the eigenvectors
     of H) and the result is V* tau_z(A) V = (V*AV) o outer(e^s, e^-s),
     s = iz(w - mid), with no matrix product; the default path takes that
-    array back by V. Raises NonFinite for a non-finite z, and Overflow when
-    |Im z| times the spectral spread would overflow.
+    array back by V. z is checked by ``_checked_time`` at the scale of the
+    spectral spread.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NonFinite("time argument must be finite")
+    z = _checked_time(z, h.spread)
     mat = as_complex_matrix(a)
     check_dims(h, mat)
-    if abs(z.imag) * h.spread > EXP_LIMIT:
-        raise Overflow(f"continuation exponent {abs(z.imag) * h.spread:.3e} exceeds {EXP_LIMIT}")
-    v = h.eigenvectors
-    w = h.eigenvalues
+    v, w = h.eigenvectors, h.eigenvalues
     in_basis = mat if in_eigenbasis else _to_eigenbasis(h, mat)
     # about the spectrum's midpoint neither factor exceeds exp(|Im z| spread / 2)
     s = 1j * z * (w - (w[0] + w[-1]) / 2.0) if w.size else w
@@ -155,8 +160,7 @@ def kms_residual(state: DensityState, a, b, t, beta: float):
     residual per time.
     """
     h = state.hamiltonian_ref
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
+    a, b = as_complex_matrix(a), as_complex_matrix(b)
     check_dims(h, a, b)
     if np.ndim(t) > 1:
         raise ValueError("t must be a time or a 1-D sequence of times")
@@ -181,24 +185,21 @@ def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
     ||A|| of an exactly Hermitian A (A == A* bit for bit, as every drawn
     observable is) is max |eigenvalue| from ``eigvalsh``, with no SVD; any
     other A takes ``operator_norm``. Raises Overflow when the exponential
-    exceeds double precision.
+    is not a finite double.
     """
-    try:
-        growth = math.exp(beta * h.spread)
-    except OverflowError:
-        raise Overflow(f"kms scale exponent {beta * h.spread:.3e} overflows exp") from None
-    return _observable_norm(a) * _observable_norm(b) * growth
+    exponent = beta * h.spread
+    if not exponent <= math.log(sys.float_info.max):  # a nan exponent too
+        raise Overflow(f"kms scale exponent {exponent:.3e} overflows exp")
+    return _observable_norm(a) * _observable_norm(b) * math.exp(exponent)
 
 
 def _compressed_gibbs(h: HermitianOperator, e: OrthogonalProjection, beta: float):
-    """The r x r generator Q*HQ, eigendecomposed, and its Gibbs density lifted to the full space."""
+    """The r x r generator Q*HQ, eigendecomposed, and its Gibbs weights with the frame QV of EHE."""
     check_dims(h, e)
     if e.rank < 1:
         raise ZeroRank("the compressed Gibbs state needs a projection of rank >= 1")
-    q = e.basis
-    generator = eigendecompose(_compress(h, q))
-    rho = q @ gibbs_state(generator, beta).rho @ q.conj().T
-    return generator, (rho + rho.conj().T) / 2.0
+    generator = eigendecompose(_compress(h, e.basis))
+    return generator, _matmul(e.basis, generator.eigenvectors), gibbs_state(generator, beta).weights
 
 
 def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float) -> DensityState:
@@ -207,9 +208,8 @@ def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float)
     The trace may be taken over the full space because the unnormalized
     density exp(-beta EHE) E already lives on range(E).
     """
-    generator, rho = _compressed_gibbs(h, e, beta)
-    q = e.basis
-    return DensityState(rho, float(beta), eigendecompose(q @ generator.matrix @ q.conj().T))
+    generator, frame, weights = _compressed_gibbs(h, e, beta)
+    return DensityState(frame, weights, float(beta), eigendecompose(e.basis @ generator.matrix @ e.basis.conj().T))
 
 
 @dataclass(frozen=True)
@@ -237,20 +237,19 @@ def reduced_kms_residual(
 
     It runs at r x r on Q*HQ, Q*AQ, Q*BQ and Q*rhoQ, Q = e.basis: under the
     flow of EHE, tau_z(EBE) = Q tau_z(Q*BQ) Q*, so this is exact for any state.
+    Any state, the default one too, enters as Q*rhoQ = (Q*U) diag(p) (Q*U)*
+    from its frame U and weights p, so nothing d x d is formed.
     """
     ts = [float(t) for t in t_grid]
     if not ts:
         raise ValueError("t_grid must hold at least one time")
-    generator, rho = _compressed_gibbs(h, e, beta)
+    generator, frame, weights = _compressed_gibbs(h, e, beta)
+    if state is not None:
+        frame, weights = state.frame, state.weights
     q = e.basis
-    rho = _matmul(q.conj().T, rho if state is None else state.rho) @ q
+    rho = _from_spectrum(_matmul(q.conj().T, frame), weights)
     worst, tested = 0.0, 0
     for tested, (a, b) in enumerate(pairs, 1):
         a_e, b_e = (q.conj().T @ as_complex_matrix(m) @ q for m in (a, b))
         worst = max(worst, *_kms_gaps(rho, generator, a_e, b_e, ts, beta))
-    return KMSReport(
-        pairs_tested=tested,
-        max_residual=worst,
-        t_range=(min(ts), max(ts)),
-        beta=float(beta),
-    )
+    return KMSReport(tested, worst, (min(ts), max(ts)), float(beta))

@@ -269,28 +269,26 @@ def eigendecompose(m) -> HermitianOperator:
     return HermitianOperator(_freeze(sym), _freeze(w), _freeze(v))
 
 
-def _require_phase_digits(z: complex, scale: float) -> None:
-    """Raise Overflow once |z| * scale * eps >= 1: rounding the phases z w,
-    |w| <= scale, then leaves them no correct digit."""
+def _checked_time(z: complex, scale: float) -> complex:
+    """z as a complex time at which exp(i z w), |w| <= scale, can be formed:
+    finite (else NonFinite), with |Im z| * scale <= EXP_LIMIT and |z| * scale
+    * eps < 1, past which the phases z w keep no correct digit (else Overflow)."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise NonFinite("time argument must be finite")
+    if abs(z.imag) * scale > EXP_LIMIT:
+        raise Overflow(f"continuation exponent {abs(z.imag) * scale:.3e} exceeds {EXP_LIMIT}")
     if abs(z) * scale * np.finfo(float).eps >= 1.0:
         raise Overflow(f"phase magnitude {abs(z) * scale:.3e} leaves no correct digit in exp(i z H)")
+    return z
 
 
 def phase_factors(h: HermitianOperator, z: complex) -> np.ndarray:
     """exp(i z w) over the eigenvalues w of H: exp(i z H) in its eigenbasis.
 
-    Raises Overflow if |Im z| * max|eigenvalue| would overflow the
-    exponential rather than clamping silently, and if |z| * max|eigenvalue|
-    * eps >= 1 (``_require_phase_digits``).
+    z is checked by ``_checked_time`` at the scale max|eigenvalue|.
     """
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise NonFinite("time argument must be finite")
-    norm = h.norm
-    if abs(z.imag) * norm > EXP_LIMIT:
-        raise Overflow(f"exp argument magnitude {abs(z.imag) * norm:.3e} exceeds {EXP_LIMIT}")
-    _require_phase_digits(z, norm)
-    return np.exp(1j * z * h.eigenvalues)
+    return np.exp(1j * _checked_time(z, h.norm) * h.eigenvalues)
 
 
 def evolve(h: HermitianOperator, z: complex) -> np.ndarray:
@@ -332,6 +330,12 @@ def expm(m) -> np.ndarray:
     return _expm_general(a)
 
 
+def _from_spectrum(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(w) V*, symmetrized."""
+    m = (v * w) @ v.conj().T
+    return (m + m.conj().T) / 2.0
+
+
 def psd_sqrt(h: HermitianOperator) -> HermitianOperator:
     """Positive square root of a PSD operator.
 
@@ -342,10 +346,7 @@ def psd_sqrt(h: HermitianOperator) -> HermitianOperator:
     if w.size and float(w[0]) < -tol(1e-10, h.norm):
         raise NotPSD(f"minimum eigenvalue {w[0]:.3e} is negative beyond tolerance")
     roots = np.sqrt(np.clip(w, 0.0, None))
-    v = h.eigenvectors
-    mat = (v * roots) @ v.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    return HermitianOperator(_freeze(mat), _freeze(roots), v)
+    return HermitianOperator(_freeze(_from_spectrum(h.eigenvectors, roots)), _freeze(roots), h.eigenvectors)
 
 
 def projection_from_span(vectors) -> OrthogonalProjection:

@@ -294,8 +294,8 @@ def parse_config(data: dict[str, Any], seed: int | None = None) -> ScenarioConfi
     # survival needs positive times; the KMS identity holds at any real t
     if "t_grid" in given:
         start, stop = options["t_grid"][:2]
-        if task == "gibbs" and not start < stop:
-            _fail("t_grid", "needs start < stop")
+        if task == "gibbs" and not (start < stop and math.isfinite(stop - start)):
+            _fail("t_grid", "needs start < stop and a finite span stop - start")
         if task != "gibbs" and not 0 < start < stop:
             _fail("t_grid", "needs 0 < start < stop")
     if "fit_window" in options and not options["fit_window"][0] < options["fit_window"][1]:

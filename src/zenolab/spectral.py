@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotNormalized, QuadratureFailure
 from .numeric import tol
-from .operators import HermitianOperator, _matmul, _require_phase_digits
+from .operators import HermitianOperator, _checked_time, _matmul
 
 __all__ = [
     "Classification",
@@ -150,7 +150,7 @@ class DiscreteMeasure(SpectralMeasure):
         return math.inf
 
     def phi(self, t: float) -> complex:
-        _require_phase_digits(t, self.support_radius)
+        _checked_time(t, self.support_radius)
         return complex(np.sum(self.weights * np.exp(-1j * t * self.atoms)))
 
     def median(self) -> float:

@@ -129,6 +129,27 @@ class TestExitCodes:
         assert main(["converge", "--config", config, "--out", str(tmp_path / "o"), "--seed", "-3", "--quiet"]) == 2
         assert capsys.readouterr().err.startswith("error: model.random.seed: must be >= 0")
 
+    @pytest.mark.parametrize("model", ["rabi: {}", "random: {dim: 6}"])
+    @pytest.mark.parametrize(
+        "extreme, message",
+        [
+            ("beta: 1.0e+308", "kms scale exponent inf"),
+            (f"beta: {sys.float_info.max!r}", "kms scale exponent inf"),
+            ("t_grid: [-1.0e+20, 1.0e+20, 3]", "no correct digit"),
+            ("t_grid: [-1.0e+300, 1.0e+300, 3]", "no correct digit"),
+            ("t_grid: [-1.0e+308, 1.0e+308, 3]", "error: t_grid: needs"),
+        ],
+    )
+    def test_extreme_gibbs_run_exits_two_without_a_warning(self, tmp_path, capsys, model, extreme, message):
+        """A huge beta overflows the KMS scale, huge times leave the phases no digit,
+        and a grid whose span overflows is a config error."""
+        config = write(tmp_path / "g.yaml", f"schema_version: 1\ntask: gibbs\nmodel:\n  {model}\npairs: 1\n{extreme}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gibbs", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
     def test_phases_without_a_correct_digit_exit_two(self, tmp_path, capsys):
         # t / n ~ 5e299 against eigenvalues +-1: the phases t w / n carry no digit
         config = write(tmp_path / "c.yaml", RABI_CONVERGE.replace("t: 1.0", "t: 1.0e+300"))

@@ -5,8 +5,9 @@ after printing a ``warning:`` line, and never prints a traceback, an
 ``error:`` line from the fallback for a builtin exception, or a numpy
 ``RuntimeWarning``. Valid values are drawn inside each key's bounds, with
 caps that keep every model and grid small, and reach the extremes the
-schema accepts: couplings from 1e-300 to 1e300, ``beta`` and ``t`` up to
-1e6, ``perturbation_norm`` and the band ends at their 1e6 caps, bands 1e-12
+schema accepts: couplings from 1e-300 to 1e300, ``t`` up to 1e6, ``beta``
+up to the largest double, gibbs ``t_grid`` ends up to +-1e308,
+``perturbation_norm`` and the band ends at their 1e6 caps, bands 1e-12
 wide, and an excited level one ulp inside a band edge. A broken config
 carries one fault: a value of the wrong type, out of bounds or not finite,
 or an unknown key.
@@ -16,6 +17,7 @@ import builtins
 import contextlib
 import io
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -48,11 +50,14 @@ def decades(lo: float, hi: float):
 EXTREMES = {
     "coupling_strength": decades(-300.0, 300.0) | st.sampled_from([1e-300, 1e300]),
     "t": decades(-3.0, 6.0) | st.sampled_from([-1e6, 1e6]),
-    "beta": decades(-3.0, 6.0) | st.just(1e6),
+    "beta": decades(-3.0, 308.0) | st.sampled_from([1e6, 1e308, sys.float_info.max]),
     "perturbation_norm": decades(-3.0, 6.0) | st.just(1e6),
     "band": st.sampled_from([[-1e6, 1e6], [-1e6, 0.0], [0.0, 1e6]])
     | st.floats(-FLOAT_SPAN, FLOAT_SPAN).map(lambda lo: [lo, lo + 1e-12]),
 }
+# gibbs grids [-a, b, num] with a and b up to 1e308, whose span may overflow
+GIBBS_END = decades(-3.0, 308.0) | st.just(1e308)
+GIBBS_T_GRID = st.tuples(GIBBS_END, GIBBS_END, st.integers(2, CAPS["t_grid"])).map(lambda v: [-v[0], v[1], v[2]])
 BUILTIN_ERRORS = [name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)]
 
 
@@ -137,7 +142,10 @@ def run_config(draw) -> dict:
         lo, hi = model["band"]
         # one ulp inside either band edge, or the midpoint of the band
         model["excited_energy"] = draw(st.sampled_from([math.nextafter(lo, hi), math.nextafter(hi, lo), (lo + hi) / 2]))
-    return {"task": task, "model": {kind: model}, **draw(fill(_TASK_SCHEMA[task], fault, extreme))}
+    options = draw(fill(_TASK_SCHEMA[task], fault, extreme))
+    if task == "gibbs" and extreme:
+        options["t_grid"] = draw(GIBBS_T_GRID)
+    return {"task": task, "model": {kind: model}, **options}
 
 
 @st.composite

@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -42,12 +45,54 @@ class TestGibbsState:
         state = gibbs_state(h, 50.0 / gap)
         assert state.rho[0, 0].real > 1.0 - 1e-8
 
+    @pytest.mark.parametrize("beta", [1e300, 1e308, sys.float_info.max])
+    def test_huge_beta_is_the_ground_state_without_a_warning(self, beta):
+        h = eigendecompose(np.diag([0.0, 0.3, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = gibbs_state(h, beta)
+        assert state.weights.tolist() == [1.0, 0.0, 0.0]
+
+    def test_holds_its_frame_and_weights_until_rho_is_read(self, monkeypatch):
+        h = random_hermitian_op(np.random.default_rng(21), 6)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        state = gibbs_state(h, 0.8)
+        assert "rho" not in state.__dict__ and state.frame is h.eigenvectors and state.dim == 6
+        v, p = h.eigenvectors, state.weights
+        rho = (v * p) @ v.conj().T
+        assert np.array_equal(state.rho, (rho + rho.conj().T) / 2.0) and state.rho is state.rho
+
+    def test_build_forms_nothing_d_by_d(self):
+        h, _ = model_and_compression({"random": {"dim": 200}})
+        tracemalloc.start()
+        try:
+            state = gibbs_state(h, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "rho" not in state.__dict__
+        assert peak < 0.1 * 200**2 * 16
+
 
 class TestKMSScale:
     def test_overflow_is_typed(self):
         h = eigendecompose(np.diag([0.0, 1.0]).astype(complex))
         with pytest.raises(Overflow, match="kms scale"):
             kms_scale(h, np.eye(2), np.eye(2), 1000.0)
+
+    @pytest.mark.parametrize("beta", [1e308, sys.float_info.max])
+    def test_infinite_exponent_is_typed(self, beta):
+        """beta * spread overflows to inf, where math.exp raises nothing."""
+        h = eigendecompose(np.diag([0.0, 2.0]).astype(complex))
+        with pytest.raises(Overflow, match="kms scale exponent inf"):
+            kms_scale(h, np.eye(2), np.eye(2), beta)
+
+    def test_largest_finite_exponent_is_kept(self):
+        h = eigendecompose(np.diag([0.0, 1.0]))
+        edge = math.log(sys.float_info.max)
+        assert kms_scale(h, np.eye(2), np.eye(2), edge) == math.exp(edge)
+        with pytest.raises(Overflow):
+            kms_scale(h, np.eye(2), np.eye(2), math.nextafter(edge, math.inf))
 
     def test_finite_scale_unchanged(self):
         h = eigendecompose(np.diag([0.0, 2.0]).astype(complex))
@@ -156,6 +201,17 @@ class TestHeisenbergEvolve:
         with pytest.raises(Overflow):
             heisenberg_evolve(h, np.eye(4), 0.3 - 701.0j / 4.5)
 
+    @pytest.mark.parametrize("in_eigenbasis", [False, True])
+    def test_time_with_no_phase_digit_raises(self, in_eigenbasis):
+        """|z| * spread * eps >= 1 raises, the rule of ``phase_factors``, with scale the spread."""
+        w = np.array([1000.0, 1001.0, 1004.0])  # spread 4, norm 1004
+        h = eigendecompose(np.diag(w))
+        edge = 1.0 / (4.0 * np.finfo(float).eps)
+        heisenberg_evolve(h, np.eye(3), 0.99 * edge, in_eigenbasis=in_eigenbasis)
+        for z in (1.01 * edge, -1.01 * edge, complex(1.01 * edge, 0.5), 1e300):
+            with pytest.raises(Overflow, match="no correct digit"):
+                heisenberg_evolve(h, np.eye(3), z, in_eigenbasis=in_eigenbasis)
+
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.nan, 1.0)])
     def test_non_finite_time_is_typed(self, z):
         h = random_hermitian_op(np.random.default_rng(4), 3)
@@ -197,6 +253,8 @@ class TestEigenbasisPath:
         h = eigendecompose(np.diag([0.0, 200.0]).astype(complex))
         with pytest.raises(Overflow):
             heisenberg_evolve(h, np.eye(2), 4j, in_eigenbasis=True)
+        with pytest.raises(Overflow, match="no correct digit"):
+            heisenberg_evolve(h, np.eye(2), 1e20, in_eigenbasis=True)
         with pytest.raises(DimensionMismatch):
             heisenberg_evolve(h, np.eye(3), 0.5, in_eigenbasis=True)
         with pytest.raises(NonFinite):
@@ -300,10 +358,13 @@ class TestKMSResidual:
 
     def test_state_of_the_wrong_size_is_typed(self):
         h = random_hermitian_op(np.random.default_rng(6), 4)
+        v = h.eigenvectors
         with pytest.raises(DimensionMismatch):
-            DensityState(np.eye(3, dtype=complex) / 3.0, 1.0, h)
+            DensityState(v[:3], np.ones(4) / 4.0, 1.0, h)
         with pytest.raises(DimensionMismatch):
-            DensityState(np.ones((4, 3), dtype=complex) / 3.0, 1.0, h)
+            DensityState(v[:, :3], np.ones(4) / 4.0, 1.0, h)
+        with pytest.raises(DimensionMismatch):
+            DensityState(v[:, 0], np.ones(1), 1.0, h)
 
     def test_gibbs_stationarity(self):
         rng = np.random.default_rng(7)
@@ -411,6 +472,16 @@ class TestReducedKMS:
         )
         run_scenario(config, out_dir=tmp_path)
         assert len(calls) == 2
+
+    def test_reduced_check_forms_nothing_d_by_d(self):
+        h, e = model_and_compression({"random": {"dim": 200, "rank_e": 2}})
+        tracemalloc.start()
+        try:
+            reduced_kms_residual(h, e, 1.0, [], [0.5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200**2 * 16
 
     def test_reduced_residual_reuses_the_state_generator(self):
         rng = np.random.default_rng(16)
@@ -646,3 +717,10 @@ class TestGibbsTimeGrid:
         data = {"schema_version": 1, "task": task, "model": {"friedrichs": {"n_modes": 12}}, "t_grid": grid}
         with pytest.raises(ConfigError, match="^t_grid: needs"):
             parse_config(data)
+
+    @pytest.mark.parametrize("grid", [[-1e308, 1e308, 3], [-sys.float_info.max, 1e300, 2]])
+    def test_grid_whose_span_overflows_is_a_config_error(self, grid):
+        data = {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 6}}, "t_grid": grid}
+        with pytest.raises(ConfigError, match="^t_grid: needs start < stop and a finite span"):
+            parse_config(data)
+        parse_config({**data, "t_grid": [-8e307, 8e307, 3]})

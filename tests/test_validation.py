@@ -9,7 +9,8 @@ The HermitianOperator checks are covered twice: on complex data and on data
 with an exactly zero imaginary part, which they check in real arithmetic. A
 projection built from a matrix P is covered by the self-adjointness and
 idempotence checks of ``reference.projection_from_matrix``; one built from
-a basis Q by its one check, ||Q*Q - I||.
+a basis Q by its one check, ||Q*Q - I||. A density state's only checks
+are scalar, on its weights, and are placed at the same ratios.
 
 The real solver path stores float64 arrays; every consumer of them is
 compared with the same matrix taken through the complex solver.
@@ -136,21 +137,6 @@ def _basis_only_orthonormality(ratio):
     return (lambda: OrthogonalProjection(q)), gram - np.eye(K), tol(1e-10, operator_norm(gram)), ValueError
 
 
-def _density_commutator(ratio):
-    # Z couples eigenvector pairs (2m, 2m+1) so that [Z, H] has K singular values c
-    q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
-    h = HermitianOperator(_hermitian(q, w), w, q)
-    weights = np.exp(-0.5 * w) / np.sum(np.exp(-0.5 * w))
-    c = ratio * tol(1e-10, h.norm)
-    z = np.zeros((DIM, DIM))
-    for i in range(0, K, 2):
-        z[i, i + 1] = z[i + 1, i] = c / (w[i + 1] - w[i])
-    rho = _hermitian(q, weights) + q @ z @ q.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    hm = h.matrix
-    return (lambda: DensityState(rho, 0.5, h)), rho @ hm - hm @ rho, tol(1e-10, h.norm), ValueError
-
-
 CHECKS = {
     "eigendecompose.hermiticity": _eigendecompose_hermiticity,
     "HermitianOperator.hermiticity": _operator_hermiticity,
@@ -162,7 +148,6 @@ CHECKS = {
     "OrthogonalProjection.self_adjoint": _projection_self_adjoint,
     "OrthogonalProjection.idempotence": _projection_idempotence,
     "OrthogonalProjection.basis_only_orthonormality": _basis_only_orthonormality,
-    "DensityState.commutator": _density_commutator,
 }
 
 
@@ -179,6 +164,32 @@ def test_screened_verdict_matches_exact_rule(check, ratio):
             construct()
     else:
         construct()
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("defect", ["negative-weight", "trace-above", "trace-below"])
+def test_density_weight_checks_are_two_sided(defect, ratio):
+    """A state's only checks are on its weights: p >= -1e-10 and |sum p - 1| <= 1e-10."""
+    q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
+    h = HermitianOperator(_hermitian(q, w), w, q)
+    c = ratio * tol(1e-10)
+    p = {
+        "negative-weight": np.array([-c, 0.5 + c, 0.5]),
+        "trace-above": np.array([0.25, 0.75 + c, 0.0]),
+        "trace-below": np.array([0.25, 0.75 - c, 0.0]),
+    }[defect]
+    if ratio > 1.0:
+        with pytest.raises(ValueError, match="negative" if defect == "negative-weight" else "trace"):
+            DensityState(q[:, :3], p, 0.5, h)
+    else:
+        DensityState(q[:, :3], p, 0.5, h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_weights_must_be_finite(bad):
+    q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
+    with pytest.raises(ValueError):
+        DensityState(q[:, :2], np.array([1.0, bad]), 0.5, HermitianOperator(_hermitian(q, w), w, q))
 
 
 @pytest.mark.parametrize("check", ["eigendecompose.hermiticity", "HermitianOperator.hermiticity"])
