@@ -40,6 +40,7 @@ from .gibbs import (
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
+    arrowhead_eigendecompose,
     eigendecompose,
     evolve,
     expm,

@@ -31,12 +31,11 @@ from .operators import (
     _checked_time,
     _freeze,
     _from_spectrum,
+    _hermitian_norm,
     _matmul,
     as_complex_matrix,
-    as_matrix,
     check_dims,
     eigendecompose,
-    operator_norm,
 )
 from .zeno import _compress
 
@@ -171,26 +170,17 @@ def kms_residual(state: DensityState, a, b, t, beta: float):
     return gaps[0] if np.ndim(t) == 0 else np.array(gaps)
 
 
-def _observable_norm(m) -> float:
-    """||M||_2: max |eigenvalue| when M is exactly Hermitian, else ``operator_norm``."""
-    a = as_matrix(m, square=False)
-    if a.size and np.array_equal(a, a.conj().T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return operator_norm(a)
-
-
 def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
     """Conditioning scale of the boundary check: ||A|| ||B|| exp(beta * spread).
 
-    ||A|| of an exactly Hermitian A (A == A* bit for bit, as every drawn
-    observable is) is max |eigenvalue| from ``eigvalsh``, with no SVD; any
-    other A takes ``operator_norm``. Raises Overflow when the exponential
-    is not a finite double.
+    ||A|| and ||B|| come from ``_hermitian_norm``: max |eigenvalue| from
+    ``eigvalsh`` for an exactly Hermitian draw, as every drawn observable
+    is. Raises Overflow when the exponential is not a finite double.
     """
     exponent = beta * h.spread
     if not exponent <= math.log(sys.float_info.max):  # a nan exponent too
         raise Overflow(f"kms scale exponent {exponent:.3e} overflows exp")
-    return _observable_norm(a) * _observable_norm(b) * math.exp(exponent)
+    return _hermitian_norm(a) * _hermitian_norm(b) * math.exp(exponent)
 
 
 def _compressed_gibbs(h: HermitianOperator, e: OrthogonalProjection, beta: float):

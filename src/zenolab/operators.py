@@ -1,7 +1,8 @@
 """Dense operator algebra, real where the data are real.
 
-Hermitian eigendecomposition with cached spectra, matrix exponentials for
-real and complex time, operator norms, PSD square roots, and orthogonal
+Hermitian eigendecomposition with cached spectra (by the dense solver, or
+for an arrowhead from its secular equation), matrix exponentials for real
+and complex time, operator norms, PSD square roots, and orthogonal
 projections built from spanning sets. Everything is immutable after
 construction and safe for concurrent read-only use. scipy.linalg is
 imported inside ``expm``, by the non-Hermitian branches that call it.
@@ -29,6 +30,7 @@ from .numeric import EXP_LIMIT, tol
 __all__ = [
     "HermitianOperator",
     "OrthogonalProjection",
+    "arrowhead_eigendecompose",
     "eigendecompose",
     "evolve",
     "expm",
@@ -109,6 +111,15 @@ def operator_norm(m) -> float:
     gram = a @ a.conj().T if rows < cols else a.conj().T @ a
     # the top eigenvalue is at least the largest diagonal entry, >= 1 after the scaling
     return scale * float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+
+
+def _hermitian_norm(m) -> float:
+    """||M||_2: max |eigenvalue| from ``eigvalsh`` when M is exactly Hermitian
+    (M == M* bit for bit), with no SVD; any other M takes ``operator_norm``."""
+    a = as_matrix(m, square=False)
+    if a.size and np.array_equal(a, a.conj().T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    return operator_norm(a)
 
 
 # Rounding in the two norms can differ by a few ulps times the dimension; a
@@ -248,17 +259,13 @@ def eigendecompose(m) -> HermitianOperator:
     NonFinite on NaN/Inf entries. A real matrix, or a complex one whose
     symmetrised form has an exactly zero imaginary part, goes through the
     real symmetric solver and is never promoted to complex: the symmetrised
-    matrix and the eigenvectors are stored as float64. A read-only input that
-    is exactly Hermitian is its own symmetrisation and is stored uncopied.
+    matrix and the eigenvectors are stored as float64.
     """
     a = as_matrix(m)
     defect = _violation(a - a.conj().T, 1e-12, _column_norm_bound(a), lambda: operator_norm(a))
     if defect is not None:
         raise NotHermitian(f"matrix is not Hermitian: defect {defect:.3e}")
-    if a.flags.writeable or not np.array_equal(a, a.conj().T):
-        sym = (a + a.conj().T) / 2.0
-    else:
-        sym = a
+    sym = (a + a.conj().T) / 2.0
     if _is_real(sym):
         sym = np.ascontiguousarray(sym.real)
     if a.size:
@@ -267,6 +274,244 @@ def eigendecompose(m) -> HermitianOperator:
         w = np.zeros(0)
         v = np.zeros((0, 0), dtype=sym.dtype)
     return HermitianOperator(_freeze(sym), _freeze(w), _freeze(v))
+
+
+_EPS = float(np.finfo(float).eps)
+_BLOCK = 96  # rows per block of the O(d^2) secular passes, so each temporary is 96 x d
+_RATIONAL_STEPS = 60  # past this, a root still open takes bisection steps only
+
+
+def arrowhead_eigendecompose(diagonal, couplings) -> HermitianOperator:
+    """Eigendecompose the real arrowhead H = [[a, g*], [g, diag(w)]] in O(d^2).
+
+    ``diagonal`` is (a, w_1, ..., w_n) and ``couplings`` is g. The
+    eigenvalues are the roots of f(x) = x - a + sum_j g_j^2 / (w_j - x),
+    one below the poles w, one in each gap and one above. Each root is
+    held as its nearer pole plus an offset and found by ``_secular_roots``.
+    The eigenvectors [1; h_j / (x_k - w_j)], normalised, use couplings h
+    recomputed from the roots (Gu and Eisenstat), so they are orthonormal
+    to working precision (``_secular_vectors``). The problem is first
+    scaled by a power of two and deflated: a coupling within 8 eps ||H|| of
+    zero gives the exact pair (w_j, e_j), and two poles closer than that
+    tolerance allows are merged by a Givens rotation. The result is a plain
+    ``HermitianOperator`` holding the dense matrix, and its construction
+    runs the usual dense checks.
+    """
+    diag = np.asarray(diagonal, dtype=float)
+    g = np.asarray(couplings, dtype=float)
+    if diag.ndim != 1 or not diag.size or g.shape != (diag.size - 1,):
+        raise DimensionMismatch(f"an arrowhead needs n + 1 diagonal entries and n couplings, got {diag.shape}, {g.shape}")
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(g))):
+        raise NonFinite("arrowhead entries must be finite")
+    dim = diag.size
+    matrix = np.diag(diag)
+    matrix[0, 1:] = g
+    matrix[1:, 0] = g
+    # an exact power-of-two scaling to largest entry in [1/2, 1): no square overflows or underflows
+    shift = -int(np.frexp(max(np.max(np.abs(diag)), np.max(np.abs(g), initial=0.0)))[1])
+    head = float(np.ldexp(diag[0], shift))
+    order = np.argsort(diag[1:], kind="stable")
+    poles, z = np.ldexp(diag[1:][order], shift), np.ldexp(g[order], shift)
+    tol = 8.0 * _EPS * max(abs(head), np.max(np.abs(poles), initial=0.0), np.max(np.abs(z), initial=0.0))
+
+    with np.errstate(all="ignore"):
+        live = np.abs(z) > tol
+        rotations = _merge_close_poles(poles, z, live, tol)
+        kept = np.flatnonzero(live)
+        base, tau = _secular_roots(head, poles[kept], z[kept] ** 2)
+        # the secular block: rows 0 and 1 + kept, one column per root
+        block = np.empty((kept.size + 1, kept.size + 1))
+        _secular_vectors(poles[kept], z[kept], base, tau, block)
+    values = base + tau  # ascending
+    vectors = block
+    if kept.size < dim - 1:
+        values = np.concatenate([values, poles[~live]])
+        vectors = np.zeros((dim, dim))
+        vectors[np.ix_(np.concatenate([[0], 1 + kept]), np.arange(kept.size + 1))] = block
+        vectors[1 + np.flatnonzero(~live), np.arange(kept.size + 1, dim)] = 1.0
+        for p, j, c, s in reversed(rotations):  # u_p = c e_p - s e_j, u_j = s e_p + c e_j
+            vp, vj = vectors[1 + p].copy(), vectors[1 + j].copy()
+            vectors[1 + p] = c * vp + s * vj
+            vectors[1 + j] = c * vj - s * vp
+        columns = np.argsort(values, kind="stable")
+        values, vectors = values[columns], vectors[:, columns]
+    if np.any(order != np.arange(dim - 1)):
+        vectors[1 + order] = vectors[1:].copy()
+    values = np.ldexp(values, -shift)
+    return HermitianOperator(_freeze(matrix), _freeze(values), _freeze(vectors))
+
+
+def _merge_close_poles(poles: np.ndarray, z: np.ndarray, live: np.ndarray, tol: float) -> list:
+    """Deflate each live pole that a Givens rotation can fold into the next one (dlaed2's rule).
+
+    Consecutive live poles w_p < w_j with couplings z_p, z_j are replaced
+    by u_p = c e_p - s e_j (c = z_j / r, s = z_p / r, r = |(z_p, z_j)|), which
+    carries no coupling, and u_j = s e_p + c e_j, which carries r; the
+    dropped entry is c s (w_j - w_p), merged when at most ``tol``. Updates
+    ``poles``, ``z`` and ``live`` in place and returns the rotations in order.
+    """
+    idx = np.flatnonzero(live)
+    t, zp, zj = np.diff(poles[idx]), z[idx[:-1]], z[idx[1:]]
+    if not np.any(np.abs(t * zp * zj) <= tol * (zp * zp + zj * zj)):
+        return []  # no first merge, so none at all
+    rotations = []
+    p = idx[0]
+    for j in idx[1:]:
+        r = math.hypot(z[p], z[j])
+        c, s = z[j] / r, z[p] / r
+        wp, wj = poles[p], poles[j]
+        if abs((wj - wp) * c * s) <= tol:
+            poles[p] = min(max(c * c * wp + s * s * wj, wp), wj)
+            poles[j] = min(max(s * s * wp + c * c * wj, wp), wj)
+            z[p], z[j], live[p] = 0.0, r, False
+            rotations.append((p, j, c, s))
+        p = j
+    return rotations
+
+
+def _secular_sums(poles: np.ndarray, z2: np.ndarray, origin: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Rows sum z2 R, sum_left z2 R^2, sum_right z2 R^2 and sum z2 |R|, R_j = 1 / (w_j - x), x = w_origin + tau.
+
+    w_j - x is formed as (w_j - w_origin) - tau, so it keeps its relative
+    accuracy next to the origin pole. The poles left of x (R < 0) and right
+    of it are summed apart, so neither side's share is lost to the other's.
+    """
+    out = np.empty((4, tau.size))
+    for start in range(0, tau.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        r = poles - poles[origin[rows], None]
+        r -= tau[rows, None]
+        np.reciprocal(r, out=r)
+        out[0, rows] = r @ z2
+        a = np.abs(r)
+        out[3, rows] = a @ z2
+        right = a + r  # 2 max(R, 0), exactly
+        a -= r  # 2 max(-R, 0)
+        a *= a
+        right *= right
+        out[1, rows] = 0.25 * (a @ z2)
+        out[2, rows] = 0.25 * (right @ z2)
+    return out
+
+
+def _secular_roots(head: float, poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m + 1 roots of f(x) = x - head + sum_j z2_j / (w_j - x) for ascending poles w.
+
+    Root k lies between poles k - 1 and k; the outer two lie within |z| of
+    min(head, w_0) and max(head, w_m-1) (Weyl), and their brackets reach
+    twice that far, so no root sits on an unevaluated bracket end. Each root
+    is returned as w_origin[k] + tau[k], with origin its nearer pole, picked
+    by the sign of f at the gap's midpoint. All roots iterate in one
+    vectorised loop. Each step fits the two-pole model of Li's middle way to
+    f and f' and takes its root, as a correction to the iterate or, when it
+    lies much nearer the origin pole, as an offset from that pole, where
+    the small root carries no cancellation. A step that leaves the root's
+    bracket is a bisection, and after ``_RATIONAL_STEPS`` every step is. A
+    root stops when |f| <= 8 eps (|w_origin - head| + |tau| + sum |z2_j /
+    (w_j - x)|), or when no double lies inside its bracket, so every root
+    stops.
+    """
+    m = poles.size
+    if not m:
+        return np.zeros(1), np.array([head])
+    k = np.arange(m + 1)
+    gap = np.diff(poles)
+    reach = math.sqrt(float(np.sum(z2)))
+    # start each root in the frame of its left pole (pole 0 for root 0), at its bracket's midpoint
+    origin = np.clip(k - 1, 0, m - 1)
+    lo = np.concatenate([[min(head - poles[0], 0.0) - 2.0 * reach], np.zeros(m)])
+    hi = np.concatenate([[0.0], gap, [max(head - poles[-1], 0.0) + 2.0 * reach]])
+    tau = 0.5 * (lo + hi)
+    left, right = origin, np.minimum(k, m - 1)  # neighbour poles, masked at the ends
+    active, step = k, 0
+    while active.size:
+        o, t = origin[active], tau[active]
+        s1, s2_left, s2_right, s4 = _secular_sums(poles, z2, o, t)
+        if not step:
+            # a root right of its gap's midpoint moves to the frame of its right pole
+            flip = ((poles[o] - head) + t + s1 < 0) & (k > 0) & (k < m)
+            move = np.where(flip, hi, 0.0)  # the gap
+            origin, tau, lo, hi = origin + flip, tau - move, lo - move, hi - move
+            o, t = origin, tau
+        f = (poles[o] - head) + t + s1
+        lo_a = np.where(f < 0, t, lo[active])
+        hi_a = np.where(f > 0, t, hi[active])
+        mid = 0.5 * (lo_a + hi_a)
+        done = (np.abs(f) <= 8.0 * _EPS * (np.abs(poles[o] - head) + np.abs(t) + s4)) | (mid <= lo_a) | (mid >= hi_a)
+        # Li's middle way: the model c + s / (wl - y) + r / (wr - y) through f and f' at the
+        # iterate, with the linear term riding on the far side (as a pole at -inf for root 0,
+        # at +inf for root m); each side's coefficient matches that side's part of f'
+        dl, dr = poles[left[active]] - poles[o], poles[right[active]] - poles[o]  # one is 0
+        gl, gr = dl - t, dr - t  # the iterate's distances to the neighbour poles
+        lin_left = o == active  # the origin is the right neighbour
+        d_left, d_right = lin_left + s2_left, ~lin_left + s2_right
+        # its root as a correction to t, accurate near convergence
+        inv_l = np.where(active > 0, 1.0 / gl, 0.0)
+        inv_r = np.where(active < m, 1.0 / gr, 0.0)
+        qa = f * inv_l * inv_r - d_left * inv_r - d_right * inv_l
+        step_to = t + _root_between(qa, f * (inv_l + inv_r) - d_left - d_right, f, lo_a - t, hi_a - t)
+        # and as an offset from the origin pole, accurate when it lies much nearer to it than t
+        outer = (active == 0) | (active == m)
+        c = f - gl * d_left - gr * d_right
+        sl, sr, w = gl * gl * d_left, gr * gr * d_right, t * t * (s2_left + s2_right)
+        jump_to = _root_between(
+            np.where(outer, 1.0, c),
+            np.where(outer, t - f - w / t, c * (dl + dr) + sl + sr),
+            np.where(outer, -w, sl * dr + sr * dl),
+            lo_a,
+            hi_a,
+        )
+        new = np.where(np.abs(jump_to) < 0.5 * np.abs(t), jump_to, step_to)
+        bisect = ~((new > lo_a) & (new < hi_a)) | (step >= _RATIONAL_STEPS)
+        tau[active] = np.where(done, t, np.where(bisect, mid, new))
+        lo[active], hi[active] = lo_a, hi_a
+        active, step = active[~done], step + 1
+    return poles[origin], tau
+
+
+def _root_between(a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The root of a y^2 - b y + c = 0 inside (lo, hi), else nan; both roots are formed without cancellation."""
+    q = 0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+    y1, y2 = q / a, c / q
+    return np.where((y1 > lo) & (y1 < hi), y1, np.where((y2 > lo) & (y2 < hi), y2, np.nan))
+
+
+def _secular_vectors(poles: np.ndarray, z: np.ndarray, base: np.ndarray, tau: np.ndarray, out: np.ndarray) -> None:
+    """Orthonormal eigenvectors of the arrowhead from its roots x_k = base_k + tau_k, into ``out``.
+
+    The couplings are recomputed from the roots, h_j^2 = -prod_k (x_k - w_j)
+    / prod_{i != j} (w_i - w_j), as products of ratios in (0, 1): pole
+    i < j over root i + 1, pole i > j over root i, and the outer roots'
+    two factors apart. Column k of ``out`` is [1; h_j / (x_k - w_j)] over
+    its norm, with h_j taking the sign of z_j; the norms are summed
+    pairwise, so the first row's weights sum to 1 as closely as ``eigh``'s.
+    """
+    m = poles.size
+    out[0] = 1.0
+    cols = np.arange(m)
+    starts = range(0, m, _BLOCK)
+    squares = np.ones((len(starts) + 1, m + 1))  # row 0 is out[0] squared
+    for b, start in enumerate(starts, 1):
+        stop = min(start + _BLOCK, m)
+        rows = np.arange(start, stop)
+        dist = (base - poles[rows, None]) + tau  # x_k - w_j
+        ratio = np.where(cols < rows[:, None], dist[:, 1:], dist[:, :-1]) / (poles - poles[rows, None])
+        ratio[np.arange(rows.size), rows] = 1.0
+        h = np.sqrt(-dist[:, 0] * dist[:, m] * np.prod(ratio, axis=1))
+        block = out[1 + start : 1 + stop]
+        np.divide(np.copysign(h, z[rows])[:, None], dist, out=block)
+        squares[b] = _sum_rows(block * block)
+    out /= np.sqrt(_sum_rows(squares))
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Column sums by pairwise halving over the rows (overwrites ``a``): O(log n) rounding, not O(n)."""
+    n = a.shape[0]
+    while n > 1:
+        half = n // 2
+        a[:half] += a[n - half : n]
+        n -= half
+    return a[0]
 
 
 def _checked_time(z: complex, scale: float) -> complex:

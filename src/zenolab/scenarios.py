@@ -43,6 +43,8 @@ from .operators import (
     HermitianOperator,
     OrthogonalProjection,
     _freeze,
+    _hermitian_norm,
+    arrowhead_eigendecompose,
     eigendecompose,
     operator_norm,
     projection_from_span,
@@ -361,7 +363,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         m = config.model
         rng = np.random.default_rng(m["seed"])
         raw = _random_hermitian(rng, m["dim"])
-        raw /= max(operator_norm(raw), 1e-300)
+        raw /= max(_hermitian_norm(raw), 1e-300)
         h = eigendecompose(raw)
         e = _random_projection(rng, m["dim"], m["rank_e"])
         q = e.basis
@@ -405,17 +407,11 @@ def _build_friedrichs(m: dict[str, Any]) -> Scenario:
     if not 0.0 < golden < math.inf:
         _fail("model.friedrichs.coupling_strength", f"golden-rule rate {golden} is not positive and finite at {g0!r}")
 
-    dim = n + 1
-    hmat = np.zeros((dim, dim))
-    hmat[0, 0] = eps
-    hmat[1:, 1:] = np.diag(omegas)
-    hmat[0, 1:] = couplings
-    hmat[1:, 0] = couplings
-    h = eigendecompose(_freeze(hmat))  # read-only, so stored uncopied
+    h = arrowhead_eigendecompose(np.concatenate([[eps], omegas]), couplings)
 
-    psi = np.zeros(dim, dtype=complex)
+    psi = np.zeros(n + 1, dtype=complex)
     psi[0] = 1.0
-    e = projection_from_span([psi])
+    e = OrthogonalProjection(_freeze(np.eye(n + 1, 1, dtype=complex)))  # range(E) is spanned by psi
 
     heis = 2.0 * math.pi * density  # mean mode spacing sets the recurrence scale
     t_hi = min(0.45 * heis, 3.0 / golden)
@@ -437,10 +433,10 @@ def _build_perturbed(m: dict[str, Any]) -> Scenario:
     h0 = np.zeros((dim, dim), dtype=complex)
     h0[:rank, :rank] = block_top
     h0[rank:, rank:] = block_bottom
-    h0 /= max(operator_norm(h0), 1e-300)
+    h0 /= max(_hermitian_norm(h0), 1e-300)
 
     p = _random_hermitian(rng, dim)
-    p *= m["perturbation_norm"] / max(operator_norm(p), 1e-300)
+    p *= m["perturbation_norm"] / max(_hermitian_norm(p), 1e-300)
 
     basis = np.eye(dim, dtype=complex)
     e = projection_from_span([basis[:, i] for i in range(rank)])
@@ -551,16 +547,27 @@ def run_scenario(config: ScenarioConfig, out_dir=None) -> RunReport:
 
     The scenario is built once and handed to the task, which returns its
     tables; they are written only after it returns, so a run that raises
-    writes no CSV. A sweep runs each of its runs through here in turn.
+    writes no CSV. A sweep runs each of its runs in turn, and a run whose
+    model equals the previous run's reuses that run's scenario, since a
+    build reads only the model.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.output_path)
-    if config.task == "sweep":
-        reports = [run_scenario(sub, out / f"run_{i:03d}") for i, sub in enumerate(config.runs)]
-        headline = {f"run_{i:03d}": r.headline for i, r in enumerate(reports)}
-        warnings = [f"run_{i:03d}: {w}" for i, r in enumerate(reports) for w in r.warnings]
-        paths = [p for r in reports for p in r.csv_paths]
-        return RunReport(config.raw, "sweep", headline, tuple(warnings), tuple(paths))
-    tables, headline, warnings = _TASKS[config.task](config, build_scenario(config))
+    if config.task != "sweep":
+        return _run_task(config, build_scenario(config), out)
+    reports, model, scen = [], None, None
+    for i, sub in enumerate(config.runs):
+        if (sub.model_kind, sub.model) != model:
+            model, scen = (sub.model_kind, sub.model), build_scenario(sub)
+        reports.append(_run_task(sub, scen, out / f"run_{i:03d}"))
+    headline = {f"run_{i:03d}": r.headline for i, r in enumerate(reports)}
+    warnings = [f"run_{i:03d}: {w}" for i, r in enumerate(reports) for w in r.warnings]
+    paths = [p for r in reports for p in r.csv_paths]
+    return RunReport(config.raw, "sweep", headline, tuple(warnings), tuple(paths))
+
+
+def _run_task(config: ScenarioConfig, scen: Scenario, out: Path) -> RunReport:
+    """One task on a built scenario: its tables written under ``out`` and its report."""
+    tables, headline, warnings = _TASKS[config.task](config, scen)
     paths = tuple(str(out / name) for name in tables)
     for table, path in zip(tables.values(), paths):
         emit_csv(table, path)

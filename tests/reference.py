@@ -4,9 +4,10 @@ The library works in range(E) through an orthonormal basis Q and in H's
 eigenbasis V, and forms nothing d x d that it can avoid. Each function here
 is the plain formula on the full space: E_perp as a projection, the step
 PUP, UP or PU raised to the n-th power, the limit exp(itEHE)E from the
-d x d EHE, the leakage ||E_perp U(t) E||, and the KMS residual loop over
-tau_z(B) = V (V*BV o phases) V*. The equivalence tests import them from
-here, so each dense definition exists once.
+d x d EHE, the leakage ||E_perp U(t) E||, the KMS residual loop over
+tau_z(B) = V (V*BV o phases) V*, and the dense ``eigh`` of the Friedrichs
+arrowhead. The equivalence tests import them from here, so each dense
+definition exists once.
 """
 
 from functools import cache
@@ -97,3 +98,16 @@ def dense_reduced_gaps(h, e, beta, pairs, ts, rho):
 
 def dense_reduced_residual(h, e, beta, pairs, ts, rho):
     return max(max(row) for row in dense_reduced_gaps(h, e, beta, pairs, ts, rho))
+
+
+def arrowhead_matrix(diagonal, couplings) -> np.ndarray:
+    """The real arrowhead [[a, g*], [g, diag(w)]] of diagonal (a, w) and couplings g."""
+    h = np.diag(np.asarray(diagonal, dtype=float))
+    h[0, 1:] = couplings
+    h[1:, 0] = couplings
+    return h
+
+
+def dense_arrowhead(diagonal, couplings):
+    """(eigenvalues, eigenvectors) of the arrowhead by the dense O(d^3) ``np.linalg.eigh``."""
+    return np.linalg.eigh(arrowhead_matrix(diagonal, couplings))

@@ -1,0 +1,145 @@
+"""The Friedrichs arrowhead solved from its secular equation, against the dense ``eigh``.
+
+``arrowhead_eigendecompose`` finds the roots of f(x) = x - a + sum g_j^2 /
+(w_j - x) and builds the eigenvectors from couplings recomputed from those
+roots. Each case compares its eigenvalues, its first row of weights
+|V_0k|^2 (what survival and classify read) and its eigenvectors, up to
+column sign, with ``reference.dense_arrowhead``, and checks three
+properties of the result alone: orthonormality, the couplings g-hat of
+V diag(x) V* against g, and the trace sum x = tr H. An eigenvector and its
+weight are compared within the Davis-Kahan bound, eps ||H|| over the
+eigenvalue's gap, so a cluster's vectors, which no solver fixes, are held
+only to the three properties. The grid crosses mode counts, profiles, excited levels inside
+the band, outside it and one ulp inside an edge, and couplings from 1e-150
+to 1e3; a band 1e-12 wide makes the poles coincide to within rounding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import zenolab.operators
+from reference import arrowhead_matrix, dense_arrowhead
+from zenolab.errors import DimensionMismatch, NonFinite
+from zenolab.operators import HermitianOperator, arrowhead_eigendecompose
+
+EPS = np.finfo(float).eps
+BAND = (-2.0, 2.0)
+LEVELS = {"inside": -0.7, "outside": 3.5, "edge": math.nextafter(BAND[0], BAND[1])}
+COUPLINGS = (1e-150, 1e-40, 1.0, 1e3)
+
+
+def friedrichs(n, profile="flat", level=-0.7, strength=0.05, band=BAND):
+    """(diagonal, couplings) of the Friedrichs model as the scenario builder lays it out."""
+    lo, hi = band
+    width = hi - lo
+    omegas = lo + (np.arange(n) + 0.5) * width / n
+    shape = np.ones(n) if profile == "flat" else np.exp(-((omegas - (lo + hi) / 2) ** 2) / (2 * (width / 8) ** 2))
+    return np.concatenate([[level], omegas]), strength * math.sqrt(width / n) * shape
+
+
+def check_against_dense(diagonal, couplings) -> HermitianOperator:
+    h = arrowhead_eigendecompose(diagonal, couplings)
+    w, v = dense_arrowhead(diagonal, couplings)
+    x, u = h.eigenvalues, h.eigenvectors
+    scale = max(np.max(np.abs(w)), np.finfo(float).tiny)
+    assert h.matrix.dtype == u.dtype == np.float64
+    np.testing.assert_array_equal(h.matrix, arrowhead_matrix(diagonal, couplings))
+    assert np.max(np.abs(x - w)) <= 16 * EPS * scale
+    # each eigenvector, and so its weight |V_0k|^2, within its Davis-Kahan bound, up to sign
+    spacing = np.diff(w)
+    gaps = np.minimum(np.append(np.inf, spacing), np.append(spacing, np.inf))
+    with np.errstate(divide="ignore"):
+        bound = 1e-12 + 64 * EPS * scale / gaps
+    assert np.all(np.abs(u[0] ** 2 - v[0] ** 2) <= bound)
+    sign = np.where(np.sum(u * v, axis=0) < 0, -1.0, 1.0)
+    assert np.all(np.max(np.abs(u * sign - v), axis=0) <= bound)
+    # the three properties of the result alone
+    assert np.max(np.abs(u.T @ u - np.eye(w.size))) <= 1e-13
+    recomputed = (u[0] * x) @ u[1:].T  # the first row of V diag(x) V*
+    assert np.max(np.abs(recomputed - couplings), initial=0.0) <= 16 * EPS * math.sqrt(w.size) * scale
+    assert abs(math.fsum(x) - math.fsum(diagonal)) <= 4 * EPS * w.size * scale
+    return h
+
+
+@pytest.mark.parametrize("strength", COUPLINGS)
+@pytest.mark.parametrize("level", LEVELS.values(), ids=LEVELS)
+@pytest.mark.parametrize("profile", ["flat", "gaussian"])
+@pytest.mark.parametrize("n", [1, 2, 61])
+def test_small_grid_matches_dense(n, profile, level, strength):
+    check_against_dense(*friedrichs(n, profile, level, strength))
+
+
+@pytest.mark.parametrize(
+    "profile, level, strength",
+    [(p, level, 1.0) for p in ("flat", "gaussian") for level in LEVELS.values()]
+    + [("gaussian", LEVELS["inside"], s) for s in COUPLINGS if s != 1.0],
+)
+def test_801_modes_match_dense(profile, level, strength):
+    check_against_dense(*friedrichs(801, profile, level, strength))
+
+
+def test_negligible_couplings_deflate_to_the_exact_diagonal():
+    diagonal, couplings = friedrichs(61, strength=1e-150)
+    h = check_against_dense(diagonal, couplings)
+    np.testing.assert_array_equal(h.eigenvalues, np.sort(diagonal))
+    np.testing.assert_array_equal(np.abs(h.eigenvectors), np.eye(62)[:, np.argsort(diagonal, kind="stable")])
+
+
+@pytest.mark.parametrize("n, lo", [(61, 1e3), (801, 3.0)])
+def test_coinciding_poles_merge_by_rotation(monkeypatch, n, lo):
+    """In a band 1e-12 wide the mode energies lie a few ulps apart, and Givens rotations fold them together."""
+    rotations = []
+    merge = zenolab.operators._merge_close_poles
+    monkeypatch.setattr(zenolab.operators, "_merge_close_poles", lambda *a: rotations.extend(merge(*a)) or rotations)
+    h = check_against_dense(*friedrichs(n, level=lo + 5e-13, strength=1.0, band=(lo, lo + 1e-12)))
+    assert rotations
+    assert np.count_nonzero(np.abs(h.eigenvectors[0]) == 0.0) >= len(rotations)  # merged pairs carry no weight
+
+
+def test_exactly_repeated_poles_and_a_level_on_a_pole():
+    diagonal = np.array([0.5, 0.5, 0.5, -1.0, 2.0, 2.0, 0.25])
+    couplings = np.array([0.3, -0.2, 0.1, 1e-3, 0.4, 0.0])
+    check_against_dense(diagonal, couplings)
+
+
+def test_unsorted_poles_and_signed_couplings():
+    rng = np.random.default_rng(4)
+    diagonal, couplings = rng.standard_normal(40), rng.standard_normal(39)
+    check_against_dense(diagonal, couplings)
+
+
+@pytest.mark.parametrize("exponent", [-200, 0, 200])
+def test_extreme_scales_match_dense(exponent):
+    diagonal, couplings = friedrichs(61, "gaussian", strength=0.3)
+    check_against_dense(diagonal * 10.0**exponent, couplings * 10.0**exponent)
+
+
+def test_random_arrowheads_stop_quickly_and_raise_no_floating_point_error(monkeypatch):
+    """Every root is bracketed; these draws (repeated poles, zero and tiny couplings) need at most 12 steps."""
+    steps = []
+    sums = zenolab.operators._secular_sums
+    monkeypatch.setattr(zenolab.operators, "_secular_sums", lambda *a: steps.append(1) or sums(*a))
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = int(rng.integers(0, 40))
+        poles = np.round(rng.standard_normal(n) * 3) / 3 if trial % 2 else rng.standard_normal(n)
+        couplings = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 3, size=n)
+        couplings[rng.random(n) < 0.2] = 0.0
+        level = poles[0] if trial % 3 == 0 and n else float(rng.standard_normal())
+        steps.clear()
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            h = arrowhead_eigendecompose(np.concatenate([[level], poles]), couplings)
+        assert len(steps) <= 12
+        w = np.linalg.eigvalsh(h.matrix)
+        assert np.max(np.abs(h.eigenvalues - w)) <= 16 * EPS * max(np.max(np.abs(w)), 1.0)
+
+
+def test_rejects_malformed_input():
+    with pytest.raises(DimensionMismatch):
+        arrowhead_eigendecompose([1.0, 2.0], [0.1, 0.2])
+    with pytest.raises(DimensionMismatch):
+        arrowhead_eigendecompose([], [])
+    with pytest.raises(NonFinite):
+        arrowhead_eigendecompose([0.0, math.inf], [0.1])

@@ -1,9 +1,11 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zenolab.scenarios
 from conftest import SIGMA_X
 from reference import complement
 from zenolab.errors import ConfigError
@@ -349,6 +351,31 @@ class TestRunScenario:
         assert (tmp_path / "run_000" / "converge.csv").exists()
         assert (tmp_path / "run_001" / "survival.csv").exists()
         assert any("run_001" in w for w in report.warnings)
+
+    def test_sweep_builds_each_run_of_equal_models_once(self, tmp_path, monkeypatch):
+        """A run whose model equals the previous run's reuses its scenario, and writes the CSVs it writes alone."""
+        fried = {"friedrichs": {"n_modes": 30, "excited_energy": -0.7}}
+        rand = {"random": {"dim": 6, "seed": 2}}
+        runs = [
+            {"task": "converge", "model": fried},
+            {"task": "classify", "model": fried},
+            {"task": "gibbs", "model": rand, "pairs": 2},
+            {"task": "converge", "model": rand, "ordering": "UE"},
+            {"task": "survival", "model": fried},
+            {"task": "classify", "model": {"friedrichs": {"n_modes": 30, "excited_energy": -0.6}}},
+        ]
+        config = parse_config({"schema_version": 1, "task": "sweep", "runs": runs})
+        built = []
+        build = zenolab.scenarios.build_scenario
+        monkeypatch.setattr(zenolab.scenarios, "build_scenario", lambda c: built.append(c.model) or build(c))
+        report = run_scenario(config, out_dir=tmp_path / "sweep")
+        assert len(built) == 4  # fried, rand, fried again after rand, and the fried at -0.6
+        for i, run in enumerate(config.runs):
+            alone = run_scenario(run, out_dir=tmp_path / f"alone_{i}")
+            for path in alone.csv_paths:
+                name = Path(path).name
+                assert (tmp_path / "sweep" / f"run_{i:03d}" / name).read_bytes() == Path(path).read_bytes()
+        assert len(report.csv_paths) == 8
 
     def test_sweep_runs_parsed_up_front(self):
         runs = [{"task": "converge", "model": {"rabi": {}}}, {"task": "gibbs", "model": {"random": {"dim": 4}}}]

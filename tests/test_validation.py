@@ -31,6 +31,7 @@ from zenolab.numeric import tol
 from zenolab.operators import (
     HermitianOperator,
     OrthogonalProjection,
+    _hermitian_norm,
     eigendecompose,
     evolve,
     operator_norm,
@@ -272,6 +273,27 @@ def test_clean_friedrichs_build_takes_no_svd(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("model", [{"random": {"dim": 40, "seed": 3}}, {"perturbed": {"dim": 40, "seed": 3}}])
+def test_random_builds_scale_by_eigenvalues_not_svd(monkeypatch, model):
+    """The random and perturbed draws are exactly Hermitian, so their norms come from ``eigvalsh``."""
+    calls = []
+    original = zenolab.operators.operator_norm
+    monkeypatch.setattr(zenolab.operators, "operator_norm", lambda m: calls.append(1) or original(m))
+    monkeypatch.setattr(zenolab.scenarios, "operator_norm", lambda m: calls.append(1) or original(m))
+    scen = build_scenario(parse_config({"schema_version": 1, "task": "converge", "model": model}))
+    assert calls == []
+    if "random" in model:
+        assert abs(scen.hamiltonian.norm - 1.0) <= 1e-14
+
+
+def test_hermitian_norm_is_the_spectral_norm():
+    rng = np.random.default_rng(5)
+    h = random_hermitian(rng, 30)
+    assert abs(_hermitian_norm(h) - operator_norm(h)) <= 1e-13 * operator_norm(h)
+    g = rng.standard_normal((30, 30))  # not Hermitian: the SVD
+    assert _hermitian_norm(g) == operator_norm(g)
+
+
 def _complex_path(h: HermitianOperator) -> HermitianOperator:
     """The reference: the same matrix through the complex solver, stored complex."""
     m = h.matrix.astype(complex)
@@ -287,10 +309,15 @@ def _spy_eigh(monkeypatch) -> list:
 
 
 def test_friedrichs_survival_matches_complex_path(monkeypatch):
+    """The Friedrichs build solves its secular equation and calls no dense eigensolver or SVD."""
     config = parse_config({"schema_version": 1, "task": "survival", "model": {"friedrichs": {"n_modes": 200}}})
-    dtypes = _spy_eigh(monkeypatch)
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _f=original, **k: calls.append(_name) or _f(*a, **k))
     scen = build_scenario(config)
-    assert dtypes == [np.float64]
+    monkeypatch.undo()
+    assert calls == []
     h = scen.hamiltonian
     assert h.eigenvectors.dtype == np.float64
     real = decay_profile(h, scen.state, scen.t_grid).probabilities
