@@ -86,6 +86,8 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
+_BLOCK = 96  # rows per block of the O(d^2) arrowhead passes, so each temporary is 96 x d
 
 
 def operator_norm(m) -> float:
@@ -163,6 +165,95 @@ def _column_norm_bound(a: np.ndarray) -> float:
     return _frobenius(a, axis=0)
 
 
+# The arrowhead screen accepts this far inside a tolerance: a bound on the exact defect
+# leaves room for the rounding of the dense product it stands in for, of order d eps.
+_ARROW_MARGIN = 0.99
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = eps / 2: the relative rounding of n operations in any order."""
+    return 0.5 * n * _EPS / (1.0 - 0.5 * n * _EPS)
+
+
+def _arrowhead_screen(m: np.ndarray, w: np.ndarray, v: np.ndarray, norm: float) -> bool:
+    """True when M is a float64 arrowhead whose ``_arrowhead_bounds`` lie inside the dense checks' tolerances.
+
+    An arrowhead is zero off its first row, first column and diagonal, and
+    exactly symmetric, so its hermiticity defect is exactly zero.
+    """
+    if not (w.ndim == 1 and w.size and m.shape == v.shape == (w.size, w.size)):
+        return False
+    if not (m.dtype == v.dtype == w.dtype == np.float64) or not np.array_equal(m[0, 1:], m[1:, 0]):
+        return False
+    # rows 1.. are contiguous; their nonzeros may lie in column 0 and on the diagonal only
+    if np.count_nonzero(m[1:]) != np.count_nonzero(m[1:, 0]) + np.count_nonzero(m.diagonal()[1:]):
+        return False
+    recon, ortho = _arrowhead_bounds(m, w, v)
+    return recon <= _ARROW_MARGIN * tol(1e-10, norm) and ortho <= _ARROW_MARGIN * tol(1e-10)
+
+
+def _arrowhead_bounds(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Proven upper bounds on ||M - V diag(w) V^T||_2 and ||V^T V - I||_2 for a real arrowhead M, in O(d^2).
+
+    M has head a, couplings g and poles omega. Its residual R = MV - V diag(w)
+    is formed from the arrow with no product of two d x d matrices: row 0 is
+    (a - w) V_0 + sum_j g_j V_j and row j is g_j V_0 + (omega_j - w) V_j.
+    Adding a rounding term per column makes rho_k a bound on the exact
+    column norm ||r_k||. For k != l, M = M^T gives (w_k - w_l) E_lk =
+    r_l^T v_k - v_l^T r_k with E = V^T V - I, so |E_lk| <= (rho_l ||v_k|| +
+    rho_k ||v_l||) / |w_k - w_l|, and as E is symmetric, ||E||_2 <= delta,
+    its largest row sum. Then M - V diag(w) V^T = (R - V diag(w) E) V^-1 is
+    at most (||R||_F + sqrt(1 + delta) max|w| delta) / sqrt(1 - delta). Each
+    sum of nonnegative terms is widened by its rounding, and d times the
+    smallest normal number is added wherever underflow could lose a term.
+    Eigenvalues that do not strictly ascend, nan, overflow and delta >= 1
+    give infinite bounds.
+    """
+    d = w.size
+    a, g, poles, head = m[0, 0], m[1:, 0], m.diagonal()[1:], v[0]
+    grow = 1.0 + _gamma(2 * d + 8)  # the relative rounding of any one sum, product or root below
+    floor = d * _SMALLEST_NORMAL
+    with np.errstate(all="ignore"):
+        if not np.all(w[1:] > w[:-1]):
+            return math.inf, math.inf
+        row0, row0_abs = (a - w) * head, np.abs(a - w) * np.abs(head)
+        # squared column norms of R, of (omega_j - w_k) V_jk (for its rounding) and of V
+        res2, shift2, col2 = np.zeros(d), np.zeros(d), head * head
+        for start in range(1, d, _BLOCK):
+            vb, gb = v[start : start + _BLOCK], g[start - 1 : start - 1 + _BLOCK]
+            row0 += gb @ vb
+            row0_abs += np.abs(gb) @ np.abs(vb)
+            r = poles[start - 1 : start - 1 + _BLOCK, None] - w
+            r *= vb
+            shift2 += np.einsum("ij,ij->j", r, r)
+            r += np.multiply.outer(gb, head)
+            res2 += np.einsum("ij,ij->j", r, r)
+            col2 += np.einsum("ij,ij->j", vb, vb)
+        res2 += row0 * row0
+        norms = np.sqrt(grow * col2 + floor)  # >= ||v_k||
+        # row 0 sums within blocks and then across them; an entry of rows j >= 1 takes three roundings
+        rounding = _gamma(min(_BLOCK, d) + d // _BLOCK + 4) * row0_abs
+        rounding += _gamma(3) * (math.sqrt(grow * float(g @ g)) * np.abs(head) + np.sqrt(shift2 + floor))
+        rho = grow * (np.sqrt(grow * res2 + floor) + grow * rounding + floor)  # >= ||r_k||
+        # row sums of the bound on |E|: the diagonal, then 1 / |w_k - w_l| against ||v_k|| and rho_k
+        delta = np.abs(col2 - 1.0) + _gamma(d + 1) * col2 + floor
+        both = np.stack([norms, rho], axis=1)
+        for start in range(0, d, _BLOCK):
+            stop = min(start + _BLOCK, d)
+            inverse_gap = w - w[start:stop, None]
+            np.abs(inverse_gap, out=inverse_gap)
+            np.reciprocal(inverse_gap, out=inverse_gap)
+            inverse_gap[np.arange(stop - start), np.arange(start, stop)] = 0.0
+            sums = inverse_gap @ both
+            delta[start:stop] += rho[start:stop] * sums[:, 0] + norms[start:stop] * sums[:, 1]
+        ortho = grow * float(np.max(delta)) + floor
+        if not ortho < 1.0:
+            return math.inf, math.inf
+        frobenius = math.sqrt(float(rho @ rho) + floor)
+        recon = grow * (frobenius + math.sqrt(1.0 + ortho) * float(np.max(np.abs(w))) * ortho) / math.sqrt(1.0 - ortho)
+    return recon, ortho
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Self-adjoint matrix with its cached eigendecomposition.
@@ -175,6 +266,12 @@ class HermitianOperator:
     that both have an exactly zero imaginary part are checked in real
     arithmetic on their real parts, at the same tolerances. The stored
     arrays are left as given.
+
+    A float64 arrowhead (``arrowhead_eigendecompose``) is first screened in
+    O(d^2): it is exactly symmetric, and ``_arrowhead_bounds`` bounds the
+    other two defects from above. Bounds within 0.99 of their tolerances
+    accept; otherwise the three dense checks run, so every verdict is
+    theirs.
     """
 
     matrix: np.ndarray
@@ -187,11 +284,13 @@ class HermitianOperator:
             # views of real data; only v enters products, and BLAS needs it with unit stride
             m, v = m.real, np.ascontiguousarray(v.real)
         norm = float(np.max(np.abs(w))) if w.size else 0.0
+        if _arrowhead_screen(m, w, v, norm):
+            return
         defect = _violation(m - m.conj().T, 1e-12, norm)
         if defect is not None:
             raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
         if w.size:
-            if np.any(np.diff(w) < 0):
+            if np.any(w[1:] < w[:-1]):
                 raise ValueError("eigenvalues must ascend")
             recon = _violation(m - (v * w) @ v.conj().T, 1e-10, norm)
             if recon is not None:
@@ -213,7 +312,7 @@ class HermitianOperator:
     def spread(self) -> float:
         if not self.eigenvalues.size:
             return 0.0
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
+        return float(self.eigenvalues[-1]) - float(self.eigenvalues[0])  # inf, with no warning, past the float range
 
 
 @dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
@@ -276,8 +375,6 @@ def eigendecompose(m) -> HermitianOperator:
     return HermitianOperator(_freeze(sym), _freeze(w), _freeze(v))
 
 
-_EPS = float(np.finfo(float).eps)
-_BLOCK = 96  # rows per block of the O(d^2) secular passes, so each temporary is 96 x d
 _RATIONAL_STEPS = 60  # past this, a root still open takes bisection steps only
 
 
@@ -294,8 +391,10 @@ def arrowhead_eigendecompose(diagonal, couplings) -> HermitianOperator:
     scaled by a power of two and deflated: a coupling within 8 eps ||H|| of
     zero gives the exact pair (w_j, e_j), and two poles closer than that
     tolerance allows are merged by a Givens rotation. The result is a plain
-    ``HermitianOperator`` holding the dense matrix, and its construction
-    runs the usual dense checks.
+    ``HermitianOperator`` holding the dense matrix. Its construction checks
+    it by the O(d^2) arrowhead screen, which needs strictly ascending
+    eigenvalues; an exactly repeated eigenvalue, or any bound outside its
+    margin, sends it to the usual dense checks.
     """
     diag = np.asarray(diagonal, dtype=float)
     g = np.asarray(couplings, dtype=float)

@@ -5,9 +5,10 @@ eigenbasis V, and forms nothing d x d that it can avoid. Each function here
 is the plain formula on the full space: E_perp as a projection, the step
 PUP, UP or PU raised to the n-th power, the limit exp(itEHE)E from the
 d x d EHE, the leakage ||E_perp U(t) E||, the KMS residual loop over
-tau_z(B) = V (V*BV o phases) V*, and the dense ``eigh`` of the Friedrichs
-arrowhead. The equivalence tests import them from here, so each dense
-definition exists once.
+tau_z(B) = V (V*BV o phases) V*, the dense ``eigh`` of the Friedrichs
+arrowhead, and the three defect norms of an operator's dense checks. The
+equivalence tests import them from here, so each dense definition exists
+once.
 """
 
 from functools import cache
@@ -98,6 +99,15 @@ def dense_reduced_gaps(h, e, beta, pairs, ts, rho):
 
 def dense_reduced_residual(h, e, beta, pairs, ts, rho):
     return max(max(row) for row in dense_reduced_gaps(h, e, beta, pairs, ts, rho))
+
+
+def check_defects(m, w, v) -> tuple[float, float, float]:
+    """The three 2-norms of ``HermitianOperator``'s dense checks: ||M - M*||, ||M - V diag(w) V*|| and ||V*V - I||."""
+    return (
+        operator_norm(m - m.conj().T),
+        operator_norm(m - (v * w) @ v.conj().T),
+        operator_norm(v.conj().T @ v - np.eye(w.size)),
+    )
 
 
 def arrowhead_matrix(diagonal, couplings) -> np.ndarray:

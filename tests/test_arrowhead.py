@@ -9,20 +9,24 @@ properties of the result alone: orthonormality, the couplings g-hat of
 V diag(x) V* against g, and the trace sum x = tr H. An eigenvector and its
 weight are compared within the Davis-Kahan bound, eps ||H|| over the
 eigenvalue's gap, so a cluster's vectors, which no solver fixes, are held
-only to the three properties. The grid crosses mode counts, profiles, excited levels inside
-the band, outside it and one ulp inside an edge, and couplings from 1e-150
-to 1e3; a band 1e-12 wide makes the poles coincide to within rounding.
+only to the three properties. Each case also holds the validation screen's
+two bounds to at least the defect norms of the dense checks they stand in
+for (``reference.check_defects``). The grid crosses mode counts, profiles,
+excited levels inside the band, outside it and one ulp inside an edge, and
+couplings from 1e-150 to 1e3; a band 1e-12 wide makes the poles coincide
+to within rounding.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import zenolab.operators
-from reference import arrowhead_matrix, dense_arrowhead
+from reference import arrowhead_matrix, check_defects, dense_arrowhead
 from zenolab.errors import DimensionMismatch, NonFinite
-from zenolab.operators import HermitianOperator, arrowhead_eigendecompose
+from zenolab.operators import HermitianOperator, _arrowhead_bounds, arrowhead_eigendecompose
 
 EPS = np.finfo(float).eps
 BAND = (-2.0, 2.0)
@@ -37,6 +41,15 @@ def friedrichs(n, profile="flat", level=-0.7, strength=0.05, band=BAND):
     omegas = lo + (np.arange(n) + 0.5) * width / n
     shape = np.ones(n) if profile == "flat" else np.exp(-((omegas - (lo + hi) / 2) ** 2) / (2 * (width / 8) ** 2))
     return np.concatenate([[level], omegas]), strength * math.sqrt(width / n) * shape
+
+
+def check_screen_bounds(h: HermitianOperator) -> None:
+    """The screen's bounds are at least the dense checks' defect norms; an arrowhead's hermiticity defect is 0."""
+    recon, ortho = _arrowhead_bounds(h.matrix, h.eigenvalues, h.eigenvectors)
+    hermiticity, recon_defect, ortho_defect = check_defects(h.matrix, h.eigenvalues, h.eigenvectors)
+    assert hermiticity == 0.0
+    assert recon >= recon_defect
+    assert ortho >= ortho_defect
 
 
 def check_against_dense(diagonal, couplings) -> HermitianOperator:
@@ -60,6 +73,7 @@ def check_against_dense(diagonal, couplings) -> HermitianOperator:
     recomputed = (u[0] * x) @ u[1:].T  # the first row of V diag(x) V*
     assert np.max(np.abs(recomputed - couplings), initial=0.0) <= 16 * EPS * math.sqrt(w.size) * scale
     assert abs(math.fsum(x) - math.fsum(diagonal)) <= 4 * EPS * w.size * scale
+    check_screen_bounds(h)
     return h
 
 
@@ -134,6 +148,15 @@ def test_random_arrowheads_stop_quickly_and_raise_no_floating_point_error(monkey
         assert len(steps) <= 12
         w = np.linalg.eigvalsh(h.matrix)
         assert np.max(np.abs(h.eigenvalues - w)) <= 16 * EPS * max(np.max(np.abs(w)), 1.0)
+        check_screen_bounds(h)
+
+
+def test_a_spectrum_wider_than_the_float_range_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = arrowhead_eigendecompose([1e308, -1e308], [1e308])
+        assert h.spread == math.inf
+        assert _arrowhead_bounds(h.matrix, h.eigenvalues, h.eigenvectors) == (math.inf, math.inf)
 
 
 def test_rejects_malformed_input():

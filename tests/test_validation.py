@@ -12,6 +12,13 @@ idempotence checks of ``reference.projection_from_matrix``; one built from
 a basis Q by its one check, ||Q*Q - I||. A density state's only checks
 are scalar, on its weights, and are placed at the same ratios.
 
+A real arrowhead takes an O(d^2) screen before the dense checks: bounds on
+the reconstruction and orthonormality defects from its residual and its
+eigenvalue gaps. Its cases shift K roots, shift one root, or stretch K
+eigenvectors, and each gets the dense rule's verdict; an arrowhead with a
+zero eigenvalue gap, which the screen cannot certify, goes to the dense
+checks, and a Friedrichs build makes none.
+
 The real solver path stores float64 arrays; every consumer of them is
 compared with the same matrix taken through the complex solver.
 """
@@ -24,7 +31,7 @@ import pytest
 import zenolab.operators
 import zenolab.scenarios
 from conftest import SIGMA_X, random_hermitian
-from reference import projection_from_matrix
+from reference import check_defects, projection_from_matrix
 from zenolab.errors import DimensionMismatch, NotHermitian
 from zenolab.gibbs import DensityState, gibbs_state, heisenberg_evolve, kms_residual, kms_scale
 from zenolab.numeric import tol
@@ -32,6 +39,7 @@ from zenolab.operators import (
     HermitianOperator,
     OrthogonalProjection,
     _hermitian_norm,
+    arrowhead_eigendecompose,
     eigendecompose,
     evolve,
     operator_norm,
@@ -138,6 +146,30 @@ def _basis_only_orthonormality(ratio):
     return (lambda: OrthogonalProjection(q)), gram - np.eye(K), tol(1e-10, operator_norm(gram)), ValueError
 
 
+def _arrowhead() -> HermitianOperator:
+    """A float64 arrowhead with well separated eigenvalues, solved from its secular equation."""
+    return arrowhead_eigendecompose(np.concatenate([[0.1], np.linspace(-1.0, 1.0, DIM - 1)]), np.full(DIM - 1, 0.2))
+
+
+def _arrowhead_reconstruction(ratio):
+    # K roots shifted alike: K equal singular values
+    h = _arrowhead()
+    shifted = h.eigenvalues.copy()
+    shifted[:K] += ratio * tol(1e-10, h.norm)
+    v = h.eigenvectors
+    limit = tol(1e-10, float(np.max(np.abs(shifted))))
+    return (lambda: HermitianOperator(h.matrix, shifted, v)), h.matrix - (v * shifted) @ v.T, limit, ValueError
+
+
+def _arrowhead_orthonormality(ratio):
+    # the reconstruction defect, at most ratio * 1e-10 * ||H||, stays inside its tolerance 1e-10 (1 + ||H||)
+    h = _arrowhead()
+    stretch = np.ones(DIM)
+    stretch[:K] = np.sqrt(1.0 + ratio * tol(1e-10))
+    v = h.eigenvectors * stretch
+    return (lambda: HermitianOperator(h.matrix, h.eigenvalues, v)), v.T @ v - np.eye(DIM), tol(1e-10), ValueError
+
+
 CHECKS = {
     "eigendecompose.hermiticity": _eigendecompose_hermiticity,
     "HermitianOperator.hermiticity": _operator_hermiticity,
@@ -146,6 +178,8 @@ CHECKS = {
     "HermitianOperator.real.hermiticity": _real_operator_hermiticity,
     "HermitianOperator.real.reconstruction": lambda ratio: _operator_reconstruction(ratio, _orthogonal(13)),
     "HermitianOperator.real.orthonormality": lambda ratio: _operator_orthonormality(ratio, _orthogonal(14)),
+    "HermitianOperator.arrowhead.reconstruction": _arrowhead_reconstruction,
+    "HermitianOperator.arrowhead.orthonormality": _arrowhead_orthonormality,
     "OrthogonalProjection.self_adjoint": _projection_self_adjoint,
     "OrthogonalProjection.idempotence": _projection_idempotence,
     "OrthogonalProjection.basis_only_orthonormality": _basis_only_orthonormality,
@@ -255,6 +289,66 @@ def test_operator_checks_run_in_real_arithmetic_only_on_real_data(monkeypatch, c
     assert h.matrix.dtype == h.eigenvectors.dtype == np.complex128
 
 
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_one_shifted_arrowhead_root_gets_the_dense_verdict(ratio):
+    """A rank-1 defect: its Frobenius norm is its 2-norm, so it sits outside ``CHECKS``."""
+    h = _arrowhead()
+    shifted = h.eigenvalues.copy()
+    shifted[DIM // 2] += ratio * tol(1e-10, h.norm)
+    limit = tol(1e-10, float(np.max(np.abs(shifted))))
+    _, exact, _ = check_defects(h.matrix, shifted, h.eigenvectors)
+    assert exact / limit == pytest.approx(ratio, rel=1e-3)
+    if exact > limit:
+        with pytest.raises(ValueError, match="reconstruction"):
+            HermitianOperator(h.matrix, shifted, h.eigenvectors)
+    else:
+        HermitianOperator(h.matrix, shifted, h.eigenvectors)
+
+
+def test_arrowhead_screen_accepts_inside_its_margin_and_leaves_the_rest_to_the_dense_checks(monkeypatch):
+    construct = {ratio: CHECKS["HermitianOperator.arrowhead.orthonormality"](ratio)[0] for ratio in RATIOS}
+    dtypes = _spy_violation(monkeypatch)
+    construct[0.5]()
+    assert dtypes == []
+    with pytest.raises(ValueError, match="orthonormality"):
+        construct[1.01]()
+    assert dtypes == [np.float64] * 3
+
+
+@pytest.mark.parametrize(
+    "at, error",
+    [((0, 1), NotHermitian), ((1, 0), NotHermitian), ((2, 3), ValueError), ((3, 2), ValueError)],
+    ids=["row-0", "column-0", "above-diagonal", "below-diagonal"],
+)
+def test_matrix_off_the_arrow_or_not_symmetric_is_not_screened(at, error):
+    """One entry moved by 1e-8, with the arrowhead's own eigenpairs: only the dense checks see it."""
+    h = _arrowhead()
+    m = h.matrix.copy()
+    m[at] += 1e-8
+    if at[0] > 0 and at[1] > 0:
+        m[at[::-1]] += 1e-8  # symmetric, but off the arrow
+    with pytest.raises(error):
+        HermitianOperator(m, h.eigenvalues, h.eigenvectors)
+
+
+@pytest.mark.parametrize(
+    "diagonal, couplings",
+    [
+        # three equal coupled poles: two eigenvalues sit exactly on the pole
+        ([0.1, 0.5, 0.5, 0.5, -1.0, 2.0], [0.3, -0.2, 0.1, 0.4, 0.2]),
+        # poles a few ulps apart in a band 1e-12 wide, merged by rotation
+        (np.concatenate([[1e3 + 5e-13], 1e3 + (np.arange(61) + 0.5) * 1e-12 / 61]), np.full(61, 0.25)),
+    ],
+    ids=["repeated-poles", "merged-close-poles"],
+)
+def test_arrowhead_with_a_zero_gap_takes_the_dense_checks(monkeypatch, diagonal, couplings):
+    """The screen cannot certify orthonormality across a zero gap; the dense checks accept."""
+    dtypes = _spy_violation(monkeypatch)
+    h = arrowhead_eigendecompose(diagonal, couplings)
+    assert np.any(np.diff(h.eigenvalues) == 0.0)
+    assert dtypes == [np.float64] * 3
+
+
 def test_projection_rejects_a_basis_that_does_not_span_its_range():
     e = np.eye(3, dtype=complex)
     assert OrthogonalProjection(e[:, :1]).rank == 1
@@ -271,6 +365,19 @@ def test_clean_friedrichs_build_takes_no_svd(monkeypatch):
     config = parse_config({"schema_version": 1, "task": "survival", "model": {"friedrichs": {"n_modes": 200}}})
     build_scenario(config)
     assert calls == []
+
+
+def test_friedrichs_build_skips_the_dense_checks(monkeypatch):
+    """The operator is validated once, by the arrowhead screen; only the projection's 1 x 1 Gram check remains."""
+    shapes, norms, validated = [], [], []
+    violation, post_init = zenolab.operators._violation, HermitianOperator.__post_init__
+    monkeypatch.setattr(zenolab.operators, "_violation", lambda x, *a, **k: shapes.append(x.shape) or violation(x, *a, **k))
+    monkeypatch.setattr(zenolab.operators, "operator_norm", lambda m: norms.append(1) or operator_norm(m))
+    monkeypatch.setattr(HermitianOperator, "__post_init__", lambda self: validated.append(self.dim) or post_init(self))
+    build_scenario(parse_config({"schema_version": 1, "task": "survival", "model": {"friedrichs": {"n_modes": 800}}}))
+    assert validated == [801]
+    assert shapes == [(1, 1)]
+    assert norms == []
 
 
 @pytest.mark.parametrize("model", [{"random": {"dim": 40, "seed": 3}}, {"perturbed": {"dim": 40, "seed": 3}}])
