@@ -6,11 +6,11 @@ at finite dimension the Gibbs density matrix is its unique solution. The
 same check runs on the compressed algebra, where the frozen-dynamics
 equilibria live, at r x r on the compressions Q*HQ, Q*AQ, Q*BQ and Q*rhoQ
 (Q an orthonormal basis of range(E)); that is exact for any state. Both
-checks share one kernel, which runs wholly in H's eigenbasis: rho, A and B
-enter it once per pair, and each (pair, t) costs two ``heisenberg_evolve``
-calls on V*BV, each an elementwise phase multiply with no matrix product.
-A state is its eigenvector frame U and weights p: rho is formed only when
-read, and the reduced check takes Q*rhoQ from Q*U, forming nothing d x d.
+checks share one kernel, which runs wholly in H's eigenbasis: A and B enter
+it once per pair, and each (pair, t) costs two ``heisenberg_evolve`` calls
+on V*BV, with no matrix product, and two dots. A Gibbs state of H enters as
+its weights p, so rho is never formed; the reduced check takes Q*rhoQ from
+Q*U to its generator's eigenbasis once per run, forming nothing d x d.
 """
 
 from __future__ import annotations
@@ -134,20 +134,23 @@ def _kms_gaps(
 ) -> list[float]:
     """|tr(rho A tau_{t+i beta}(B)) - tr(rho tau_t(B) A)| for each t in ``ts``.
 
-    The traces are taken in H's eigenbasis, tr(YX) = tr(V*YV V*XV): rho, A
-    and B enter it once for all t, and each trace is sum(Y^T o X) with
-    Y = rho A or A rho formed there once, as the C-ordered product of
-    transposes Y^T = A^T rho^T or rho^T A^T. So no matrix product depends on t.
+    ``rho`` is V*rhoV in H's eigenbasis V, or p when it is diag(p). There each
+    trace tr(YX) is one dot of the raveled Y^T and X, with Y^T = (rho A)^T or
+    (A rho)^T formed once for all t: A^T scaled by p in columns or rows, or
+    the C-ordered product A^T rho^T or rho^T A^T. No matrix product depends on t.
     """
-    rho_v, a_v = _to_eigenbasis(h, rho), _to_eigenbasis(h, a)
-    rho_a, a_rho = _matmul(a_v.T, rho_v.T), _matmul(rho_v.T, a_v.T)
-    del rho_v, a_v  # peak memory: only the two Y^T and B~ stay live through the t loop
+    a_v = _to_eigenbasis(h, a)
+    if rho.ndim == 1:
+        rho_a, a_rho = np.multiply(a_v.T, rho, order="C"), np.multiply(rho[:, None], a_v.T, order="C")
+    else:
+        rho_a, a_rho = _matmul(a_v.T, rho.T), _matmul(rho.T, a_v.T)
+    del a_v  # peak memory: only the two Y^T and B~ stay live through the t loop
     b_v = _to_eigenbasis(h, b)
 
     def tau(z: complex) -> np.ndarray:
-        return heisenberg_evolve(h, b_v, z, in_eigenbasis=True)
+        return heisenberg_evolve(h, b_v, z, in_eigenbasis=True).ravel()
 
-    return [float(abs(np.sum(rho_a * tau(t + 1j * beta)) - np.sum(a_rho * tau(t)))) for t in ts]
+    return [float(abs(rho_a.ravel() @ tau(t + 1j * beta) - a_rho.ravel() @ tau(t))) for t in ts]
 
 
 def kms_residual(state: DensityState, a, b, t, beta: float):
@@ -156,7 +159,8 @@ def kms_residual(state: DensityState, a, b, t, beta: float):
     Vanishes (to rounding, scaled by the continuation growth) exactly when
     the state is Gibbs at this beta for its Hamiltonian. ``t`` is one time,
     giving a float, or a 1-D sequence of times, giving an array with one
-    residual per time.
+    residual per time. A state framed by H's own eigenvectors, as from
+    ``gibbs_state``, enters as its weights p; any other as V*rhoV.
     """
     h = state.hamiltonian_ref
     a, b = as_complex_matrix(a), as_complex_matrix(b)
@@ -166,7 +170,8 @@ def kms_residual(state: DensityState, a, b, t, beta: float):
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if not (np.all(np.isfinite(ts)) and math.isfinite(beta)):
         raise NonFinite("times and beta must be finite")
-    gaps = _kms_gaps(state.rho, h, a, b, ts, beta)
+    rho = state.weights if state.frame is h.eigenvectors else _to_eigenbasis(h, state.rho)
+    gaps = _kms_gaps(rho, h, a, b, ts, beta)
     return gaps[0] if np.ndim(t) == 0 else np.array(gaps)
 
 
@@ -227,8 +232,8 @@ def reduced_kms_residual(
 
     It runs at r x r on Q*HQ, Q*AQ, Q*BQ and Q*rhoQ, Q = e.basis: under the
     flow of EHE, tau_z(EBE) = Q tau_z(Q*BQ) Q*, so this is exact for any state.
-    Any state, the default one too, enters as Q*rhoQ = (Q*U) diag(p) (Q*U)*
-    from its frame U and weights p, so nothing d x d is formed.
+    Any state enters once per run as Q*rhoQ = (Q*U) diag(p) (Q*U)* from its
+    frame U and weights p, in the generator's eigenbasis: nothing is d x d.
     """
     ts = [float(t) for t in t_grid]
     if not ts:
@@ -237,7 +242,7 @@ def reduced_kms_residual(
     if state is not None:
         frame, weights = state.frame, state.weights
     q = e.basis
-    rho = _from_spectrum(_matmul(q.conj().T, frame), weights)
+    rho = _to_eigenbasis(generator, _from_spectrum(_matmul(q.conj().T, frame), weights))
     worst, tested = 0.0, 0
     for tested, (a, b) in enumerate(pairs, 1):
         a_e, b_e = (q.conj().T @ as_complex_matrix(m) @ q for m in (a, b))

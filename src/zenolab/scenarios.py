@@ -315,7 +315,7 @@ def load_config(path, seed: int | None = None) -> ScenarioConfig:
     except OSError as exc:
         raise IOFailure(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     return parse_config(data, seed)
@@ -335,8 +335,12 @@ class Scenario:
 
 
 def _random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0
+    re, im = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+    h = np.empty((dim, dim), dtype=complex)
+    np.add(re, re.T, out=h.real)
+    np.subtract(im, im.T, out=h.imag)
+    h *= 0.5  # (G + G*)/2 for G = re + i im, with no complex temporary
+    return h
 
 
 def _random_projection(rng: np.random.Generator, dim: int, rank: int) -> OrthogonalProjection:

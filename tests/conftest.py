@@ -1,13 +1,13 @@
 import numpy as np
 
+from reference import ginibre_hermitian
 from zenolab.operators import eigendecompose, operator_norm, projection_from_span
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def random_hermitian(rng, dim, norm=None):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = (g + g.conj().T) / 2.0
+    m = ginibre_hermitian(rng, dim)
     if norm is not None:
         m *= norm / operator_norm(m)
     return m

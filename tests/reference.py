@@ -6,9 +6,9 @@ is the plain formula on the full space: E_perp as a projection, the step
 PUP, UP or PU raised to the n-th power, the limit exp(itEHE)E from the
 d x d EHE, the leakage ||E_perp U(t) E||, the KMS residual loop over
 tau_z(B) = V (V*BV o phases) V*, the dense ``eigh`` of the Friedrichs
-arrowhead, and the three defect norms of an operator's dense checks. The
-equivalence tests import them from here, so each dense definition exists
-once.
+arrowhead, the three defect norms of an operator's dense checks, and the
+Hermitian draw (G + G*)/2 with its complex temporaries. The equivalence
+tests import them from here, so each dense definition exists once.
 """
 
 from functools import cache
@@ -28,6 +28,12 @@ from zenolab.operators import (
     evolve,
     operator_norm,
 )
+
+
+def ginibre_hermitian(rng, dim):
+    """(G + G*)/2 for G = X + iY, X and Y standard normal and drawn in that order."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + g.conj().T) / 2.0
 
 
 def complement(p: OrthogonalProjection) -> OrthogonalProjection:

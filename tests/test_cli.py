@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import zenolab
 import zenolab.cli
@@ -45,6 +46,18 @@ class TestExitCodes:
         config = write(tmp_path / "bad.yaml", "schema_version: 2\ntask: converge\n")
         assert main(["converge", "--config", config, "--quiet"]) == 2
         assert "schema_version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    def test_invalid_yaml_exits_two_under_either_loader(self, tmp_path, capsys, monkeypatch, loader):
+        if loader == "python":
+            monkeypatch.delattr(yaml, "CSafeLoader")
+        config = write(tmp_path / "bad.yaml", "schema_version: 1\ntask: [converge\n")
+        assert main(["converge", "--config", config, "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config is not valid YAML: ")
+        config = write(tmp_path / "s.yaml", "schema_version: 1\ntask: sweep\nruns: &r [{task: sweep, runs: *r}]\n")
+        assert main(["sweep", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: runs[0].task")
 
     def test_task_mismatch_exits_two(self, tmp_path):
         config = write(tmp_path / "c.yaml", RABI_CONVERGE)

@@ -263,7 +263,11 @@ class TestEigenbasisPath:
             heisenberg_evolve(h, np.eye(2), math.nan, in_eigenbasis=True)
 
     def test_observable_enters_the_eigenbasis_once_per_pair_in_each_check(self, tmp_path, monkeypatch):
-        """Two pairs: rho, A and B enter once per pair at d = 30 and at r = 5, and every evolution stays there."""
+        """Two pairs: A and B enter once per pair at d = 30 and at r = 5, and every evolution stays there.
+
+        The Gibbs state enters the full check as its weights, so rho never
+        enters at d; the reduced check's rho enters once per run at r.
+        """
         formed, paths = [], []
         to_eigenbasis, evolve_ = zenolab.gibbs._to_eigenbasis, zenolab.gibbs.heisenberg_evolve
 
@@ -281,7 +285,7 @@ class TestEigenbasisPath:
             {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 30, "rank_e": 5}}, "pairs": 2}
         )
         run_scenario(config, out_dir=tmp_path)
-        assert sorted(formed) == [5] * 6 + [30] * 6
+        assert sorted(formed) == [5] * 5 + [30] * 4
         assert len(paths) == 72 and all(paths)
 
 
@@ -374,6 +378,76 @@ class TestKMSResidual:
         for t in (0.4, 2.0):
             moved = heisenberg_evolve(h, a, t)
             assert abs(expectation(state, moved) - expectation(state, a)) < 1e-10
+
+
+class TestGibbsStateAsWeights:
+    """A state whose frame is H's own eigenvectors enters the full check as its weights."""
+
+    def test_gibbs_run_never_reads_rho(self, tmp_path, monkeypatch):
+        states, make = [], zenolab.scenarios.gibbs_state
+
+        def spy(h, beta):
+            states.append(make(h, beta))
+            return states[-1]
+
+        monkeypatch.setattr(zenolab.scenarios, "gibbs_state", spy)
+        config = parse_config(
+            {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 30, "rank_e": 5}}, "pairs": 2}
+        )
+        run_scenario(config, out_dir=tmp_path)
+        assert len(states) == 1 and "rho" not in vars(states[0])
+
+    @pytest.mark.parametrize("model", list(TestEigenbasisPath.MODELS), ids=list(TestEigenbasisPath.MODELS))
+    def test_full_check_makes_four_products_per_pair(self, monkeypatch, model):
+        """V*AV and V*BV, two products each; the state and the nine times add none."""
+        h, _ = model_and_compression(TestEigenbasisPath.MODELS[model])
+        rng, matmul, shapes = np.random.default_rng(31), zenolab.gibbs._matmul, []
+
+        def spy(a, b):
+            shapes.append(a.shape + b.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(zenolab.gibbs, "_matmul", spy)
+        state = gibbs_state(h, 1.0)
+        for _ in range(3):
+            kms_residual(state, random_hermitian(rng, h.dim), random_hermitian(rng, h.dim), np.linspace(-2, 2, 9), 1.0)
+        assert shapes == [(h.dim,) * 4] * 12
+
+    @pytest.mark.parametrize("model", list(TestEigenbasisPath.MODELS), ids=list(TestEigenbasisPath.MODELS))
+    @pytest.mark.parametrize("state_beta", [1.0, 2.5], ids=["gibbs", "wrong-beta"])
+    def test_a_copied_frame_takes_the_dense_path_and_agrees(self, monkeypatch, model, state_beta):
+        h, _ = model_and_compression(TestEigenbasisPath.MODELS[model])
+        rng, ts = np.random.default_rng(32), np.linspace(-2.0, 2.0, 5)
+        weighted = gibbs_state(h, state_beta)
+        copied = DensityState(h.eigenvectors.copy(), weighted.weights, weighted.beta, h)
+        kernel, seen = zenolab.gibbs._kms_gaps, []
+
+        def spy(rho, *args):
+            seen.append(rho.ndim)
+            return kernel(rho, *args)
+
+        monkeypatch.setattr(zenolab.gibbs, "_kms_gaps", spy)
+        for _ in range(3):
+            a, b = random_hermitian(rng, h.dim), random_hermitian(rng, h.dim)
+            fast, dense = kms_residual(weighted, a, b, ts, 1.0), kms_residual(copied, a, b, ts, 1.0)
+            assert np.all(np.abs(fast - dense) <= 1e-12 * kms_scale(h, a, b, 1.0))
+        assert seen == [1, 2] * 3
+        assert "rho" not in vars(weighted) and "rho" in vars(copied)
+
+    def test_full_check_adds_under_five_d_by_d_arrays(self):
+        """rho is not formed, and the t loop holds the two Y^T, B~ and one evolved B~ at a time."""
+        h, _ = model_and_compression({"random": {"dim": 200}})
+        rng = np.random.default_rng(33)
+        a, b = random_hermitian(rng, 200), random_hermitian(rng, 200)
+        state = gibbs_state(h, 1.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kms_residual(state, a, b, np.linspace(-2.0, 2.0, 9), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 5 * 200**2 * 16
 
 
 class TestZenoGibbs:

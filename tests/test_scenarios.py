@@ -4,10 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import zenolab.scenarios
 from conftest import SIGMA_X
-from reference import complement
+from reference import complement, ginibre_hermitian
 from zenolab.errors import ConfigError
 from zenolab.operators import evolve, operator_norm
 from zenolab.scenarios import (
@@ -146,8 +147,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape("runs[1].task")):
             parse_config({"schema_version": 1, "task": "sweep", "runs": runs})
 
+    @pytest.mark.parametrize("workload", ["decay-large", "zeno-products", "kms-thermal", "sweep-small"])
+    def test_benchmark_configs_load_equal_under_both_yaml_loaders(self, tmp_path, monkeypatch, workload):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import make_config
+
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(make_config(workload, 1), sort_keys=False), encoding="utf-8")
+        with_libyaml = load_config(path)
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert load_config(path) == with_libyaml
+
 
 class TestBuilders:
+    @pytest.mark.parametrize("dim", [1, 2, 7, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2**31 - 1])
+    def test_hermitian_draw_equals_the_dense_formula_byte_for_byte(self, dim, seed):
+        fast_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # the second draw checks that both take the same numbers from the rng
+            fast, dense = zenolab.scenarios._random_hermitian(fast_rng, dim), ginibre_hermitian(dense_rng, dim)
+            assert fast.dtype == dense.dtype and fast.shape == dense.shape and fast.tobytes() == dense.tobytes()
+
     def test_rabi_triple(self):
         scen = build_scenario(cfg())
         assert operator_norm(scen.hamiltonian.matrix - SIGMA_X) < 1e-14
