@@ -254,7 +254,7 @@ def _arrowhead_bounds(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[floa
     return recon, ortho
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class HermitianOperator:
     """Self-adjoint matrix with its cached eigendecomposition.
 

@@ -32,9 +32,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-# numpy loads these lazily: np.unique reads numpy.ma and every rng is numpy.random; load them here, not mid-run
-import numpy.ma  # noqa: F401
-import numpy.random  # noqa: F401
 import yaml
 
 from .errors import ConfigError, IOFailure, NoCrossing, NonExponential
@@ -321,7 +318,7 @@ def load_config(path, seed: int | None = None) -> ScenarioConfig:
     return parse_config(data, seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class Scenario:
     """A built model: generator, measured projection, initial state, extras."""
 
@@ -420,11 +417,9 @@ def _build_friedrichs(m: dict[str, Any]) -> Scenario:
     heis = 2.0 * math.pi * density  # mean mode spacing sets the recurrence scale
     t_hi = min(0.45 * heis, 3.0 / golden)
     t_lo = 20.0 / width
-    grid = np.unique(
-        np.concatenate(
-            [np.linspace(1e-3, min(8.0, 0.5 * t_hi), 400), np.linspace(min(8.0, 0.5 * t_hi), t_hi * 1.05, 900)]
-        )
-    )
+    t_mid = min(8.0, 0.5 * t_hi)  # below 1e-3 for a wide band, where the first piece runs downward: sort
+    grid = np.sort(np.concatenate([np.linspace(1e-3, t_mid, 400), np.linspace(t_mid, t_hi * 1.05, 900)]))
+    grid = grid[np.concatenate([[True], grid[1:] != grid[:-1]])]  # np.unique's own steps, without loading numpy.ma
     return Scenario(h, e, psi, golden_rate=golden, fit_window=(t_lo, t_hi), t_grid=grid)
 
 
@@ -455,7 +450,7 @@ def _build_perturbed(m: dict[str, Any]) -> Scenario:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class PerturbedInvarianceReport:
     """Leakage of the perturbed flow out of the invariant subspace versus the
     perturbation-series bound exp(||P|| t) - 1."""
@@ -496,7 +491,7 @@ def perturbed_invariance_check(config: ScenarioConfig, t_points: int = 21) -> Pe
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class Table:
     """Named columns destined for one CSV file: each header maps to a 1-D
     integer or real array, and all columns have one length."""

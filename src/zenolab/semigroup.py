@@ -70,7 +70,7 @@ def sector_margin(a, angle: float) -> float:
     return worst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class SectorialOperator:
     """Generator whose semigroup exp(-zA) is contractive in a sector of this angle."""
 
@@ -97,7 +97,7 @@ def sectorial_operator(a, angle: float) -> SectorialOperator:
     return SectorialOperator(m, float(angle), sector_margin(m, angle))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class DegenerateForm:
     """Closed semibounded quadratic form: a PSD operator supported on a subspace.
 

@@ -101,7 +101,7 @@ class SpectralMeasure(ABC):
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class DiscreteMeasure(SpectralMeasure):
     """Finitely many atoms; weights sum to one."""
 
@@ -363,7 +363,7 @@ def spectral_measure_of_state(h: HermitianOperator, psi) -> DiscreteMeasure:
     return DiscreteMeasure(a, w / np.sum(w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class TailReport:
     """Tail weight x * Pr(|X| > x) on a grid, with an optional classification."""
 

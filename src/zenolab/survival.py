@@ -117,7 +117,7 @@ def geometric_speed(
     return max(value, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class DecayProfile:
     """Sampled survival probability of a state under its generator."""
 

@@ -94,7 +94,7 @@ class ZenoProduct:
         return _freeze(_lift(self.left, self.core, self.right))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # its ZenoProducts compare by identity
 class ZenoConvergenceReport:
     """Per-n distances of the products to the limit, with a fitted decay rate.
 
@@ -142,7 +142,7 @@ class AzcFit:
         return self.constant**2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class ZenoGenerator:
     """Compression of the generator to range(E), in an orthonormal basis of it."""
 

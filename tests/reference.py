@@ -6,8 +6,9 @@ is the plain formula on the full space: E_perp as a projection, the step
 PUP, UP or PU raised to the n-th power, the limit exp(itEHE)E from the
 d x d EHE, the leakage ||E_perp U(t) E||, the KMS residual loop over
 tau_z(B) = V (V*BV o phases) V*, the dense ``eigh`` of the Friedrichs
-arrowhead, the three defect norms of an operator's dense checks, and the
-Hermitian draw (G + G*)/2 with its complex temporaries. The equivalence
+arrowhead, the three defect norms of an operator's dense checks, the
+Hermitian draw (G + G*)/2 with its complex temporaries, and the Friedrichs
+time grid merged by ``np.unique``. The equivalence
 tests import them from here, so each dense definition exists once.
 """
 
@@ -127,3 +128,9 @@ def arrowhead_matrix(diagonal, couplings) -> np.ndarray:
 def dense_arrowhead(diagonal, couplings):
     """(eigenvalues, eigenvectors) of the arrowhead by the dense O(d^3) ``np.linalg.eigh``."""
     return np.linalg.eigh(arrowhead_matrix(diagonal, couplings))
+
+
+def friedrichs_t_grid(t_hi: float) -> np.ndarray:
+    """The Friedrichs builder's time grid for its t_hi, its two ``linspace`` pieces merged by ``np.unique``."""
+    t_mid = min(8.0, 0.5 * t_hi)
+    return np.unique(np.concatenate([np.linspace(1e-3, t_mid, 400), np.linspace(t_mid, t_hi * 1.05, 900)]))

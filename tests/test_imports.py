@@ -5,6 +5,10 @@ must leave scipy's submodules unloaded. The library paths that do call
 scipy import it themselves and give the same values as in a process where
 scipy was loaded first. Both cases run in a subprocess, since this one has
 scipy loaded already.
+
+numpy loads ``numpy.ma`` and ``numpy.random`` on first use. A Friedrichs or
+rabi run uses neither, so it loads neither; the first random draw loads
+``numpy.random``, and nothing loads ``numpy.ma``.
 """
 
 import json
@@ -13,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import zenolab
 
@@ -47,6 +52,32 @@ import json, sys
 from test_imports import SCIPY_SUBMODULES, library_values
 values = library_values()
 print(json.dumps({"values": values, "loaded": [m for m in SCIPY_SUBMODULES if m in sys.modules]}))
+"""
+
+
+NUMPY_SUBMODULES = ("numpy.ma", "numpy.random")
+NUMPY_CONFIGS = {
+    "survival": "task: survival\nmodel:\n  friedrichs: {n_modes: 40}\n",
+    "classify": "task: classify\nmodel:\n  friedrichs: {n_modes: 40}\nt: 1.0\n",
+    "converge": "task: converge\nmodel:\n  friedrichs: {n_modes: 40}\nt: 1.0\n",
+    "converge_rabi": "task: converge\nmodel:\n  rabi: {}\nt: 1.0\n",
+    "gibbs": "task: gibbs\nmodel:\n  random: {dim: 6}\npairs: 2\n",
+}
+
+NUMPY_SCRIPT = """
+import json, sys
+import numpy
+MODULES = json.loads(sys.argv[1])
+loaded = lambda: [m for m in MODULES if m in sys.modules]
+after_numpy = loaded()
+import zenolab.cli
+after_import = loaded()
+runs = json.loads(sys.argv[2])
+codes = [zenolab.cli.main(argv) for argv in runs[:-1]]
+after_runs = loaded()
+codes.append(zenolab.cli.main(runs[-1]))
+print(json.dumps({"after_numpy": after_numpy, "after_import": after_import, "after_runs": after_runs,
+                  "after_gibbs": loaded(), "codes": codes}))
 """
 
 
@@ -96,3 +127,18 @@ def test_scipy_paths_import_it_themselves_with_the_same_bits():
     fresh = run_fresh(LIBRARY_SCRIPT)
     assert {"scipy.linalg", "scipy.integrate", "scipy.special"} <= set(fresh["loaded"])
     assert fresh["values"] == library_values()
+
+
+def test_friedrichs_and_rabi_runs_load_neither_numpy_ma_nor_numpy_random(tmp_path):
+    runs = []
+    for name, body in NUMPY_CONFIGS.items():  # the random gibbs run comes last
+        config = tmp_path / f"{name}.yaml"
+        config.write_text("schema_version: 1\n" + body, encoding="utf-8")
+        runs.append([name.partition("_")[0], "--config", str(config), "--out", str(tmp_path / name), "--quiet"])
+    result = run_fresh(NUMPY_SCRIPT, json.dumps(NUMPY_SUBMODULES), json.dumps(runs))
+    if result["after_numpy"]:
+        pytest.skip(f"a bare import of numpy {np.__version__} loads {result['after_numpy']}")
+    assert result["codes"] == [1, 0, 0, 0, 0]  # the short Friedrichs survival warns, nothing errs
+    assert result["after_import"] == []
+    assert result["after_runs"] == []
+    assert result["after_gibbs"] == ["numpy.random"]

@@ -8,7 +8,7 @@ import yaml
 
 import zenolab.scenarios
 from conftest import SIGMA_X
-from reference import complement, ginibre_hermitian
+from reference import complement, friedrichs_t_grid, ginibre_hermitian
 from zenolab.errors import ConfigError
 from zenolab.operators import evolve, operator_norm
 from zenolab.scenarios import (
@@ -224,6 +224,23 @@ class TestBuilders:
         # flat profile: variance = sum g_k^2 = c^2 * width
         m1, m2 = energy_moments(scen.hamiltonian, scen.state)
         assert m2 - m1 * m1 == pytest.approx(0.05**2 * 4.0, rel=1e-10)
+
+    @pytest.mark.parametrize("coupling", [10.0**k for k in range(-6, 4)])
+    @pytest.mark.parametrize("n_modes", [2, 3, 40, 401, 2000])
+    def test_friedrichs_grid_is_the_unique_merge_byte_for_byte(self, n_modes, coupling):
+        c = cfg(task="survival", model={"friedrichs": {"n_modes": n_modes, "coupling_strength": coupling}})
+        scen = build_scenario(c)
+        expected = friedrichs_t_grid(scen.fit_window[1])
+        assert scen.t_grid.dtype == expected.dtype and scen.t_grid.tobytes() == expected.tobytes()
+
+    def test_friedrichs_grid_covers_both_ends_and_a_falling_first_piece(self):
+        """min(8, t_hi / 2) takes both branches as n_modes grows; a wide band makes the first piece fall."""
+        few, many = (build_scenario(cfg(task="survival", model={"friedrichs": {"n_modes": n}})) for n in (2, 2000))
+        assert 0.5 * few.fit_window[1] < 8.0 < 0.5 * many.fit_window[1]
+        wide = build_scenario(cfg(task="survival", model={"friedrichs": {"n_modes": 2, "band": [-1e6, 1e6]}}))
+        assert 0.5 * wide.fit_window[1] < 1e-3  # linspace(1e-3, t_hi / 2, 400) runs downward
+        expected = friedrichs_t_grid(wide.fit_window[1])
+        assert wide.t_grid.tobytes() == expected.tobytes() and np.all(np.diff(wide.t_grid) > 0)
 
 
 class TestPerturbedInvariance:
