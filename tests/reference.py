@@ -7,8 +7,9 @@ PUP, UP or PU raised to the n-th power, the limit exp(itEHE)E from the
 d x d EHE, the leakage ||E_perp U(t) E||, the KMS residual loop over
 tau_z(B) = V (V*BV o phases) V*, the dense ``eigh`` of the Friedrichs
 arrowhead, the three defect norms of an operator's dense checks, the
-Hermitian draw (G + G*)/2 with its complex temporaries, and the Friedrichs
-time grid merged by ``np.unique``. The equivalence
+Hermitian draw (G + G*)/2 with its complex temporaries, the Friedrichs
+time grid merged by ``np.unique``, and P(t) from the full len(t) x d phase
+table. The equivalence
 tests import them from here, so each dense definition exists once.
 """
 
@@ -29,6 +30,7 @@ from zenolab.operators import (
     evolve,
     operator_norm,
 )
+from zenolab.survival import _state_coefficients
 
 
 def ginibre_hermitian(rng, dim):
@@ -134,3 +136,11 @@ def friedrichs_t_grid(t_hi: float) -> np.ndarray:
     """The Friedrichs builder's time grid for its t_hi, its two ``linspace`` pieces merged by ``np.unique``."""
     t_mid = min(8.0, 0.5 * t_hi)
     return np.unique(np.concatenate([np.linspace(1e-3, t_mid, 400), np.linspace(t_mid, t_hi * 1.05, 900)]))
+
+
+def dense_decay_probabilities(h, psi, times) -> np.ndarray:
+    """P(t) = |<psi, exp(itH) psi>|^2 from the full len(t) x d phase table: its cos table, then its sin table, each @ weights."""
+    weights = np.abs(_state_coefficients(h, psi)) ** 2
+    phase = np.outer(np.asarray(times, dtype=float), h.eigenvalues)
+    amp = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
+    return np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12)

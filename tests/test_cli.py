@@ -247,22 +247,31 @@ class TestDeterminism:
 
         The thread count is set through the OpenBLAS variables, so the cross-count half runs only on an
         OpenBLAS build. The 1e-11 bound is from one measurement (3.2e-12, x86-64 Xeon, OpenBLAS 0.3.31).
+        The sweep's survival run adds the complex product of its anchor and offset phase tables, which BLAS
+        may split by thread count.
         """
-        config = write(tmp_path / "f.yaml", "schema_version: 1\ntask: converge\nmodel:\n  friedrichs: {n_modes: 400}\n")
+        config = write(
+            tmp_path / "f.yaml",
+            "schema_version: 1\ntask: sweep\nruns:\n"
+            "  - {task: converge, model: {friedrichs: {n_modes: 400}}}\n"
+            "  - {task: survival, model: {friedrichs: {n_modes: 400, excited_energy: -0.7, profile: gaussian}}}\n",
+        )
+        csvs = ("run_000/converge.csv", "run_001/survival.csv")
         src = str(Path(zenolab.__file__).resolve().parents[1])
-        csvs = {"1": [], "2": []}
+        runs = {"1": [], "2": []}
         for i, threads in enumerate(("1", "1", "2", "2")):
             env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             out = tmp_path / f"run{i}"
-            argv = ["converge", "--config", config, "--out", str(out), "--quiet"]
+            argv = ["sweep", "--config", config, "--out", str(out), "--quiet"]
             subprocess.run([sys.executable, "-m", "zenolab.cli", *argv], env=env, check=True, timeout=120)
-            csvs[threads].append((out / "converge.csv").read_bytes())
-        assert csvs["1"][0] == csvs["1"][1] and csvs["2"][0] == csvs["2"][1]
+            runs[threads].append([(out / name).read_bytes() for name in csvs])
+        assert runs["1"][0] == runs["1"][1] and runs["2"][0] == runs["2"][1]
         if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower():
             pytest.skip("the thread count is set only for OpenBLAS; both counts ran alike")
-        one, two = (np.loadtxt(io.BytesIO(csvs[k][0]), delimiter=",", skiprows=1) for k in ("1", "2"))
-        assert np.array_equal(one[:, 0], two[:, 0])
-        assert np.max(np.abs(one - two)) <= 1e-11
+        for one, two in zip(runs["1"][0], runs["2"][0]):
+            one, two = (np.loadtxt(io.BytesIO(csv), delimiter=",", skiprows=1) for csv in (one, two))
+            assert np.array_equal(one[:, 0], two[:, 0])
+            assert np.max(np.abs(one - two)) <= 1e-11
 
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write(

@@ -1,10 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import rabi_pair, random_hermitian_op, random_state
+from reference import dense_decay_probabilities
+from zenolab import survival
 from zenolab.errors import (
     NoCrossing,
     NonExponential,
@@ -13,6 +16,7 @@ from zenolab.errors import (
     WindowTooSmall,
 )
 from zenolab.operators import eigendecompose, evolve, expm
+from zenolab.scenarios import build_scenario, parse_config
 from zenolab.spectral import spectral_measure_of_state
 from zenolab.survival import (
     DecayProfile,
@@ -209,23 +213,95 @@ class TestEffectiveRateCurve:
         # -ln(cos^2 tau)/tau = tau + tau^3/3 + ...
         assert np.allclose(curve[:, 1], curve[:, 0], rtol=1e-3)
 
-    def test_profile_fills_one_phase_table(self):
-        """The same bits as a fresh cos table and a fresh sin table, from one len(t) x d buffer."""
-        rng = np.random.default_rng(21)
-        h = random_hermitian_op(rng, 200)
-        psi = random_state(rng, 200)
+    def test_profile_matches_dense_table_without_forming_it(self):
+        """P agrees with the full phase table to 1e-13, and the peak stays under a quarter of that table.
+
+        The Friedrichs V is real, so the state's coefficients take no d x d conjugate copy.
+        """
+        h, psi, _ = friedrichs(n_modes=199)
         times = np.linspace(0.01, 3.0, 1500)
-        weights = np.abs(h.eigenvectors.conj().T @ psi) ** 2
         tracemalloc.start()
         try:
             got = decay_profile(h, psi, times).probabilities
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        phase = np.outer(times, h.eigenvalues)
-        amp = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
-        assert np.array_equal(got, np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12))
-        assert peak < 1.5 * phase.nbytes
+        assert np.max(np.abs(got - dense_decay_probabilities(h, psi, times))) <= 1e-13
+        assert peak < 0.25 * times.size * 200 * 8
+
+
+def friedrichs(**model):
+    scen = build_scenario(parse_config({"schema_version": 1, "task": "survival", "model": {"friedrichs": model}}))
+    return scen.hamiltonian, scen.state, scen.t_grid
+
+
+def nudged_linspace():
+    times = np.linspace(0.1, 10.0, 500)  # an anchor every 23 rows: row 250 is 20 past its anchor
+    times[250] += 1000 * np.spacing(times[250])
+    return times
+
+
+def random_pair(dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return random_hermitian_op(rng, dim, norm=2.0), random_state(rng, dim)
+
+
+class TestFactoredProfile:
+    """The phase bound's two sides: certified rows agree with the dense table to 1e-13, and rejected rows are
+    the dense table's own arithmetic.
+
+    gemv's value for a row depends on the rows it is computed with (OpenBLAS takes the last n mod 4 rows, and
+    each thread's share, with another kernel), so a rejected row is compared with the dense table over the
+    rejected times, which the direct path takes as one block.
+    """
+
+    CASES = {
+        "linspace": lambda: (*random_pair(40), np.linspace(0.05, 20.0, 700)),
+        "friedrichs": lambda: friedrichs(n_modes=200),
+        "wide band": lambda: friedrichs(n_modes=2, band=[-1e6, 1e6]),
+        "geometric": lambda: (*random_pair(40), np.geomspace(1e-3, 50.0, 300)),
+        "short run": lambda: (*random_pair(40), np.linspace(0.1, 1.0, survival._SHORTEST_RUN - 1)),
+        "shortest run": lambda: (*random_pair(40), np.linspace(0.1, 1.0, survival._SHORTEST_RUN)),
+        "nudged": lambda: (*random_pair(40), nudged_linspace()),
+        "weak coupling": lambda: friedrichs(n_modes=2000, coupling_strength=0.01),
+    }
+    # the rows the bound rejects, "all" on grids with no run of 16 equally spaced times; none where not listed
+    REJECTED = {"geometric": "all", "short run": "all", "nudged": [250]}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bound_splits_rows(self, case):
+        h, psi, times = self.CASES[case]()
+        got = decay_profile(h, psi, times).probabilities
+        assert np.max(np.abs(got - dense_decay_probabilities(h, psi, times))) <= 1e-13
+        weights = np.abs(survival._state_coefficients(h, psi)) ** 2
+        rejected = np.flatnonzero(~survival._factored(times, h.eigenvalues, weights)[1])
+        if case == "weak coupling":  # t reaches 1484, where a grid time's own ulp is 2.3e-13
+            assert 0 < rejected.size < times.size and times[rejected[0]] > 500.0
+        else:
+            expected = self.REJECTED.get(case, [])
+            assert rejected.tolist() == (list(range(times.size)) if expected == "all" else expected)
+        assert rejected.size <= survival._DIRECT_ENTRIES // h.eigenvalues.size  # one direct block
+        assert np.array_equal(got[rejected], dense_decay_probabilities(h, psi, times[rejected]))
+
+    def test_overflowing_phases_go_direct(self):
+        """A row whose own phase w t overflows is nan with the dense table's warnings, even where its anchor and
+        offset phases are finite.
+
+        Only the nan rows are compared: near 1e308 a phase's own rounding, eps |w t|, exceeds 2 pi in both paths.
+        """
+        rng = np.random.default_rng(3)
+        h = random_hermitian_op(rng, 5, norm=4.0)
+        psi = random_state(rng, 5)
+        times = np.linspace(1.0, 1e308, 40)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = decay_profile(h, psi, times).probabilities
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = dense_decay_probabilities(h, psi, times)
+        assert {str(w.message) for w in got_warnings} == {str(w.message) for w in want_warnings}
+        assert "overflow encountered in multiply" in {str(w.message) for w in want_warnings}
+        assert np.array_equal(np.isnan(got), np.isnan(want)) and 0 < np.isnan(want).sum() < times.size
 
 
 class TestDecayFit:
