@@ -98,7 +98,7 @@ def operator_norm(m) -> float:
     after dividing by its largest entry magnitude so that squaring can
     neither overflow nor underflow at the top of the spectrum.
     """
-    a = as_complex_matrix(m, square=False)
+    a = as_matrix(m, square=False)
     if a.size == 0 or not np.any(a):
         return 0.0
     rows, cols = a.shape
@@ -106,8 +106,8 @@ def operator_norm(m) -> float:
         return float(np.linalg.norm(a, 2))
     scale = float(np.max(np.abs(a)))
     if scale < _SMALLEST_NORMAL:
-        # complex division multiplies by 1 / scale, which overflows for a subnormal
-        # scale; a power of two lifts the entries exactly
+        # a complex a / scale multiplies by 1 / scale, which overflows for a subnormal
+        # scale; a power of two lifts the entries exactly, real or complex
         return operator_norm(a * 2.0**64) / 2.0**64
     a = a / scale
     gram = a @ a.conj().T if rows < cols else a.conj().T @ a
@@ -165,95 +165,6 @@ def _column_norm_bound(a: np.ndarray) -> float:
     return _frobenius(a, axis=0)
 
 
-# The arrowhead screen accepts this far inside a tolerance: a bound on the exact defect
-# leaves room for the rounding of the dense product it stands in for, of order d eps.
-_ARROW_MARGIN = 0.99
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = n u / (1 - n u), u = eps / 2: the relative rounding of n operations in any order."""
-    return 0.5 * n * _EPS / (1.0 - 0.5 * n * _EPS)
-
-
-def _arrowhead_screen(m: np.ndarray, w: np.ndarray, v: np.ndarray, norm: float) -> bool:
-    """True when M is a float64 arrowhead whose ``_arrowhead_bounds`` lie inside the dense checks' tolerances.
-
-    An arrowhead is zero off its first row, first column and diagonal, and
-    exactly symmetric, so its hermiticity defect is exactly zero.
-    """
-    if not (w.ndim == 1 and w.size and m.shape == v.shape == (w.size, w.size)):
-        return False
-    if not (m.dtype == v.dtype == w.dtype == np.float64) or not np.array_equal(m[0, 1:], m[1:, 0]):
-        return False
-    # rows 1.. are contiguous; their nonzeros may lie in column 0 and on the diagonal only
-    if np.count_nonzero(m[1:]) != np.count_nonzero(m[1:, 0]) + np.count_nonzero(m.diagonal()[1:]):
-        return False
-    recon, ortho = _arrowhead_bounds(m, w, v)
-    return recon <= _ARROW_MARGIN * tol(1e-10, norm) and ortho <= _ARROW_MARGIN * tol(1e-10)
-
-
-def _arrowhead_bounds(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Proven upper bounds on ||M - V diag(w) V^T||_2 and ||V^T V - I||_2 for a real arrowhead M, in O(d^2).
-
-    M has head a, couplings g and poles omega. Its residual R = MV - V diag(w)
-    is formed from the arrow with no product of two d x d matrices: row 0 is
-    (a - w) V_0 + sum_j g_j V_j and row j is g_j V_0 + (omega_j - w) V_j.
-    Adding a rounding term per column makes rho_k a bound on the exact
-    column norm ||r_k||. For k != l, M = M^T gives (w_k - w_l) E_lk =
-    r_l^T v_k - v_l^T r_k with E = V^T V - I, so |E_lk| <= (rho_l ||v_k|| +
-    rho_k ||v_l||) / |w_k - w_l|, and as E is symmetric, ||E||_2 <= delta,
-    its largest row sum. Then M - V diag(w) V^T = (R - V diag(w) E) V^-1 is
-    at most (||R||_F + sqrt(1 + delta) max|w| delta) / sqrt(1 - delta). Each
-    sum of nonnegative terms is widened by its rounding, and d times the
-    smallest normal number is added wherever underflow could lose a term.
-    Eigenvalues that do not strictly ascend, nan, overflow and delta >= 1
-    give infinite bounds.
-    """
-    d = w.size
-    a, g, poles, head = m[0, 0], m[1:, 0], m.diagonal()[1:], v[0]
-    grow = 1.0 + _gamma(2 * d + 8)  # the relative rounding of any one sum, product or root below
-    floor = d * _SMALLEST_NORMAL
-    with np.errstate(all="ignore"):
-        if not np.all(w[1:] > w[:-1]):
-            return math.inf, math.inf
-        row0, row0_abs = (a - w) * head, np.abs(a - w) * np.abs(head)
-        # squared column norms of R, of (omega_j - w_k) V_jk (for its rounding) and of V
-        res2, shift2, col2 = np.zeros(d), np.zeros(d), head * head
-        for start in range(1, d, _BLOCK):
-            vb, gb = v[start : start + _BLOCK], g[start - 1 : start - 1 + _BLOCK]
-            row0 += gb @ vb
-            row0_abs += np.abs(gb) @ np.abs(vb)
-            r = poles[start - 1 : start - 1 + _BLOCK, None] - w
-            r *= vb
-            shift2 += np.einsum("ij,ij->j", r, r)
-            r += np.multiply.outer(gb, head)
-            res2 += np.einsum("ij,ij->j", r, r)
-            col2 += np.einsum("ij,ij->j", vb, vb)
-        res2 += row0 * row0
-        norms = np.sqrt(grow * col2 + floor)  # >= ||v_k||
-        # row 0 sums within blocks and then across them; an entry of rows j >= 1 takes three roundings
-        rounding = _gamma(min(_BLOCK, d) + d // _BLOCK + 4) * row0_abs
-        rounding += _gamma(3) * (math.sqrt(grow * float(g @ g)) * np.abs(head) + np.sqrt(shift2 + floor))
-        rho = grow * (np.sqrt(grow * res2 + floor) + grow * rounding + floor)  # >= ||r_k||
-        # row sums of the bound on |E|: the diagonal, then 1 / |w_k - w_l| against ||v_k|| and rho_k
-        delta = np.abs(col2 - 1.0) + _gamma(d + 1) * col2 + floor
-        both = np.stack([norms, rho], axis=1)
-        for start in range(0, d, _BLOCK):
-            stop = min(start + _BLOCK, d)
-            inverse_gap = w - w[start:stop, None]
-            np.abs(inverse_gap, out=inverse_gap)
-            np.reciprocal(inverse_gap, out=inverse_gap)
-            inverse_gap[np.arange(stop - start), np.arange(start, stop)] = 0.0
-            sums = inverse_gap @ both
-            delta[start:stop] += rho[start:stop] * sums[:, 0] + norms[start:stop] * sums[:, 1]
-        ortho = grow * float(np.max(delta)) + floor
-        if not ortho < 1.0:
-            return math.inf, math.inf
-        frobenius = math.sqrt(float(rho @ rho) + floor)
-        recon = grow * (frobenius + math.sqrt(1.0 + ortho) * float(np.max(np.abs(w))) * ortho) / math.sqrt(1.0 - ortho)
-    return recon, ortho
-
-
 @dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class HermitianOperator:
     """Self-adjoint matrix with its cached eigendecomposition.
@@ -267,11 +178,9 @@ class HermitianOperator:
     arithmetic on their real parts, at the same tolerances. The stored
     arrays are left as given.
 
-    A float64 arrowhead (``arrowhead_eigendecompose``) is first screened in
-    O(d^2): it is exactly symmetric, and ``_arrowhead_bounds`` bounds the
-    other two defects from above. Bounds within 0.99 of their tolerances
-    accept; otherwise the three dense checks run, so every verdict is
-    theirs.
+    ``arrowhead_eigendecompose`` alone builds an operator without these
+    checks, when its own certificate bounds the defects inside them
+    (``_certified``).
     """
 
     matrix: np.ndarray
@@ -284,8 +193,6 @@ class HermitianOperator:
             # views of real data; only v enters products, and BLAS needs it with unit stride
             m, v = m.real, np.ascontiguousarray(v.real)
         norm = float(np.max(np.abs(w))) if w.size else 0.0
-        if _arrowhead_screen(m, w, v, norm):
-            return
         defect = _violation(m - m.conj().T, 1e-12, norm)
         if defect is not None:
             raise NotHermitian(f"hermiticity defect {defect:.3e} exceeds tolerance")
@@ -391,10 +298,10 @@ def arrowhead_eigendecompose(diagonal, couplings) -> HermitianOperator:
     scaled by a power of two and deflated: a coupling within 8 eps ||H|| of
     zero gives the exact pair (w_j, e_j), and two poles closer than that
     tolerance allows are merged by a Givens rotation. The result is a plain
-    ``HermitianOperator`` holding the dense matrix. Its construction checks
-    it by the O(d^2) arrowhead screen, which needs strictly ascending
-    eigenvalues; an exactly repeated eigenvalue, or any bound outside its
-    margin, sends it to the usual dense checks.
+    ``HermitianOperator`` holding the dense matrix, which the solver
+    certifies in O(d) (``_arrowhead_certificate``): bounds on its
+    reconstruction and orthonormality defects within 0.99 of their
+    tolerances skip the dense checks, and anything else takes them.
     """
     diag = np.asarray(diagonal, dtype=float)
     g = np.asarray(couplings, dtype=float)
@@ -420,7 +327,8 @@ def arrowhead_eigendecompose(diagonal, couplings) -> HermitianOperator:
         base, tau = _secular_roots(head, poles[kept], z[kept] ** 2)
         # the secular block: rows 0 and 1 + kept, one column per root
         block = np.empty((kept.size + 1, kept.size + 1))
-        _secular_vectors(poles[kept], z[kept], base, tau, block)
+        h = _secular_vectors(poles[kept], z[kept], base, tau, block)
+        backward, theta = _arrowhead_certificate(head, poles, z, live, base, tau, h, len(rotations), tol)
     values = base + tau  # ascending
     vectors = block
     if kept.size < dim - 1:
@@ -436,8 +344,34 @@ def arrowhead_eigendecompose(diagonal, couplings) -> HermitianOperator:
         values, vectors = values[columns], vectors[:, columns]
     if np.any(order != np.arange(dim - 1)):
         vectors[1 + order] = vectors[1:].copy()
-    values = np.ldexp(values, -shift)
-    return HermitianOperator(_freeze(matrix), _freeze(values), _freeze(vectors))
+    with np.errstate(over="ignore"):
+        # ||M - V diag(x) V*||: the backward error, (2 theta + theta^2) max|x| and the rounding of x = base + tau,
+        # unscaled, and what unscaling x may lose to underflow; 2^-shift is inf in the top octave of the float
+        # range, which takes the dense checks
+        ortho = 2.0 * theta + theta * theta
+        recon = (backward + (ortho + _EPS) * float(np.max(np.abs(values)))) * np.ldexp(1.0, -shift)
+        values = np.ldexp(values, -shift)
+    return _certified(_freeze(matrix), _freeze(values), _freeze(vectors), float(recon) + _SMALLEST_NORMAL, ortho)
+
+
+# The certificate accepts this far inside a tolerance: it bounds the exact defects, and the margin
+# leaves room for the rounding of the dense products they stand in for, of order d eps.
+_CERTIFIED_MARGIN = 0.99
+
+
+def _certified(matrix, values, vectors, recon: float, ortho: float) -> HermitianOperator:
+    """The operator of an exactly symmetric matrix, without its dense checks when ``recon`` and ``ortho`` certify it.
+
+    ``recon`` >= ||M - V diag(w) V*|| and ``ortho`` >= ||V*V - I|| within
+    0.99 of the dense checks' tolerances accept; anything else, nan and a
+    non-finite spectrum included, takes the dense checks.
+    """
+    norm = float(np.max(np.abs(values)))
+    if norm < math.inf and recon <= _CERTIFIED_MARGIN * tol(1e-10, norm) and ortho <= _CERTIFIED_MARGIN * tol(1e-10):
+        h = object.__new__(HermitianOperator)  # the dataclass __init__ would run the dense checks
+        vars(h).update(matrix=matrix, eigenvalues=values, eigenvectors=vectors)
+        return h
+    return HermitianOperator(matrix, values, vectors)
 
 
 def _merge_close_poles(poles: np.ndarray, z: np.ndarray, live: np.ndarray, tol: float) -> list:
@@ -575,8 +509,8 @@ def _root_between(a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, h
     return np.where((y1 > lo) & (y1 < hi), y1, np.where((y2 > lo) & (y2 < hi), y2, np.nan))
 
 
-def _secular_vectors(poles: np.ndarray, z: np.ndarray, base: np.ndarray, tau: np.ndarray, out: np.ndarray) -> None:
-    """Orthonormal eigenvectors of the arrowhead from its roots x_k = base_k + tau_k, into ``out``.
+def _secular_vectors(poles: np.ndarray, z: np.ndarray, base: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of the arrowhead from its roots x_k = base_k + tau_k, into ``out``; returns h.
 
     The couplings are recomputed from the roots, h_j^2 = -prod_k (x_k - w_j)
     / prod_{i != j} (w_i - w_j), as products of ratios in (0, 1): pole
@@ -587,6 +521,7 @@ def _secular_vectors(poles: np.ndarray, z: np.ndarray, base: np.ndarray, tau: np
     """
     m = poles.size
     out[0] = 1.0
+    h = np.empty(m)
     cols = np.arange(m)
     starts = range(0, m, _BLOCK)
     squares = np.ones((len(starts) + 1, m + 1))  # row 0 is out[0] squared
@@ -596,11 +531,12 @@ def _secular_vectors(poles: np.ndarray, z: np.ndarray, base: np.ndarray, tau: np
         dist = (base - poles[rows, None]) + tau  # x_k - w_j
         ratio = np.where(cols < rows[:, None], dist[:, 1:], dist[:, :-1]) / (poles - poles[rows, None])
         ratio[np.arange(rows.size), rows] = 1.0
-        h = np.sqrt(-dist[:, 0] * dist[:, m] * np.prod(ratio, axis=1))
+        h[rows] = np.copysign(np.sqrt(-dist[:, 0] * dist[:, m] * np.prod(ratio, axis=1)), z[rows])
         block = out[1 + start : 1 + stop]
-        np.divide(np.copysign(h, z[rows])[:, None], dist, out=block)
+        np.divide(h[rows, None], dist, out=block)
         squares[b] = _sum_rows(block * block)
     out /= np.sqrt(_sum_rows(squares))
+    return h
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -611,6 +547,64 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
         a[:half] += a[n - half : n]
         n -= half
     return a[0]
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = eps / 2: the relative rounding of n operations in any order."""
+    return 0.5 * n * _EPS / (1.0 - 0.5 * n * _EPS)
+
+
+def _arrowhead_certificate(head, poles, z, live, base, tau, h, merges: int, tol: float) -> tuple[float, float]:
+    """(beta, theta) in O(d) with ||A - A'|| <= beta and ||V - U|| <= theta, for the scaled, sorted arrowhead A.
+
+    Roots x_k = base_k + tau_k (exact sums) that strictly interlace the kept
+    poles w are the eigenvalues of the arrowhead A' with head sum x - sum w,
+    poles w and couplings h'_j^2 = -prod_k (x_k - w_j) / prod_{i != j} (w_i
+    - w_j), rotated back by each merge's exact rotation (c, s) / |(c, s)|;
+    U holds its orthonormal eigenvectors. Each rounding, u = eps / 2, counts:
+    - ``dist`` (``_secular_vectors``) is off by u (1 + rho_k) + u^2 rho_k,
+      rho_k = D / (D - |tau_k|) with D the gap on tau's side (1 at the ends).
+    - ``h`` there takes m + 1 distances, m - 1 pole differences, m - 1
+      divisions, m + 1 products and a root: h_j = h'_j (1 + eta_j), |eta_j|
+      <= eta = sqrt(exp(sum log(1 + e_i))) (1 + u) - 1.
+    - ``out`` there: V_jk = U_jk (1 + eta_j)(1 + phi_jk)(1 + nu_k), phi_k
+      for the distance and two divisions, nu_k for the column norm (squares,
+      ``_sum_rows`` levels, root): ||V - U|| <= eta (1 + t)(1 + nu) + t (1 +
+      nu) + nu, t = ||U o Phi||_F <= sqrt(sum phi_k^2).
+    - each merge (``_merge_close_poles``) drops c s (w_j - w_p) <= tol and
+      rounds two poles (gamma_12, |w| < 1) and two couplings (gamma_14 ||z||);
+      its row updates add 2 gamma_7 (1 + theta).
+    - beta adds |a - a'| (one ``math.fsum``), ||z - h'|| <= ||z - h|| + eta /
+      (1 - eta) ||h||, the deflated couplings and 2^-1075 per scaled entry.
+    Failed interlacing gives (inf, inf), eta >= 1 nan; every sum is widened by its own rounding.
+    """
+    u, lu = 0.5 * _EPS, -math.log1p(-0.5 * _EPS)  # lu >= |log(1 + d)| for |d| <= u
+    w, m = poles[live], base.size - 1
+    beta, theta = abs(math.fsum(np.concatenate([[head], w, -base, -tau]).tolist())), 0.0
+    if m:
+        gap, offset = np.diff(w), tau[1:m]
+        reach = gap * (1.0 - _EPS)  # at most the exact gap
+        sides = ((base[1:m] == w[:-1]) & (offset > 0.0)) | ((base[1:m] == w[1:]) & (offset < 0.0))
+        ends = base[0] == w[0] and base[m] == w[-1] and tau[0] < 0.0 < tau[m]
+        if not (ends and np.all(gap > 0.0) and np.all(sides & (np.abs(offset) < reach))):
+            return math.inf, math.inf
+        rho = np.ones(m + 1)
+        rho[1:m] = reach / (reach - np.abs(offset)) * (1.0 + 2.0 * _EPS)
+        lam = -np.log1p(-u * (1.0 + rho) * (1.0 + _EPS))  # each distance's relative error, as a log bound
+        eta = float(np.expm1(0.5 * (np.sum(lam) + (3 * m - 1) * lu) + lu))
+        phi = np.expm1(2.0 * lu + lam)
+        levels = math.ceil(math.log2(min(m, _BLOCK))) + math.ceil(math.log2(math.ceil(m / _BLOCK) + 1))
+        nu = float(np.expm1(-np.log1p(-eta) + np.max(lam) + 2.5 * lu - 0.5 * math.log1p(-_gamma(levels))))
+        t = math.sqrt(float(phi @ phi))
+        theta = eta * (1.0 + t) * (1.0 + nu) + t * (1.0 + nu) + nu
+        beta += float(np.linalg.norm(z[live] - h)) + eta / (1.0 - eta) * float(np.linalg.norm(h))
+    beta += float(np.linalg.norm(z[~live])) + z.size * _SMALLEST_NORMAL
+    if merges:
+        r = float(np.linalg.norm(z)) * (1.0 + _gamma(14 * merges))  # at least every coupling a merge formed
+        beta += merges * (tol * (1.0 + _gamma(8)) + _gamma(12) + _gamma(14) * r)
+        theta = float(np.expm1(np.log1p(theta) + merges * math.log1p(2.0 * _gamma(7))))
+    grow = 1.0 + _gamma(2 * z.size + 32)
+    return grow * beta, grow * theta
 
 
 def _checked_time(z: complex, scale: float) -> complex:

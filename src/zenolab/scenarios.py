@@ -27,6 +27,7 @@ last bits move (a Friedrichs converge run at 1 and 2 threads agrees to
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -305,14 +306,20 @@ def parse_config(data: dict[str, Any], seed: int | None = None) -> ScenarioConfi
     return ScenarioConfig(task, kind, model, options, output_path, data)
 
 
+# YAML 1.2's floats with an exponent; YAML 1.1 reads 1e-3 and 1.0e3 as strings
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+
+
 def load_config(path, seed: int | None = None) -> ScenarioConfig:
     """Read and validate a YAML config file; ``seed`` is ``parse_config``'s."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IOFailure(f"cannot read config {path}: {exc}") from exc
+    loader = type("Loader", (getattr(yaml, "CSafeLoader", yaml.SafeLoader),), {})  # libyaml's, when present
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
     try:
-        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        data = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     return parse_config(data, seed)

@@ -21,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotNormalized, QuadratureFailure
+from .errors import QuadratureFailure
 from .numeric import tol
-from .operators import HermitianOperator, _checked_time, _matmul
+from .operators import HermitianOperator, _checked_time
+from .survival import _state_coefficients
 
 __all__ = [
     "Classification",
@@ -335,11 +336,7 @@ def spectral_measure_of_state(h: HermitianOperator, psi) -> DiscreteMeasure:
     Eigenvalues closer than 1e-10 * ||H|| are merged (weight-averaged
     position, summed weight).
     """
-    psi = np.asarray(psi, dtype=complex)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol(1e-10):
-        raise NotNormalized(f"state norm {norm:.12f} deviates from 1")
-    weights = np.abs(_matmul(h.eigenvectors.conj().T, psi)) ** 2
+    weights = np.abs(_state_coefficients(h, psi)) ** 2
     gap_tol = 1e-10 * max(h.norm, 1e-300)
     atoms: list[float] = []
     merged: list[float] = []

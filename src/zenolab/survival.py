@@ -39,11 +39,12 @@ _PROBABILITY_FLOOR = 1e-300
 
 
 def _state_coefficients(h: HermitianOperator, psi) -> np.ndarray:
+    """V* psi for a unit state psi, formed as conj(psi* V): no conjugate copy of V."""
     psi = np.asarray(psi, dtype=complex)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > tol(1e-10):
         raise NotNormalized(f"state norm {norm:.12f} deviates from 1")
-    return _matmul(h.eigenvectors.conj().T, psi)
+    return _matmul(psi.conj(), h.eigenvectors).conj()
 
 
 def survival_amplitude(h: HermitianOperator, psi, t: float) -> complex:

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
+import zenolab.operators
 from reference import ginibre_hermitian
-from zenolab.operators import eigendecompose, operator_norm, projection_from_span
+from zenolab.operators import HermitianOperator, arrowhead_eigendecompose, eigendecompose, operator_norm, projection_from_span
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -32,3 +34,25 @@ def rabi_pair():
     h = eigendecompose(SIGMA_X)
     e = projection_from_span([np.array([1.0, 0.0], dtype=complex)])
     return h, e
+
+
+def certified_build(diagonal, couplings, patches=()) -> tuple:
+    """Solve the arrowhead with ``patches``, (name, function) pairs, in ``zenolab.operators``.
+
+    Returns the (matrix, values, vectors) and the (recon, ortho) bounds that
+    reached ``_certified``, whether the dense checks ran, and the operator
+    or the ValueError they raised.
+    """
+    seen, dense = [], []
+    certify, post_init = zenolab.operators._certified, HermitianOperator.__post_init__
+    with pytest.MonkeyPatch.context() as patch:
+        for name, function in patches:
+            patch.setattr(zenolab.operators, name, function)
+        patch.setattr(zenolab.operators, "_certified", lambda *a: seen.append(a) or certify(*a))
+        patch.setattr(HermitianOperator, "__post_init__", lambda self: dense.append(1) or post_init(self))
+        try:
+            outcome = arrowhead_eigendecompose(diagonal, couplings)
+        except ValueError as exc:
+            outcome = exc
+    (args,) = seen
+    return args[:3], args[3:], bool(dense), outcome

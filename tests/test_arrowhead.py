@@ -9,8 +9,8 @@ properties of the result alone: orthonormality, the couplings g-hat of
 V diag(x) V* against g, and the trace sum x = tr H. An eigenvector and its
 weight are compared within the Davis-Kahan bound, eps ||H|| over the
 eigenvalue's gap, so a cluster's vectors, which no solver fixes, are held
-only to the three properties. Each case also holds the validation screen's
-two bounds to at least the defect norms of the dense checks they stand in
+only to the three properties. Each case also holds the solver's O(d)
+certificate to at least the defect norms of the dense checks it stands in
 for (``reference.check_defects``). The grid crosses mode counts, profiles,
 excited levels inside the band, outside it and one ulp inside an edge, and
 couplings from 1e-150 to 1e3; a band 1e-12 wide makes the poles coincide
@@ -24,9 +24,11 @@ import numpy as np
 import pytest
 
 import zenolab.operators
+from conftest import certified_build
 from reference import arrowhead_matrix, check_defects, dense_arrowhead
 from zenolab.errors import DimensionMismatch, NonFinite
-from zenolab.operators import HermitianOperator, _arrowhead_bounds, arrowhead_eigendecompose
+from zenolab.numeric import tol
+from zenolab.operators import HermitianOperator, arrowhead_eigendecompose
 
 EPS = np.finfo(float).eps
 BAND = (-2.0, 2.0)
@@ -43,17 +45,23 @@ def friedrichs(n, profile="flat", level=-0.7, strength=0.05, band=BAND):
     return np.concatenate([[level], omegas]), strength * math.sqrt(width / n) * shape
 
 
-def check_screen_bounds(h: HermitianOperator) -> None:
-    """The screen's bounds are at least the dense checks' defect norms; an arrowhead's hermiticity defect is 0."""
-    recon, ortho = _arrowhead_bounds(h.matrix, h.eigenvalues, h.eigenvectors)
+def certified(diagonal, couplings) -> HermitianOperator:
+    """The solved arrowhead. Its certificate accepts, with bounds at least the dense checks' defect norms.
+
+    An arrowhead's hermiticity defect is exactly 0.
+    """
+    _, (recon, ortho), dense, h = certified_build(diagonal, couplings)
+    assert not dense
+    assert recon <= 0.99 * tol(1e-10, h.norm) and ortho <= 0.99 * tol(1e-10)
     hermiticity, recon_defect, ortho_defect = check_defects(h.matrix, h.eigenvalues, h.eigenvectors)
     assert hermiticity == 0.0
     assert recon >= recon_defect
     assert ortho >= ortho_defect
+    return h
 
 
 def check_against_dense(diagonal, couplings) -> HermitianOperator:
-    h = arrowhead_eigendecompose(diagonal, couplings)
+    h = certified(diagonal, couplings)
     w, v = dense_arrowhead(diagonal, couplings)
     x, u = h.eigenvalues, h.eigenvectors
     scale = max(np.max(np.abs(w)), np.finfo(float).tiny)
@@ -73,7 +81,6 @@ def check_against_dense(diagonal, couplings) -> HermitianOperator:
     recomputed = (u[0] * x) @ u[1:].T  # the first row of V diag(x) V*
     assert np.max(np.abs(recomputed - couplings), initial=0.0) <= 16 * EPS * math.sqrt(w.size) * scale
     assert abs(math.fsum(x) - math.fsum(diagonal)) <= 4 * EPS * w.size * scale
-    check_screen_bounds(h)
     return h
 
 
@@ -144,19 +151,20 @@ def test_random_arrowheads_stop_quickly_and_raise_no_floating_point_error(monkey
         level = poles[0] if trial % 3 == 0 and n else float(rng.standard_normal())
         steps.clear()
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            h = arrowhead_eigendecompose(np.concatenate([[level], poles]), couplings)
+            h = certified(np.concatenate([[level], poles]), couplings)
         assert len(steps) <= 12
         w = np.linalg.eigvalsh(h.matrix)
         assert np.max(np.abs(h.eigenvalues - w)) <= 16 * EPS * max(np.max(np.abs(w)), 1.0)
-        check_screen_bounds(h)
 
 
 def test_a_spectrum_wider_than_the_float_range_raises_no_warning():
+    """Its power-of-two scale 2^1024 is no double, so the certificate leaves the verdict to the dense checks."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h = arrowhead_eigendecompose([1e308, -1e308], [1e308])
+        _, (recon, _), dense, h = certified_build([1e308, -1e308], [1e308])
         assert h.spread == math.inf
-        assert _arrowhead_bounds(h.matrix, h.eigenvalues, h.eigenvectors) == (math.inf, math.inf)
+    assert recon == math.inf
+    assert dense
 
 
 def test_rejects_malformed_input():

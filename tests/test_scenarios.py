@@ -147,6 +147,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=re.escape("runs[1].task")):
             parse_config({"schema_version": 1, "task": "sweep", "runs": runs})
 
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure-python"])
+    def test_exponent_floats_parse_as_floats_and_quoted_ones_stay_strings(self, tmp_path, monkeypatch, libyaml):
+        """YAML 1.1 reads 1e-3 and 1.0e3 as strings; the loader reads them as YAML 1.2 does."""
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "c.yaml"
+
+        def load(body):
+            path.write_text("schema_version: 1\n" + body, encoding="utf-8")
+            return load_config(path)
+
+        friedrichs = "task: survival\nmodel:\n  friedrichs: {coupling_strength: %s}\n"
+        assert load(friedrichs % "1e-3").model["coupling_strength"] == 1e-3
+        assert load(friedrichs % "1.0e3").model["coupling_strength"] == 1e3
+        assert load("task: converge\nmodel:\n  rabi: {}\nt: -2E+5\n").options["t"] == -2e5
+        with pytest.raises(ConfigError, match="coupling_strength: expected a number, got '1e3'"):
+            load(friedrichs % "'1e3'")
+        with pytest.raises(ConfigError, match="n_modes"):
+            load("task: survival\nmodel:\n  friedrichs: {n_modes: 1e3}\n")
+        with pytest.raises(ConfigError, match="t: must be finite"):
+            load("task: converge\nmodel:\n  rabi: {}\nt: .inf\n")
+
     @pytest.mark.parametrize("workload", ["decay-large", "zeno-products", "kms-thermal", "sweep-small"])
     def test_benchmark_configs_load_equal_under_both_yaml_loaders(self, tmp_path, monkeypatch, workload):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

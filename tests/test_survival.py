@@ -230,6 +230,26 @@ class TestEffectiveRateCurve:
         assert peak < 0.25 * times.size * 200 * 8
 
 
+@pytest.mark.parametrize("kernel", ["decay_profile", "spectral_measure_of_state"])
+def test_state_coefficients_take_no_conjugate_copy_of_a_complex_basis(kernel):
+    """A random model's V is complex; V* psi as conj(psi* V) peaks far below one d x d complex array."""
+    scen = build_scenario(parse_config({"schema_version": 1, "task": "converge", "model": {"random": {"dim": 200}}}))
+    h, psi = scen.hamiltonian, scen.state
+    assert h.eigenvectors.dtype == np.complex128
+    np.testing.assert_array_equal(survival._state_coefficients(h, psi), h.eigenvectors.conj().T @ psi)
+    run = {
+        "decay_profile": lambda: decay_profile(h, psi, np.linspace(0.01, 3.0, 10)),
+        "spectral_measure_of_state": lambda: spectral_measure_of_state(h, psi),
+    }[kernel]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * h.dim**2 * 16
+
+
 def friedrichs(**model):
     scen = build_scenario(parse_config({"schema_version": 1, "task": "survival", "model": {"friedrichs": model}}))
     return scen.hamiltonian, scen.state, scen.t_grid

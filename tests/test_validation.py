@@ -12,12 +12,13 @@ idempotence checks of ``reference.projection_from_matrix``; one built from
 a basis Q by its one check, ||Q*Q - I||. A density state's only checks
 are scalar, on its weights, and are placed at the same ratios.
 
-A real arrowhead takes an O(d^2) screen before the dense checks: bounds on
-the reconstruction and orthonormality defects from its residual and its
-eigenvalue gaps. Its cases shift K roots, shift one root, or stretch K
-eigenvectors, and each gets the dense rule's verdict; an arrowhead with a
-zero eigenvalue gap, which the screen cannot certify, goes to the dense
-checks, and a Friedrichs build makes none.
+``arrowhead_eigendecompose`` certifies its own result in O(d) and skips
+the dense checks when both bounds lie within 0.99 of their tolerances. Its
+cases move the solver's head, one root, one recomputed coupling, or hold a
+root from its far pole, so that a bound lands just inside, just outside or
+well inside the margin; each gets the dense rule's verdict. A directly
+constructed arrowhead operator always takes the dense checks, and no
+Friedrichs build up to the cap makes one.
 
 The real solver path stores float64 arrays; every consumer of them is
 compared with the same matrix taken through the complex solver.
@@ -30,7 +31,7 @@ import pytest
 
 import zenolab.operators
 import zenolab.scenarios
-from conftest import SIGMA_X, random_hermitian
+from conftest import SIGMA_X, certified_build, random_hermitian
 from reference import check_defects, projection_from_matrix
 from zenolab.errors import DimensionMismatch, NotHermitian
 from zenolab.gibbs import DensityState, gibbs_state, heisenberg_evolve, kms_residual, kms_scale
@@ -305,14 +306,99 @@ def test_one_shifted_arrowhead_root_gets_the_dense_verdict(ratio):
         HermitianOperator(h.matrix, shifted, h.eigenvectors)
 
 
-def test_arrowhead_screen_accepts_inside_its_margin_and_leaves_the_rest_to_the_dense_checks(monkeypatch):
-    construct = {ratio: CHECKS["HermitianOperator.arrowhead.orthonormality"](ratio)[0] for ratio in RATIOS}
-    dtypes = _spy_violation(monkeypatch)
-    construct[0.5]()
-    assert dtypes == []
-    with pytest.raises(ValueError, match="orthonormality"):
-        construct[1.01]()
-    assert dtypes == [np.float64] * 3
+def _lever(name: str, amount: float) -> tuple:
+    """A patch that moves the solver's head, one root's offset or one recomputed coupling h_j by ``amount``."""
+    roots, vectors = zenolab.operators._secular_roots, zenolab.operators._secular_vectors
+
+    def root(*args):
+        base, tau = roots(*args)
+        tau[DIM // 2] += amount
+        return base, tau
+
+    def coupling(*args):
+        h = vectors(*args)  # the eigenvectors keep the h they were built from
+        h[DIM // 2] += amount
+        return h
+
+    return {
+        "head": ("_secular_roots", lambda head, *args: roots(head + amount, *args)),
+        "root": ("_secular_roots", root),
+        "coupling": ("_secular_vectors", coupling),
+    }[name]
+
+
+def _far_pole() -> tuple:
+    """A patch that holds the interior root nearest a pole as an offset from the pole across its gap."""
+    roots = zenolab.operators._secular_roots
+
+    def far_pole(head, poles, z2):
+        base, tau = roots(head, poles, z2)
+        k = 1 + int(np.argmin(np.abs(tau[1:-1])))
+        far = poles[k] if tau[k] > 0 else poles[k - 1]
+        base[k], tau[k] = far, tau[k] + (base[k] - far)
+        return base, tau
+
+    return "_secular_roots", far_pole
+
+
+def _land(ratio_at, ratio: float, probes: tuple[float, float]) -> float:
+    """The argument at which ``ratio_at``, affine in it, reads ``ratio``, found from two probes."""
+    (a0, a1), (r0, r1) = probes, (ratio_at(probes[0]), ratio_at(probes[1]))
+    return a0 + (ratio - r0) * (a1 - a0) / (r1 - r0)
+
+
+def _check_certified_verdict(build: tuple, which: int, ratio: float) -> None:
+    """Bound ``which`` (0 reconstruction, 1 orthonormality) lands at ``ratio``; the verdict is the dense rule's.
+
+    Both bounds inside 0.99 of their tolerances accept with no dense check;
+    otherwise the dense checks run and reject exactly when a defect norm of
+    ``check_defects`` exceeds its tolerance. Either way the bounds are at
+    least those defect norms.
+    """
+    (m, w, v), bounds, dense, outcome = build
+    limits = (tol(1e-10, float(np.max(np.abs(w)))), tol(1e-10))
+    assert bounds[which] / limits[which] == pytest.approx(ratio, rel=1e-3)
+    _, *defects = check_defects(m, w, v)
+    assert all(bound >= defect for bound, defect in zip(bounds, defects))
+    inside = all(bound <= 0.99 * limit for bound, limit in zip(bounds, limits))
+    assert dense != inside
+    rejected = any(defect > limit for defect, limit in zip(defects, limits))
+    assert isinstance(outcome, ValueError) == rejected
+    if rejected:
+        assert "reconstruction" in str(outcome) or "orthonormality" in str(outcome)
+
+
+ARROW = (np.concatenate([[0.1], np.linspace(-1.0, 1.0, DIM - 1)]), np.full(DIM - 1, 0.2))  # ``_arrowhead``'s input
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("lever", ["head", "root", "coupling"])
+def test_arrowhead_certificate_accepts_inside_its_margin_and_leaves_the_rest_to_the_dense_checks(lever, ratio):
+    """Moving the head, one root or one h_j lands the reconstruction bound at each ratio of its tolerance."""
+    limit = tol(1e-10, _arrowhead().norm)
+
+    def bound(amount):
+        return certified_build(*ARROW, [_lever(lever, amount)])[1][0] / limit
+
+    amount = _land(bound, ratio, (0.0, 1e-10))
+    _check_certified_verdict(certified_build(*ARROW, [_lever(lever, amount)]), 0, ratio)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_arrowhead_root_held_from_its_far_pole_gets_the_dense_verdict_outside_the_margin(ratio):
+    """A weak coupling puts a root near its pole; held from the pole across the gap, its distances cancel.
+
+    The orthonormality bound grows as 1 / g_j^2, so it lands at each ratio
+    of its tolerance.
+    """
+    diagonal, couplings = ARROW[0], ARROW[1].copy()
+
+    def build(inverse_square):
+        couplings[DIM // 2] = inverse_square**-0.5
+        return certified_build(diagonal, couplings, [_far_pole()])
+
+    inverse_square = _land(lambda x: build(x)[1][1] / tol(1e-10), ratio, (1e6, 4e6))
+    _check_certified_verdict(build(inverse_square), 1, ratio)
 
 
 @pytest.mark.parametrize(
@@ -341,12 +427,14 @@ def test_matrix_off_the_arrow_or_not_symmetric_is_not_screened(at, error):
     ],
     ids=["repeated-poles", "merged-close-poles"],
 )
-def test_arrowhead_with_a_zero_gap_takes_the_dense_checks(monkeypatch, diagonal, couplings):
-    """The screen cannot certify orthonormality across a zero gap; the dense checks accept."""
-    dtypes = _spy_violation(monkeypatch)
-    h = arrowhead_eigendecompose(diagonal, couplings)
+def test_arrowhead_with_a_zero_gap_is_certified(diagonal, couplings):
+    """Merged poles give exactly repeated eigenvalues; the certificate covers them, above the dense defects."""
+    arrays, (recon, ortho), dense, h = certified_build(diagonal, couplings)
     assert np.any(np.diff(h.eigenvalues) == 0.0)
-    assert dtypes == [np.float64] * 3
+    assert not dense
+    _, recon_defect, ortho_defect = check_defects(*arrays)
+    assert recon_defect <= recon <= 0.99 * tol(1e-10, h.norm)
+    assert ortho_defect <= ortho <= 0.99 * tol(1e-10)
 
 
 def test_projection_rejects_a_basis_that_does_not_span_its_range():
@@ -367,15 +455,33 @@ def test_clean_friedrichs_build_takes_no_svd(monkeypatch):
     assert calls == []
 
 
-def test_friedrichs_build_skips_the_dense_checks(monkeypatch):
-    """The operator is validated once, by the arrowhead screen; only the projection's 1 x 1 Gram check remains."""
+def _spy_dense_validation(monkeypatch) -> tuple[list, list, list]:
+    """Record the shape of each ``_violation`` defect, each ``operator_norm`` call and each ``HermitianOperator`` check."""
     shapes, norms, validated = [], [], []
     violation, post_init = zenolab.operators._violation, HermitianOperator.__post_init__
     monkeypatch.setattr(zenolab.operators, "_violation", lambda x, *a, **k: shapes.append(x.shape) or violation(x, *a, **k))
     monkeypatch.setattr(zenolab.operators, "operator_norm", lambda m: norms.append(1) or operator_norm(m))
     monkeypatch.setattr(HermitianOperator, "__post_init__", lambda self: validated.append(self.dim) or post_init(self))
+    return shapes, norms, validated
+
+
+def test_friedrichs_build_skips_the_dense_checks(monkeypatch):
+    """The solver certifies the operator, so its dense checks never run; only the projection's 1 x 1 Gram check remains."""
+    shapes, norms, validated = _spy_dense_validation(monkeypatch)
     build_scenario(parse_config({"schema_version": 1, "task": "survival", "model": {"friedrichs": {"n_modes": 800}}}))
-    assert validated == [801]
+    assert validated == []
+    assert shapes == [(1, 1)]
+    assert norms == []
+
+
+@pytest.mark.parametrize("profile", ["flat", "gaussian"])
+@pytest.mark.parametrize("coupling", [0.05, 1.0, 3.0, 10.0, 100.0, 1e3])
+@pytest.mark.parametrize("n_modes", [200, 2000])
+def test_friedrichs_builds_are_certified_at_every_coupling_up_to_the_cap(monkeypatch, n_modes, coupling, profile):
+    shapes, norms, validated = _spy_dense_validation(monkeypatch)
+    model = {"friedrichs": {"n_modes": n_modes, "coupling_strength": coupling, "profile": profile}}
+    build_scenario(parse_config({"schema_version": 1, "task": "classify", "model": model}))
+    assert validated == []
     assert shapes == [(1, 1)]
     assert norms == []
 
