@@ -87,6 +87,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
 _BLOCK = 96  # rows per block of the O(d^2) arrowhead passes, so each temporary is 96 x d
 
 
@@ -180,7 +181,8 @@ class HermitianOperator:
 
     ``arrowhead_eigendecompose`` alone builds an operator without these
     checks, when its own certificate bounds the defects inside them
-    (``_certified``).
+    (``_certified``); that operator forms ``matrix`` and ``eigenvectors``
+    on first read. ``dim`` reads the eigenvalues.
     """
 
     matrix: np.ndarray
@@ -208,7 +210,7 @@ class HermitianOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.eigenvalues.shape[0]
 
     @property
     def norm(self) -> float:
@@ -294,25 +296,24 @@ def arrowhead_eigendecompose(diagonal, couplings) -> HermitianOperator:
     held as its nearer pole plus an offset and found by ``_secular_roots``.
     The eigenvectors [1; h_j / (x_k - w_j)], normalised, use couplings h
     recomputed from the roots (Gu and Eisenstat), so they are orthonormal
-    to working precision (``_secular_vectors``). The problem is first
+    to working precision (``_secular_couplings``). The problem is first
     scaled by a power of two and deflated: a coupling within 8 eps ||H|| of
     zero gives the exact pair (w_j, e_j), and two poles closer than that
-    tolerance allows are merged by a Givens rotation. The result is a plain
-    ``HermitianOperator`` holding the dense matrix, which the solver
-    certifies in O(d) (``_arrowhead_certificate``): bounds on its
-    reconstruction and orthonormality defects within 0.99 of their
-    tolerances skip the dense checks, and anything else takes them.
+    tolerance allows are merged by a Givens rotation. The solver certifies
+    its result in O(d) (``_arrowhead_certificate``), with nothing d x d
+    formed: it keeps the eigenvalues, the first row of V and the data that
+    V is built from, and forms ``matrix`` and ``eigenvectors`` on first
+    read. Bounds on the reconstruction and orthonormality defects within
+    0.99 of their tolerances skip the dense checks; anything else forms
+    both and takes them.
     """
-    diag = np.asarray(diagonal, dtype=float)
-    g = np.asarray(couplings, dtype=float)
+    diag = np.array(diagonal, dtype=float)
+    g = np.array(couplings, dtype=float)
     if diag.ndim != 1 or not diag.size or g.shape != (diag.size - 1,):
         raise DimensionMismatch(f"an arrowhead needs n + 1 diagonal entries and n couplings, got {diag.shape}, {g.shape}")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(g))):
         raise NonFinite("arrowhead entries must be finite")
     dim = diag.size
-    matrix = np.diag(diag)
-    matrix[0, 1:] = g
-    matrix[1:, 0] = g
     # an exact power-of-two scaling to largest entry in [1/2, 1): no square overflows or underflows
     shift = -int(np.frexp(max(np.max(np.abs(diag)), np.max(np.abs(g), initial=0.0)))[1])
     head = float(np.ldexp(diag[0], shift))
@@ -325,25 +326,16 @@ def arrowhead_eigendecompose(diagonal, couplings) -> HermitianOperator:
         rotations = _merge_close_poles(poles, z, live, tol)
         kept = np.flatnonzero(live)
         base, tau = _secular_roots(head, poles[kept], z[kept] ** 2)
-        # the secular block: rows 0 and 1 + kept, one column per root
-        block = np.empty((kept.size + 1, kept.size + 1))
-        h = _secular_vectors(poles[kept], z[kept], base, tau, block)
+        h, norms = _secular_couplings(poles[kept], z[kept], base, tau)
         backward, theta = _arrowhead_certificate(head, poles, z, live, base, tau, h, len(rotations), tol)
     values = base + tau  # ascending
-    vectors = block
+    first_row = 1.0 / norms
+    columns = None
     if kept.size < dim - 1:
         values = np.concatenate([values, poles[~live]])
-        vectors = np.zeros((dim, dim))
-        vectors[np.ix_(np.concatenate([[0], 1 + kept]), np.arange(kept.size + 1))] = block
-        vectors[1 + np.flatnonzero(~live), np.arange(kept.size + 1, dim)] = 1.0
-        for p, j, c, s in reversed(rotations):  # u_p = c e_p - s e_j, u_j = s e_p + c e_j
-            vp, vj = vectors[1 + p].copy(), vectors[1 + j].copy()
-            vectors[1 + p] = c * vp + s * vj
-            vectors[1 + j] = c * vj - s * vp
+        first_row = np.concatenate([first_row, np.zeros(dim - 1 - kept.size)])
         columns = np.argsort(values, kind="stable")
-        values, vectors = values[columns], vectors[:, columns]
-    if np.any(order != np.arange(dim - 1)):
-        vectors[1 + order] = vectors[1:].copy()
+        values, first_row = values[columns], first_row[columns]
     with np.errstate(over="ignore"):
         # ||M - V diag(x) V*||: the backward error, (2 theta + theta^2) max|x| and the rounding of x = base + tau,
         # unscaled, and what unscaling x may lose to underflow; 2^-shift is inf in the top octave of the float
@@ -351,7 +343,60 @@ def arrowhead_eigendecompose(diagonal, couplings) -> HermitianOperator:
         ortho = 2.0 * theta + theta * theta
         recon = (backward + (ortho + _EPS) * float(np.max(np.abs(values)))) * np.ldexp(1.0, -shift)
         values = np.ldexp(values, -shift)
-    return _certified(_freeze(matrix), _freeze(values), _freeze(vectors), float(recon) + _SMALLEST_NORMAL, ortho)
+    spectral = (poles[kept], base, tau, h, norms, kept, live, rotations, columns, order)
+    arrowhead = _Arrowhead(diag, g, _freeze(values), _freeze(first_row), spectral)
+    return _certified(arrowhead, float(recon) + _SMALLEST_NORMAL, ortho)
+
+
+class _Arrowhead(HermitianOperator):
+    """The operator ``arrowhead_eigendecompose`` builds: its eigenvalues and ``first_row`` = V[0] are held, and
+    ``matrix`` and ``eigenvectors`` are formed, frozen, on first read (``_arrowhead_vectors``).
+
+    Survival and classify on a state along e_0 read only the first row, so
+    they form nothing d x d; converge's W and compression and gibbs'
+    transforms read V and H.
+    """
+
+    def __init__(self, diagonal, couplings, values, first_row, spectral):  # no dense checks: see ``_certified``
+        vars(self).update(eigenvalues=values, first_row=first_row, _arrow=(diagonal, couplings), _spectral=spectral)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        diagonal, couplings = self._arrow
+        matrix = np.diag(diagonal)
+        matrix[0, 1:] = couplings
+        matrix[1:, 0] = couplings
+        return _freeze(matrix)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return _freeze(_arrowhead_vectors(*self._spectral))
+
+
+def _arrowhead_vectors(poles, base, tau, h, norms, kept, live, rotations, columns, order) -> np.ndarray:
+    """V of the arrowhead from the solver's data: the secular block for the kept poles, columns [1; h_j / (x_k -
+    w_j)] over the norms ``_secular_couplings`` summed, then the deflated pairs, the merges' rotations, the
+    ascending column order and the poles' input order."""
+    dim = live.size + 1
+    vectors = np.empty((kept.size + 1, kept.size + 1))
+    vectors[0] = 1.0
+    with np.errstate(all="ignore"):  # as in the solver: a root on its pole fails the certificate, not with a warning
+        for start in range(0, poles.size, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            np.divide(h[rows, None], (base - poles[rows, None]) + tau, out=vectors[1:][rows])
+        vectors /= norms
+    if columns is not None:
+        block, vectors = vectors, np.zeros((dim, dim))
+        vectors[np.ix_(np.concatenate([[0], 1 + kept]), np.arange(kept.size + 1))] = block
+        vectors[1 + np.flatnonzero(~live), np.arange(kept.size + 1, dim)] = 1.0
+        for p, j, c, s in reversed(rotations):  # u_p = c e_p - s e_j, u_j = s e_p + c e_j
+            vp, vj = vectors[1 + p].copy(), vectors[1 + j].copy()
+            vectors[1 + p] = c * vp + s * vj
+            vectors[1 + j] = c * vj - s * vp
+        vectors = vectors[:, columns]
+    if np.any(order != np.arange(dim - 1)):
+        vectors[1 + order] = vectors[1:].copy()
+    return vectors
 
 
 # The certificate accepts this far inside a tolerance: it bounds the exact defects, and the margin
@@ -359,19 +404,17 @@ def arrowhead_eigendecompose(diagonal, couplings) -> HermitianOperator:
 _CERTIFIED_MARGIN = 0.99
 
 
-def _certified(matrix, values, vectors, recon: float, ortho: float) -> HermitianOperator:
-    """The operator of an exactly symmetric matrix, without its dense checks when ``recon`` and ``ortho`` certify it.
+def _certified(h: _Arrowhead, recon: float, ortho: float) -> HermitianOperator:
+    """``h`` as it is, with no dense checks, when ``recon`` and ``ortho`` certify it; else its formed arrays, checked.
 
     ``recon`` >= ||M - V diag(w) V*|| and ``ortho`` >= ||V*V - I|| within
     0.99 of the dense checks' tolerances accept; anything else, nan and a
     non-finite spectrum included, takes the dense checks.
     """
-    norm = float(np.max(np.abs(values)))
-    if norm < math.inf and recon <= _CERTIFIED_MARGIN * tol(1e-10, norm) and ortho <= _CERTIFIED_MARGIN * tol(1e-10):
-        h = object.__new__(HermitianOperator)  # the dataclass __init__ would run the dense checks
-        vars(h).update(matrix=matrix, eigenvalues=values, eigenvectors=vectors)
+    limits = (_CERTIFIED_MARGIN * tol(1e-10, h.norm), _CERTIFIED_MARGIN * tol(1e-10))
+    if h.norm < math.inf and recon <= limits[0] and ortho <= limits[1]:
         return h
-    return HermitianOperator(matrix, values, vectors)
+    return HermitianOperator(h.matrix, h.eigenvalues, h.eigenvectors)
 
 
 def _merge_close_poles(poles: np.ndarray, z: np.ndarray, live: np.ndarray, tol: float) -> list:
@@ -402,29 +445,42 @@ def _merge_close_poles(poles: np.ndarray, z: np.ndarray, live: np.ndarray, tol: 
     return rotations
 
 
-def _secular_sums(poles: np.ndarray, z2: np.ndarray, origin: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _secular_sums(
+    poles: np.ndarray, z2: np.ndarray, roots: np.ndarray, origin: np.ndarray, tau: np.ndarray
+) -> np.ndarray:
     """Rows sum z2 R, sum_left z2 R^2, sum_right z2 R^2 and sum z2 |R|, R_j = 1 / (w_j - x), x = w_origin + tau.
 
     w_j - x is formed as (w_j - w_origin) - tau, so it keeps its relative
-    accuracy next to the origin pole. The poles left of x (R < 0) and right
-    of it are summed apart, so neither side's share is lost to the other's.
+    accuracy next to the origin pole. x lies between poles k - 1 and k for
+    its root k (``roots``, ascending), so the poles j < k lie left of it (R
+    < 0) and the rest right; the two sides are summed apart, so neither
+    side's share is lost to the other's, and sum z2 |R| is their difference.
+    In a block of rows, the columns left of every row's root and right of
+    every row's root are plain products; only those between take a mask.
     """
     out = np.empty((4, tau.size))
+    buffer = np.empty((min(tau.size, _BLOCK), poles.size))  # refilled in place, as in ``_secular_couplings``
     for start in range(0, tau.size, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        r = poles - poles[origin[rows], None]
+        k = roots[rows]
+        a, b = k[0], k[-1]
+        r = np.subtract(poles, poles[origin[rows], None], out=buffer[: k.size])
         r -= tau[rows, None]
         np.reciprocal(r, out=r)
-        out[0, rows] = r @ z2
-        a = np.abs(r)
-        out[3, rows] = a @ z2
-        right = a + r  # 2 max(R, 0), exactly
-        a -= r  # 2 max(-R, 0)
-        a *= a
-        right *= right
-        out[1, rows] = 0.25 * (a @ z2)
-        out[2, rows] = 0.25 * (right @ z2)
+        left_of = np.arange(a, b) < k[:, None]
+        left, right = _sides(r, z2, a, b, left_of)
+        out[0, rows], out[3, rows] = left + right, right - left
+        r *= r
+        out[1, rows], out[2, rows] = _sides(r, z2, a, b, left_of)
     return out
+
+
+def _sides(r: np.ndarray, z2: np.ndarray, a: int, b: int, left_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, (sum of r_j z2_j over columns j < a and the masked ones of [a, b), sum over the rest)."""
+    between = np.where(left_of, r[:, a:b], 0.0)
+    left = r[:, :a] @ z2[:a] + between @ z2[a:b]
+    between -= r[:, a:b]  # minus the right side's share, exactly
+    return left, r[:, b:] @ z2[b:] - between @ z2[a:b]
 
 
 def _secular_roots(head: float, poles: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,11 +494,17 @@ def _secular_roots(head: float, poles: np.ndarray, z2: np.ndarray) -> tuple[np.n
     vectorised loop. Each step fits the two-pole model of Li's middle way to
     f and f' and takes its root, as a correction to the iterate or, when it
     lies much nearer the origin pole, as an offset from that pole, where
-    the small root carries no cancellation. A step that leaves the root's
-    bracket is a bisection, and after ``_RATIONAL_STEPS`` every step is. A
-    root stops when |f| <= 8 eps (|w_origin - head| + |tau| + sum |z2_j /
-    (w_j - x)|), or when no double lies inside its bracket, so every root
-    stops.
+    the small root carries no cancellation. From the midpoint, that offset
+    comes from ``dlaed4``'s start instead (Li, LAPACK Working Note 89): the
+    two neighbour poles' own terms, with the rest of f frozen at the
+    midpoint. A step that leaves the root's bracket is a bisection, and
+    after ``_RATIONAL_STEPS`` every step is. A root stops when |f| <= 8 eps
+    (|w_origin - head| + |tau| + sum |z2_j / (w_j - x)|), when no double
+    lies inside its bracket, so every root stops, or, past the midpoint,
+    with a step that is no bisection and moves tau by at most sqrt(eps)
+    |tau|: the iteration converges quadratically, so that step leaves an
+    error of order eps |tau|, which the certificate bounds through the
+    recomputed couplings.
     """
     m = poles.size
     if not m:
@@ -459,7 +521,7 @@ def _secular_roots(head: float, poles: np.ndarray, z2: np.ndarray) -> tuple[np.n
     active, step = k, 0
     while active.size:
         o, t = origin[active], tau[active]
-        s1, s2_left, s2_right, s4 = _secular_sums(poles, z2, o, t)
+        s1, s2_left, s2_right, s4 = _secular_sums(poles, z2, active, o, t)
         if not step:
             # a root right of its gap's midpoint moves to the frame of its right pole
             flip = ((poles[o] - head) + t + s1 < 0) & (k > 0) & (k < m)
@@ -494,11 +556,20 @@ def _secular_roots(head: float, poles: np.ndarray, z2: np.ndarray) -> tuple[np.n
             lo_a,
             hi_a,
         )
+        if not step:
+            # dlaed4's start in place of the offset step: like it, taken when it lies within half the midpoint's
+            # offset of the origin pole, where the middle way's share of the far poles' slope misleads most
+            zl, zr = z2[left], z2[right]
+            c = f - zl / gl - zr / gr
+            start = _root_between(c, c * (dl + dr) + zl + zr, zl * dr + zr * dl, lo_a, hi_a)
+            jump_to = np.where(outer, jump_to, start)
         new = np.where(np.abs(jump_to) < 0.5 * np.abs(t), jump_to, step_to)
         bisect = ~((new > lo_a) & (new < hi_a)) | (step >= _RATIONAL_STEPS)
+        # past step 0 the iteration converges quadratically: a step this small leaves an error of order eps |tau|
+        close = (np.abs(new - t) <= _SQRT_EPS * np.abs(t)) & ~bisect & (step > 0)
         tau[active] = np.where(done, t, np.where(bisect, mid, new))
         lo[active], hi[active] = lo_a, hi_a
-        active, step = active[~done], step + 1
+        active, step = active[~(done | close)], step + 1
     return poles[origin], tau
 
 
@@ -509,34 +580,43 @@ def _root_between(a: np.ndarray, b: np.ndarray, c: np.ndarray, lo: np.ndarray, h
     return np.where((y1 > lo) & (y1 < hi), y1, np.where((y2 > lo) & (y2 < hi), y2, np.nan))
 
 
-def _secular_vectors(poles: np.ndarray, z: np.ndarray, base: np.ndarray, tau: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvectors of the arrowhead from its roots x_k = base_k + tau_k, into ``out``; returns h.
+def _secular_couplings(
+    poles: np.ndarray, z: np.ndarray, base: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The couplings h recomputed from the roots x_k = base_k + tau_k, and the norms of the columns
+    [1; h_j / (x_k - w_j)].
 
-    The couplings are recomputed from the roots, h_j^2 = -prod_k (x_k - w_j)
-    / prod_{i != j} (w_i - w_j), as products of ratios in (0, 1): pole
-    i < j over root i + 1, pole i > j over root i, and the outer roots'
-    two factors apart. Column k of ``out`` is [1; h_j / (x_k - w_j)] over
-    its norm, with h_j taking the sign of z_j; the norms are summed
-    pairwise, so the first row's weights sum to 1 as closely as ``eigh``'s.
+    h_j^2 = -prod_k (x_k - w_j) / prod_{i != j} (w_i - w_j), as products of
+    ratios in (0, 1): pole i < j over root i + 1, pole i > j over root i,
+    and the outer roots' two factors apart. In a block of rows j, the poles
+    left of every row and right of every row take plain quotients; only
+    the block's own square takes a mask. h_j takes the sign of z_j. The
+    norms are summed pairwise, so the first row's weights sum to 1 as
+    closely as ``eigh``'s.
     """
     m = poles.size
-    out[0] = 1.0
     h = np.empty(m)
-    cols = np.arange(m)
     starts = range(0, m, _BLOCK)
-    squares = np.ones((len(starts) + 1, m + 1))  # row 0 is out[0] squared
+    squares = np.ones((len(starts) + 1, m + 1))  # row 0 is the first row squared
+    # one set of block buffers, refilled in place: fresh ones would fault their pages in on every block
+    dist_buffer, gaps_buffer, ratio_buffer = np.empty((_BLOCK, m + 1)), np.empty((_BLOCK, m)), np.empty((_BLOCK, m))
     for b, start in enumerate(starts, 1):
         stop = min(start + _BLOCK, m)
         rows = np.arange(start, stop)
-        dist = (base - poles[rows, None]) + tau  # x_k - w_j
-        ratio = np.where(cols < rows[:, None], dist[:, 1:], dist[:, :-1]) / (poles - poles[rows, None])
+        dist = np.subtract(base, poles[rows, None], out=dist_buffer[: rows.size])
+        dist += tau  # x_k - w_j
+        gaps = np.subtract(poles, poles[rows, None], out=gaps_buffer[: rows.size])
+        ratio = ratio_buffer[: rows.size]
+        np.divide(dist[:, 1 : start + 1], gaps[:, :start], out=ratio[:, :start])
+        np.divide(dist[:, stop:m], gaps[:, stop:], out=ratio[:, stop:])
+        own = np.where(rows[None, :] < rows[:, None], dist[:, start + 1 : stop + 1], dist[:, start:stop])
+        np.divide(own, gaps[:, start:stop], out=ratio[:, start:stop])
         ratio[np.arange(rows.size), rows] = 1.0
         h[rows] = np.copysign(np.sqrt(-dist[:, 0] * dist[:, m] * np.prod(ratio, axis=1)), z[rows])
-        block = out[1 + start : 1 + stop]
-        np.divide(h[rows, None], dist, out=block)
-        squares[b] = _sum_rows(block * block)
-    out /= np.sqrt(_sum_rows(squares))
-    return h
+        np.divide(h[rows, None], dist, out=dist)
+        dist *= dist
+        squares[b] = _sum_rows(dist)
+    return h, np.sqrt(_sum_rows(squares))
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -562,12 +642,12 @@ def _arrowhead_certificate(head, poles, z, live, base, tau, h, merges: int, tol:
     poles w and couplings h'_j^2 = -prod_k (x_k - w_j) / prod_{i != j} (w_i
     - w_j), rotated back by each merge's exact rotation (c, s) / |(c, s)|;
     U holds its orthonormal eigenvectors. Each rounding, u = eps / 2, counts:
-    - ``dist`` (``_secular_vectors``) is off by u (1 + rho_k) + u^2 rho_k,
+    - ``dist`` (``_secular_couplings``) is off by u (1 + rho_k) + u^2 rho_k,
       rho_k = D / (D - |tau_k|) with D the gap on tau's side (1 at the ends).
     - ``h`` there takes m + 1 distances, m - 1 pole differences, m - 1
       divisions, m + 1 products and a root: h_j = h'_j (1 + eta_j), |eta_j|
       <= eta = sqrt(exp(sum log(1 + e_i))) (1 + u) - 1.
-    - ``out`` there: V_jk = U_jk (1 + eta_j)(1 + phi_jk)(1 + nu_k), phi_k
+    - V (``_arrowhead_vectors``): V_jk = U_jk (1 + eta_j)(1 + phi_jk)(1 + nu_k), phi_k
       for the distance and two divisions, nu_k for the column norm (squares,
       ``_sum_rows`` levels, root): ||V - U|| <= eta (1 + t)(1 + nu) + t (1 +
       nu) + nu, t = ||U o Phi||_F <= sqrt(sum phi_k^2).

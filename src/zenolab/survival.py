@@ -12,13 +12,14 @@ import numpy as np
 from .errors import (
     NoCrossing,
     NonExponential,
+    NonFinite,
     NonpositiveProbability,
     NotNormalized,
     NotSmooth,
     WindowTooSmall,
 )
 from .numeric import linear_fit, tol
-from .operators import HermitianOperator, _matmul
+from .operators import _EPS, HermitianOperator, _Arrowhead, _matmul
 
 __all__ = [
     "DecayProfile",
@@ -39,11 +40,17 @@ _PROBABILITY_FLOOR = 1e-300
 
 
 def _state_coefficients(h: HermitianOperator, psi) -> np.ndarray:
-    """V* psi for a unit state psi, formed as conj(psi* V): no conjugate copy of V."""
+    """V* psi for a unit state psi, formed as conj(psi* V): no conjugate copy of V.
+
+    On the arrowhead's real V and psi = psi_0 e_0 this is psi_0 V[0], read
+    off the solver's first row with nothing d x d formed.
+    """
     psi = np.asarray(psi, dtype=complex)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > tol(1e-10):
         raise NotNormalized(f"state norm {norm:.12f} deviates from 1")
+    if isinstance(h, _Arrowhead) and psi.shape == h.first_row.shape and not np.any(psi[1:]):
+        return psi[0] * h.first_row
     return _matmul(psi.conj(), h.eigenvectors).conj()
 
 
@@ -128,19 +135,33 @@ class DecayProfile:
     generator_ref: HermitianOperator
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _time_grid(self.times)
         p = np.asarray(self.probabilities, dtype=float)
-        if t.ndim != 1 or t.shape != p.shape:
+        if t.shape != p.shape:
             raise ValueError("times and probabilities must be 1-d arrays of equal length")
-        if np.any(t <= 0) or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing and positive")
         if np.any(p < 0) or np.any(p > 1.0 + 1e-12):
             raise ValueError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "probabilities", p)
 
 
-_PHASE_BOUND = 1e-13  # largest max|w| |t_j - (anchor + offset)| that a factored row may carry
+def _time_grid(times) -> np.ndarray:
+    """``times`` as a float array, checked: 1-d (else ValueError), finite (else NonFinite), positive and strictly
+    increasing (else ValueError)."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"times must be a 1-d array, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise NonFinite("times must be finite")
+    if np.any(t <= 0) or np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing and positive")
+    return t
+
+
+# The largest max|w| |t_j - (anchor + offset)| that a factored row may carry: this absolute bound, or this many
+# times eps |t_j| max|w|, the phase rounding that the direct path's own w t_j carries, whichever is larger.
+_PHASE_BOUND = 1e-13
+_ROUNDING_MULTIPLE = 2.0
 _SHORTEST_RUN = 16  # a shorter run saves fewer exponentials than its two tables cost to set up
 _DIRECT_ENTRIES = 2**19  # phases per direct row block: 4 MiB
 
@@ -174,8 +195,10 @@ def _factored(t: np.ndarray, w: np.ndarray, weights: np.ndarray) -> tuple[np.nda
     anchor l plus r D, so the run's amplitudes are one product of the L x d
     anchor phases (times the weights) with the d x m offset phases:
     2 sqrt(n) d exponentials, not n d. A row is certified when
-    max|w| |t_j - anchor - r D| <= 1e-13, which bounds its amplitude error
-    as the weights sum to 1.
+    max|w| |t_j - anchor - r D| is at most 1e-13 or twice eps |t_j| max|w|,
+    which bounds its amplitude error as the weights sum to 1: that drift is
+    a grid time's own rounding, within a small multiple of the rounding the
+    direct path's phases w t_j carry.
     """
     amp = np.empty(t.size, dtype=complex)
     certified = np.zeros(t.size, dtype=bool)
@@ -193,7 +216,8 @@ def _factored(t: np.ndarray, w: np.ndarray, weights: np.ndarray) -> tuple[np.nda
             amp[start:stop] = (left @ _phase_table(offsets, w).T).ravel()[:n]
             j = np.arange(n)
             drift = np.abs((run - anchors[j // m]) - offsets[j % m]) * reach
-            certified[start:stop] = (drift <= _PHASE_BOUND) & np.isfinite(run * reach)
+            bound = np.maximum(_PHASE_BOUND, _ROUNDING_MULTIPLE * _EPS * run * reach)
+            certified[start:stop] = (drift <= bound) & np.isfinite(run * reach)
     return amp, certified
 
 
@@ -204,17 +228,15 @@ def decay_profile(h: HermitianOperator, psi, times) -> DecayProfile:
     (``_factored``); the rest take the direct cos and sin tables @ weights
     in row blocks of at most 4 MiB.
     """
-    c = _state_coefficients(h, psi)
-    weights = np.abs(c) ** 2
-    t = np.asarray(times, dtype=float)
-    flat = t.ravel()
+    t = _time_grid(times)
+    weights = np.abs(_state_coefficients(h, psi)) ** 2
     w = h.eigenvalues
-    amp, certified = _factored(flat, w, weights)
+    amp, certified = _factored(t, w, weights)
     rows = np.flatnonzero(~certified)
     block = max(1, _DIRECT_ENTRIES // w.size)
     for lo in range(0, rows.size, block):
         sel = rows[lo : lo + block]
-        ts = flat[sel]
+        ts = t[sel]
         # cos, then sin, of one real phase table refilled in place: no complex temporaries
         phase = np.outer(ts, w)
         real = np.cos(phase, out=phase) @ weights

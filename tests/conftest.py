@@ -39,9 +39,10 @@ def rabi_pair():
 def certified_build(diagonal, couplings, patches=()) -> tuple:
     """Solve the arrowhead with ``patches``, (name, function) pairs, in ``zenolab.operators``.
 
-    Returns the (matrix, values, vectors) and the (recon, ortho) bounds that
-    reached ``_certified``, whether the dense checks ran, and the operator
-    or the ValueError they raised.
+    Returns the (matrix, values, vectors) of the operator that reached
+    ``_certified`` (formed here if the certificate accepted it) and its
+    (recon, ortho) bounds, whether the dense checks ran, and the operator or
+    the ValueError they raised.
     """
     seen, dense = [], []
     certify, post_init = zenolab.operators._certified, HermitianOperator.__post_init__
@@ -54,5 +55,5 @@ def certified_build(diagonal, couplings, patches=()) -> tuple:
             outcome = arrowhead_eigendecompose(diagonal, couplings)
         except ValueError as exc:
             outcome = exc
-    (args,) = seen
-    return args[:3], args[3:], bool(dense), outcome
+    ((solved, *bounds),) = seen
+    return (solved.matrix, solved.eigenvalues, solved.eigenvectors), tuple(bounds), bool(dense), outcome

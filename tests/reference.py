@@ -13,6 +13,7 @@ table. The equivalence
 tests import them from here, so each dense definition exists once.
 """
 
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -117,6 +118,44 @@ def check_defects(m, w, v) -> tuple[float, float, float]:
         operator_norm(m - (v * w) @ v.conj().T),
         operator_norm(v.conj().T @ v - np.eye(w.size)),
     )
+
+
+def exact_defects(m, w, v) -> tuple[list, list]:
+    """M - V diag(w) V* and V*V - I of real float arrays, in exact rational arithmetic (lists of Fraction rows)."""
+    m, v = ([[Fraction(x) for x in row] for row in np.asarray(a).tolist()] for a in (m, v))
+    w, n = [Fraction(x) for x in np.asarray(w).tolist()], len(w)
+    scaled = [[v[i][k] * w[k] for k in range(n)] for i in range(n)]
+    recon = [[m[i][j] - sum(scaled[i][k] * v[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+    ortho = [[sum(v[k][i] * v[k][j] for k in range(n)) - (i == j) for j in range(n)] for i in range(n)]
+    return recon, ortho
+
+
+def _positive_definite(a: list) -> bool:
+    """Whether the symmetric rational matrix a is positive definite: every pivot of its LDL^T is > 0."""
+    a = [row[:] for row in a]
+    for k in range(len(a)):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            factor = a[i][k] / pivot
+            for j in range(k + 1, i + 1):
+                a[i][j] -= factor * a[j][k]
+    return True
+
+
+def defect_within(d: list, bound) -> bool:
+    """||D||_2 <= bound for a symmetric rational D, decided exactly.
+
+    bound I - D and bound I + D both positive definite give ||D|| < bound;
+    a zero bound holds only a zero D.
+    """
+    b = Fraction(bound)
+    if b == 0:
+        return all(x == 0 for row in d for x in row)
+    n = len(d)
+    shifted = ([[b * (i == j) - sign * d[i][j] for j in range(n)] for i in range(n)] for sign in (1, -1))
+    return all(_positive_definite(a) for a in shifted)
 
 
 def arrowhead_matrix(diagonal, couplings) -> np.ndarray:

@@ -19,16 +19,19 @@ to within rounding.
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zenolab.operators
 from conftest import certified_build
-from reference import arrowhead_matrix, check_defects, dense_arrowhead
+from reference import arrowhead_matrix, check_defects, defect_within, dense_arrowhead, exact_defects
 from zenolab.errors import DimensionMismatch, NonFinite
 from zenolab.numeric import tol
-from zenolab.operators import HermitianOperator, arrowhead_eigendecompose
+from zenolab.operators import HermitianOperator, _matmul, arrowhead_eigendecompose
+from zenolab.scenarios import build_scenario, parse_config
+from zenolab.survival import _state_coefficients
 
 EPS = np.finfo(float).eps
 BAND = (-2.0, 2.0)
@@ -64,6 +67,10 @@ def check_against_dense(diagonal, couplings) -> HermitianOperator:
     h = certified(diagonal, couplings)
     w, v = dense_arrowhead(diagonal, couplings)
     x, u = h.eigenvalues, h.eigenvectors
+    # the solver's first row is the formed V's, bit for bit, and so are the weights of e_0 read off it
+    e0 = np.eye(w.size, 1).ravel().astype(complex)
+    np.testing.assert_array_equal(h.first_row, u[0])
+    np.testing.assert_array_equal(_state_coefficients(h, e0), _matmul(e0.conj(), u).conj())
     scale = max(np.max(np.abs(w)), np.finfo(float).tiny)
     assert h.matrix.dtype == u.dtype == np.float64
     np.testing.assert_array_equal(h.matrix, arrowhead_matrix(diagonal, couplings))
@@ -157,6 +164,23 @@ def test_random_arrowheads_stop_quickly_and_raise_no_floating_point_error(monkey
         assert np.max(np.abs(h.eigenvalues - w)) <= 16 * EPS * max(np.max(np.abs(w)), 1.0)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_model_takes_about_three_root_evaluations_per_root(monkeypatch, seed):
+    """decay-large's d = 801 model: the start and the stopping rule need <= 3.2 evaluations per root, and every
+    root agrees with the dense ``eigh`` to 16 eps ||H||."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import make_config
+
+    evaluated = []
+    sums = zenolab.operators._secular_sums
+    monkeypatch.setattr(zenolab.operators, "_secular_sums", lambda *a: evaluated.append(a[-1].size) or sums(*a))
+    config = parse_config(make_config("decay-large", seed))
+    h = build_scenario(config).hamiltonian
+    assert sum(evaluated) <= 3.2 * h.dim
+    w, _ = dense_arrowhead(np.diag(h.matrix), h.matrix[0, 1:])
+    assert np.max(np.abs(h.eigenvalues - w)) <= 16 * EPS * h.norm
+
+
 def test_a_spectrum_wider_than_the_float_range_raises_no_warning():
     """Its power-of-two scale 2^1024 is no double, so the certificate leaves the verdict to the dense checks."""
     with warnings.catch_warnings():
@@ -174,3 +198,70 @@ def test_rejects_malformed_input():
         arrowhead_eigendecompose([], [])
     with pytest.raises(NonFinite):
         arrowhead_eigendecompose([0.0, math.inf], [0.1])
+
+
+def _audit_draws() -> dict:
+    """About 60 seeded arrowheads at d <= 9, by name: (diagonal, couplings).
+
+    Uniform draws; poles clustered within 1e-9; ulp-spaced poles, which
+    take the merge path; couplings scaled by 1e-15 to 1e-14, around the
+    deflation threshold; scales 2^+-900; Friedrichs grids with bands 1e-6
+    to 10 wide and couplings 1e-6 to 1e3; one coupling a few ulps either
+    side of the threshold 8 eps max|entry|; and two poles with equal
+    couplings a gap 2 tol (1 + delta) apart, at the edge of the merge rule
+    |(w_j - w_p) c s| <= tol.
+    """
+    rng = np.random.default_rng(13)
+    draws = {}
+
+    def add(kind, diagonal, couplings):
+        name = f"{kind}-{sum(name.startswith(kind) for name in draws)}"
+        draws[name] = (np.asarray(diagonal, float), np.asarray(couplings, float))
+
+    for _ in range(8):
+        n = int(rng.integers(1, 9))
+        add("uniform", rng.uniform(-1, 1, n + 1), rng.uniform(-1, 1, n))
+    for _ in range(8):
+        n, c = int(rng.integers(2, 9)), rng.uniform(-1, 1)
+        add("clustered", c + rng.uniform(-1e-9, 1e-9, n + 1), 0.1 * rng.standard_normal(n))
+    for _ in range(8):
+        n, c = int(rng.integers(2, 9)), rng.uniform(0.5, 1.0)
+        poles = c + np.spacing(c) * rng.integers(0, 4, n)
+        add("ulp-spaced", np.concatenate([[rng.uniform(-1, 1)], poles]), rng.uniform(0.1, 1, n))
+    for _ in range(8):
+        n = int(rng.integers(2, 9))
+        couplings = rng.uniform(-1, 1, n)
+        couplings[: n // 2 + 1] *= 10.0 ** rng.uniform(-15, -14, n // 2 + 1)
+        add("threshold-scaled", rng.uniform(-1, 1, n + 1), couplings)
+    for exponent in (900, -900, 900, -900, 900, -900):
+        n = int(rng.integers(1, 9))
+        scaled = np.ldexp(rng.uniform(-1, 1, 2 * n + 1), exponent)
+        add(f"scale-2^{exponent}", scaled[: n + 1], scaled[n + 1 :])
+    for _ in range(10):
+        n, width = int(rng.integers(1, 9)), 10.0 ** rng.uniform(-6, 1)
+        profile, level = ("flat", "gaussian")[int(rng.integers(2))], width * rng.uniform(-0.4, 0.4)
+        add("friedrichs", *friedrichs(n, profile, level, 10.0 ** rng.uniform(-6, 3), band=(-width / 2, width / 2)))
+    threshold = 8 * EPS  # the largest entry is 1
+    for ulps in (-2, -1, 0, 1, 2):
+        coupling = threshold
+        for _ in range(abs(ulps)):
+            coupling = math.nextafter(coupling, math.copysign(math.inf, ulps))
+        add("threshold-ulps", [1.0, -0.5, 0.25, 0.5, 0.75], [0.2, coupling, -0.3, coupling])
+    for delta in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3):
+        add("merge-edge", [1.0, -0.5, 1e-3, 1e-3 + 2 * threshold * (1 + delta), 0.5], [0.2, 0.3, 0.3, -0.4])
+    return draws
+
+
+AUDIT = _audit_draws()
+
+
+@pytest.mark.parametrize("name", list(AUDIT))
+def test_certificate_bounds_the_exact_defects(name):
+    """The certified bounds hold against the exact defects ||M - V diag(x) V*|| and ||V*V - I|| of the float
+    results, decided in rational arithmetic; and the dense float checks accept what the certificate accepts."""
+    (m, w, v), (recon, ortho), dense, h = certified_build(*AUDIT[name])
+    assert not dense
+    exact_recon, exact_ortho = exact_defects(m, w, v)
+    assert defect_within(exact_recon, recon)
+    assert defect_within(exact_ortho, ortho)
+    HermitianOperator(m, w, v)

@@ -11,6 +11,7 @@ from zenolab import survival
 from zenolab.errors import (
     NoCrossing,
     NonExponential,
+    NonFinite,
     NotNormalized,
     NotSmooth,
     WindowTooSmall,
@@ -283,6 +284,8 @@ class TestFactoredProfile:
         "short run": lambda: (*random_pair(40), np.linspace(0.1, 1.0, survival._SHORTEST_RUN - 1)),
         "shortest run": lambda: (*random_pair(40), np.linspace(0.1, 1.0, survival._SHORTEST_RUN)),
         "nudged": lambda: (*random_pair(40), nudged_linspace()),
+        # t reaches 1484, where a grid time's own ulp, 2.3e-13, exceeds 1e-13 / max|w|: its drift is bounded
+        # against the direct path's own phase rounding instead
         "weak coupling": lambda: friedrichs(n_modes=2000, coupling_strength=0.01),
     }
     # the rows the bound rejects, "all" on grids with no run of 16 equally spaced times; none where not listed
@@ -295,11 +298,8 @@ class TestFactoredProfile:
         assert np.max(np.abs(got - dense_decay_probabilities(h, psi, times))) <= 1e-13
         weights = np.abs(survival._state_coefficients(h, psi)) ** 2
         rejected = np.flatnonzero(~survival._factored(times, h.eigenvalues, weights)[1])
-        if case == "weak coupling":  # t reaches 1484, where a grid time's own ulp is 2.3e-13
-            assert 0 < rejected.size < times.size and times[rejected[0]] > 500.0
-        else:
-            expected = self.REJECTED.get(case, [])
-            assert rejected.tolist() == (list(range(times.size)) if expected == "all" else expected)
+        expected = self.REJECTED.get(case, [])
+        assert rejected.tolist() == (list(range(times.size)) if expected == "all" else expected)
         assert rejected.size <= survival._DIRECT_ENTRIES // h.eigenvalues.size  # one direct block
         assert np.array_equal(got[rejected], dense_decay_probabilities(h, psi, times[rejected]))
 
@@ -322,6 +322,27 @@ class TestFactoredProfile:
         assert {str(w.message) for w in got_warnings} == {str(w.message) for w in want_warnings}
         assert "overflow encountered in multiply" in {str(w.message) for w in want_warnings}
         assert np.array_equal(np.isnan(got), np.isnan(want)) and 0 < np.isnan(want).sum() < times.size
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_decay_profile_checks_its_grid_before_any_table(monkeypatch, bad, at):
+    """A nan or inf time anywhere in the grid raises NonFinite, with no table formed and no warning."""
+    h, psi = random_pair(6)
+    times = np.linspace(0.5, 2.5, 5)
+    times[at] = bad
+    monkeypatch.setattr(survival, "_factored", lambda *a: pytest.fail("a table was formed"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            decay_profile(h, psi, times)
+
+
+@pytest.mark.parametrize("times", [[[0.5, 1.0]], [1.0, 1.0], [0.0, 1.0]], ids=["2-d", "repeated", "zero"])
+def test_decay_profile_rejects_a_grid_that_is_not_1d_positive_and_increasing(times):
+    h, psi = random_pair(6)
+    with pytest.raises(ValueError):
+        decay_profile(h, psi, times)
 
 
 class TestDecayFit:

@@ -308,22 +308,22 @@ def test_one_shifted_arrowhead_root_gets_the_dense_verdict(ratio):
 
 def _lever(name: str, amount: float) -> tuple:
     """A patch that moves the solver's head, one root's offset or one recomputed coupling h_j by ``amount``."""
-    roots, vectors = zenolab.operators._secular_roots, zenolab.operators._secular_vectors
+    roots, certificate = zenolab.operators._secular_roots, zenolab.operators._arrowhead_certificate
 
     def root(*args):
         base, tau = roots(*args)
         tau[DIM // 2] += amount
         return base, tau
 
-    def coupling(*args):
-        h = vectors(*args)  # the eigenvectors keep the h they were built from
+    def coupling(head, poles, z, live, base, tau, h, *args):
+        h = h.copy()  # the eigenvectors keep the h they are built from; the certificate sees the moved one
         h[DIM // 2] += amount
-        return h
+        return certificate(head, poles, z, live, base, tau, h, *args)
 
     return {
         "head": ("_secular_roots", lambda head, *args: roots(head + amount, *args)),
         "root": ("_secular_roots", root),
-        "coupling": ("_secular_vectors", coupling),
+        "coupling": ("_arrowhead_certificate", coupling),
     }[name]
 
 
@@ -629,3 +629,27 @@ def test_friedrichs_survival_holds_no_complex_square_array(monkeypatch, tmp_path
     assert h.matrix.dtype == h.eigenvectors.dtype == np.float64
     assert "matrix" not in vars(scen.projection)
     assert peak < 10 * h.dim**2 * 8
+
+
+@pytest.mark.parametrize("task", ["survival", "classify", "converge"])
+def test_only_converge_forms_a_square_array_of_the_friedrichs_model(monkeypatch, tmp_path, task):
+    """At n_modes 800 (d = 801) survival and classify read the state's weights off the solver's first row, so
+    the whole run, build included, peaks below one real d x d array and never forms H or V; converge reads V
+    and H, and forms them."""
+    built = []
+    original = zenolab.scenarios.build_scenario
+    monkeypatch.setattr(zenolab.scenarios, "build_scenario", lambda c: built.append(original(c)) or built[-1])
+    config = parse_config({"schema_version": 1, "task": task, "model": {"friedrichs": {"n_modes": 800}}})
+    tracemalloc.start()
+    try:
+        run_scenario(config, out_dir=tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (scen,) = built
+    formed = {"matrix", "eigenvectors"} & set(vars(scen.hamiltonian))
+    square = scen.hamiltonian.dim**2 * 8
+    if task == "converge":
+        assert formed == {"matrix", "eigenvectors"} and peak >= square
+    else:
+        assert not formed and peak < square
