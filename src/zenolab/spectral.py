@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import QuadratureFailure
 from .numeric import tol
-from .operators import HermitianOperator, _checked_time
-from .survival import _state_coefficients
+from .operators import HermitianOperator
+from .survival import _characteristic, _spectral_weights
 
 __all__ = [
     "Classification",
@@ -151,8 +151,8 @@ class DiscreteMeasure(SpectralMeasure):
         return math.inf
 
     def phi(self, t: float) -> complex:
-        _checked_time(t, self.support_radius)
-        return complex(np.sum(self.weights * np.exp(-1j * t * self.atoms)))
+        # exp(-i t x) is exp(i (-t) x), as cos is even and sin is odd
+        return complex(_characteristic(self.atoms, self.weights, np.array([-t], dtype=float))[0])
 
     def median(self) -> float:
         cum = np.cumsum(self.weights)
@@ -333,31 +333,16 @@ class TwoSidedPareto(SpectralMeasure):
 def spectral_measure_of_state(h: HermitianOperator, psi) -> DiscreteMeasure:
     """Atoms at the eigenvalues with weights |<e_k, psi>|^2.
 
-    Eigenvalues closer than 1e-10 * ||H|| are merged (weight-averaged
-    position, summed weight).
+    Eigenvalues closer than 1e-10 * ||H|| to their neighbour are merged
+    (weight-averaged position, summed weight); a merged atom of weight at
+    most 1e-14 is dropped.
     """
-    weights = np.abs(_state_coefficients(h, psi)) ** 2
-    gap_tol = 1e-10 * max(h.norm, 1e-300)
-    atoms: list[float] = []
-    merged: list[float] = []
-    group_w = 0.0
-    group_wx = 0.0
-    last = None
-    for lam, w in zip(h.eigenvalues, weights):
-        if last is not None and lam - last > gap_tol:
-            atoms.append(group_wx / group_w if group_w > 0 else last)
-            merged.append(group_w)
-            group_w = group_wx = 0.0
-        group_w += float(w)
-        group_wx += float(w) * float(lam)
-        last = float(lam)
-    atoms.append(group_wx / group_w if group_w > 0 else last)
-    merged.append(group_w)
-    a = np.array(atoms)
-    w = np.array(merged)
-    keep = w > 1e-14
-    a, w = a[keep], w[keep]
-    return DiscreteMeasure(a, w / np.sum(w))
+    lam, q = h.eigenvalues, _spectral_weights(h, psi)
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(lam) > 1e-10 * max(h.norm, 1e-300)]))
+    mass = np.add.reduceat(q, starts)
+    keep = mass > 1e-14
+    atoms = np.add.reduceat(q * lam, starts)[keep] / mass[keep]
+    return DiscreteMeasure(atoms, mass[keep] / np.sum(mass[keep]))
 
 
 @dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value

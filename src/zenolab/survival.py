@@ -19,7 +19,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .numeric import linear_fit, tol
-from .operators import _EPS, HermitianOperator, _Arrowhead, _matmul
+from .operators import _EPS, HermitianOperator, _Arrowhead, _checked_time, _matmul
 
 __all__ = [
     "DecayProfile",
@@ -39,26 +39,24 @@ __all__ = [
 _PROBABILITY_FLOOR = 1e-300
 
 
-def _state_coefficients(h: HermitianOperator, psi) -> np.ndarray:
-    """V* psi for a unit state psi, formed as conj(psi* V): no conjugate copy of V.
+def _spectral_weights(h: HermitianOperator, psi) -> np.ndarray:
+    """q = |V* psi|^2 = |psi* V|^2, a unit state's spectral weights on the eigenvalues: no conjugate copy of V.
 
-    On the arrowhead's real V and psi = psi_0 e_0 this is psi_0 V[0], read
-    off the solver's first row with nothing d x d formed.
+    On the arrowhead's real V and psi = psi_0 e_0 this is |psi_0 V[0]|^2,
+    read off the solver's first row with nothing d x d formed.
     """
     psi = np.asarray(psi, dtype=complex)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > tol(1e-10):
         raise NotNormalized(f"state norm {norm:.12f} deviates from 1")
     if isinstance(h, _Arrowhead) and psi.shape == h.first_row.shape and not np.any(psi[1:]):
-        return psi[0] * h.first_row
-    return _matmul(psi.conj(), h.eigenvectors).conj()
+        return np.abs(psi[0] * h.first_row) ** 2
+    return np.abs(_matmul(psi.conj(), h.eigenvectors)) ** 2
 
 
 def survival_amplitude(h: HermitianOperator, psi, t: float) -> complex:
     """<psi, exp(i t H) psi> for a unit state."""
-    c = _state_coefficients(h, psi)
-    weights = np.abs(c) ** 2
-    return complex(np.sum(weights * np.exp(1j * t * h.eigenvalues)))
+    return complex(_characteristic(h.eigenvalues, _spectral_weights(h, psi), np.array([t], dtype=float))[0])
 
 
 def survival_probability(h: HermitianOperator, psi, t: float) -> float:
@@ -67,11 +65,8 @@ def survival_probability(h: HermitianOperator, psi, t: float) -> float:
 
 def energy_moments(h: HermitianOperator, psi) -> tuple[float, float]:
     """First and second moments of H in the state."""
-    c = _state_coefficients(h, psi)
-    weights = np.abs(c) ** 2
-    m1 = float(np.sum(weights * h.eigenvalues))
-    m2 = float(np.sum(weights * h.eigenvalues**2))
-    return m1, m2
+    q = _spectral_weights(h, psi)
+    return float(np.sum(q * h.eigenvalues)), float(np.sum(q * h.eigenvalues**2))
 
 
 def iterated_survival(h: HermitianOperator, psi, t: float, n: int) -> float:
@@ -203,46 +198,53 @@ def _factored(t: np.ndarray, w: np.ndarray, weights: np.ndarray) -> tuple[np.nda
     amp = np.empty(t.size, dtype=complex)
     certified = np.zeros(t.size, dtype=bool)
     reach = float(np.max(np.abs(w)))
-    # a row whose own phases overflow goes direct, which warns and gives nan as the direct tables did
-    with np.errstate(all="ignore"):
-        for start, stop in _equal_runs(t):
-            n = stop - start
-            m = math.isqrt(n - 1) + 1
-            run = t[start:stop]
-            anchors = run[::m]
-            offsets = np.arange(m) * ((run[-1] - run[0]) / (n - 1))
-            left = _phase_table(anchors, w)
-            left *= weights
-            amp[start:stop] = (left @ _phase_table(offsets, w).T).ravel()[:n]
-            j = np.arange(n)
-            drift = np.abs((run - anchors[j // m]) - offsets[j % m]) * reach
-            bound = np.maximum(_PHASE_BOUND, _ROUNDING_MULTIPLE * _EPS * run * reach)
-            certified[start:stop] = (drift <= bound) & np.isfinite(run * reach)
+    for start, stop in _equal_runs(t):
+        n = stop - start
+        m = math.isqrt(n - 1) + 1
+        run = t[start:stop]
+        anchors = run[::m]
+        offsets = np.arange(m) * ((run[-1] - run[0]) / (n - 1))
+        left = _phase_table(anchors, w)
+        left *= weights
+        amp[start:stop] = (left @ _phase_table(offsets, w).T).ravel()[:n]
+        j = np.arange(n)
+        drift = np.abs((run - anchors[j // m]) - offsets[j % m]) * reach
+        certified[start:stop] = drift <= np.maximum(_PHASE_BOUND, _ROUNDING_MULTIPLE * _EPS * run * reach)
     return amp, certified
 
 
-def decay_profile(h: HermitianOperator, psi, times) -> DecayProfile:
-    """Sample P(t) = |<psi, exp(itH) psi>|^2 on a grid, forming no len(t) x d table.
+def _characteristic(w: np.ndarray, q: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_k q_k exp(i t_j w_k) at each of the times t_j, forming no len(t) x d table.
 
-    Rows of equally spaced runs come from anchor x offset phase tables
-    (``_factored``); the rest take the direct cos and sin tables @ weights
-    in row blocks of at most 4 MiB.
+    The phases are checked once, at max|t| against max|w| by
+    ``_checked_time``: a nan or inf time raises NonFinite, and phases that
+    keep no correct digit raise Overflow. Rows of equally spaced runs of 16
+    or more times come from anchor x offset phase tables (``_factored``);
+    the rest take the direct cos and sin tables @ q in row blocks of at most
+    4 MiB.
     """
-    t = _time_grid(times)
-    weights = np.abs(_state_coefficients(h, psi)) ** 2
-    w = h.eigenvalues
-    amp, certified = _factored(t, w, weights)
-    rows = np.flatnonzero(~certified)
+    _checked_time(float(np.max(np.abs(times))), float(np.max(np.abs(w))))
+    if times.size < _SHORTEST_RUN:
+        amp, rows = np.empty(times.size, dtype=complex), np.arange(times.size)
+    else:
+        amp, certified = _factored(times, w, q)
+        rows = np.flatnonzero(~certified)
     block = max(1, _DIRECT_ENTRIES // w.size)
     for lo in range(0, rows.size, block):
         sel = rows[lo : lo + block]
-        ts = t[sel]
+        ts = times[sel]
         # cos, then sin, of one real phase table refilled in place: no complex temporaries
         phase = np.outer(ts, w)
-        real = np.cos(phase, out=phase) @ weights
-        amp[sel] = real + 1j * (np.sin(np.outer(ts, w, out=phase), out=phase) @ weights)
-    probs = np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12)
-    return DecayProfile(t, probs, np.asarray(psi, dtype=complex), h)
+        real = np.cos(phase, out=phase) @ q
+        amp[sel] = real + 1j * (np.sin(np.outer(ts, w, out=phase), out=phase) @ q)
+    return amp
+
+
+def decay_profile(h: HermitianOperator, psi, times) -> DecayProfile:
+    """Sample P(t) = |<psi, exp(itH) psi>|^2 on a checked grid: |``_characteristic``|^2 of the state's weights."""
+    t = _time_grid(times)
+    amp = _characteristic(h.eigenvalues, _spectral_weights(h, psi), t)
+    return DecayProfile(t, np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12), np.asarray(psi, dtype=complex), h)
 
 
 def effective_rate_curve(profile: DecayProfile) -> np.ndarray:

@@ -8,9 +8,10 @@ d x d EHE, the leakage ||E_perp U(t) E||, the KMS residual loop over
 tau_z(B) = V (V*BV o phases) V*, the dense ``eigh`` of the Friedrichs
 arrowhead, the three defect norms of an operator's dense checks, the
 Hermitian draw (G + G*)/2 with its complex temporaries, the Friedrichs
-time grid merged by ``np.unique``, and P(t) from the full len(t) x d phase
-table. The equivalence
-tests import them from here, so each dense definition exists once.
+time grid merged by ``np.unique``, P(t) from the full len(t) x d phase
+table with the weights of the dense V, and a spectral measure's atoms
+merged by one Python pass. The equivalence tests import them from here,
+so each dense definition exists once.
 """
 
 from fractions import Fraction
@@ -31,7 +32,6 @@ from zenolab.operators import (
     evolve,
     operator_norm,
 )
-from zenolab.survival import _state_coefficients
 
 
 def ginibre_hermitian(rng, dim):
@@ -178,8 +178,36 @@ def friedrichs_t_grid(t_hi: float) -> np.ndarray:
 
 
 def dense_decay_probabilities(h, psi, times) -> np.ndarray:
-    """P(t) = |<psi, exp(itH) psi>|^2 from the full len(t) x d phase table: its cos table, then its sin table, each @ weights."""
-    weights = np.abs(_state_coefficients(h, psi)) ** 2
+    """P(t) = |<psi, exp(itH) psi>|^2 from the full len(t) x d phase table: its cos table, then its sin table, each
+    @ the weights |V* psi|^2 of the dense V."""
+    weights = np.abs(h.eigenvectors.conj().T @ np.asarray(psi, dtype=complex)) ** 2
     phase = np.outer(np.asarray(times, dtype=float), h.eigenvalues)
     amp = np.cos(phase) @ weights + 1j * (np.sin(phase) @ weights)
     return np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12)
+
+
+def merged_atoms(eigenvalues, weights, norm) -> tuple[np.ndarray, np.ndarray]:
+    """(atoms, weights) of a spectral measure by one Python pass over the eigenvalues: each run of neighbours
+    closer than 1e-10 * norm becomes its weight-averaged position (its last eigenvalue if it has no mass) with the
+    summed weight, and a group of weight at most 1e-14 is dropped before the rest are renormalised."""
+    gap_tol = 1e-10 * max(norm, 1e-300)
+    atoms: list[float] = []
+    merged: list[float] = []
+    group_w = 0.0
+    group_wx = 0.0
+    last = None
+    for lam, w in zip(eigenvalues, weights):
+        if last is not None and lam - last > gap_tol:
+            atoms.append(group_wx / group_w if group_w > 0 else last)
+            merged.append(group_w)
+            group_w = group_wx = 0.0
+        group_w += float(w)
+        group_wx += float(w) * float(lam)
+        last = float(lam)
+    atoms.append(group_wx / group_w if group_w > 0 else last)
+    merged.append(group_w)
+    a = np.array(atoms)
+    w = np.array(merged)
+    keep = w > 1e-14
+    a, w = a[keep], w[keep]
+    return a, w / np.sum(w)

@@ -31,7 +31,7 @@ from zenolab.errors import DimensionMismatch, NonFinite
 from zenolab.numeric import tol
 from zenolab.operators import HermitianOperator, _matmul, arrowhead_eigendecompose
 from zenolab.scenarios import build_scenario, parse_config
-from zenolab.survival import _state_coefficients
+from zenolab.survival import _spectral_weights
 
 EPS = np.finfo(float).eps
 BAND = (-2.0, 2.0)
@@ -70,7 +70,7 @@ def check_against_dense(diagonal, couplings) -> HermitianOperator:
     # the solver's first row is the formed V's, bit for bit, and so are the weights of e_0 read off it
     e0 = np.eye(w.size, 1).ravel().astype(complex)
     np.testing.assert_array_equal(h.first_row, u[0])
-    np.testing.assert_array_equal(_state_coefficients(h, e0), _matmul(e0.conj(), u).conj())
+    np.testing.assert_array_equal(_spectral_weights(h, e0), np.abs(_matmul(e0.conj(), u)) ** 2)
     scale = max(np.max(np.abs(w)), np.finfo(float).tiny)
     assert h.matrix.dtype == u.dtype == np.float64
     np.testing.assert_array_equal(h.matrix, arrowhead_matrix(diagonal, couplings))

@@ -180,6 +180,21 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: phase magnitude ") and "no correct digit" in err[0]
         assert not (tmp_path / "o").exists()
 
+    def test_survival_times_without_a_correct_digit_exit_two(self, tmp_path, capsys):
+        # t up to 1e17 against Friedrichs eigenvalues of order 1: the phases t w carry no digit, so the run stops
+        # there, before any row is sampled or the fit window counts its samples
+        config = write(
+            tmp_path / "s.yaml",
+            "schema_version: 1\ntask: survival\nmodel:\n  friedrichs: {n_modes: 50}\n"
+            "t_grid: [1.0, 1.0e+17, 20]\nfit_window: [1.0e+16, 1.0e+17]\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["survival", "--config", config, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: phase magnitude ") and "no correct digit" in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_perturbation_norm_beyond_its_cap_names_the_key(self, tmp_path, capsys):
         config = write(
             tmp_path / "p.yaml",

@@ -5,8 +5,10 @@ import pytest
 from scipy import integrate
 
 from conftest import rabi_pair, random_hermitian_op, random_state
+from reference import merged_atoms
 from zenolab.errors import NotNormalized
-from zenolab.operators import eigendecompose
+from zenolab.operators import HermitianOperator, eigendecompose
+from zenolab.scenarios import build_scenario, parse_config
 from zenolab.spectral import (
     Cauchy,
     Classification,
@@ -23,7 +25,7 @@ from zenolab.spectral import (
     zeno_modulus_table,
     _pareto_tail_integral_total,
 )
-from zenolab.survival import iterated_survival
+from zenolab.survival import _spectral_weights, iterated_survival
 
 
 # the analytic and discrete families, covering the Zeno, Borderline and AntiZeno outcomes
@@ -92,6 +94,45 @@ class TestSpectralMeasureOfState:
         h, _ = rabi_pair()
         with pytest.raises(NotNormalized):
             spectral_measure_of_state(h, np.array([1.0, 1.0]))
+
+    MODELS = [
+        *(
+            {"friedrichs": {"n_modes": n, "coupling_strength": c, "profile": profile}}
+            for n in (50, 200)
+            for c in (0.01, 0.05, 1.0, 1e3)
+            for profile in ("flat", "gaussian")
+        ),
+        *({kind: {"seed": seed}} for kind in ("random", "perturbed") for seed in range(3)),
+        {"rabi": {}},
+    ]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: "-".join(map(str, [*m, *next(iter(m.values())).values()])))
+    def test_merge_is_the_loop_bit_for_bit(self, model):
+        scen = build_scenario(parse_config({"schema_version": 1, "task": "classify", "model": model}))
+        h, psi = scen.hamiltonian, scen.state
+        m = spectral_measure_of_state(h, psi)
+        atoms, weights = merged_atoms(h.eigenvalues, _spectral_weights(h, psi), h.norm)
+        np.testing.assert_array_equal(m.atoms, atoms)
+        np.testing.assert_array_equal(m.weights, weights)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_merged_groups_agree_with_the_loop_within_4_ulps(self, seed):
+        """Groups summed by ``np.add.reduceat`` agree with the loop's running sums to rounding.
+
+        The group of 12 eigenvalues 3e-12 apart (within 1e-10 ||H||) is past the length at which reduceat
+        sums pairwise, the pair at 0.5 has no mass and the atom at 0.7 falls below the 1e-14 cut.
+        """
+        lam = np.concatenate([[-1.0], 0.3 + 3e-12 * np.arange(12), [0.5, 0.5 + 2e-11, 0.7, 0.8, 0.8 + 5e-11, 0.9]])
+        q = np.random.default_rng(seed).uniform(0.5, 1.0, lam.size)
+        q[13:15] = 0.0
+        q[15] = 1e-15
+        h = HermitianOperator(np.diag(lam), lam, np.eye(lam.size))
+        psi = np.sqrt(q / q.sum())
+        m = spectral_measure_of_state(h, psi)
+        atoms, weights = merged_atoms(lam, _spectral_weights(h, psi), h.norm)
+        assert m.atoms.size == atoms.size == 4
+        np.testing.assert_array_max_ulp(m.atoms, atoms, maxulp=4)
+        np.testing.assert_array_max_ulp(m.weights, weights, maxulp=4)
 
 
 def quad_cos_transform(density, t, lower):

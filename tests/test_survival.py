@@ -14,11 +14,12 @@ from zenolab.errors import (
     NonFinite,
     NotNormalized,
     NotSmooth,
+    Overflow,
     WindowTooSmall,
 )
 from zenolab.operators import eigendecompose, evolve, expm
 from zenolab.scenarios import build_scenario, parse_config
-from zenolab.spectral import spectral_measure_of_state
+from zenolab.spectral import DiscreteMeasure, spectral_measure_of_state, zeno_modulus_table
 from zenolab.survival import (
     DecayProfile,
     decay_fit,
@@ -233,11 +234,11 @@ class TestEffectiveRateCurve:
 
 @pytest.mark.parametrize("kernel", ["decay_profile", "spectral_measure_of_state"])
 def test_state_coefficients_take_no_conjugate_copy_of_a_complex_basis(kernel):
-    """A random model's V is complex; V* psi as conj(psi* V) peaks far below one d x d complex array."""
+    """A random model's V is complex; |V* psi|^2 as |psi* V|^2 peaks far below one d x d complex array."""
     scen = build_scenario(parse_config({"schema_version": 1, "task": "converge", "model": {"random": {"dim": 200}}}))
     h, psi = scen.hamiltonian, scen.state
     assert h.eigenvectors.dtype == np.complex128
-    np.testing.assert_array_equal(survival._state_coefficients(h, psi), h.eigenvectors.conj().T @ psi)
+    np.testing.assert_array_equal(survival._spectral_weights(h, psi), np.abs(h.eigenvectors.conj().T @ psi) ** 2)
     run = {
         "decay_profile": lambda: decay_profile(h, psi, np.linspace(0.01, 3.0, 10)),
         "spectral_measure_of_state": lambda: spectral_measure_of_state(h, psi),
@@ -296,32 +297,53 @@ class TestFactoredProfile:
         h, psi, times = self.CASES[case]()
         got = decay_profile(h, psi, times).probabilities
         assert np.max(np.abs(got - dense_decay_probabilities(h, psi, times))) <= 1e-13
-        weights = np.abs(survival._state_coefficients(h, psi)) ** 2
+        weights = survival._spectral_weights(h, psi)
         rejected = np.flatnonzero(~survival._factored(times, h.eigenvalues, weights)[1])
         expected = self.REJECTED.get(case, [])
         assert rejected.tolist() == (list(range(times.size)) if expected == "all" else expected)
         assert rejected.size <= survival._DIRECT_ENTRIES // h.eigenvalues.size  # one direct block
         assert np.array_equal(got[rejected], dense_decay_probabilities(h, psi, times[rejected]))
 
-    def test_overflowing_phases_go_direct(self):
-        """A row whose own phase w t overflows is nan with the dense table's warnings, even where its anchor and
-        offset phases are finite.
+    def test_overflowing_phases_raise(self):
+        """A grid whose phases w t reach 1/eps, where they keep no correct digit, raises Overflow before any table
+        is formed and with no warning, as ``classify``'s characteristic function does."""
+        h, psi = random_pair(5, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match="no correct digit"):
+                decay_profile(h, psi, np.linspace(1.0, 1e308, 40))
 
-        Only the nan rows are compared: near 1e308 a phase's own rounding, eps |w t|, exceeds 2 pi in both paths.
-        """
-        rng = np.random.default_rng(3)
-        h = random_hermitian_op(rng, 5, norm=4.0)
-        psi = random_state(rng, 5)
-        times = np.linspace(1.0, 1e308, 40)
-        with warnings.catch_warnings(record=True) as got_warnings:
-            warnings.simplefilter("always")
-            got = decay_profile(h, psi, times).probabilities
-        with warnings.catch_warnings(record=True) as want_warnings:
-            warnings.simplefilter("always")
-            want = dense_decay_probabilities(h, psi, times)
-        assert {str(w.message) for w in got_warnings} == {str(w.message) for w in want_warnings}
-        assert "overflow encountered in multiply" in {str(w.message) for w in want_warnings}
-        assert np.array_equal(np.isnan(got), np.isnan(want)) and 0 < np.isnan(want).sum() < times.size
+
+class TestOnePhaseRule:
+    """The survival amplitude, its profile and the characteristic function of a measure share one kernel and one
+    phase rule: on Friedrichs 50 (max|w| about 1) a time of 1e17 leaves the phases no correct digit."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        h, psi, _ = friedrichs(n_modes=50)
+        return h, psi, DiscreteMeasure(h.eigenvalues, survival._spectral_weights(h, psi))
+
+    CALLS = {
+        "survival_amplitude": lambda h, psi, m, t: survival_amplitude(h, psi, t),
+        "survival_probability": lambda h, psi, m, t: survival_probability(h, psi, t),
+        "iterated_survival": lambda h, psi, m, t: iterated_survival(h, psi, t, 1),
+        "decay_profile": lambda h, psi, m, t: decay_profile(h, psi, [t]),
+        "phi": lambda h, psi, m, t: m.phi(t),
+        "zeno_modulus_table": lambda h, psi, m, t: zeno_modulus_table(m, t, [1, 2]),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("t, error", [(1e17, Overflow), (math.nan, NonFinite)], ids=["1e17", "nan"])
+    def test_every_entry_raises(self, model, call, t, error):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                self.CALLS[call](*model, t)
+
+    def test_amplitude_is_the_conjugate_of_phi_bit_for_bit(self, model):
+        h, psi, measure = model
+        for t in (0.3, 1.0, 4.2, 1e3, 1e14):
+            assert survival_amplitude(h, psi, t) == np.conj(measure.phi(t))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
