@@ -212,6 +212,10 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def _coordinates(self, x: np.ndarray) -> np.ndarray:
+        """V*x for a vector or a d x k ``x``, formed as (x*V)* so that no conjugate copy of V is made."""
+        return _matmul(x.conj().T, self.eigenvectors).conj().T
+
     @property
     def norm(self) -> float:
         """Spectral norm, read off the eigenvalues."""
@@ -352,13 +356,18 @@ class _Arrowhead(HermitianOperator):
     """The operator ``arrowhead_eigendecompose`` builds: its eigenvalues and ``first_row`` = V[0] are held, and
     ``matrix`` and ``eigenvectors`` are formed, frozen, on first read (``_arrowhead_vectors``).
 
-    Survival and classify on a state along e_0 read only the first row, so
-    they form nothing d x d; converge's W and compression and gibbs'
-    transforms read V and H.
+    V*x for an x along e_0 is read off the first row (``_coordinates``), so survival, classify and converge's W
+    for E = e_0 e_0* form no V; converge's compression Q*HQ reads H, and gibbs' transforms read V.
     """
 
     def __init__(self, diagonal, couplings, values, first_row, spectral):  # no dense checks: see ``_certified``
         vars(self).update(eigenvalues=values, first_row=first_row, _arrow=(diagonal, couplings), _spectral=spectral)
+
+    def _coordinates(self, x: np.ndarray) -> np.ndarray:
+        """V*x as first_row (x) x[0], with nothing d x d formed, for an x of length d that is zero past row 0."""
+        if len(x) == self.dim and not np.any(x[1:]):
+            return np.multiply.outer(self.first_row, x[0])
+        return super()._coordinates(x)
 
     @cached_property
     def matrix(self) -> np.ndarray:

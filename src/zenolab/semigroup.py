@@ -91,9 +91,7 @@ class SectorialOperator:
 
 def sectorial_operator(a, angle: float) -> SectorialOperator:
     """Validate the sector condition and package the generator."""
-    m = as_complex_matrix(a)
-    m = np.ascontiguousarray(m)
-    m.flags.writeable = False
+    m = _freeze(as_complex_matrix(a).copy())  # a private copy: the caller's array stays writeable
     return SectorialOperator(m, float(angle), sector_margin(m, angle))
 
 

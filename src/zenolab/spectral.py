@@ -114,12 +114,12 @@ class DiscreteMeasure(SpectralMeasure):
         w = np.asarray(self.weights, dtype=float)
         if a.ndim != 1 or a.shape != w.shape or a.size == 0:
             raise ValueError("atoms and weights must be nonempty 1-d arrays of equal length")
-        if np.any(np.diff(a) < 0):
+        if not np.all(np.diff(a) >= 0):  # a nan atom compares neither way
             raise ValueError("atoms must ascend")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         total = float(np.sum(w))
-        if abs(total - 1.0) > tol(1e-12):
+        if not abs(total - 1.0) <= tol(1e-12):  # a nan weight makes the total nan
             raise ValueError(f"weights sum to {total!r}, expected 1")
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "weights", w)

@@ -19,7 +19,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .numeric import linear_fit, tol
-from .operators import _EPS, HermitianOperator, _Arrowhead, _checked_time, _matmul
+from .operators import _EPS, HermitianOperator, _checked_time
 
 __all__ = [
     "DecayProfile",
@@ -40,18 +40,12 @@ _PROBABILITY_FLOOR = 1e-300
 
 
 def _spectral_weights(h: HermitianOperator, psi) -> np.ndarray:
-    """q = |V* psi|^2 = |psi* V|^2, a unit state's spectral weights on the eigenvalues: no conjugate copy of V.
-
-    On the arrowhead's real V and psi = psi_0 e_0 this is |psi_0 V[0]|^2,
-    read off the solver's first row with nothing d x d formed.
-    """
+    """q = |V* psi|^2, a unit state's spectral weights on the eigenvalues (``h._coordinates``)."""
     psi = np.asarray(psi, dtype=complex)
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > tol(1e-10):
+    if not abs(norm - 1.0) <= tol(1e-10):  # a nan entry makes the norm nan
         raise NotNormalized(f"state norm {norm:.12f} deviates from 1")
-    if isinstance(h, _Arrowhead) and psi.shape == h.first_row.shape and not np.any(psi[1:]):
-        return np.abs(psi[0] * h.first_row) ** 2
-    return np.abs(_matmul(psi.conj(), h.eigenvectors)) ** 2
+    return np.abs(h._coordinates(psi)) ** 2
 
 
 def survival_amplitude(h: HermitianOperator, psi, t: float) -> complex:
@@ -134,7 +128,7 @@ class DecayProfile:
         p = np.asarray(self.probabilities, dtype=float)
         if t.shape != p.shape:
             raise ValueError("times and probabilities must be 1-d arrays of equal length")
-        if np.any(p < 0) or np.any(p > 1.0 + 1e-12):
+        if not np.all((p >= 0) & (p <= 1.0 + 1e-12)):  # nan lies in no interval
             raise ValueError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "probabilities", p)

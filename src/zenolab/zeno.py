@@ -11,7 +11,8 @@ Products and the limit are held in range(E), through an orthonormal basis Q
 matrix in a frame (Q, Q), (V, Q) or (Q, V) fixed by its ordering, only the
 r x r step Q*UQ is raised to powers, and each distance is the norm of a
 difference of r x r, d x r or r x d cores, with the same value as the d x d
-one. Nothing d x d is formed unless a caller reads ``.matrix``.
+one. Nothing d x d is formed unless a caller reads ``.matrix``. W = V*Q is
+``h._coordinates(Q)``, and V is read only as the frame of UE and EU.
 
 ``ZenoProduct`` is the one product type: ``product_convergence_report``,
 shared with the semigroup and form-sum formulas of ``semigroup``, takes
@@ -67,11 +68,6 @@ class ZenoSchedule:
 def _lift(left: np.ndarray, core: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The d x d matrix L C R*."""
     return _matmul(_matmul(left, core), right.conj().T)
-
-
-def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A*B, formed as (B*A)* so that no conjugate copy of a d x d A is made."""
-    return _matmul(b.conj().T, a).conj().T
 
 
 @dataclass(frozen=True, eq=False)  # arrays do not compare as one truth value
@@ -175,7 +171,7 @@ def zeno_product(
         raise ValueError("n must be a positive integer")
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
-    q, v = e.basis, h.eigenvectors
+    q = e.basis
     phases = phase_factors(h, t / n)
     w = _overlap(h, e) if _w is None else _w
     w_adj_u = w.conj().T * phases  # W* Phi, so Q*U = W* Phi V*
@@ -184,13 +180,13 @@ def zeno_product(
         return ZenoProduct(q, np.linalg.matrix_power(a, n), q)
     power = np.linalg.matrix_power(a, n - 1)
     if ordering == "UE":
-        return ZenoProduct(v, (phases[:, None] * w) @ power, q)
-    return ZenoProduct(q, power @ w_adj_u, v)
+        return ZenoProduct(h.eigenvectors, (phases[:, None] * w) @ power, q)
+    return ZenoProduct(q, power @ w_adj_u, h.eigenvectors)
 
 
 def _overlap(h: HermitianOperator, e: OrthogonalProjection) -> np.ndarray:
-    """W = V*Q, the basis of range(E) in H's eigenbasis: d^2 r work, fixed by (H, E)."""
-    return _adjoint_product(h.eigenvectors, e.basis)
+    """W = V*Q, the basis of range(E) in H's eigenbasis (``h._coordinates``), fixed by (H, E)."""
+    return h._coordinates(e.basis)
 
 
 def _compress(h: HermitianOperator, q: np.ndarray) -> np.ndarray:
@@ -294,7 +290,9 @@ def zeno_convergence_report(
     """
     check_dims(h, e)
     sched = _normalize_schedule(schedule)
-    q, v, w = e.basis, h.eigenvectors, _overlap(h, e)
+    q, w = e.basis, _overlap(h, e)
+    # V is UE's and EU's frame alone; formed before _compress forms H, its build does not peak on top of H
+    v = None if sched.ordering == "EUE" else h.eigenvectors
     g = _limit_core(h, q, t)
     if sched.ordering == "UE":
         target = ZenoProduct(v, _matmul(w, g), q)

@@ -71,6 +71,12 @@ def check_against_dense(diagonal, couplings) -> HermitianOperator:
     e0 = np.eye(w.size, 1).ravel().astype(complex)
     np.testing.assert_array_equal(h.first_row, u[0])
     np.testing.assert_array_equal(_spectral_weights(h, e0), np.abs(_matmul(e0.conj(), u)) ** 2)
+    # V*x, the one kernel: the first-row override for x along e_0 (a vector and a d x 1 basis), the dense
+    # fallback for a general x, each the dense (x*V)* bit for bit
+    rng = np.random.default_rng(w.size)
+    general = rng.standard_normal((w.size, 2)) + 1j * rng.standard_normal((w.size, 2))
+    for y in (e0, np.eye(w.size, 1, dtype=complex), general):
+        np.testing.assert_array_equal(h._coordinates(y), _matmul(y.conj().T, u).conj().T)
     scale = max(np.max(np.abs(w)), np.finfo(float).tiny)
     assert h.matrix.dtype == u.dtype == np.float64
     np.testing.assert_array_equal(h.matrix, arrowhead_matrix(diagonal, couplings))

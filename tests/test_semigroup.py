@@ -43,6 +43,13 @@ class TestSectorMargin:
         with pytest.raises(NotSectorial):
             sectorial_operator(1j * SIGMA_X, math.pi / 4)
 
+    def test_constructor_keeps_a_private_copy(self):
+        a = np.diag([1.0, 2.0]).astype(complex)
+        s = sectorial_operator(a, math.pi / 2)
+        assert a.flags.writeable and s.matrix is not a and not s.matrix.flags.writeable
+        a[0, 0] = 5.0
+        np.testing.assert_array_equal(s.matrix, np.diag([1.0, 2.0]))
+
 
 class TestDegenerateProduct:
     def test_zero_generator_freezes_at_projection(self):

@@ -96,3 +96,13 @@ def test_dataclasses_that_hold_arrays_compare_by_identity():
     assert [cls.__name__ for cls in holding if "__eq__" in vars(cls)] == []
     a, b = Table({"x": np.arange(3)}), Table({"x": np.arange(3)})
     assert a == a and a != b and len({a, b}) == 2
+
+
+def test_only_operators_names_the_arrowhead():
+    """The Friedrichs operator's shortcuts live in its own methods: no other library module reads ``_Arrowhead``."""
+    readers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "operators.py" and "_Arrowhead" in names_read(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert readers == []

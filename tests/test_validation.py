@@ -33,7 +33,7 @@ import zenolab.operators
 import zenolab.scenarios
 from conftest import SIGMA_X, certified_build, random_hermitian
 from reference import check_defects, projection_from_matrix
-from zenolab.errors import DimensionMismatch, NotHermitian
+from zenolab.errors import DimensionMismatch, NotHermitian, NotNormalized
 from zenolab.gibbs import DensityState, gibbs_state, heisenberg_evolve, kms_residual, kms_scale
 from zenolab.numeric import tol
 from zenolab.operators import (
@@ -46,8 +46,8 @@ from zenolab.operators import (
     operator_norm,
 )
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
-from zenolab.spectral import spectral_measure_of_state
-from zenolab.survival import decay_profile
+from zenolab.spectral import DiscreteMeasure, spectral_measure_of_state
+from zenolab.survival import DecayProfile, decay_profile, energy_moments, survival_amplitude
 from zenolab.zeno import ORDERINGS, reduced_dynamics, zeno_product
 
 DIM = 24
@@ -226,6 +226,25 @@ def test_density_weights_must_be_finite(bad):
     q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
     with pytest.raises(ValueError):
         DensityState(q[:, :2], np.array([1.0, bad]), 0.5, HermitianOperator(_hermitian(q, w), w, q))
+
+
+NAN_STATE = np.array([np.nan, 0.0])
+NAN_CHECKS = {
+    "survival_amplitude": (NotNormalized, lambda h: survival_amplitude(h, NAN_STATE, 1.0)),
+    "energy_moments": (NotNormalized, lambda h: energy_moments(h, NAN_STATE)),
+    "decay_profile": (NotNormalized, lambda h: decay_profile(h, NAN_STATE, [1.0, 2.0])),
+    "measure-atom": (ValueError, lambda h: DiscreteMeasure([np.nan, 1.0], [0.5, 0.5])),
+    "measure-weights": (ValueError, lambda h: DiscreteMeasure([0.0, 1.0], [np.nan, np.nan])),
+    "profile-probability": (ValueError, lambda h: DecayProfile([1.0, 2.0], [np.nan, 0.5], np.eye(2)[0], h)),
+}
+
+
+@pytest.mark.parametrize("check", NAN_CHECKS)
+def test_nan_fails_the_validation_checks(check):
+    """A nan compares False both ways, so each check is written as not (value within its bounds)."""
+    error, call = NAN_CHECKS[check]
+    with pytest.raises(error):
+        call(eigendecompose(SIGMA_X))
 
 
 @pytest.mark.parametrize("check", ["eigendecompose.hermiticity", "HermitianOperator.hermiticity"])
@@ -634,8 +653,8 @@ def test_friedrichs_survival_holds_no_complex_square_array(monkeypatch, tmp_path
 @pytest.mark.parametrize("task", ["survival", "classify", "converge"])
 def test_only_converge_forms_a_square_array_of_the_friedrichs_model(monkeypatch, tmp_path, task):
     """At n_modes 800 (d = 801) survival and classify read the state's weights off the solver's first row, so
-    the whole run, build included, peaks below one real d x d array and never forms H or V; converge reads V
-    and H, and forms them."""
+    the whole run, build included, peaks below one real d x d array and never forms H or V; converge (EUE) reads
+    W = V*Q off that row too and forms only H, for Q*HQ."""
     built = []
     original = zenolab.scenarios.build_scenario
     monkeypatch.setattr(zenolab.scenarios, "build_scenario", lambda c: built.append(original(c)) or built[-1])
@@ -650,6 +669,18 @@ def test_only_converge_forms_a_square_array_of_the_friedrichs_model(monkeypatch,
     formed = {"matrix", "eigenvectors"} & set(vars(scen.hamiltonian))
     square = scen.hamiltonian.dim**2 * 8
     if task == "converge":
-        assert formed == {"matrix", "eigenvectors"} and peak >= square
+        assert formed == {"matrix"} and peak >= square
     else:
         assert not formed and peak < square
+
+
+@pytest.mark.parametrize("ordering", ["UE", "EU"])
+def test_friedrichs_converge_forms_v_in_its_frame(monkeypatch, tmp_path, ordering):
+    """UE and EU hold their products and target in the frames (V, Q) and (Q, V), so their runs form V."""
+    built = []
+    original = zenolab.scenarios.build_scenario
+    monkeypatch.setattr(zenolab.scenarios, "build_scenario", lambda c: built.append(original(c)) or built[-1])
+    config = {"schema_version": 1, "task": "converge", "ordering": ordering, "model": {"friedrichs": {"n_modes": 200}}}
+    run_scenario(parse_config(config), out_dir=tmp_path)
+    (scen,) = built
+    assert {"matrix", "eigenvectors"} <= set(vars(scen.hamiltonian))

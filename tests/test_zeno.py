@@ -6,7 +6,7 @@ import pytest
 import zenolab.zeno
 from conftest import rabi_pair, random_hermitian_op, random_projection
 from reference import complement
-from zenolab.operators import eigendecompose, evolve, identity_projection, operator_norm
+from zenolab.operators import HermitianOperator, eigendecompose, evolve, identity_projection, operator_norm
 from zenolab.zeno import (
     ZenoSchedule,
     azc_fit,
@@ -111,19 +111,19 @@ class TestConvergenceReport:
 
     @pytest.mark.parametrize("ordering", ["EUE", "UE", "EU"])
     def test_target_built_in_the_products_frame_with_one_overlap(self, monkeypatch, ordering):
-        """Every ordering takes one d x d by d x r adjoint product, W = V*Q, for its target and products."""
+        """Every ordering takes V*Q once, one ``_coordinates`` call on the d x r basis, for its target and products."""
         rng = np.random.default_rng(40)
         h = random_hermitian_op(rng, 40, norm=1.0)
         e = random_projection(rng, 40, 10)
-        adjoint, shapes = zenolab.zeno._adjoint_product, []
+        coordinates, shapes = HermitianOperator._coordinates, []
 
-        def spy_adjoint(a, b):
-            shapes.append((a.shape, b.shape))
-            return adjoint(a, b)
+        def spy_coordinates(self, x):
+            shapes.append(x.shape)
+            return coordinates(self, x)
 
-        monkeypatch.setattr(zenolab.zeno, "_adjoint_product", spy_adjoint)
+        monkeypatch.setattr(HermitianOperator, "_coordinates", spy_coordinates)
         report = zeno_convergence_report(h, e, 1.0, ZenoSchedule((2, 4, 8), ordering=ordering))
-        assert shapes == [((40, 40), (40, 10))]
+        assert shapes == [(40, 10)]
         assert report.target.left is report.limit.left and report.target.right is report.limit.right
 
 
