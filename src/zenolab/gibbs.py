@@ -109,24 +109,20 @@ def _to_eigenbasis(h: HermitianOperator, a: np.ndarray) -> np.ndarray:
     return _matmul(_matmul(v.conj().T, a), v)
 
 
-def heisenberg_evolve(h: HermitianOperator, a, z: complex, *, in_eigenbasis: bool = False) -> np.ndarray:
-    """exp(izH) A exp(-izH) through the eigenbasis; exact at complex time.
+def heisenberg_evolve(h: HermitianOperator, a, z: complex) -> np.ndarray:
+    """V* tau_z(A) V from V*AV, with V the eigenvectors of H and tau_z(A) = exp(izH) A exp(-izH).
 
-    With ``in_eigenbasis=True``, ``a`` is V*AV already (V the eigenvectors
-    of H) and the result is V* tau_z(A) V = (V*AV) o outer(e^s, e^-s),
-    s = iz(w - mid), with no matrix product; the default path takes that
-    array back by V. z is checked by ``_checked_time`` at the scale of the
-    spectral spread.
+    ``a`` is V*AV, and the result is (V*AV) o outer(e^s, e^-s), s = iz(w - mid):
+    exact at complex time, with no matrix product. z is checked by
+    ``_checked_time`` at the scale of the spectral spread.
     """
     z = _checked_time(z, h.spread)
     mat = as_complex_matrix(a)
     check_dims(h, mat)
-    v, w = h.eigenvectors, h.eigenvalues
-    in_basis = mat if in_eigenbasis else _to_eigenbasis(h, mat)
+    w = h.eigenvalues
     # about the spectrum's midpoint neither factor exceeds exp(|Im z| spread / 2)
     s = 1j * z * (w - (w[0] + w[-1]) / 2.0) if w.size else w
-    evolved = in_basis * np.outer(np.exp(s), np.exp(-s))
-    return evolved if in_eigenbasis else _matmul(_matmul(v, evolved), v.conj().T)
+    return mat * np.outer(np.exp(s), np.exp(-s))
 
 
 def _kms_gaps(
@@ -148,7 +144,7 @@ def _kms_gaps(
     b_v = _to_eigenbasis(h, b)
 
     def tau(z: complex) -> np.ndarray:
-        return heisenberg_evolve(h, b_v, z, in_eigenbasis=True).ravel()
+        return heisenberg_evolve(h, b_v, z).ravel()
 
     return [float(abs(rho_a.ravel() @ tau(t + 1j * beta) - a_rho.ravel() @ tau(t))) for t in ts]
 

@@ -62,9 +62,9 @@ def as_matrix(m, square: bool = True) -> np.ndarray:
     return a
 
 
-def as_complex_matrix(m, square: bool = True) -> np.ndarray:
-    """Validate and return a finite complex dense matrix, square unless ``square`` is false."""
-    return as_matrix(m, square).astype(complex, copy=False)
+def as_complex_matrix(m) -> np.ndarray:
+    """Validate and return a finite complex dense square matrix."""
+    return as_matrix(m).astype(complex, copy=False)
 
 
 def _is_real(a: np.ndarray) -> bool:
@@ -705,7 +705,7 @@ def _checked_time(z: complex, scale: float) -> complex:
         raise NonFinite("time argument must be finite")
     if abs(z.imag) * scale > EXP_LIMIT:
         raise Overflow(f"continuation exponent {abs(z.imag) * scale:.3e} exceeds {EXP_LIMIT}")
-    if abs(z) * scale * np.finfo(float).eps >= 1.0:
+    if abs(z) * scale * _EPS >= 1.0:
         raise Overflow(f"phase magnitude {abs(z) * scale:.3e} leaves no correct digit in exp(i z H)")
     return z
 

@@ -28,7 +28,6 @@ from .survival import _characteristic, _spectral_weights
 
 __all__ = [
     "Classification",
-    "ClassificationThresholds",
     "SpectralMeasure",
     "DiscreteMeasure",
     "Gaussian",
@@ -53,14 +52,11 @@ class Classification(str, Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class ClassificationThresholds:
-    """Finite-grid stand-ins for limits at infinity; recorded in every report."""
-
-    zeno_ceiling: float = 0.01  # tail weight at the grid top must sit below this
-    anti_zeno_floor: float = 1.0  # and above this, with positive slope, for anti-Zeno
-    slope_band: float = 0.1  # |log-log slope| inside this band reads as bounded
-    residual_cap: float = 0.5  # fit residual beyond this marks a non-straight tail
+# finite-grid stand-ins for the limits at infinity that ``classify_regime`` reads
+_ZENO_CEILING = 0.01  # tail weight at the grid top must sit below this
+_ANTI_ZENO_FLOOR = 1.0  # and above this, with positive slope, for anti-Zeno
+_SLOPE_BAND = 0.1  # |log-log slope| inside this band reads as bounded
+_RESIDUAL_CAP = 0.5  # fit residual beyond this marks a non-straight tail
 
 
 class SpectralMeasure(ABC):
@@ -73,11 +69,6 @@ class SpectralMeasure(ABC):
     @abstractmethod
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n independent draws."""
-
-    @property
-    @abstractmethod
-    def tail_exponent(self) -> float:
-        """Power-law index of Pr(|X| > x); math.inf for lighter-than-power tails."""
 
     def survival(self, x) -> np.ndarray:
         """Pr(X > x). Override where 1 - cdf(x) cancels in the far tail."""
@@ -114,8 +105,8 @@ class DiscreteMeasure(SpectralMeasure):
         w = np.asarray(self.weights, dtype=float)
         if a.ndim != 1 or a.shape != w.shape or a.size == 0:
             raise ValueError("atoms and weights must be nonempty 1-d arrays of equal length")
-        if not np.all(np.diff(a) >= 0):  # a nan atom compares neither way
-            raise ValueError("atoms must ascend")
+        if np.any(np.isnan(a)) or not np.all(np.diff(a) >= 0):  # inf atoms stay; their phi raises Overflow
+            raise ValueError("atoms must be non-nan and ascend")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         total = float(np.sum(w))
@@ -145,10 +136,6 @@ class DiscreteMeasure(SpectralMeasure):
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.choice(self.atoms, size=n, p=self.weights)
-
-    @property
-    def tail_exponent(self) -> float:
-        return math.inf
 
     def phi(self, t: float) -> complex:
         # exp(-i t x) is exp(i (-t) x), as cos is even and sin is odd
@@ -187,10 +174,6 @@ class Gaussian(SpectralMeasure):
     def sample(self, n, rng):
         return rng.normal(self.mu, self.sigma, size=n)
 
-    @property
-    def tail_exponent(self) -> float:
-        return math.inf
-
     def phi(self, t: float) -> complex:
         return complex(np.exp(-1j * t * self.mu - 0.5 * (self.sigma * t) ** 2))
 
@@ -222,10 +205,6 @@ class Cauchy(SpectralMeasure):
 
     def sample(self, n, rng):
         return self.x0 + self.gamma * rng.standard_cauchy(size=n)
-
-    @property
-    def tail_exponent(self) -> float:
-        return 1.0
 
     def phi(self, t: float) -> complex:
         return complex(np.exp(-1j * t * self.x0 - self.gamma * abs(t)))
@@ -302,10 +281,6 @@ class TwoSidedPareto(SpectralMeasure):
         mags = self.scale * rng.uniform(size=n) ** (-1.0 / self.alpha)
         return np.where(u < 0.5, -mags, mags)
 
-    @property
-    def tail_exponent(self) -> float:
-        return self.alpha
-
     def one_minus_phi(self, t: float) -> float:
         """1 - phi(t), computed without cancellation; phi is real by symmetry."""
         t = abs(float(t))
@@ -354,7 +329,6 @@ class TailReport:
     trend: float | None = None
     trend_residual: float | None = None
     classification: Classification | None = None
-    thresholds: ClassificationThresholds | None = None
 
 
 def tail_delta_curve(measure: SpectralMeasure, x_grid) -> TailReport:
@@ -366,16 +340,12 @@ def tail_delta_curve(measure: SpectralMeasure, x_grid) -> TailReport:
     return TailReport(x_grid=x, delta_values=np.maximum(delta, 0.0))
 
 
-def classify_regime(
-    measure: SpectralMeasure,
-    x_grid,
-    thresholds: ClassificationThresholds = ClassificationThresholds(),
-) -> TailReport:
+def classify_regime(measure: SpectralMeasure, x_grid) -> TailReport:
     """Classify the tail-weight trend on the top decade of the grid.
 
-    The limit at infinity is out of numerical reach; the thresholds that
-    stand in for it travel with the report. A non-monotone tail (residual
-    above the cap) is declared Indeterminate rather than forced into a bin.
+    The limit at infinity is out of numerical reach; the module's four
+    thresholds stand in for it. A non-monotone tail (residual above the
+    cap) is declared Indeterminate rather than forced into a bin.
     """
     base = tail_delta_curve(measure, x_grid)
     x, delta = base.x_grid, base.delta_values
@@ -388,8 +358,7 @@ def classify_regime(
 
     if float(np.max(delta[top])) <= 1e-300 or delta[-1] <= 1e-300:
         # tail weight reaches exact zero: bounded support, frozen dynamics
-        return TailReport(x, delta, trend=-math.inf, trend_residual=0.0,
-                          classification=Classification.ZENO, thresholds=thresholds)
+        return TailReport(x, delta, trend=-math.inf, trend_residual=0.0, classification=Classification.ZENO)
 
     positive = top & (delta > 0)
     xs, ys = x[positive], delta[positive]
@@ -404,20 +373,19 @@ def classify_regime(
 
     # decisive monotone trends classify first: a faster-than-power decay fits a
     # power law badly but is unambiguously heading to zero
-    if slope < -thresholds.slope_band and tip < thresholds.zeno_ceiling and never_rises:
+    if slope < -_SLOPE_BAND and tip < _ZENO_CEILING and never_rises:
         label = Classification.ZENO
-    elif slope > thresholds.slope_band and tip > thresholds.anti_zeno_floor and never_falls:
+    elif slope > _SLOPE_BAND and tip > _ANTI_ZENO_FLOOR and never_falls:
         label = Classification.ANTI_ZENO
-    elif residual > thresholds.residual_cap:
+    elif residual > _RESIDUAL_CAP:
         # non-straight: the trend oscillates too much to extrapolate
         label = Classification.INDETERMINATE
-    elif abs(slope) <= thresholds.slope_band and never_rises and never_falls:
+    elif abs(slope) <= _SLOPE_BAND and never_rises and never_falls:
         label = Classification.BORDERLINE
     else:
         # a clear trend whose magnitude the grid cannot yet confirm
         label = Classification.INDETERMINATE
-    return TailReport(x, delta, trend=slope, trend_residual=residual,
-                      classification=label, thresholds=thresholds)
+    return TailReport(x, delta, trend=slope, trend_residual=residual, classification=label)
 
 
 def zeno_modulus_table(
@@ -434,11 +402,9 @@ def zeno_modulus_table(
     return out
 
 
-def modulus_below_threshold_n(
-    measure: SpectralMeasure, t: float, threshold: float = 1e-3, n_cap: int = 2**40
-) -> int:
-    """Smallest power of two n with |phi(t/n)|^(2n) below the threshold."""
-    n = 1
+def modulus_below_threshold_n(measure: SpectralMeasure, t: float, threshold: float = 1e-3) -> int:
+    """Smallest power of two n <= 2**40 with |phi(t/n)|^(2n) below the threshold."""
+    n, n_cap = 1, 2**40
     while n <= n_cap:
         if math.exp(2.0 * n * measure.log_abs_phi(t / n)) < threshold:
             return n
@@ -524,8 +490,9 @@ def lln_mc(
     )
 
 
-def suggested_tail_grid(measure: SpectralMeasure, points: int = 48) -> np.ndarray:
-    """A 3+ decade grid adapted to where the family's tail lives."""
+def suggested_tail_grid(measure: SpectralMeasure) -> np.ndarray:
+    """A 3+ decade grid of 48 points, adapted to where the family's tail lives."""
+    points = 48
     if isinstance(measure, DiscreteMeasure):
         top = max(measure.support_radius, 1e-6)
         return np.logspace(math.log10(top) - 2.5, math.log10(top) + 1.0, points)

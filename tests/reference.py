@@ -4,14 +4,14 @@ The library works in range(E) through an orthonormal basis Q and in H's
 eigenbasis V, and forms nothing d x d that it can avoid. Each function here
 is the plain formula on the full space: E_perp as a projection, the step
 PUP, UP or PU raised to the n-th power, the limit exp(itEHE)E from the
-d x d EHE, the leakage ||E_perp U(t) E||, the KMS residual loop over
-tau_z(B) = V (V*BV o phases) V*, the dense ``eigh`` of the Friedrichs
-arrowhead, the three defect norms of an operator's dense checks, the
-Hermitian draw (G + G*)/2 with its complex temporaries, the Friedrichs
-time grid merged by ``np.unique``, P(t) from the full len(t) x d phase
-table with the weights of the dense V, and a spectral measure's atoms
-merged by one Python pass. The equivalence tests import them from here,
-so each dense definition exists once.
+d x d EHE, the leakage ||E_perp U(t) E||, tau_z(B) = exp(izH) B exp(-izH)
+as a product of d x d matrices and the KMS residual loop over it, the
+dense ``eigh`` of the Friedrichs arrowhead, the three defect norms of an
+operator's dense checks, the Hermitian draw (G + G*)/2 with its complex
+temporaries, the Friedrichs time grid merged by ``np.unique``, P(t) from
+the full len(t) x d phase table with the weights of the dense V, and a
+spectral measure's atoms merged by one Python pass. The equivalence tests
+import them from here, so each dense definition exists once.
 """
 
 from fractions import Fraction
@@ -20,7 +20,6 @@ from functools import cache
 import numpy as np
 
 from zenolab.errors import NotHermitian
-from zenolab.gibbs import heisenberg_evolve
 from zenolab.numeric import tol
 from zenolab.operators import (
     OrthogonalProjection,
@@ -90,12 +89,24 @@ def dense_leakage(h, e, t):
     return operator_norm(complement(e).matrix @ evolve(h, t) @ e.matrix)
 
 
+def dense_heisenberg(h, b, z):
+    """tau_z(B) = exp(izH) B exp(-izH) as a product of d x d matrices.
+
+    Each exponential is V diag(exp(iz(w - c))) V*, about the spectrum's
+    midpoint c: the phases exp(izc) cancel, and neither factor overflows
+    at complex time before the product does.
+    """
+    v, w = h.eigenvectors, h.eigenvalues
+    s = 1j * complex(z) * (w - (w[0] + w[-1]) / 2.0)
+    return (v * np.exp(s)) @ v.conj().T @ np.asarray(b) @ (v * np.exp(-s)) @ v.conj().T
+
+
 def dense_gaps(rho, h, a, b, ts, beta):
     """|tr(rho A tau_{t+i beta}(B)) - tr(rho tau_t(B) A)| per t, with tau_z(B) formed at d x d."""
     gaps = []
     for t in ts:
-        left = np.trace(rho @ a @ heisenberg_evolve(h, b, t + 1j * beta))
-        right = np.trace(rho @ heisenberg_evolve(h, b, t) @ a)
+        left = np.trace(rho @ a @ dense_heisenberg(h, b, t + 1j * beta))
+        right = np.trace(rho @ dense_heisenberg(h, b, t) @ a)
         gaps.append(float(abs(left - right)))
     return gaps
 

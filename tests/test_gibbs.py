@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import rabi_pair, random_hermitian, random_hermitian_op, random_projection
-from reference import compressed_generator_matrix, dense_gaps, dense_reduced_gaps, dense_reduced_residual
+from reference import (
+    compressed_generator_matrix,
+    dense_gaps,
+    dense_heisenberg,
+    dense_reduced_gaps,
+    dense_reduced_residual,
+)
 from zenolab.errors import ConfigError, DimensionMismatch, NonFinite, Overflow, ZeroRank
 from zenolab.gibbs import (
     DensityState,
@@ -150,6 +156,8 @@ class TestKMSScale:
 
 
 class TestHeisenbergEvolve:
+    """The kernel maps V*AV to V*tau_z(A)V; a diagonal H has V = I, so there it maps A to tau_z(A)."""
+
     def test_identity_is_fixed(self):
         h = random_hermitian_op(np.random.default_rng(1), 4)
         for z in (0.5, 1.0 + 0.5j):
@@ -201,16 +209,16 @@ class TestHeisenbergEvolve:
         with pytest.raises(Overflow):
             heisenberg_evolve(h, np.eye(4), 0.3 - 701.0j / 4.5)
 
-    @pytest.mark.parametrize("in_eigenbasis", [False, True])
-    def test_time_with_no_phase_digit_raises(self, in_eigenbasis):
-        """|z| * spread * eps >= 1 raises, the rule of ``phase_factors``, with scale the spread."""
-        w = np.array([1000.0, 1001.0, 1004.0])  # spread 4, norm 1004
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_time_with_no_phase_digit_raises(self, sign):
+        """|z| * spread * eps >= 1 raises, the rule of ``phase_factors``, with scale the spread, not the norm."""
+        w = sign * np.array([1000.0, 1001.0, 1004.0])  # spread 4, norm 1004
         h = eigendecompose(np.diag(w))
         edge = 1.0 / (4.0 * np.finfo(float).eps)
-        heisenberg_evolve(h, np.eye(3), 0.99 * edge, in_eigenbasis=in_eigenbasis)
+        heisenberg_evolve(h, np.eye(3), 0.99 * edge)
         for z in (1.01 * edge, -1.01 * edge, complex(1.01 * edge, 0.5), 1e300):
             with pytest.raises(Overflow, match="no correct digit"):
-                heisenberg_evolve(h, np.eye(3), z, in_eigenbasis=in_eigenbasis)
+                heisenberg_evolve(h, np.eye(3), z)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.nan, 1.0)])
     def test_non_finite_time_is_typed(self, z):
@@ -234,7 +242,7 @@ class TestEigenbasisPath:
     @pytest.mark.parametrize("model", list(MODELS), ids=list(MODELS))
     @pytest.mark.parametrize("size", ["full", "compressed"])
     @pytest.mark.parametrize("z", [0.7, -1.3, 0.7 + 1.0j, -1.3 + 2.5j])
-    def test_equals_the_default_path_bit_for_bit(self, model, size, z):
+    def test_equals_the_dense_definition(self, model, size, z):
         h, e = model_and_compression(self.MODELS[model])
         assert h.eigenvectors.dtype == (np.float64 if model == "friedrichs" else np.complex128)
         b = random_hermitian(np.random.default_rng(8), h.dim)
@@ -242,25 +250,23 @@ class TestEigenbasisPath:
             q = e.basis
             h, b = zenolab.gibbs._compressed_gibbs(h, e, 1.0)[0], q.conj().T @ b @ q
         b_eig = zenolab.gibbs._to_eigenbasis(h, b)
-        fast = heisenberg_evolve(h, b_eig, z, in_eigenbasis=True)
-        v, matmul = h.eigenvectors, zenolab.gibbs._matmul
-        dense = heisenberg_evolve(h, b, z)
-        assert np.array_equal(matmul(matmul(v, fast), v.conj().T), dense)
+        fast = heisenberg_evolve(h, b_eig, z)
+        v, dense = h.eigenvectors, dense_heisenberg(h, b, z)
         assert operator_norm(fast - v.conj().T @ dense @ v) <= 1e-12 * operator_norm(dense)
         assert operator_norm(b_eig - v.conj().T @ b @ v) <= 1e-13 * (1.0 + operator_norm(b))
 
-    def test_guards_still_run_on_the_eigenbasis_path(self):
+    def test_guards_run_on_the_eigenbasis_input(self):
         h = eigendecompose(np.diag([0.0, 200.0]).astype(complex))
         with pytest.raises(Overflow):
-            heisenberg_evolve(h, np.eye(2), 4j, in_eigenbasis=True)
+            heisenberg_evolve(h, np.eye(2), 4j)
         with pytest.raises(Overflow, match="no correct digit"):
-            heisenberg_evolve(h, np.eye(2), 1e20, in_eigenbasis=True)
+            heisenberg_evolve(h, np.eye(2), 1e20)
         with pytest.raises(DimensionMismatch):
-            heisenberg_evolve(h, np.eye(3), 0.5, in_eigenbasis=True)
+            heisenberg_evolve(h, np.eye(3), 0.5)
         with pytest.raises(NonFinite):
-            heisenberg_evolve(h, np.full((2, 2), math.nan), 0.5, in_eigenbasis=True)
+            heisenberg_evolve(h, np.full((2, 2), math.nan), 0.5)
         with pytest.raises(NonFinite):
-            heisenberg_evolve(h, np.eye(2), math.nan, in_eigenbasis=True)
+            heisenberg_evolve(h, np.eye(2), math.nan)
 
     def test_observable_enters_the_eigenbasis_once_per_pair_in_each_check(self, tmp_path, monkeypatch):
         """Two pairs: A and B enter once per pair at d = 30 and at r = 5, and every evolution stays there.
@@ -268,16 +274,16 @@ class TestEigenbasisPath:
         The Gibbs state enters the full check as its weights, so rho never
         enters at d; the reduced check's rho enters once per run at r.
         """
-        formed, paths = [], []
+        formed, evolved = [], []
         to_eigenbasis, evolve_ = zenolab.gibbs._to_eigenbasis, zenolab.gibbs.heisenberg_evolve
 
         def spy_transform(h, a):
             formed.append(h.dim)
             return to_eigenbasis(h, a)
 
-        def spy_evolve(h, a, z, **kwargs):
-            paths.append(kwargs.get("in_eigenbasis", False))
-            return evolve_(h, a, z, **kwargs)
+        def spy_evolve(h, a, z):
+            evolved.append(h.dim)
+            return evolve_(h, a, z)
 
         monkeypatch.setattr(zenolab.gibbs, "_to_eigenbasis", spy_transform)
         monkeypatch.setattr(zenolab.gibbs, "heisenberg_evolve", spy_evolve)
@@ -286,7 +292,7 @@ class TestEigenbasisPath:
         )
         run_scenario(config, out_dir=tmp_path)
         assert sorted(formed) == [5] * 5 + [30] * 4
-        assert len(paths) == 72 and all(paths)
+        assert len(evolved) == 72
 
 
 class TestKMSResidual:
@@ -334,8 +340,8 @@ class TestKMSResidual:
         a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
         for state in (gibbs_state(h, 1.0), gibbs_state(h, 0.0)):
             for t in (-1.2, 0.4):
-                left = np.trace(state.rho @ a @ heisenberg_evolve(h, b, t + 1j))
-                right = np.trace(state.rho @ heisenberg_evolve(h, b, t) @ a)
+                left = np.trace(state.rho @ a @ dense_heisenberg(h, b, t + 1j))
+                right = np.trace(state.rho @ dense_heisenberg(h, b, t) @ a)
                 dense = float(abs(left - right))
                 assert abs(kms_residual(state, a, b, t, 1.0) - dense) <= 1e-12 * kms_scale(h, a, b, 1.0)
 
@@ -376,7 +382,7 @@ class TestKMSResidual:
         state = gibbs_state(h, 1.3)
         a = random_hermitian(rng, 4)
         for t in (0.4, 2.0):
-            moved = heisenberg_evolve(h, a, t)
+            moved = dense_heisenberg(h, a, t)
             assert abs(expectation(state, moved) - expectation(state, a)) < 1e-10
 
 
@@ -657,9 +663,9 @@ class TestReducedAgainstDense:
     def test_gibbs_run_evolves_at_the_full_and_the_compressed_size(self, tmp_path, monkeypatch):
         dims = []
 
-        def spy(h, a, z, **kwargs):
+        def spy(h, a, z):
             dims.append(h.dim)
-            return heisenberg_evolve(h, a, z, **kwargs)
+            return heisenberg_evolve(h, a, z)
 
         monkeypatch.setattr(zenolab.gibbs, "heisenberg_evolve", spy)
         config = parse_config(
@@ -670,7 +676,7 @@ class TestReducedAgainstDense:
 
 
 class TestKernelAgainstDenseLoop:
-    """Both checks, entry by entry, against the dense loop on the default ``heisenberg_evolve``.
+    """Both checks, entry by entry, against the dense loop over ``reference.dense_heisenberg``.
 
     Real V comes from a Friedrichs model compressed by a real basis Q, complex
     V from a random H and a complex Q. At r = 1 the compressed algebra is the

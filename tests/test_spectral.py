@@ -236,10 +236,6 @@ class _StaircaseSurvival(SpectralMeasure):
     def sample(self, n, rng):
         raise NotImplementedError
 
-    @property
-    def tail_exponent(self):
-        return 0.5
-
 
 class TestClassification:
     def test_registry_families(self):
@@ -254,7 +250,6 @@ class TestClassification:
         for name, measure in FAMILIES.items():
             report = classify_regime(measure, suggested_tail_grid(measure))
             assert report.classification is expected[name], name
-            assert report.thresholds is not None
 
     def test_non_straight_staircase_is_indeterminate(self):
         m = _StaircaseSurvival()
@@ -305,11 +300,11 @@ class TestTheoremConsistency:
         assert value < 1e-3
 
     def test_finite_first_moment_implies_zeno(self):
-        # E|X| is finite exactly when the tail exponent exceeds 1
-        for name, m in FAMILIES.items():
-            if m.tail_exponent > 1.0:
-                report = classify_regime(m, suggested_tail_grid(m))
-                assert report.classification is Classification.ZENO, name
+        # E|X| is finite exactly when the tail exponent exceeds 1: every family here but the Cauchy and alpha = 0.5
+        for name in ("gaussian", "gaussian_shifted", "pareto_integrable", "two_level"):
+            m = FAMILIES[name]
+            report = classify_regime(m, suggested_tail_grid(m))
+            assert report.classification is Classification.ZENO, name
 
 
 class TestLLN:

@@ -29,11 +29,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import zenolab.gibbs
 import zenolab.operators
 import zenolab.scenarios
 from conftest import SIGMA_X, certified_build, random_hermitian
 from reference import check_defects, projection_from_matrix
-from zenolab.errors import DimensionMismatch, NotHermitian, NotNormalized
+from zenolab.errors import DimensionMismatch, NotHermitian, NotNormalized, Overflow
 from zenolab.gibbs import DensityState, gibbs_state, heisenberg_evolve, kms_residual, kms_scale
 from zenolab.numeric import tol
 from zenolab.operators import (
@@ -234,6 +235,7 @@ NAN_CHECKS = {
     "energy_moments": (NotNormalized, lambda h: energy_moments(h, NAN_STATE)),
     "decay_profile": (NotNormalized, lambda h: decay_profile(h, NAN_STATE, [1.0, 2.0])),
     "measure-atom": (ValueError, lambda h: DiscreteMeasure([np.nan, 1.0], [0.5, 0.5])),
+    "measure-lone-atom": (ValueError, lambda h: DiscreteMeasure([np.nan], [1.0])),
     "measure-weights": (ValueError, lambda h: DiscreteMeasure([0.0, 1.0], [np.nan, np.nan])),
     "profile-probability": (ValueError, lambda h: DecayProfile([1.0, 2.0], [np.nan, 0.5], np.eye(2)[0], h)),
 }
@@ -245,6 +247,13 @@ def test_nan_fails_the_validation_checks(check):
     error, call = NAN_CHECKS[check]
     with pytest.raises(error):
         call(eigendecompose(SIGMA_X))
+
+
+def test_an_infinite_atom_passes_and_its_characteristic_function_overflows():
+    """Only nan is refused: an inf atom is a measure, whose phases keep no correct digit."""
+    m = DiscreteMeasure([1.0, np.inf], [0.5, 0.5])
+    with pytest.raises(Overflow, match="no correct digit"):
+        m.phi(1.0)
 
 
 @pytest.mark.parametrize("check", ["eigendecompose.hermiticity", "HermitianOperator.hermiticity"])
@@ -594,7 +603,12 @@ def test_real_path_evolutions_match_complex_path(real_scenario, z):
     a = random_hermitian(np.random.default_rng(3), h.dim, norm=1.0)
     growth = np.exp(abs(z.imag) * h.spread) if isinstance(z, complex) else 1.0
     assert operator_norm(evolve(h, z) - evolve(ref, z)) <= 1e-12 * growth
-    assert operator_norm(heisenberg_evolve(h, a, z) - heisenberg_evolve(ref, a, z)) <= 1e-12 * growth
+
+    def tau(op):  # tau_z(A) by the KMS check's path: into op's eigenbasis, the kernel, and back
+        v = op.eigenvectors
+        return v @ heisenberg_evolve(op, zenolab.gibbs._to_eigenbasis(op, a), z) @ v.conj().T
+
+    assert operator_norm(tau(h) - tau(ref)) <= 1e-12 * growth
 
 
 def test_real_path_kms_residuals_match_complex_path(real_scenario):
