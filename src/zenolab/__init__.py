@@ -47,7 +47,6 @@ from .operators import (
     identity_projection,
     operator_norm,
     projection_from_span,
-    psd_sqrt,
 )
 from .scenarios import (
     RunReport,

@@ -31,11 +31,11 @@ from .operators import (
     _checked_time,
     _freeze,
     _from_spectrum,
-    _hermitian_norm,
     _matmul,
     as_complex_matrix,
     check_dims,
     eigendecompose,
+    operator_norm,
 )
 from .zeno import _compress
 
@@ -174,14 +174,14 @@ def kms_residual(state: DensityState, a, b, t, beta: float):
 def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
     """Conditioning scale of the boundary check: ||A|| ||B|| exp(beta * spread).
 
-    ||A|| and ||B|| come from ``_hermitian_norm``: max |eigenvalue| from
+    ||A|| and ||B|| come from ``operator_norm``: max |eigenvalue| from
     ``eigvalsh`` for an exactly Hermitian draw, as every drawn observable
     is. Raises Overflow when the exponential is not a finite double.
     """
     exponent = beta * h.spread
     if not exponent <= math.log(sys.float_info.max):  # a nan exponent too
         raise Overflow(f"kms scale exponent {exponent:.3e} overflows exp")
-    return _hermitian_norm(a) * _hermitian_norm(b) * math.exp(exponent)
+    return operator_norm(a) * operator_norm(b) * math.exp(exponent)
 
 
 def _compressed_gibbs(h: HermitianOperator, e: OrthogonalProjection, beta: float):

@@ -2,10 +2,10 @@
 
 Hermitian eigendecomposition with cached spectra (by the dense solver, or
 for an arrowhead from its secular equation), matrix exponentials for real
-and complex time, operator norms, PSD square roots, and orthogonal
-projections built from spanning sets. Everything is immutable after
-construction and safe for concurrent read-only use. scipy.linalg is
-imported inside ``expm``, by the non-Hermitian branches that call it.
+and complex time, one spectral norm, and orthogonal projections built from
+spanning sets. Everything is immutable after construction and safe for
+concurrent read-only use. scipy.linalg is imported inside ``expm``, which
+is ``scipy.linalg.expm``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     NonFinite,
     NotHermitian,
-    NotPSD,
     Overflow,
     ZeroSpan,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "expm",
     "phase_factors",
     "operator_norm",
-    "psd_sqrt",
     "projection_from_span",
     "identity_projection",
 ]
@@ -94,16 +92,19 @@ _BLOCK = 96  # rows per block of the O(d^2) arrowhead passes, so each temporary 
 def operator_norm(m) -> float:
     """Largest singular value of a 2-D matrix; zero exactly for the zero (or empty) matrix.
 
-    A square matrix takes the SVD. A non-square one takes the square root of
-    the largest eigenvalue of its smaller-side Gram matrix (``eigvalsh``),
-    after dividing by its largest entry magnitude so that squaring can
-    neither overflow nor underflow at the top of the spectrum.
+    A square matrix equal to its adjoint bit for bit takes max |eigenvalue| from
+    ``eigvalsh``, any other square one the SVD. A non-square one takes the
+    square root of the largest eigenvalue of its smaller-side Gram matrix
+    (``eigvalsh``), after dividing by its largest entry magnitude so that
+    squaring can neither overflow nor underflow at the top of the spectrum.
     """
     a = as_matrix(m, square=False)
     if a.size == 0 or not np.any(a):
         return 0.0
     rows, cols = a.shape
     if rows == cols:
+        if np.array_equal(a, a.conj().T):
+            return float(np.max(np.abs(np.linalg.eigvalsh(a))))
         return float(np.linalg.norm(a, 2))
     scale = float(np.max(np.abs(a)))
     if scale < _SMALLEST_NORMAL:
@@ -114,15 +115,6 @@ def operator_norm(m) -> float:
     gram = a @ a.conj().T if rows < cols else a.conj().T @ a
     # the top eigenvalue is at least the largest diagonal entry, >= 1 after the scaling
     return scale * float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
-
-
-def _hermitian_norm(m) -> float:
-    """||M||_2: max |eigenvalue| from ``eigvalsh`` when M is exactly Hermitian
-    (M == M* bit for bit), with no SVD; any other M takes ``operator_norm``."""
-    a = as_matrix(m, square=False)
-    if a.size and np.array_equal(a, a.conj().T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-    return operator_norm(a)
 
 
 # Rounding in the two norms can differ by a few ulps times the dimension; a
@@ -699,13 +691,13 @@ def _arrowhead_certificate(head, poles, z, live, base, tau, h, merges: int, tol:
 def _checked_time(z: complex, scale: float) -> complex:
     """z as a complex time at which exp(i z w), |w| <= scale, can be formed:
     finite (else NonFinite), with |Im z| * scale <= EXP_LIMIT and |z| * scale
-    * eps < 1, past which the phases z w keep no correct digit (else Overflow)."""
+    * eps < 1 (not nan), past which the phases z w keep no correct digit (else Overflow)."""
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFinite("time argument must be finite")
     if abs(z.imag) * scale > EXP_LIMIT:
         raise Overflow(f"continuation exponent {abs(z.imag) * scale:.3e} exceeds {EXP_LIMIT}")
-    if abs(z) * scale * _EPS >= 1.0:
+    if not abs(z) * scale * _EPS < 1.0:
         raise Overflow(f"phase magnitude {abs(z) * scale:.3e} leaves no correct digit in exp(i z H)")
     return z
 
@@ -724,56 +716,18 @@ def evolve(h: HermitianOperator, z: complex) -> np.ndarray:
     return _matmul(v * phase_factors(h, z), v.conj().T)
 
 
-def _expm_general(m: np.ndarray) -> np.ndarray:
-    # scaling-and-squaring with Pade error control
+def expm(m) -> np.ndarray:
+    """General matrix exponential: ``scipy.linalg.expm`` (scaling and squaring
+    with Pade error control) of the validated complex matrix."""
     import scipy.linalg
 
-    return scipy.linalg.expm(m)
-
-
-def expm(m) -> np.ndarray:
-    """General matrix exponential.
-
-    Hermitian and normal inputs go through exact diagonalization; everything
-    else through scaling-and-squaring. Normality test:
-    ||M M* - M* M|| <= 1e-12 ||M||^2.
-    """
-    a = as_complex_matrix(m)
-    if a.size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    norm = operator_norm(a)
-    if norm == 0.0:
-        return np.eye(a.shape[0], dtype=complex)
-    adj = a.conj().T
-    if operator_norm(a - adj) <= tol(1e-12, norm):
-        w, v = np.linalg.eigh((a + adj) / 2.0)
-        return (v * np.exp(w)) @ v.conj().T
-    if operator_norm(a @ adj - adj @ a) <= tol(1e-12) * norm**2:
-        # normal: complex Schur form is diagonal up to roundoff
-        import scipy.linalg
-
-        t, q = scipy.linalg.schur(a, output="complex")
-        return (q * np.exp(np.diag(t))) @ q.conj().T
-    return _expm_general(a)
+    return scipy.linalg.expm(as_complex_matrix(m))
 
 
 def _from_spectrum(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """V diag(w) V*, symmetrized."""
     m = (v * w) @ v.conj().T
     return (m + m.conj().T) / 2.0
-
-
-def psd_sqrt(h: HermitianOperator) -> HermitianOperator:
-    """Positive square root of a PSD operator.
-
-    Eigenvalues in [-1e-10*(1+||H||), 0) are clamped to zero; anything lower
-    raises NotPSD.
-    """
-    w = h.eigenvalues
-    if w.size and float(w[0]) < -tol(1e-10, h.norm):
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} is negative beyond tolerance")
-    roots = np.sqrt(np.clip(w, 0.0, None))
-    return HermitianOperator(_freeze(_from_spectrum(h.eigenvectors, roots)), _freeze(roots), h.eigenvectors)
 
 
 def projection_from_span(vectors) -> OrthogonalProjection:

@@ -41,7 +41,6 @@ from .operators import (
     HermitianOperator,
     OrthogonalProjection,
     _freeze,
-    _hermitian_norm,
     arrowhead_eigendecompose,
     eigendecompose,
     operator_norm,
@@ -371,7 +370,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         m = config.model
         rng = np.random.default_rng(m["seed"])
         raw = _random_hermitian(rng, m["dim"])
-        raw /= max(_hermitian_norm(raw), 1e-300)
+        raw /= max(operator_norm(raw), 1e-300)
         h = eigendecompose(raw)
         e = _random_projection(rng, m["dim"], m["rank_e"])
         q = e.basis
@@ -405,9 +404,11 @@ def _build_friedrichs(m: dict[str, Any]) -> Scenario:
         profile = np.ones(n)
         profile_at_eps = 1.0
     else:
-        sigma = width / 8.0
-        profile = np.exp(-((omegas - center) ** 2) / (2.0 * sigma**2))
-        profile_at_eps = float(np.exp(-((eps - center) ** 2) / (2.0 * sigma**2)))
+        spread = 2.0 * (width / 8.0) ** 2
+        if not spread >= 2.0**-1022:  # a subnormal or zero 2 sigma^2 keeps few or no bits of the profile
+            _fail("model.friedrichs.band", f"gaussian band width {width!r} leaves 2 sigma^2 below the normal doubles")
+        profile = np.exp(-((omegas - center) ** 2) / spread)
+        profile_at_eps = float(np.exp(-((eps - center) ** 2) / spread))
     couplings = g0 * math.sqrt(width / n) * profile
     density = n / width
     amplitude = g0 * math.sqrt(width / n) * profile_at_eps
@@ -439,10 +440,10 @@ def _build_perturbed(m: dict[str, Any]) -> Scenario:
     h0 = np.zeros((dim, dim), dtype=complex)
     h0[:rank, :rank] = block_top
     h0[rank:, rank:] = block_bottom
-    h0 /= max(_hermitian_norm(h0), 1e-300)
+    h0 /= max(operator_norm(h0), 1e-300)
 
     p = _random_hermitian(rng, dim)
-    p *= m["perturbation_norm"] / max(_hermitian_norm(p), 1e-300)
+    p *= m["perturbation_norm"] / max(operator_norm(p), 1e-300)
 
     e = OrthogonalProjection(_freeze(np.eye(dim, rank, dtype=complex)))
     psi = np.zeros(dim, dtype=complex)

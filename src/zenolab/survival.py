@@ -237,11 +237,12 @@ def decay_profile(h: HermitianOperator, psi, times) -> DecayProfile:
 
 
 def effective_rate_curve(profile: DecayProfile) -> np.ndarray:
-    """(tau, gamma_eff) pairs with gamma_eff = -ln P(tau) / tau."""
+    """(tau, gamma_eff) pairs with gamma_eff = -ln P(tau) / tau; a rate past the doubles (at a subnormal tau) is inf."""
     p = profile.probabilities
     if np.any(p <= _PROBABILITY_FLOOR):
         raise NonpositiveProbability("survival probability at or below the floor")
-    gamma = -np.log(p) / profile.times
+    with np.errstate(over="ignore"):
+        gamma = -np.log(p) / profile.times
     return np.column_stack([profile.times, gamma])
 
 
@@ -325,7 +326,7 @@ class CrossingResult:
 
 
 def find_crossing(gamma_eff_curve, gamma0: float) -> CrossingResult:
-    """Bisect the sampled gamma_eff curve (linearly interpolated) against gamma0.
+    """The root of the line through the two samples of gamma_eff that first bracket gamma0.
 
     Raises NoCrossing, reporting the curve's extremes, when no sign change
     appears on the sampled range.
@@ -348,17 +349,7 @@ def find_crossing(gamma_eff_curve, gamma0: float) -> CrossingResult:
         )
     i = int(change[0])
     lo, hi = float(taus[i]), float(taus[i + 1])
-    g = lambda x: float(np.interp(x, taus, gammas))
-    f_lo = g(lo) - gamma0
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        f_mid = g(mid) - gamma0
-        if f_lo * f_mid <= 0:
-            b = mid
-        else:
-            a, f_lo = mid, f_mid
-        if (b - a) <= 1e-12 * max(1.0, abs(b)):
-            break
-    tau_star = 0.5 * (a + b)
-    return CrossingResult(tau_star=tau_star, bracket=(lo, hi), gamma_eff_at_star=g(tau_star))
+    g_lo, g_hi = float(gammas[i]), float(gammas[i + 1])
+    # a sample at gamma0 is its own root; an infinite rate at lo (a subnormal tau) puts it at hi, its limit
+    tau_star = hi if g_hi == gamma0 or math.isinf(g_lo) else lo + (gamma0 - g_lo) * (hi - lo) / (g_hi - g_lo)
+    return CrossingResult(tau_star, (lo, hi), float(np.interp(tau_star, taus, gammas)))

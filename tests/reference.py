@@ -6,12 +6,14 @@ is the plain formula on the full space: E_perp as a projection, the step
 PUP, UP or PU raised to the n-th power, the limit exp(itEHE)E from the
 d x d EHE, the leakage ||E_perp U(t) E||, tau_z(B) = exp(izH) B exp(-izH)
 as a product of d x d matrices and the KMS residual loop over it, the
-dense ``eigh`` of the Friedrichs arrowhead, the three defect norms of an
-operator's dense checks, the Hermitian draw (G + G*)/2 with its complex
-temporaries, the Friedrichs time grid merged by ``np.unique``, P(t) from
-the full len(t) x d phase table with the weights of the dense V, and a
-spectral measure's atoms merged by one Python pass. The equivalence tests
-import them from here, so each dense definition exists once.
+dense ``eigh`` of the Friedrichs arrowhead, the PSD square root and the
+Zeno generator by the paper's form route (sqrt(H) E)* (sqrt(H) E), the
+three defect norms of an operator's dense checks, the Hermitian draw
+(G + G*)/2 with its complex temporaries, the Friedrichs time grid merged
+by ``np.unique``, P(t) from the full len(t) x d phase table with the
+weights of the dense V, and a spectral measure's atoms merged by one
+Python pass. The equivalence tests import them from here, so each dense
+definition exists once.
 """
 
 from fractions import Fraction
@@ -19,12 +21,15 @@ from functools import cache
 
 import numpy as np
 
-from zenolab.errors import NotHermitian
+from zenolab.errors import NotHermitian, NotPSD
 from zenolab.numeric import tol
 from zenolab.operators import (
+    HermitianOperator,
     OrthogonalProjection,
     _column_norm_bound,
     _freeze,
+    _from_spectrum,
+    _matmul,
     _violation,
     as_complex_matrix,
     eigendecompose,
@@ -120,6 +125,29 @@ def dense_reduced_gaps(h, e, beta, pairs, ts, rho):
 
 def dense_reduced_residual(h, e, beta, pairs, ts, rho):
     return max(max(row) for row in dense_reduced_gaps(h, e, beta, pairs, ts, rho))
+
+
+def psd_sqrt(h: HermitianOperator) -> HermitianOperator:
+    """Positive square root of a PSD operator.
+
+    Eigenvalues in [-1e-10*(1+||H||), 0) are clamped to zero; anything lower
+    raises NotPSD.
+    """
+    w = h.eigenvalues
+    if w.size and float(w[0]) < -tol(1e-10, h.norm):
+        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} is negative beyond tolerance")
+    roots = np.sqrt(np.clip(w, 0.0, None))
+    return HermitianOperator(_freeze(_from_spectrum(h.eigenvectors, roots)), _freeze(roots), h.eigenvectors)
+
+
+def form_generator(h, e) -> np.ndarray:
+    """Q*HQ by the form route (sqrt(H + s) Q)* (sqrt(H + s) Q) - s, with the shift s = max(0, -min eig H)
+    that makes H + s PSD; Q is ``e.basis``."""
+    q = e.basis
+    shift = max(0.0, -float(h.eigenvalues[0])) if h.eigenvalues.size else 0.0
+    shifted = eigendecompose(h.matrix + shift * np.eye(h.dim)) if shift else h
+    m = _matmul(psd_sqrt(shifted).matrix, q)
+    return m.conj().T @ m - shift * np.eye(q.shape[1])
 
 
 def check_defects(m, w, v) -> tuple[float, float, float]:

@@ -8,7 +8,9 @@ caps that keep every model and grid small, and reach the extremes the
 schema accepts: couplings from 1e-300 to 1e300, ``t`` up to 1e6, ``beta``
 up to the largest double, gibbs ``t_grid`` ends up to +-1e308,
 ``perturbation_norm`` and the band ends at their 1e6 caps, bands 1e-12
-wide, and an excited level one ulp inside a band edge. A broken config
+wide, bands [-w, w] with w from 1e-300 to 1e-12, and an excited level one
+ulp inside a band edge. Four configs that once broke the contract run as
+explicit examples before the drawn ones. A broken config
 carries one fault: a value of the wrong type, out of bounds or not finite,
 or an unknown key.
 """
@@ -23,7 +25,7 @@ import warnings
 from pathlib import Path
 
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis import strategies as st
 
@@ -53,7 +55,8 @@ EXTREMES = {
     "beta": decades(-3.0, 308.0) | st.sampled_from([1e6, 1e308, sys.float_info.max]),
     "perturbation_norm": decades(-3.0, 6.0) | st.just(1e6),
     "band": st.sampled_from([[-1e6, 1e6], [-1e6, 0.0], [0.0, 1e6]])
-    | st.floats(-FLOAT_SPAN, FLOAT_SPAN).map(lambda lo: [lo, lo + 1e-12]),
+    | st.floats(-FLOAT_SPAN, FLOAT_SPAN).map(lambda lo: [lo, lo + 1e-12])
+    | decades(-300.0, -12.0).map(lambda w: [-w, w]),
 }
 # gibbs grids [-a, b, num] with a and b up to 1e308, whose span may overflow
 GIBBS_END = decades(-3.0, 308.0) | st.just(1e308)
@@ -156,8 +159,29 @@ def config(draw) -> dict:
     return {"schema_version": 1, **draw(run_config())}
 
 
+def run(task: str, model: dict, **options) -> dict:
+    return {"schema_version": 1, "task": task, "model": model, **options}
+
+
+# a gaussian band whose 2 sigma^2 underflows
+NARROW_BAND = {"n_modes": 2, "band": [-7.03606579449389e-198, 1.0146548681070015e-170], "profile": "gaussian"}
+# a fitted rate constant past the doubles
+STEEP_CONVERGE = {
+    "n_modes": 2,
+    "band": [0.5, 0.500000000001],
+    "coupling_strength": 126951.32915597672,
+    "excited_energy": 0.5000000000000001,
+}
+
+
 @settings(database=None, deadline=None, derandomize=True, max_examples=150)
 @given(config(), st.none() | st.integers(0, SEED_CAP) | st.integers(-3, -1))
+@example(run("survival", {"friedrichs": NARROW_BAND}), None)
+@example(run("converge", {"friedrichs": STEEP_CONVERGE}, t=126951.32915597672, n_schedule=[1, 26, 27]), None)
+# polyfit's column norm of the times underflows
+@example(run("survival", {"rabi": {}}, t_grid=[2.2250738585072014e-308, 5.446657992473016e-255, 10]), None)
+# -ln P / t overflows at a subnormal time
+@example(run("survival", {"perturbed": {"perturbation_norm": 1.0}}, t_grid=[5.0e-324, 1.0, 2]), None)
 def check_exit_code_contract(data, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.yaml"

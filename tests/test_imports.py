@@ -101,7 +101,7 @@ def library_values() -> dict[str, str]:
     grid = np.linspace(-6.0, 6.0, 25)
     values = {
         "expm_non_normal": expm(np.triu(rng.standard_normal((5, 5)))),
-        "expm_normal_schur": expm(1j * herm + 0.3 * np.eye(5)),
+        "expm_normal": expm(1j * herm + 0.3 * np.eye(5)),
         "gaussian_cdf": gauss.cdf(grid),
         "gaussian_survival": gauss.survival(grid),
         "pareto_phi_heavy": TwoSidedPareto(0.5, 1.0).phi(0.7),

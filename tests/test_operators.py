@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import SIGMA_X, random_hermitian_op, random_projection
-from reference import complement
+from reference import complement, psd_sqrt
 from zenolab.errors import NonFinite, NotHermitian, NotPSD, Overflow, ZeroSpan
 from zenolab.operators import (
     eigendecompose,
@@ -14,9 +14,7 @@ from zenolab.operators import (
     identity_projection,
     operator_norm,
     projection_from_span,
-    psd_sqrt,
 )
-from zenolab.operators import _expm_general
 
 
 class TestEigendecompose:
@@ -109,7 +107,19 @@ class TestExpm:
         # oracle: eigendecomposition route, independent of scaling-and-squaring
         w, v = np.linalg.eig(m)
         oracle = v @ np.diag(np.exp(w)) @ np.linalg.inv(v)
-        assert operator_norm(_expm_general(m) - oracle) < 1e-9
+        assert operator_norm(expm(m) - oracle) < 1e-9
+
+    def test_empty(self):
+        out = expm(np.zeros((0, 0)))
+        assert out.shape == (0, 0) and out.dtype == complex
+
+    @pytest.mark.parametrize("d", [5, 40])
+    def test_matches_eigh_on_hermitian(self, d):
+        # oracle: exp(H) = V diag(exp(w)) V* from the Hermitian eigendecomposition
+        h = random_hermitian_op(np.random.default_rng(d), d).matrix
+        w, v = np.linalg.eigh(h)
+        oracle = (v * np.exp(w)) @ v.conj().T
+        assert operator_norm(expm(h) - oracle) <= 1e-13 * operator_norm(oracle)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_with_evolve_on_hermitian(self, seed):

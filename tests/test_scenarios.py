@@ -264,6 +264,18 @@ class TestBuilders:
         expected = friedrichs_t_grid(wide.fit_window[1])
         assert wide.t_grid.tobytes() == expected.tobytes() and np.all(np.diff(wide.t_grid) > 0)
 
+    @pytest.mark.parametrize("width, narrow", [(1e-170, True), (8.3e-154, True), (8.5e-154, False), (1e-12, False)])
+    def test_gaussian_band_too_narrow_for_its_profile(self, width, narrow):
+        """A gaussian band needs 2 sigma^2 = width^2 / 32 to be a normal double; a flat band of any width builds."""
+        band = [-width / 2, width / 2]
+        gaussian = cfg(task="survival", model={"friedrichs": {"n_modes": 2, "band": band, "profile": "gaussian"}})
+        if narrow:
+            with pytest.raises(ConfigError, match=r"^model\.friedrichs\.band: gaussian band width"):
+                build_scenario(gaussian)
+        else:
+            assert np.all(np.isfinite(build_scenario(gaussian).hamiltonian.eigenvalues))
+        build_scenario(cfg(task="survival", model={"friedrichs": {"n_modes": 2, "band": band, "profile": "flat"}}))
+
 
 class TestPerturbedInvariance:
     def test_zero_perturbation_never_leaks(self):

@@ -14,12 +14,16 @@ reference that only tests call lives in ``tests/reference.py``.
 A dataclass that holds an array, directly or through another dataclass,
 compares by identity: a generated ``__eq__`` would compare the array as one
 truth value and raise, and the generated ``__hash__`` with it.
+
+No dead oracle either: every public function of ``tests/reference.py`` is
+called by some test module.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import re
 import typing
 from collections import Counter
 from functools import cache
@@ -32,6 +36,7 @@ from zenolab.scenarios import Table
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "zenolab"
 USERS = (REPO / "tests" / "test_acceptance.py", REPO / "perfbench" / "tracer.py")
+REFERENCE = REPO / "tests" / "reference.py"
 ENTRY_POINTS = {("cli", "main", "argv")}  # the console script calls main() with no argument
 
 
@@ -191,3 +196,15 @@ def test_only_operators_names_the_arrowhead():
     """The Friedrichs operator's shortcuts live in its own methods: no other library module reads ``_Arrowhead``."""
     named = [path.name for path, tree in modules().items() if path.name != "operators.py" and "_Arrowhead" in names_read(tree)]
     assert named == []
+
+
+def test_every_reference_oracle_is_called_by_a_test():
+    """A dense definition that no test calls checks nothing; delete it or call it.
+
+    A call is the name followed by ``(`` in a test module's text: a regex over
+    the text keeps this well under the cost of parsing every test module.
+    """
+    texts = (path.read_text(encoding="utf-8") for path in REFERENCE.parent.glob("test_*.py"))
+    called = {name for text in texts for name in re.findall(r"(\w+)\(", text)}
+    public = [node.name for node in parse(REFERENCE).body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert [name for name in public if name not in called] == []

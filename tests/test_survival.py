@@ -207,6 +207,14 @@ class TestEffectiveRateCurve:
         profile = DecayProfile(times, np.exp(-0.3 * times), np.array([1.0, 0.0], dtype=complex), h)
         assert np.allclose(effective_rate_curve(profile)[:, 1], 0.3)
 
+    def test_rate_at_a_subnormal_time_is_infinite(self):
+        h, _ = rabi_pair()
+        profile = DecayProfile(np.array([5e-324, 1.0]), np.array([0.5, 0.5]), np.array([1.0, 0.0], dtype=complex), h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = effective_rate_curve(profile)
+        assert curve[0, 1] == np.inf and curve[1, 1] == pytest.approx(np.log(2.0))
+
     def test_rabi_small_tau_expansion(self):
         h, _ = rabi_pair()
         psi = np.array([1.0, 0.0], dtype=complex)
@@ -413,5 +421,26 @@ class TestFindCrossing:
         result = find_crossing(curve, 0.5)
         assert result.tau_star == pytest.approx(0.5, rel=1e-6)
         assert result.bracket[0] <= 0.5 <= result.bracket[1]
-        assert result.bracket[0] < result.tau_star < result.bracket[1]
+        assert result.bracket[0] <= result.tau_star <= result.bracket[1]
         assert abs(result.gamma_eff_at_star - 0.5) <= 1e-6 * 0.5
+
+    def test_root_of_the_bracketing_line(self):
+        # the line through (1, 0) and (2, 3) meets gamma0 = 1 at 1 + (1 - 0)(2 - 1)/(3 - 0)
+        result = find_crossing(np.array([[1.0, 0.0], [2.0, 3.0]]), 1.0)
+        assert result.tau_star == 1.0 + (1.0 - 0.0) * (2.0 - 1.0) / (3.0 - 0.0)
+        assert result.bracket == (1.0, 2.0)
+        assert result.gamma_eff_at_star == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("gammas, root", [([0.3, 0.7, 0.9], 2.0), ([0.7, 0.3, 0.1], 1.0), ([0.9, 0.8, 0.7], 3.0)])
+    def test_sample_at_gamma0_is_its_own_root(self, gammas, root):
+        result = find_crossing(np.column_stack([[1.0, 2.0, 3.0], gammas]), 0.7)
+        assert result.tau_star == root
+        assert result.gamma_eff_at_star == 0.7
+
+    @pytest.mark.parametrize("gammas, root", [([math.inf, 0.1], 1.0), ([0.1, math.inf], 5e-324)])
+    def test_infinite_rate_end(self, gammas, root):
+        # -ln P / tau overflows at a subnormal tau; the root is the limit as that rate grows, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = find_crossing(np.column_stack([[5e-324, 1.0], gammas]), 0.5)
+        assert result.tau_star == root

@@ -25,6 +25,7 @@ compared with the same matrix taken through the complex solver.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from zenolab.numeric import tol
 from zenolab.operators import (
     HermitianOperator,
     OrthogonalProjection,
-    _hermitian_norm,
     arrowhead_eigendecompose,
     eigendecompose,
     evolve,
@@ -254,6 +254,16 @@ def test_an_infinite_atom_passes_and_its_characteristic_function_overflows():
     m = DiscreteMeasure([1.0, np.inf], [0.5, 0.5])
     with pytest.raises(Overflow, match="no correct digit"):
         m.phi(1.0)
+
+
+@pytest.mark.parametrize("method", ["phi", "log_abs_phi"])
+def test_an_infinite_atom_overflows_at_time_zero(method):
+    """At z = 0 the phase magnitude 0 * inf is nan, which leaves no correct digit either: no nan, no warning."""
+    m = DiscreteMeasure([1.0, np.inf], [0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="no correct digit"):
+            getattr(m, method)(0.0)
 
 
 @pytest.mark.parametrize("check", ["eigendecompose.hermiticity", "HermitianOperator.hermiticity"])
@@ -516,23 +526,31 @@ def test_friedrichs_builds_are_certified_at_every_coupling_up_to_the_cap(monkeyp
 
 @pytest.mark.parametrize("model", [{"random": {"dim": 40, "seed": 3}}, {"perturbed": {"dim": 40, "seed": 3}}])
 def test_random_builds_scale_by_eigenvalues_not_svd(monkeypatch, model):
-    """The random and perturbed draws are exactly Hermitian, so their norms come from ``eigvalsh``."""
-    calls = []
-    original = zenolab.operators.operator_norm
-    monkeypatch.setattr(zenolab.operators, "operator_norm", lambda m: calls.append(1) or original(m))
-    monkeypatch.setattr(zenolab.scenarios, "operator_norm", lambda m: calls.append(1) or original(m))
+    """The random and perturbed draws are exactly Hermitian, so their norms come from ``eigvalsh``: the build
+    takes no SVD of a square matrix (the projection's d x r spanning set is not one)."""
+    svds = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def spy_norm(a, ord=None, *args, **kwargs):
+        if ord == 2:
+            svds.append(np.shape(a))
+        return norm(a, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: svds.append(np.shape(a)) or svd(a, *args, **kwargs))
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
     scen = build_scenario(parse_config({"schema_version": 1, "task": "converge", "model": model}))
-    assert calls == []
+    assert [shape for shape in svds if shape[0] == shape[1]] == []
     if "random" in model:
         assert abs(scen.hamiltonian.norm - 1.0) <= 1e-14
 
 
 def test_hermitian_norm_is_the_spectral_norm():
+    """An exactly Hermitian matrix takes ``eigvalsh`` and any other square one the SVD: both are the 2-norm."""
     rng = np.random.default_rng(5)
     h = random_hermitian(rng, 30)
-    assert abs(_hermitian_norm(h) - operator_norm(h)) <= 1e-13 * operator_norm(h)
+    assert abs(operator_norm(h) - np.linalg.norm(h, 2)) <= 1e-13 * np.linalg.norm(h, 2)
     g = rng.standard_normal((30, 30))  # not Hermitian: the SVD
-    assert _hermitian_norm(g) == operator_norm(g)
+    assert operator_norm(g) == np.linalg.norm(g, 2)
 
 
 def _complex_path(h: HermitianOperator) -> HermitianOperator:

@@ -5,7 +5,8 @@ import pytest
 
 import zenolab.zeno
 from conftest import rabi_pair, random_hermitian_op, random_projection
-from reference import complement
+from reference import complement, form_generator
+from zenolab.numeric import tol
 from zenolab.operators import HermitianOperator, eigendecompose, evolve, identity_projection, operator_norm
 from zenolab.zeno import (
     ZenoSchedule,
@@ -163,6 +164,20 @@ class TestZenoGenerator:
         q = gen.basis
         direct = q.conj().T @ h.matrix @ q
         assert operator_norm(gen.operator.matrix - (direct + direct.conj().T) / 2) < 1e-12
+
+    @pytest.mark.parametrize("psd", [True, False])
+    @pytest.mark.parametrize("d", [4, 12, 40])
+    @pytest.mark.parametrize("rank", [1, 3, "d"])
+    def test_form_route_is_the_oracle(self, psd, d, rank):
+        # the paper's form definition (sqrt(H) E)* (sqrt(H) E), shifted by -min eig H when H is not PSD
+        rng = np.random.default_rng(d)
+        h = random_hermitian_op(rng, d)
+        if psd:
+            h = eigendecompose(h.matrix @ h.matrix)
+        assert (h.eigenvalues[0] >= 0) == psd
+        e = random_projection(rng, d, d if rank == "d" else rank)
+        gen = zeno_generator(h, e)
+        assert operator_norm(gen.operator.matrix - form_generator(h, e)) <= tol(1e-10, h.norm)
 
 
 class TestAzcFit:
