@@ -37,7 +37,7 @@ from .operators import (
     eigendecompose,
     operator_norm,
 )
-from .zeno import _compress
+from .zeno import zeno_generator
 
 __all__ = [
     "DensityState",
@@ -186,10 +186,9 @@ def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
 
 def _compressed_gibbs(h: HermitianOperator, e: OrthogonalProjection, beta: float):
     """The r x r generator Q*HQ, eigendecomposed, and its Gibbs weights with the frame QV of EHE."""
-    check_dims(h, e)
+    generator = zeno_generator(h, e).operator
     if e.rank < 1:
         raise ZeroRank("the compressed Gibbs state needs a projection of rank >= 1")
-    generator = eigendecompose(_compress(h, e.basis))
     return generator, _matmul(e.basis, generator.eigenvectors), gibbs_state(generator, beta).weights
 
 

@@ -208,6 +208,10 @@ class HermitianOperator:
         """V*x for a vector or a d x k ``x``, formed as (x*V)* so that no conjugate copy of V is made."""
         return _matmul(x.conj().T, self.eigenvectors).conj().T
 
+    def _row_product(self, y: np.ndarray) -> np.ndarray:
+        """yH for an r x d ``y``, the one product by H: Q*HQ is formed as (Q*H)Q."""
+        return _matmul(y, self.matrix)
+
     @property
     def norm(self) -> float:
         """Spectral norm, read off the eigenvalues."""
@@ -348,8 +352,8 @@ class _Arrowhead(HermitianOperator):
     """The operator ``arrowhead_eigendecompose`` builds: its eigenvalues and ``first_row`` = V[0] are held, and
     ``matrix`` and ``eigenvectors`` are formed, frozen, on first read (``_arrowhead_vectors``).
 
-    V*x for an x along e_0 is read off the first row (``_coordinates``), so survival, classify and converge's W
-    for E = e_0 e_0* form no V; converge's compression Q*HQ reads H, and gibbs' transforms read V.
+    V*x for an x along e_0 is read off the first row (``_coordinates``) and yH off the arrow (``_row_product``),
+    so survival, classify and converge for E = e_0 e_0* form neither; only gibbs' transforms V*AV read V.
     """
 
     def __init__(self, diagonal, couplings, values, first_row, spectral):  # no dense checks: see ``_certified``
@@ -360,6 +364,12 @@ class _Arrowhead(HermitianOperator):
         if len(x) == self.dim and not np.any(x[1:]):
             return np.multiply.outer(self.first_row, x[0])
         return super()._coordinates(x)
+
+    def _row_product(self, y: np.ndarray) -> np.ndarray:
+        """yH = [y_0 a + y'g, y_0 g^T + y' diag(w)] from the arrow, in O(dr) with nothing d x d formed."""
+        diagonal, couplings = self._arrow
+        head, rest = y[:, :1], y[:, 1:]
+        return np.hstack([head * diagonal[0] + rest @ couplings[:, None], head * couplings + rest * diagonal[1:]])
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -11,8 +11,9 @@ Products and the limit are held in range(E), through an orthonormal basis Q
 matrix in a frame (Q, Q), (V, Q) or (Q, V) fixed by its ordering, only the
 r x r step Q*UQ is raised to powers, and each distance is the norm of a
 difference of r x r, d x r or r x d cores, with the same value as the d x d
-one. Nothing d x d is formed unless a caller reads ``.matrix``. W = V*Q is
-``h._coordinates(Q)``, and V is read only as the frame of UE and EU.
+one. Nothing d x d is formed unless a caller reads ``.matrix``: W = V*Q is
+``h._coordinates(Q)``, Q*HQ is ``zeno_generator``'s (Q*H)Q from
+``h._row_product``, and UE and EU hold H as the V side of their frame.
 
 ``ZenoProduct`` is the one product type: ``product_convergence_report``,
 shared with the semigroup and form-sum formulas of ``semigroup``, takes
@@ -64,8 +65,9 @@ class ZenoSchedule:
         object.__setattr__(self, "n_values", ns)
 
 
-def _lift(left: np.ndarray, core: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The d x d matrix L C R*."""
+def _lift(left: np.ndarray | HermitianOperator, core: np.ndarray, right: np.ndarray | HermitianOperator) -> np.ndarray:
+    """The d x d matrix L C R*; a side that is an operator stands for its eigenvectors."""
+    left, right = (f.eigenvectors if isinstance(f, HermitianOperator) else f for f in (left, right))
     return _matmul(_matmul(left, core), right.conj().T)
 
 
@@ -74,15 +76,16 @@ class ZenoProduct:
     """A d x d product X = L C R* held as its core C in the frame (L, R).
 
     ``left`` L and ``right`` R have orthonormal columns, so ||X - Y|| =
-    ||C_X - C_Y|| for two products in one frame. ``zeno_product`` puts each
-    ordering in its own frame: (Q, Q) for EUE, (V, Q) for UE and (Q, V) for
-    EU, with Q the basis of range(E) and V the eigenvectors of H. ``matrix``
-    is L C R*, formed and cached the first time something reads it.
+    ||C_X - C_Y|| for two products in one frame; a side may be a
+    ``HermitianOperator``, standing for its eigenvectors V. ``zeno_product``
+    puts each ordering in its own frame: (Q, Q) for EUE, (H, Q) for UE and
+    (Q, H) for EU, with Q the basis of range(E). ``matrix`` is L C R*,
+    formed and cached the first time something reads it; only then is V read.
     """
 
-    left: np.ndarray
+    left: np.ndarray | HermitianOperator
     core: np.ndarray
-    right: np.ndarray
+    right: np.ndarray | HermitianOperator
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -179,8 +182,8 @@ def zeno_product(
         return ZenoProduct(q, np.linalg.matrix_power(a, n), q)
     power = np.linalg.matrix_power(a, n - 1)
     if ordering == "UE":
-        return ZenoProduct(h.eigenvectors, (phases[:, None] * w) @ power, q)
-    return ZenoProduct(q, power @ w_adj_u, h.eigenvectors)
+        return ZenoProduct(h, (phases[:, None] * w) @ power, q)
+    return ZenoProduct(q, power @ w_adj_u, h)
 
 
 def _overlap(h: HermitianOperator, e: OrthogonalProjection) -> np.ndarray:
@@ -188,25 +191,13 @@ def _overlap(h: HermitianOperator, e: OrthogonalProjection) -> np.ndarray:
     return h._coordinates(e.basis)
 
 
-def _compress(h: HermitianOperator, q: np.ndarray) -> np.ndarray:
-    """Q* H Q, symmetrized: the generator compressed to the span of Q."""
-    c = _matmul(q.conj().T, h.matrix) @ q
-    return (c + c.conj().T) / 2.0
-
-
-def _limit_core(h: HermitianOperator, q: np.ndarray, t: float) -> np.ndarray:
-    """exp(i t Q*HQ): the limit dynamics in the frame (Q, Q)."""
-    return evolve(eigendecompose(_compress(h, q)), t)
-
-
 def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) -> np.ndarray:
     """exp(i t EHE) E on the full space: the limit of the iterated products.
 
     Formed as Q exp(i t Q*HQ) Q* from the r x r compression, Q = e.basis.
     """
-    check_dims(h, e)
-    q = e.basis
-    return _lift(q, _limit_core(h, q, t), q)
+    generator = zeno_generator(h, e)
+    return _lift(generator.basis, evolve(generator.operator, t), generator.basis)
 
 
 def _normalize_schedule(schedule) -> ZenoSchedule:
@@ -290,13 +281,11 @@ def zeno_convergence_report(
     check_dims(h, e)
     sched = _normalize_schedule(schedule)
     q, w = e.basis, _overlap(h, e)
-    # V is UE's and EU's frame alone; formed before _compress forms H, its build does not peak on top of H
-    v = None if sched.ordering == "EUE" else h.eigenvectors
-    g = _limit_core(h, q, t)
+    g = evolve(zeno_generator(h, e).operator, t)
     if sched.ordering == "UE":
-        target = ZenoProduct(v, _matmul(w, g), q)
+        target = ZenoProduct(h, _matmul(w, g), q)
     elif sched.ordering == "EU":
-        target = ZenoProduct(q, _matmul(g, w.conj().T), v)
+        target = ZenoProduct(q, _matmul(g, w.conj().T), h)
     else:
         target = ZenoProduct(q, g, q)
     return product_convergence_report(
@@ -312,7 +301,8 @@ def zeno_generator(h: HermitianOperator, e: OrthogonalProjection) -> ZenoGenerat
     non-PSD H; the tests hold the two equal with that route as the oracle.
     """
     check_dims(h, e)
-    return ZenoGenerator(eigendecompose(_compress(h, e.basis)), e.basis)
+    c = h._row_product(e.basis.conj().T) @ e.basis
+    return ZenoGenerator(eigendecompose((c + c.conj().T) / 2.0), e.basis)
 
 
 def _leakage(h: HermitianOperator, e: OrthogonalProjection, times: Iterable[float]) -> np.ndarray:

@@ -77,6 +77,12 @@ def check_against_dense(diagonal, couplings) -> HermitianOperator:
     general = rng.standard_normal((w.size, 2)) + 1j * rng.standard_normal((w.size, 2))
     for y in (e0, np.eye(w.size, 1, dtype=complex), general):
         np.testing.assert_array_equal(h._coordinates(y), _matmul(y.conj().T, u).conj().T)
+    # yH, the one product by H: off the arrow, the dense row product bit for bit for a row along e_0 (complex
+    # and real) and within d eps ||H|| max|y| for a general complex 2 x d y
+    for y in (e0[None, :], np.eye(1, w.size)):
+        np.testing.assert_array_equal(h._row_product(y), _matmul(y, h.matrix))
+    error = np.max(np.abs(h._row_product(general.T) - _matmul(general.T, h.matrix)))
+    assert error <= w.size * EPS * np.max(np.abs(w)) * np.max(np.abs(general))
     scale = max(np.max(np.abs(w)), np.finfo(float).tiny)
     assert h.matrix.dtype == u.dtype == np.float64
     np.testing.assert_array_equal(h.matrix, arrowhead_matrix(diagonal, couplings))

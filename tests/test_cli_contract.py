@@ -3,9 +3,11 @@
 Whatever the config, valid or not, ``zenolab`` exits 0, 1 or 2, exits 1 only
 after printing a ``warning:`` line, and never prints a traceback, an
 ``error:`` line from the fallback for a builtin exception, or a numpy
-``RuntimeWarning``. Valid values are drawn inside each key's bounds, with
-caps that keep every model and grid small, and reach the extremes the
-schema accepts: couplings from 1e-300 to 1e300, ``t`` up to 1e6, ``beta``
+``RuntimeWarning``, and writes nothing past Python's own streams: output is
+captured at file descriptors 1 and 2 as well, where a line that LAPACK
+writes straight to them (``** On entry to DLASCL ...``) lands. Valid values
+are drawn inside each key's bounds, with caps that keep every model and
+grid small, and reach the extremes the schema accepts: couplings from 1e-300 to 1e300, ``t`` up to 1e6, ``beta``
 up to the largest double, gibbs ``t_grid`` ends up to +-1e308,
 ``perturbation_norm`` and the band ends at their 1e6 caps, bands 1e-12
 wide, bands [-w, w] with w from 1e-300 to 1e-12, and an excited level one
@@ -19,16 +21,19 @@ import builtins
 import contextlib
 import io
 import math
+import os
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis import strategies as st
 
+import zenolab.scenarios
 from zenolab.cli import main
 from zenolab.scenarios import _MODEL_SCHEMA, _TASK_SCHEMA, _Key
 
@@ -174,6 +179,47 @@ STEEP_CONVERGE = {
 }
 
 
+@contextlib.contextmanager
+def descriptors_captured():
+    """Point file descriptors 1 and 2 at one temporary file, restored on exit, and yield a bytearray that
+    receives what reached them once they are restored."""
+    captured = bytearray()
+    saved = [os.dup(fd) for fd in (1, 2)]
+    with tempfile.TemporaryFile() as sink:
+        try:
+            for fd in (1, 2):
+                os.dup2(sink.fileno(), fd)
+            yield captured
+        finally:
+            for fd, copy in zip((1, 2), saved):
+                os.dup2(copy, fd)
+                os.close(copy)
+            sink.seek(0)
+            captured += sink.read()
+
+
+def assert_contract(data: dict, seed: int | None) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.yaml"
+        path.write_text(yaml.safe_dump(data), encoding="utf-8")
+        argv = [data["task"], "--config", str(path), "--out", str(Path(tmp) / "out")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        out, err = io.StringIO(), io.StringIO()
+        with descriptors_captured() as raw, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv)
+    assert not raw, f"written past Python's streams: {bytes(raw)!r}"
+    assert rc in (0, 1, 2)
+    assert rc != 1 or "  warning: " in out.getvalue()
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert not [line for line in lines if any(line.startswith(f"error: {name}:") for name in BUILTIN_ERRORS)]
+    assert not [line for line in lines if "RuntimeWarning" in line]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @settings(database=None, deadline=None, derandomize=True, max_examples=150)
 @given(config(), st.none() | st.integers(0, SEED_CAP) | st.integers(-3, -1))
 @example(run("survival", {"friedrichs": NARROW_BAND}), None)
@@ -183,24 +229,7 @@ STEEP_CONVERGE = {
 # -ln P / t overflows at a subnormal time
 @example(run("survival", {"perturbed": {"perturbation_norm": 1.0}}, t_grid=[5.0e-324, 1.0, 2]), None)
 def check_exit_code_contract(data, seed):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "c.yaml"
-        path.write_text(yaml.safe_dump(data), encoding="utf-8")
-        argv = [data["task"], "--config", str(path), "--out", str(Path(tmp) / "out")]
-        if seed is not None:
-            argv += ["--seed", str(seed)]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rc = main(argv)
-    assert rc in (0, 1, 2)
-    assert rc != 1 or "  warning: " in out.getvalue()
-    assert "Traceback" not in err.getvalue()
-    lines = err.getvalue().splitlines()
-    assert not [line for line in lines if any(line.startswith(f"error: {name}:") for name in BUILTIN_ERRORS)]
-    assert not [line for line in lines if "RuntimeWarning" in line]
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert_contract(data, seed)
 
 
 def test_exit_code_contract(tmp_path):
@@ -211,3 +240,16 @@ def test_exit_code_contract(tmp_path):
         check_exit_code_contract()
     finally:
         set_hypothesis_home_dir(None)
+
+
+def test_a_line_written_to_a_descriptor_breaks_the_contract(monkeypatch):
+    """A LAPACK-style line written straight to fd 2 bypasses ``sys.stderr`` and fails the check."""
+    classify = zenolab.scenarios._TASKS["classify"]
+
+    def planted(*args):
+        os.write(2, b" ** On entry to DLASCL parameter number  4 had an illegal value\n")
+        return classify(*args)
+
+    monkeypatch.setitem(zenolab.scenarios._TASKS, "classify", planted)
+    with pytest.raises(AssertionError, match="DLASCL"):
+        assert_contract(run("classify", {"rabi": {}}), None)

@@ -25,6 +25,7 @@ from zenolab.zeno import (
     ORDERINGS,
     ZenoProduct,
     ZenoSchedule,
+    _lift,
     product_convergence_report,
     reduced_dynamics,
     zeno_convergence_report,
@@ -276,7 +277,7 @@ def test_runs_never_form_the_projection_matrix(monkeypatch, tmp_path, task, mode
     ids=["friedrichs", "random"],
 )
 def test_converge_report_forms_nothing_d_by_d(monkeypatch, tmp_path, ordering, model):
-    """Inside a CLI converge run's report no product is lifted and no d x d array is allocated beyond H and V."""
+    """Inside a CLI converge run's report no product is lifted and no d x d array is allocated."""
     lifts = []
     for cls in (ZenoProduct, OrthogonalProjection):
         lazy = cls.matrix
@@ -292,7 +293,6 @@ def test_converge_report_forms_nothing_d_by_d(monkeypatch, tmp_path, ordering, m
     report = zenolab.scenarios.zeno_convergence_report
 
     def traced(h, *args, **kwargs):
-        h.matrix, h.eigenvectors  # a Friedrichs operator forms its own two arrays on first read, outside the report
         tracemalloc.start()
         try:
             out = report(h, *args, **kwargs)
@@ -308,3 +308,17 @@ def test_converge_report_forms_nothing_d_by_d(monkeypatch, tmp_path, ordering, m
     assert len(peaks) == 1 and inside == []
     peak, dim = peaks[0]
     assert peak < dim * dim * 8  # less than one real d x d array
+
+
+@pytest.mark.parametrize("ordering", ["UE", "EU"])
+def test_friedrichs_lift_forms_v_on_read(ordering):
+    """UE and EU hold the operator as the V side of their frame: V is formed when ``.matrix`` is read, and the
+    lift is the one from V itself, bit for bit."""
+    scen = build_scenario(parse_config({"schema_version": 1, "task": "converge", "model": FRIEDRICHS_100}))
+    h, q = scen.hamiltonian, scen.projection.basis
+    report = zeno_convergence_report(h, scen.projection, T, ZenoSchedule((1, 4), ordering=ordering))
+    assert "eigenvectors" not in vars(h)
+    lifted, core = report.limit.matrix, report.limit.core
+    assert "eigenvectors" in vars(h)
+    expected = _lift(h.eigenvectors, core, q) if ordering == "UE" else _lift(q, core, h.eigenvectors)
+    np.testing.assert_array_equal(lifted, expected)

@@ -28,6 +28,7 @@ from zenolab.gibbs import (
 )
 import zenolab.gibbs
 import zenolab.scenarios
+import zenolab.zeno
 from zenolab.operators import OrthogonalProjection, eigendecompose, identity_projection, operator_norm
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
 
@@ -547,6 +548,7 @@ class TestReducedKMS:
 
         monkeypatch.setattr(zenolab.scenarios, "eigendecompose", counting)
         monkeypatch.setattr(zenolab.gibbs, "eigendecompose", counting)
+        monkeypatch.setattr(zenolab.zeno, "eigendecompose", counting)  # the generator's, in zeno_generator
         config = parse_config(
             {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 8, "rank_e": 3}}, "pairs": 2}
         )
