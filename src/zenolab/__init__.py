@@ -29,7 +29,6 @@ from .errors import (
 )
 from .gibbs import (
     DensityState,
-    KMSReport,
     gibbs_state,
     heisenberg_evolve,
     kms_residual,
@@ -76,7 +75,6 @@ from .spectral import (
     Classification,
     DiscreteMeasure,
     Gaussian,
-    LLNReport,
     SpectralMeasure,
     TailReport,
     TwoSidedPareto,
@@ -87,7 +85,6 @@ from .spectral import (
     zeno_modulus_table,
 )
 from .survival import (
-    CrossingResult,
     DecayFit,
     DecayProfile,
     decay_fit,

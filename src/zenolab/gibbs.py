@@ -10,7 +10,8 @@ checks share one kernel, which runs wholly in H's eigenbasis: A and B enter
 it once per pair, and each (pair, t) costs two ``heisenberg_evolve`` calls
 on V*BV, with no matrix product, and two dots. A Gibbs state of H enters as
 its weights p, so rho is never formed; the reduced check takes Q*rhoQ from
-Q*U to its generator's eigenbasis once per run, forming nothing d x d.
+Q*U to its generator's eigenbasis once per run, forming nothing d x d, and
+returns its worst residual as one float.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .zeno import zeno_generator
 
 __all__ = [
     "DensityState",
-    "KMSReport",
     "gibbs_state",
     "heisenberg_evolve",
     "kms_residual",
@@ -63,7 +63,6 @@ class DensityState:
 
     frame: np.ndarray
     weights: np.ndarray
-    beta: float
     hamiltonian_ref: HermitianOperator
 
     def __post_init__(self):
@@ -100,7 +99,7 @@ def gibbs_state(h: HermitianOperator, beta: float) -> DensityState:
     w = h.eigenvalues
     with np.errstate(over="ignore"):
         shifted = np.exp(-beta * (w - w[0]))
-    return DensityState(h.eigenvectors, shifted / np.sum(shifted), float(beta), h)
+    return DensityState(h.eigenvectors, shifted / np.sum(shifted), h)
 
 
 def _to_eigenbasis(h: HermitianOperator, a: np.ndarray) -> np.ndarray:
@@ -199,15 +198,7 @@ def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float)
     density exp(-beta EHE) E already lives on range(E).
     """
     generator, frame, weights = _compressed_gibbs(h, e, beta)
-    return DensityState(frame, weights, float(beta), eigendecompose(e.basis @ generator.matrix @ e.basis.conj().T))
-
-
-@dataclass(frozen=True)
-class KMSReport:
-    pairs_tested: int
-    max_residual: float
-    t_range: tuple[float, float]
-    beta: float
+    return DensityState(frame, weights, eigendecompose(e.basis @ generator.matrix @ e.basis.conj().T))
 
 
 def reduced_kms_residual(
@@ -217,8 +208,9 @@ def reduced_kms_residual(
     pairs: Iterable[tuple[np.ndarray, np.ndarray]],
     t_grid: Sequence[float],
     state: DensityState | None = None,
-) -> KMSReport:
-    """Boundary residuals of the compressed-algebra state under the reduced dynamics.
+) -> float:
+    """The largest boundary residual, over every pair and time, of the compressed-algebra state under the
+    reduced dynamics.
 
     Observables are compressed with E before testing; ``pairs`` may be a
     generator, and is read one pair at a time. Passing a different
@@ -238,8 +230,8 @@ def reduced_kms_residual(
         frame, weights = state.frame, state.weights
     q = e.basis
     rho = _to_eigenbasis(generator, _from_spectrum(_matmul(q.conj().T, frame), weights))
-    worst, tested = 0.0, 0
-    for tested, (a, b) in enumerate(pairs, 1):
+    worst = 0.0
+    for a, b in pairs:
         a_e, b_e = (q.conj().T @ as_complex_matrix(m) @ q for m in (a, b))
         worst = max(worst, *_kms_gaps(rho, generator, a_e, b_e, ts, beta))
-    return KMSReport(tested, worst, (min(ts), max(ts)), float(beta))
+    return worst

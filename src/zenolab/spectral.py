@@ -34,7 +34,6 @@ __all__ = [
     "Cauchy",
     "TwoSidedPareto",
     "TailReport",
-    "LLNReport",
     "spectral_measure_of_state",
     "tail_delta_curve",
     "classify_regime",
@@ -327,7 +326,6 @@ class TailReport:
     x_grid: np.ndarray
     delta_values: np.ndarray
     trend: float | None = None
-    trend_residual: float | None = None
     classification: Classification | None = None
 
 
@@ -358,7 +356,7 @@ def classify_regime(measure: SpectralMeasure, x_grid) -> TailReport:
 
     if float(np.max(delta[top])) <= 1e-300 or delta[-1] <= 1e-300:
         # tail weight reaches exact zero: bounded support, frozen dynamics
-        return TailReport(x, delta, trend=-math.inf, trend_residual=0.0, classification=Classification.ZENO)
+        return TailReport(x, delta, trend=-math.inf, classification=Classification.ZENO)
 
     positive = top & (delta > 0)
     xs, ys = x[positive], delta[positive]
@@ -385,7 +383,7 @@ def classify_regime(measure: SpectralMeasure, x_grid) -> TailReport:
     else:
         # a clear trend whose magnitude the grid cannot yet confirm
         label = Classification.INDETERMINATE
-    return TailReport(x, delta, trend=slope, trend_residual=residual, classification=label)
+    return TailReport(x, delta, trend=slope, classification=label)
 
 
 def zeno_modulus_table(
@@ -410,23 +408,6 @@ def modulus_below_threshold_n(measure: SpectralMeasure, t: float, threshold: flo
             return n
         n *= 2
     raise ValueError(f"modulus stayed above {threshold} up to n={n_cap}")
-
-
-@dataclass(frozen=True)
-class LLNReport:
-    """Seeded Monte Carlo estimates of mean concentration and spreading.
-
-    Per n: the exceedance probability of |mean - center| > epsilon with the
-    center at the empirical median (concentration), and the best containment
-    probability of any window of half-width c (spreading).
-    """
-
-    n_values: tuple[int, ...]
-    concentration_stats: tuple[tuple[int, float, float], ...]  # (n, exceedance, containment)
-    trials: int
-    seed: int
-    epsilon: float
-    c: float
 
 
 def _empirical_means(measure: SpectralMeasure, n: int, trials: int, rng) -> np.ndarray:
@@ -462,11 +443,15 @@ def lln_mc(
     seed: int,
     epsilon: float = 0.1,
     c: float = 1.0,
-) -> LLNReport:
-    """Empirical means of n draws across seeded trials, for each n.
+) -> list[tuple[int, float, float]]:
+    """Seeded Monte Carlo estimates of mean concentration and spreading: one (n, exceedance, containment) row per n.
 
-    Deterministic for a fixed seed: each n gets its own generator derived
-    from (seed, index), so results do not depend on evaluation order.
+    For each n, the means of n draws across the trials give the exceedance
+    probability of |mean - center| > epsilon with the center at the empirical
+    median (concentration), and the best containment probability of any
+    window of half-width c (spreading). Deterministic for a fixed seed: each
+    n gets its own generator derived from (seed, index), so results do not
+    depend on evaluation order.
     """
     trials = int(trials)
     if trials < 1000:
@@ -480,14 +465,7 @@ def lln_mc(
         exceed = float(np.mean(np.abs(means - center) > epsilon))
         contain = float(_best_containment(means, c))
         stats.append((n, exceed, contain))
-    return LLNReport(
-        n_values=tuple(int(n) for n in n_values),
-        concentration_stats=tuple(stats),
-        trials=trials,
-        seed=int(seed),
-        epsilon=float(epsilon),
-        c=float(c),
-    )
+    return stats
 
 
 def suggested_tail_grid(measure: SpectralMeasure) -> np.ndarray:

@@ -24,7 +24,6 @@ from .operators import _EPS, HermitianOperator, _checked_time
 __all__ = [
     "DecayProfile",
     "DecayFit",
-    "CrossingResult",
     "survival_amplitude",
     "survival_probability",
     "iterated_survival",
@@ -115,7 +114,6 @@ class DecayProfile:
 
     times: np.ndarray
     probabilities: np.ndarray
-    state: np.ndarray
     generator_ref: HermitianOperator
 
     def __post_init__(self):
@@ -233,7 +231,7 @@ def decay_profile(h: HermitianOperator, psi, times) -> DecayProfile:
     """Sample P(t) = |<psi, exp(itH) psi>|^2 on a checked grid: |``_characteristic``|^2 of the state's weights."""
     t = _time_grid(times)
     amp = _characteristic(h.eigenvalues, _spectral_weights(h, psi), t)
-    return DecayProfile(t, np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12), np.asarray(psi, dtype=complex), h)
+    return DecayProfile(t, np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12), h)
 
 
 def effective_rate_curve(profile: DecayProfile) -> np.ndarray:
@@ -316,17 +314,9 @@ def decay_fit(profile: DecayProfile, window: tuple[float, float]) -> DecayFit:
     return fit
 
 
-@dataclass(frozen=True)
-class CrossingResult:
-    """Measurement interval at which the effective rate meets the natural one."""
-
-    tau_star: float
-    bracket: tuple[float, float]
-    gamma_eff_at_star: float
-
-
-def find_crossing(gamma_eff_curve, gamma0: float) -> CrossingResult:
-    """The root of the line through the two samples of gamma_eff that first bracket gamma0.
+def find_crossing(gamma_eff_curve, gamma0: float) -> float:
+    """tau*, the measurement interval at which the effective rate meets the natural one: the root of the line
+    through the two samples of gamma_eff that first bracket gamma0.
 
     Raises NoCrossing, reporting the curve's extremes, when no sign change
     appears on the sampled range.
@@ -351,5 +341,4 @@ def find_crossing(gamma_eff_curve, gamma0: float) -> CrossingResult:
     lo, hi = float(taus[i]), float(taus[i + 1])
     g_lo, g_hi = float(gammas[i]), float(gammas[i + 1])
     # a sample at gamma0 is its own root; an infinite rate at lo (a subnormal tau) puts it at hi, its limit
-    tau_star = hi if g_hi == gamma0 or math.isinf(g_lo) else lo + (gamma0 - g_lo) * (hi - lo) / (g_hi - g_lo)
-    return CrossingResult(tau_star, (lo, hi), float(np.interp(tau_star, taus, gammas)))
+    return hi if g_hi == gamma0 or math.isinf(g_lo) else lo + (gamma0 - g_lo) * (hi - lo) / (g_hi - g_lo)

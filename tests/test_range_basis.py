@@ -41,7 +41,7 @@ from zenolab.semigroup import (
     form_sum_operator,
     sectorial_operator,
 )
-from zenolab.zeno import _leakage
+from zenolab.zeno import ZenoSchedule, _leakage, zeno_convergence_report
 
 
 def projection(rng, dim, rank):
@@ -76,13 +76,16 @@ def test_perturbed_invariance_check_matches_dense_formulas(seed, dim):
     config = parse_config(
         {"schema_version": 1, "task": "converge", "model": {"perturbed": {"dim": dim, "seed": seed}}}
     )
-    report = perturbed_invariance_check(config)
+    excess = perturbed_invariance_check(config)
     scen = build_scenario(config)
     h, e = scen.hamiltonian, scen.projection
-    dense = [dense_leakage(h, e, t) for t in report.t_grid]
-    assert np.max(np.abs(report.leakage - dense)) <= 1e-12
-    dense_target_leak = operator_norm(complement(e).matrix @ report.convergence.target.matrix)
-    assert abs(report.target_leak - dense_target_leak) <= 1e-12
+    ts = np.linspace(1.0 / 21, 1.0, 21)
+    dense = np.array([dense_leakage(h, e, t) for t in ts])
+    assert abs(excess - np.max(dense - np.expm1(operator_norm(scen.perturbation) * ts))) <= 1e-12
+    target = zeno_convergence_report(h, e, 1.0, ZenoSchedule(tuple(2**k for k in range(1, 11)))).target
+    qg = e.basis @ target.core  # the limit is QGQ*, and ||E_perp QGQ*|| = ||E_perp QG||
+    dense_target_leak = operator_norm(complement(e).matrix @ target.matrix)
+    assert abs(operator_norm(qg - e.basis @ (e.basis.conj().T @ qg)) - dense_target_leak) <= 1e-12
 
 
 @pytest.mark.parametrize("rank", [0, 1, 7, 8])

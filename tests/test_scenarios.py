@@ -20,6 +20,7 @@ from zenolab.scenarios import (
     perturbed_invariance_check,
     run_scenario,
 )
+from zenolab.zeno import ZenoSchedule, _leakage, azc_fit, zeno_convergence_report
 
 
 def cfg(task="converge", model=None, **extra):
@@ -278,17 +279,21 @@ class TestBuilders:
 
 
 class TestPerturbedInvariance:
+    TIMES = np.linspace(1.0 / 21, 1.0, 21)  # the check's grid
+    TAUS = np.logspace(-4, -2, 9)[::-1]
+    SCHEDULE = ZenoSchedule(tuple(2**k for k in range(1, 11)))
+
     def test_zero_perturbation_never_leaks(self):
         c = cfg(model={"perturbed": {"dim": 6, "seed": 1, "perturbation_norm": 0.0}})
-        report = perturbed_invariance_check(c)
-        assert np.all(report.leakage < 1e-12)
-        assert report.azc.exactly_zeno
+        scen = build_scenario(c)
+        assert np.all(_leakage(scen.hamiltonian, scen.projection, self.TIMES) < 1e-12)
+        assert perturbed_invariance_check(c) < 1e-12  # the bound is 0 at ||P|| = 0: the excess is the leak
+        assert azc_fit(scen.hamiltonian, scen.projection, self.TAUS).exactly_zeno
 
     def test_dyson_bound_value(self):
         # oracle: order-3 truncation of the perturbation series bound
         c = cfg(model={"perturbed": {"dim": 8, "seed": 2, "perturbation_norm": 0.1}})
-        report = perturbed_invariance_check(c)
-        assert report.max_excess <= 1e-10
+        assert perturbed_invariance_check(c) <= 1e-10
         t = 0.5
         truncated = sum((0.1 * t) ** k / math.factorial(k) for k in (1, 2, 3))
         full = math.expm1(0.1 * t)
@@ -302,12 +307,16 @@ class TestPerturbedInvariance:
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_generic_seed_azc_and_limit_invariance(self, seed):
         c = cfg(model={"perturbed": {"dim": 8, "seed": seed, "perturbation_norm": 0.1}})
-        report = perturbed_invariance_check(c)
-        assert report.azc.exponent == pytest.approx(1.0, abs=0.02)
-        assert report.azc.constant <= 0.1 * 1.05
-        assert report.target_leak < 1e-10
-        assert not report.convergence.exact
-        assert report.convergence.target_residual < 1e-2
+        scen = build_scenario(c)
+        h, e = scen.hamiltonian, scen.projection
+        fit = azc_fit(h, e, self.TAUS)
+        assert fit.exponent == pytest.approx(1.0, abs=0.02)
+        assert fit.constant <= 0.1 * 1.05
+        report = zeno_convergence_report(h, e, 1.0, self.SCHEDULE)
+        qg = e.basis @ report.target.core  # the limit is QGQ*, and ||E_perp QGQ*|| = ||E_perp QG||
+        assert operator_norm(qg - e.basis @ (e.basis.conj().T @ qg)) < 1e-10
+        assert not report.exact
+        assert report.target_residual < 1e-2
 
 
 class TestEmitCsv:

@@ -309,31 +309,31 @@ class TestTheoremConsistency:
 
 class TestLLN:
     def test_point_mass_never_exceeds(self):
-        report = lln_mc(point_mass(0.4), [10, 100], trials=1000, seed=3, epsilon=0.1, c=1.0)
-        for _, exceed, contain in report.concentration_stats:
+        rows = lln_mc(point_mass(0.4), [10, 100], trials=1000, seed=3, epsilon=0.1, c=1.0)
+        for _, exceed, contain in rows:
             assert exceed == 0.0
             assert contain == 1.0
 
     def test_gaussian_concentrates(self):
         # oracle: normal tail bound 2 Phi(-eps sqrt(n)) is already tiny
-        report = lln_mc(Gaussian(0.0, 1.0), [2500], trials=2000, seed=3, epsilon=0.1, c=1.0)
-        _, exceed, _ = report.concentration_stats[0]
+        rows = lln_mc(Gaussian(0.0, 1.0), [2500], trials=2000, seed=3, epsilon=0.1, c=1.0)
+        _, exceed, _ = rows[0]
         from scipy.special import ndtr
 
         assert 2.0 * ndtr(-0.1 * math.sqrt(2500)) < 0.01
         assert exceed < 0.01
 
     def test_pareto_spreads(self):
-        report = lln_mc(
+        rows = lln_mc(
             TwoSidedPareto(0.5, 1.0), [10, 100, 1000], trials=2000, seed=3, epsilon=0.1, c=10.0
         )
-        contains = [c for _, _, c in report.concentration_stats]
+        contains = [c for _, _, c in rows]
         assert contains[0] > contains[1] > contains[2]
 
     def test_deterministic_for_fixed_seed(self):
         a = lln_mc(Gaussian(0.0, 1.0), [50], trials=1000, seed=11, epsilon=0.05, c=0.5)
         b = lln_mc(Gaussian(0.0, 1.0), [50], trials=1000, seed=11, epsilon=0.05, c=0.5)
-        assert a.concentration_stats == b.concentration_stats
+        assert a == b
 
     def test_rejects_few_trials(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """No dead library code: every top-level function and class in ``src/zenolab``,
-every method and property of its classes, and every defaulted parameter of
-its functions has a user.
+every method and property of its classes, every field of its dataclasses and
+every defaulted parameter of its functions has a user.
 
 A name counts as used when it appears outside its own definition and its
 module's ``__all__``: in its own module, in another library module (the
@@ -8,8 +8,11 @@ package ``__init__`` only re-exports, so it does not count), in the
 acceptance criteria, or in the benchmark's layer tracer, which looks names
 up by string. A defaulted parameter counts as used when one of those files
 passes it, by keyword or by position, to a call of its function's name; an
-option no caller sets is a constant. Unit tests do not count; a dense
-reference that only tests call lives in ``tests/reference.py``.
+option no caller sets is a constant. A dataclass field counts as used when
+one of those files loads its name as an attribute (``x.name`` or
+``getattr(x, "name")``): a record holds only what its readers read. Unit
+tests do not count; a dense reference that only tests call lives in
+``tests/reference.py``.
 
 A dataclass that holds an array, directly or through another dataclass,
 compares by identity: a generated ``__eq__`` would compare the array as one
@@ -113,6 +116,30 @@ def test_every_method_and_property_has_a_reader():
 
 def callee(call: ast.Call) -> str | None:
     return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+def attributes_loaded() -> set[str]:
+    """Every attribute name the readers load: ``x.name`` read, or ``getattr(x, "name")``."""
+    out = set()
+    for tree in readers().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add(node.attr)
+            elif isinstance(node, ast.Call) and callee(node) == "getattr" and len(node.args) > 1:
+                out.add(getattr(node.args[1], "value", None))
+    return out
+
+
+def test_every_dataclass_field_has_a_reader():
+    """A field is read when its name is loaded as an attribute in a reader; a record holds only what is read."""
+    loaded = attributes_loaded()
+    unread = [
+        f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}.{field.name}"
+        for cls in library_dataclasses()
+        for field in dataclasses.fields(cls)
+        if field.name not in loaded
+    ]
+    assert not unread, f"no task, criterion or tracer reads {unread}; delete them"
 
 
 def passes(call: ast.Call, name: str, position: int | None) -> bool:

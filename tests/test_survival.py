@@ -195,7 +195,6 @@ class TestEffectiveRateCurve:
         profile = DecayProfile(
             np.linspace(0.1, 1.0, 10),
             np.ones(10),
-            np.array([1.0, 0.0], dtype=complex),
             h,
         )
         curve = effective_rate_curve(profile)
@@ -204,12 +203,12 @@ class TestEffectiveRateCurve:
     def test_pure_exponential_recovers_rate(self):
         h, _ = rabi_pair()
         times = np.linspace(0.1, 5.0, 40)
-        profile = DecayProfile(times, np.exp(-0.3 * times), np.array([1.0, 0.0], dtype=complex), h)
+        profile = DecayProfile(times, np.exp(-0.3 * times), h)
         assert np.allclose(effective_rate_curve(profile)[:, 1], 0.3)
 
     def test_rate_at_a_subnormal_time_is_infinite(self):
         h, _ = rabi_pair()
-        profile = DecayProfile(np.array([5e-324, 1.0]), np.array([0.5, 0.5]), np.array([1.0, 0.0], dtype=complex), h)
+        profile = DecayProfile(np.array([5e-324, 1.0]), np.array([0.5, 0.5]), h)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             curve = effective_rate_curve(profile)
@@ -380,7 +379,7 @@ class TestDecayFit:
         h, _ = rabi_pair()
         times = np.linspace(0.5, 6.0, n)
         probs = z * np.exp(-gamma * times)
-        return DecayProfile(times, probs, np.array([1.0, 0.0], dtype=complex), h)
+        return DecayProfile(times, probs, h)
 
     def test_recovers_synthetic_parameters(self):
         fit = decay_fit(self.synthetic(0.7, 0.9), window=(0.5, 6.0))
@@ -403,7 +402,7 @@ class TestDecayFit:
         h = eigendecompose(np.diag([0.0, 1.0, 2.0]).astype(complex))
         assert heisenberg_time(h) == pytest.approx(2.0 * math.pi)
         times = np.linspace(0.1, 50.0, 600)
-        profile = DecayProfile(times, np.exp(-0.2 * times), np.array([1.0, 0, 0], dtype=complex), h)
+        profile = DecayProfile(times, np.exp(-0.2 * times), h)
         fit = decay_fit(profile, window=(0.1, 50.0))
         assert fit.window[1] <= 0.5 * heisenberg_time(h) + 1e-12
 
@@ -417,30 +416,30 @@ class TestFindCrossing:
 
     def test_linear_curve_exact_root(self):
         taus = np.linspace(0.01, 1.0, 100)
-        curve = np.column_stack([taus, taus])
-        result = find_crossing(curve, 0.5)
-        assert result.tau_star == pytest.approx(0.5, rel=1e-6)
-        assert result.bracket[0] <= 0.5 <= result.bracket[1]
-        assert result.bracket[0] <= result.tau_star <= result.bracket[1]
-        assert abs(result.gamma_eff_at_star - 0.5) <= 1e-6 * 0.5
+        tau_star = find_crossing(np.column_stack([taus, taus]), 0.5)
+        assert tau_star == pytest.approx(0.5, rel=1e-6)
+        i = int(np.flatnonzero(taus <= 0.5)[-1])  # the samples at i and i + 1 bracket gamma0
+        assert taus[i] <= 0.5 <= taus[i + 1]
+        assert taus[i] <= tau_star <= taus[i + 1]
+        assert abs(np.interp(tau_star, taus[i : i + 2], taus[i : i + 2]) - 0.5) <= 1e-6 * 0.5
 
     def test_root_of_the_bracketing_line(self):
         # the line through (1, 0) and (2, 3) meets gamma0 = 1 at 1 + (1 - 0)(2 - 1)/(3 - 0)
-        result = find_crossing(np.array([[1.0, 0.0], [2.0, 3.0]]), 1.0)
-        assert result.tau_star == 1.0 + (1.0 - 0.0) * (2.0 - 1.0) / (3.0 - 0.0)
-        assert result.bracket == (1.0, 2.0)
-        assert result.gamma_eff_at_star == pytest.approx(1.0, rel=1e-15)
+        tau_star = find_crossing(np.array([[1.0, 0.0], [2.0, 3.0]]), 1.0)
+        assert tau_star == 1.0 + (1.0 - 0.0) * (2.0 - 1.0) / (3.0 - 0.0)
+        assert 1.0 <= tau_star <= 2.0
+        assert np.interp(tau_star, [1.0, 2.0], [0.0, 3.0]) == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("gammas, root", [([0.3, 0.7, 0.9], 2.0), ([0.7, 0.3, 0.1], 1.0), ([0.9, 0.8, 0.7], 3.0)])
     def test_sample_at_gamma0_is_its_own_root(self, gammas, root):
-        result = find_crossing(np.column_stack([[1.0, 2.0, 3.0], gammas]), 0.7)
-        assert result.tau_star == root
-        assert result.gamma_eff_at_star == 0.7
+        tau_star = find_crossing(np.column_stack([[1.0, 2.0, 3.0], gammas]), 0.7)
+        assert tau_star == root
+        assert np.interp(tau_star, [1.0, 2.0, 3.0], gammas) == 0.7
 
     @pytest.mark.parametrize("gammas, root", [([math.inf, 0.1], 1.0), ([0.1, math.inf], 5e-324)])
     def test_infinite_rate_end(self, gammas, root):
         # -ln P / tau overflows at a subnormal tau; the root is the limit as that rate grows, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = find_crossing(np.column_stack([[5e-324, 1.0], gammas]), 0.5)
-        assert result.tau_star == root
+            tau_star = find_crossing(np.column_stack([[5e-324, 1.0], gammas]), 0.5)
+        assert tau_star == root

@@ -217,16 +217,16 @@ def test_density_weight_checks_are_two_sided(defect, ratio):
     }[defect]
     if ratio > 1.0:
         with pytest.raises(ValueError, match="negative" if defect == "negative-weight" else "trace"):
-            DensityState(q[:, :3], p, 0.5, h)
+            DensityState(q[:, :3], p, h)
     else:
-        DensityState(q[:, :3], p, 0.5, h)
+        DensityState(q[:, :3], p, h)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_density_weights_must_be_finite(bad):
     q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
     with pytest.raises(ValueError):
-        DensityState(q[:, :2], np.array([1.0, bad]), 0.5, HermitianOperator(_hermitian(q, w), w, q))
+        DensityState(q[:, :2], np.array([1.0, bad]), HermitianOperator(_hermitian(q, w), w, q))
 
 
 NAN_STATE = np.array([np.nan, 0.0])
@@ -237,7 +237,7 @@ NAN_CHECKS = {
     "measure-atom": (ValueError, lambda h: DiscreteMeasure([np.nan, 1.0], [0.5, 0.5])),
     "measure-lone-atom": (ValueError, lambda h: DiscreteMeasure([np.nan], [1.0])),
     "measure-weights": (ValueError, lambda h: DiscreteMeasure([0.0, 1.0], [np.nan, np.nan])),
-    "profile-probability": (ValueError, lambda h: DecayProfile([1.0, 2.0], [np.nan, 0.5], np.eye(2)[0], h)),
+    "profile-probability": (ValueError, lambda h: DecayProfile([1.0, 2.0], [np.nan, 0.5], h)),
 }
 
 
