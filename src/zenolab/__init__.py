@@ -99,7 +99,6 @@ from .survival import (
 from .zeno import (
     AzcFit,
     ZenoConvergenceReport,
-    ZenoGenerator,
     ZenoProduct,
     ZenoSchedule,
     azc_fit,

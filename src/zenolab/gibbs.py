@@ -8,10 +8,11 @@ equilibria live, at r x r on the compressions Q*HQ, Q*AQ, Q*BQ and Q*rhoQ
 (Q an orthonormal basis of range(E)); that is exact for any state. Both
 checks share one kernel, which runs wholly in H's eigenbasis: A and B enter
 it once per pair, and each (pair, t) costs two ``heisenberg_evolve`` calls
-on V*BV, with no matrix product, and two dots. A Gibbs state of H enters as
-its weights p, so rho is never formed; the reduced check takes Q*rhoQ from
-Q*U to its generator's eigenbasis once per run, forming nothing d x d, and
-returns its worst residual as one float.
+on V*BV, with no matrix product, and two dots. A state is its frame U and
+weights p and holds no operator: a function that needs H takes H. A Gibbs
+state of H enters as its weights p, so rho is never formed; the reduced
+check takes Q*rhoQ from Q*U to its generator's eigenbasis once per run,
+forming nothing d x d, and returns its worst residual as one float.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .operators import (
     _matmul,
     as_complex_matrix,
     check_dims,
-    eigendecompose,
     operator_norm,
 )
 from .zeno import zeno_generator
@@ -54,8 +54,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class DensityState:
-    """rho = U diag(p) U*, held as a frame U (dim x k) of orthonormal eigenvectors
-    of ``hamiltonian_ref`` and weights p, so it commutes with H by construction.
+    """rho = U diag(p) U*, held as a frame U (d x k) with orthonormal columns and weights p.
 
     Construction checks the shapes and the weights: finite, p >= -1e-10 and
     |sum p - 1| <= 1e-10. ``rho`` is formed and cached on first read.
@@ -63,22 +62,16 @@ class DensityState:
 
     frame: np.ndarray
     weights: np.ndarray
-    hamiltonian_ref: HermitianOperator
 
     def __post_init__(self):
         u, p = self.frame, self.weights
-        dim = self.hamiltonian_ref.dim
-        if u.ndim != 2 or p.shape != u.shape[1:] or len(u) != dim:
-            raise DimensionMismatch(f"frame {u.shape} and weights {p.shape} do not fit dimension {dim}")
+        if u.ndim != 2 or p.shape != u.shape[1:]:
+            raise DimensionMismatch(f"frame {u.shape} and weights {p.shape} do not fit")
         if p.size and float(p.min()) < -tol(1e-10):
             raise ValueError(f"density matrix has negative eigenvalue {p.min():.3e}")
         trace = float(np.sum(p))
         if not abs(trace - 1.0) <= tol(1e-10):  # a nan or inf weight makes the trace non-finite
             raise ValueError(f"trace {trace!r} deviates from 1")
-
-    @property
-    def dim(self) -> int:
-        return self.frame.shape[0]
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -86,20 +79,25 @@ class DensityState:
 
 
 def expectation(state: DensityState, a) -> complex:
-    return complex(np.trace(_matmul(state.rho, as_complex_matrix(a))))
+    a = as_complex_matrix(a)
+    check_dims(state.frame, a)
+    return complex(np.trace(_matmul(state.rho, a)))
 
 
 def gibbs_state(h: HermitianOperator, beta: float) -> DensityState:
     """exp(-beta H) / Tr exp(-beta H), shifted by the ground energy for safety.
 
     beta = 0 yields the tracial state; a level whose beta * gap overflows gets weight 0.
+    A nan or infinite beta raises NonFinite.
     """
+    if not math.isfinite(beta):
+        raise NonFinite(f"beta must be finite, got {beta!r}")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     w = h.eigenvalues
     with np.errstate(over="ignore"):
         shifted = np.exp(-beta * (w - w[0]))
-    return DensityState(h.eigenvectors, shifted / np.sum(shifted), h)
+    return DensityState(h.eigenvectors, shifted / np.sum(shifted))
 
 
 def _to_eigenbasis(h: HermitianOperator, a: np.ndarray) -> np.ndarray:
@@ -148,18 +146,17 @@ def _kms_gaps(
     return [float(abs(rho_a.ravel() @ tau(t + 1j * beta) - a_rho.ravel() @ tau(t))) for t in ts]
 
 
-def kms_residual(state: DensityState, a, b, t, beta: float):
-    """|omega(A tau_{t+i beta}(B)) - omega(tau_t(B) A)|.
+def kms_residual(h: HermitianOperator, state: DensityState, a, b, t, beta: float):
+    """|omega(A tau_{t+i beta}(B)) - omega(tau_t(B) A)|, with tau the flow of H.
 
     Vanishes (to rounding, scaled by the continuation growth) exactly when
-    the state is Gibbs at this beta for its Hamiltonian. ``t`` is one time,
-    giving a float, or a 1-D sequence of times, giving an array with one
-    residual per time. A state framed by H's own eigenvectors, as from
-    ``gibbs_state``, enters as its weights p; any other as V*rhoV.
+    the state is Gibbs at this beta for H. ``t`` is one time, giving a
+    float, or a 1-D sequence of times, giving an array with one residual per
+    time. A state framed by H's own eigenvectors, as from ``gibbs_state``,
+    enters as its weights p; any other as V*rhoV.
     """
-    h = state.hamiltonian_ref
     a, b = as_complex_matrix(a), as_complex_matrix(b)
-    check_dims(h, a, b)
+    check_dims(h, state.frame, a, b)
     if np.ndim(t) > 1:
         raise ValueError("t must be a time or a 1-D sequence of times")
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -177,6 +174,7 @@ def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
     ``eigvalsh`` for an exactly Hermitian draw, as every drawn observable
     is. Raises Overflow when the exponential is not a finite double.
     """
+    check_dims(h, a, b)
     exponent = beta * h.spread
     if not exponent <= math.log(sys.float_info.max):  # a nan exponent too
         raise Overflow(f"kms scale exponent {exponent:.3e} overflows exp")
@@ -185,7 +183,7 @@ def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
 
 def _compressed_gibbs(h: HermitianOperator, e: OrthogonalProjection, beta: float):
     """The r x r generator Q*HQ, eigendecomposed, and its Gibbs weights with the frame QV of EHE."""
-    generator = zeno_generator(h, e).operator
+    generator = zeno_generator(h, e)
     if e.rank < 1:
         raise ZeroRank("the compressed Gibbs state needs a projection of rank >= 1")
     return generator, _matmul(e.basis, generator.eigenvectors), gibbs_state(generator, beta).weights
@@ -195,10 +193,11 @@ def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float)
     """Gibbs state of the compressed generator EHE = Q (Q*HQ) Q*, supported on range(E).
 
     The trace may be taken over the full space because the unnormalized
-    density exp(-beta EHE) E already lives on range(E).
+    density exp(-beta EHE) E already lives on range(E). The state is the
+    frame QV', V' the eigenvectors of Q*HQ, and its weights, formed at r x r.
     """
-    generator, frame, weights = _compressed_gibbs(h, e, beta)
-    return DensityState(frame, weights, eigendecompose(e.basis @ generator.matrix @ e.basis.conj().T))
+    _, frame, weights = _compressed_gibbs(h, e, beta)
+    return DensityState(frame, weights)
 
 
 def reduced_kms_residual(
@@ -213,9 +212,10 @@ def reduced_kms_residual(
     reduced dynamics.
 
     Observables are compressed with E before testing; ``pairs`` may be a
-    generator, and is read one pair at a time. Passing a different
-    ``state`` (built from another projection or temperature) turns this into
-    a negative control; the dynamics still come from (h, e).
+    generator, is read one pair at a time and must hold one pair at least.
+    Passing a different ``state`` (built from another projection or
+    temperature) turns this into a negative control; the dynamics still
+    come from (h, e).
 
     It runs at r x r on Q*HQ, Q*AQ, Q*BQ and Q*rhoQ, Q = e.basis: under the
     flow of EHE, tau_z(EBE) = Q tau_z(Q*BQ) Q*, so this is exact for any state.
@@ -227,11 +227,15 @@ def reduced_kms_residual(
         raise ValueError("t_grid must hold at least one time")
     generator, frame, weights = _compressed_gibbs(h, e, beta)
     if state is not None:
+        check_dims(h, state.frame)
         frame, weights = state.frame, state.weights
     q = e.basis
     rho = _to_eigenbasis(generator, _from_spectrum(_matmul(q.conj().T, frame), weights))
-    worst = 0.0
+    gaps = []
     for a, b in pairs:
-        a_e, b_e = (q.conj().T @ as_complex_matrix(m) @ q for m in (a, b))
-        worst = max(worst, *_kms_gaps(rho, generator, a_e, b_e, ts, beta))
-    return worst
+        a, b = as_complex_matrix(a), as_complex_matrix(b)
+        check_dims(h, a, b)
+        gaps += _kms_gaps(rho, generator, q.conj().T @ a @ q, q.conj().T @ b @ q, ts, beta)
+    if not gaps:
+        raise ValueError("pairs must hold at least one pair")
+    return max(gaps)

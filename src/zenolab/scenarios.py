@@ -629,7 +629,7 @@ def _gibbs(config: ScenarioConfig, scen: Scenario):
     scales, residuals = [], []
     for a, b in pairs():
         scales.append(kms_scale(h, a, b, beta))
-        residuals.append(kms_residual(state, a, b, ts, beta))
+        residuals.append(kms_residual(h, state, a, b, ts, beta))
     residual = np.concatenate(residuals)
     scale = np.repeat(scales, ts.size)
     # the reduced check draws its pairs after the full check's, in the same rng order

@@ -110,11 +110,11 @@ def geometric_speed(evolution: Callable[[float], np.ndarray], psi0) -> float:
 
 @dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class DecayProfile:
-    """Sampled survival probability of a state under its generator."""
+    """Sampled survival probability of a state, with the Heisenberg time of its generator."""
 
     times: np.ndarray
     probabilities: np.ndarray
-    generator_ref: HermitianOperator
+    heisenberg_time: float
 
     def __post_init__(self):
         t = _time_grid(self.times)
@@ -231,7 +231,7 @@ def decay_profile(h: HermitianOperator, psi, times) -> DecayProfile:
     """Sample P(t) = |<psi, exp(itH) psi>|^2 on a checked grid: |``_characteristic``|^2 of the state's weights."""
     t = _time_grid(times)
     amp = _characteristic(h.eigenvalues, _spectral_weights(h, psi), t)
-    return DecayProfile(t, np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12), h)
+    return DecayProfile(t, np.minimum(np.abs(amp) ** 2, 1.0 + 1e-12), heisenberg_time(h))
 
 
 def effective_rate_curve(profile: DecayProfile) -> np.ndarray:
@@ -272,7 +272,7 @@ def default_fit_window(profile: DecayProfile) -> tuple[float, float]:
     Heisenberg time of the generator."""
     curve = effective_rate_curve(profile)
     taus, gammas = curve[:, 0], curve[:, 1]
-    t_hi = min(float(taus[-1]), 0.5 * heisenberg_time(profile.generator_ref))
+    t_hi = min(float(taus[-1]), 0.5 * profile.heisenberg_time)
     t_lo = float(taus[0])
     # at tiny t, P rounds to 1 + ulps, so -ln P / t is huge and its slope may overflow: an infinite slope is not flat
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -295,7 +295,7 @@ def decay_fit(profile: DecayProfile, window: tuple[float, float]) -> DecayFit:
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo < t_hi:
         raise WindowTooSmall(f"empty window ({t_lo}, {t_hi})")
-    t_hi = min(t_hi, 0.5 * heisenberg_time(profile.generator_ref))
+    t_hi = min(t_hi, 0.5 * profile.heisenberg_time)
     mask = (profile.times >= t_lo) & (profile.times <= t_hi)
     if int(np.count_nonzero(mask)) < 10:
         raise WindowTooSmall(

@@ -14,6 +14,8 @@ difference of r x r, d x r or r x d cores, with the same value as the d x d
 one. Nothing d x d is formed unless a caller reads ``.matrix``: W = V*Q is
 ``h._coordinates(Q)``, Q*HQ is ``zeno_generator``'s (Q*H)Q from
 ``h._row_product``, and UE and EU hold H as the V side of their frame.
+``zeno_generator`` returns Q*HQ as an r x r ``HermitianOperator``; its
+basis Q is ``e.basis``, which every caller already holds.
 
 ``ZenoProduct`` is the one product type: ``product_convergence_report``,
 shared with the semigroup and form-sum formulas of ``semigroup``, takes
@@ -140,14 +142,6 @@ class AzcFit:
         return self.constant**2
 
 
-@dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
-class ZenoGenerator:
-    """Compression of the generator to range(E), in an orthonormal basis of it."""
-
-    operator: HermitianOperator
-    basis: np.ndarray  # dim x rank, columns orthonormal, spanning range(E)
-
-
 def zeno_product(
     h: HermitianOperator,
     e: OrthogonalProjection,
@@ -196,8 +190,7 @@ def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) ->
 
     Formed as Q exp(i t Q*HQ) Q* from the r x r compression, Q = e.basis.
     """
-    generator = zeno_generator(h, e)
-    return _lift(generator.basis, evolve(generator.operator, t), generator.basis)
+    return _lift(e.basis, evolve(zeno_generator(h, e), t), e.basis)
 
 
 def _normalize_schedule(schedule) -> ZenoSchedule:
@@ -281,7 +274,7 @@ def zeno_convergence_report(
     check_dims(h, e)
     sched = _normalize_schedule(schedule)
     q, w = e.basis, _overlap(h, e)
-    g = evolve(zeno_generator(h, e).operator, t)
+    g = evolve(zeno_generator(h, e), t)
     if sched.ordering == "UE":
         target = ZenoProduct(h, _matmul(w, g), q)
     elif sched.ordering == "EU":
@@ -293,16 +286,16 @@ def zeno_convergence_report(
     )
 
 
-def zeno_generator(h: HermitianOperator, e: OrthogonalProjection) -> ZenoGenerator:
-    """Generator of the limit dynamics restricted to range(E): the compression
-    Q*HQ in an orthonormal basis Q of range(E), eigendecomposed.
+def zeno_generator(h: HermitianOperator, e: OrthogonalProjection) -> HermitianOperator:
+    """Generator of the limit dynamics restricted to range(E): the r x r
+    compression Q*HQ in the basis Q = ``e.basis`` of range(E), eigendecomposed.
 
     It is the paper's form route (sqrt(H) E)* (sqrt(H) E), shifted for a
     non-PSD H; the tests hold the two equal with that route as the oracle.
     """
     check_dims(h, e)
     c = h._row_product(e.basis.conj().T) @ e.basis
-    return ZenoGenerator(eigendecompose((c + c.conj().T) / 2.0), e.basis)
+    return eigendecompose((c + c.conj().T) / 2.0)
 
 
 def _leakage(h: HermitianOperator, e: OrthogonalProjection, times: Iterable[float]) -> np.ndarray:

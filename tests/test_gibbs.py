@@ -64,7 +64,7 @@ class TestGibbsState:
         h = random_hermitian_op(np.random.default_rng(21), 6)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         state = gibbs_state(h, 0.8)
-        assert "rho" not in state.__dict__ and state.frame is h.eigenvectors and state.dim == 6
+        assert "rho" not in state.__dict__ and state.frame is h.eigenvectors
         v, p = h.eigenvectors, state.weights
         rho = (v * p) @ v.conj().T
         assert np.array_equal(state.rho, (rho + rho.conj().T) / 2.0) and state.rho is state.rho
@@ -300,7 +300,7 @@ class TestKMSResidual:
     def test_identity_pair_vanishes(self):
         h = random_hermitian_op(np.random.default_rng(3), 4)
         state = gibbs_state(h, 1.0)
-        assert kms_residual(state, np.eye(4), np.eye(4), 0.7, 1.0) < 1e-14
+        assert kms_residual(h, state, np.eye(4), np.eye(4), 0.7, 1.0) < 1e-14
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
     def test_gibbs_passes_at_matching_beta(self, beta):
@@ -311,7 +311,7 @@ class TestKMSResidual:
             a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
             for t in np.linspace(-2.0, 2.0, 5):
                 scale = kms_scale(h, a, b, beta)
-                assert kms_residual(state, a, b, float(t), beta) < 1e-10 * scale
+                assert kms_residual(h, state, a, b, float(t), beta) < 1e-10 * scale
 
     def test_tracial_state_fails_at_wrong_beta(self):
         rng = np.random.default_rng(5)
@@ -319,7 +319,7 @@ class TestKMSResidual:
         tracial = gibbs_state(h, 0.0)
         a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
         scale = kms_scale(h, a, b, 1.0)
-        assert kms_residual(tracial, a, b, 0.7, 1.0) > 1e-8 * scale
+        assert kms_residual(h, tracial, a, b, 0.7, 1.0) > 1e-8 * scale
 
     def test_uniqueness_among_candidate_states(self):
         rng = np.random.default_rng(6)
@@ -331,9 +331,9 @@ class TestKMSResidual:
         wrong = gibbs_state(h, 2.0)
         tracial = gibbs_state(h, 0.0)
         t = 0.9
-        assert kms_residual(right, a, b, t, beta) < 1e-10 * scale
-        assert kms_residual(wrong, a, b, t, beta) > 1e-8 * scale
-        assert kms_residual(tracial, a, b, t, beta) > 1e-8 * scale
+        assert kms_residual(h, right, a, b, t, beta) < 1e-10 * scale
+        assert kms_residual(h, wrong, a, b, t, beta) > 1e-8 * scale
+        assert kms_residual(h, tracial, a, b, t, beta) > 1e-8 * scale
 
     def test_matches_the_triple_product_traces(self):
         rng = np.random.default_rng(18)
@@ -344,7 +344,7 @@ class TestKMSResidual:
                 left = np.trace(state.rho @ a @ dense_heisenberg(h, b, t + 1j))
                 right = np.trace(state.rho @ dense_heisenberg(h, b, t) @ a)
                 dense = float(abs(left - right))
-                assert abs(kms_residual(state, a, b, t, 1.0) - dense) <= 1e-12 * kms_scale(h, a, b, 1.0)
+                assert abs(kms_residual(h, state, a, b, t, 1.0) - dense) <= 1e-12 * kms_scale(h, a, b, 1.0)
 
     def test_sequence_of_times_matches_one_call_per_time(self):
         """A sequence of t gives the per-t residuals to the bit: the arithmetic is the same."""
@@ -352,30 +352,59 @@ class TestKMSResidual:
         h = random_hermitian_op(rng, 6)
         a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
         state, ts = gibbs_state(h, 0.7), np.linspace(-2.0, 2.0, 9)
-        one_each = [kms_residual(state, a, b, t, 0.7) for t in ts]
+        one_each = [kms_residual(h, state, a, b, t, 0.7) for t in ts]
         assert all(type(r) is float for r in one_each)
-        assert kms_residual(state, a, b, ts, 0.7).tolist() == one_each
-        assert kms_residual(state, a, b, list(ts[:1]), 0.7).shape == (1,)
+        assert kms_residual(h, state, a, b, ts, 0.7).tolist() == one_each
+        assert kms_residual(h, state, a, b, list(ts[:1]), 0.7).shape == (1,)
         with pytest.raises(ValueError, match="1-D"):
-            kms_residual(state, a, b, ts.reshape(3, 3), 0.7)
+            kms_residual(h, state, a, b, ts.reshape(3, 3), 0.7)
 
-    @pytest.mark.parametrize("t, beta", [(math.nan, 1.0), ([0.5, math.nan], 1.0), (0.5, math.nan), (math.inf, 1.0)])
-    def test_non_finite_time_or_beta_is_typed(self, t, beta):
+    @pytest.mark.parametrize(
+        "check, t, beta",
+        [("full", math.nan, 1.0), ("full", [0.5, math.nan], 1.0), ("full", 0.5, math.nan), ("full", math.inf, 1.0)]
+        + [(check, 0.5, beta) for check in ("gibbs", "zeno", "reduced") for beta in (math.inf, math.nan)],
+    )
+    def test_non_finite_time_or_beta_is_typed(self, check, t, beta):
+        """Raised before any arithmetic on beta: no RuntimeWarning comes first."""
         rng = np.random.default_rng(5)
         h = random_hermitian_op(rng, 4)
         a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
-        with pytest.raises(NonFinite):
-            kms_residual(gibbs_state(h, 1.0), a, b, t, beta)
+        e = random_projection(rng, 4, 2)
+        calls = {
+            "full": lambda: kms_residual(h, gibbs_state(h, 1.0), a, b, t, beta),
+            "gibbs": lambda: gibbs_state(h, beta),
+            "zeno": lambda: zeno_gibbs_state(h, e, beta),
+            "reduced": lambda: reduced_kms_residual(h, e, beta, [(a, b)], [t]),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                calls[check]()
 
     def test_state_of_the_wrong_size_is_typed(self):
         h = random_hermitian_op(np.random.default_rng(6), 4)
-        v = h.eigenvectors
+        v, a = h.eigenvectors, np.eye(4)
         with pytest.raises(DimensionMismatch):
-            DensityState(v[:3], np.ones(4) / 4.0, h)
+            kms_residual(h, DensityState(v[:3], np.ones(4) / 4.0), a, a, 0.5, 1.0)
         with pytest.raises(DimensionMismatch):
-            DensityState(v[:, :3], np.ones(4) / 4.0, h)
+            DensityState(v[:, :3], np.ones(4) / 4.0)
         with pytest.raises(DimensionMismatch):
-            DensityState(v[:, 0], np.ones(1), h)
+            DensityState(v[:, 0], np.ones(1))
+
+    @pytest.mark.parametrize("case", ["expectation", "reduced-pair", "reduced-state", "scale"])
+    def test_mismatched_sizes_are_typed(self, case):
+        """An observable or a state of the wrong size raises DimensionMismatch, not numpy's ValueError or a number."""
+        rng = np.random.default_rng(22)
+        h, other = random_hermitian_op(rng, 4), random_hermitian_op(rng, 3)
+        e, big, small = random_projection(rng, 4, 2), np.eye(4), np.eye(3)
+        calls = {
+            "expectation": lambda: expectation(gibbs_state(h, 1.0), small),
+            "reduced-pair": lambda: reduced_kms_residual(h, e, 1.0, [(small, small)], [0.5]),
+            "reduced-state": lambda: reduced_kms_residual(h, e, 1.0, [(big, big)], [0.5], state=gibbs_state(other, 1.0)),
+            "scale": lambda: kms_scale(h, small, small, 1.0),
+        }
+        with pytest.raises(DimensionMismatch):
+            calls[case]()
 
     def test_gibbs_stationarity(self):
         rng = np.random.default_rng(7)
@@ -417,7 +446,7 @@ class TestGibbsStateAsWeights:
         monkeypatch.setattr(zenolab.gibbs, "_matmul", spy)
         state = gibbs_state(h, 1.0)
         for _ in range(3):
-            kms_residual(state, random_hermitian(rng, h.dim), random_hermitian(rng, h.dim), np.linspace(-2, 2, 9), 1.0)
+            kms_residual(h, state, random_hermitian(rng, h.dim), random_hermitian(rng, h.dim), np.linspace(-2, 2, 9), 1.0)
         assert shapes == [(h.dim,) * 4] * 12
 
     @pytest.mark.parametrize("model", list(TestEigenbasisPath.MODELS), ids=list(TestEigenbasisPath.MODELS))
@@ -426,7 +455,7 @@ class TestGibbsStateAsWeights:
         h, _ = model_and_compression(TestEigenbasisPath.MODELS[model])
         rng, ts = np.random.default_rng(32), np.linspace(-2.0, 2.0, 5)
         weighted = gibbs_state(h, state_beta)
-        copied = DensityState(h.eigenvectors.copy(), weighted.weights, h)
+        copied = DensityState(h.eigenvectors.copy(), weighted.weights)
         kernel, seen = zenolab.gibbs._kms_gaps, []
 
         def spy(rho, *args):
@@ -436,7 +465,7 @@ class TestGibbsStateAsWeights:
         monkeypatch.setattr(zenolab.gibbs, "_kms_gaps", spy)
         for _ in range(3):
             a, b = random_hermitian(rng, h.dim), random_hermitian(rng, h.dim)
-            fast, dense = kms_residual(weighted, a, b, ts, 1.0), kms_residual(copied, a, b, ts, 1.0)
+            fast, dense = kms_residual(h, weighted, a, b, ts, 1.0), kms_residual(h, copied, a, b, ts, 1.0)
             assert np.all(np.abs(fast - dense) <= 1e-12 * kms_scale(h, a, b, 1.0))
         assert seen == [1, 2] * 3
         assert "rho" not in vars(weighted) and "rho" in vars(copied)
@@ -450,7 +479,7 @@ class TestGibbsStateAsWeights:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            kms_residual(state, a, b, np.linspace(-2.0, 2.0, 9), 1.0)
+            kms_residual(h, state, a, b, np.linspace(-2.0, 2.0, 9), 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -484,6 +513,46 @@ class TestZenoGibbs:
         with pytest.raises(ZeroRank):
             zeno_gibbs_state(h, empty, 1.0)
 
+    def test_build_forms_nothing_d_by_d(self, monkeypatch):
+        """At Friedrichs d = 801 the state is its frame QV' and weights, built at r x r.
+
+        The one eigendecompose is the r x r generator's, H and V are never
+        formed, and the peak stays below one real d x d array.
+        """
+        h, e = model_and_compression({"friedrichs": {"n_modes": 800}})
+        shapes, decompose = [], zenolab.zeno.eigendecompose
+
+        def spy(m):
+            shapes.append(np.shape(m))
+            return decompose(m)
+
+        monkeypatch.setattr(zenolab.zeno, "eigendecompose", spy)
+        assert "matrix" not in vars(h) and "eigenvectors" not in vars(h)
+        tracemalloc.start()
+        try:
+            state = zeno_gibbs_state(h, e, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shapes == [(e.rank, e.rank)] and not hasattr(zenolab.gibbs, "eigendecompose")
+        assert "matrix" not in vars(h) and "eigenvectors" not in vars(h) and "rho" not in vars(state)
+        assert state.frame.shape == (h.dim, e.rank)
+        assert peak < h.dim**2 * 8
+
+    @pytest.mark.parametrize("model", list(TestEigenbasisPath.MODELS), ids=list(TestEigenbasisPath.MODELS))
+    def test_full_check_of_the_state_matches_the_dense_loop(self, model):
+        """The state's frame QV' is not H's V, so the full check takes V*rhoV: the dense-state path."""
+        h, e = model_and_compression(TestEigenbasisPath.MODELS[model])
+        rng, ts, beta = np.random.default_rng(34), np.linspace(-2.0, 2.0, 5), 1.0
+        state = zeno_gibbs_state(h, e, beta)
+        for _ in range(3):
+            a, b = random_hermitian(rng, h.dim), random_hermitian(rng, h.dim)
+            scale = kms_scale(h, a, b, beta)
+            fast = kms_residual(h, state, a, b, ts, beta)
+            dense = np.array(dense_gaps(state.rho, h, a, b, ts, beta))
+            assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
+            assert dense.max() > 1e-8 * scale  # not Gibbs for H, so the check has something to match
+
     def test_compression_identity(self):
         rng = np.random.default_rng(11)
         h = random_hermitian_op(rng, 6)
@@ -511,7 +580,7 @@ class TestReducedKMS:
         pairs = [(random_hermitian(rng, 4), random_hermitian(rng, 4))]
         worst = reduced_kms_residual(h, identity_projection(4), 1.0, pairs, [0.5])
         state = gibbs_state(h, 1.0)
-        direct = kms_residual(state, pairs[0][0], pairs[0][1], 0.5, 1.0)
+        direct = kms_residual(h, state, pairs[0][0], pairs[0][1], 0.5, 1.0)
         assert abs(worst - direct) < 1e-12
 
     def test_spectral_projection_commuting_case(self):
@@ -555,7 +624,6 @@ class TestReducedKMS:
             return eigendecompose(m)
 
         monkeypatch.setattr(zenolab.scenarios, "eigendecompose", counting)
-        monkeypatch.setattr(zenolab.gibbs, "eigendecompose", counting)
         monkeypatch.setattr(zenolab.zeno, "eigendecompose", counting)  # the generator's, in zeno_generator
         config = parse_config(
             {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 8, "rank_e": 3}}, "pairs": 2}
@@ -565,9 +633,10 @@ class TestReducedKMS:
 
     def test_reduced_check_forms_nothing_d_by_d(self):
         h, e = model_and_compression({"random": {"dim": 200, "rank_e": 2}})
+        pair = (random_hermitian(np.random.default_rng(24), 200), np.eye(200, dtype=complex))
         tracemalloc.start()
         try:
-            reduced_kms_residual(h, e, 1.0, [], [0.5])
+            reduced_kms_residual(h, e, 1.0, [pair], [0.5])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -664,6 +733,13 @@ class TestReducedAgainstDense:
         with pytest.raises(ValueError, match="t_grid"):
             reduced_kms_residual(h, random_projection(rng, 6, 2), 1.0, pairs, [])
 
+    def test_no_pairs_is_a_value_error(self):
+        """An empty ``pairs`` checks nothing, so it raises rather than report a residual of 0."""
+        rng = np.random.default_rng(20)
+        h = random_hermitian_op(rng, 6)
+        with pytest.raises(ValueError, match="pairs"):
+            reduced_kms_residual(h, random_projection(rng, 6, 2), 1.0, [], np.linspace(-2.0, 2.0, 5))
+
     def test_zero_rank_raises(self):
         h = random_hermitian_op(np.random.default_rng(19), 6)
         empty = OrthogonalProjection(np.zeros((6, 0), dtype=complex))
@@ -727,7 +803,7 @@ class TestKernelAgainstDenseLoop:
         state = gibbs_state(h, state_beta)
         for a, b in pairs:
             scale = kms_scale(h, a, b, self.BETA)
-            fast = kms_residual(state, a, b, self.TS, self.BETA)
+            fast = kms_residual(h, state, a, b, self.TS, self.BETA)
             dense = np.array(dense_gaps(state.rho, h, a, b, self.TS, self.BETA))
             assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
             if state_beta != self.BETA:

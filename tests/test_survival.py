@@ -195,7 +195,7 @@ class TestEffectiveRateCurve:
         profile = DecayProfile(
             np.linspace(0.1, 1.0, 10),
             np.ones(10),
-            h,
+            heisenberg_time(h),
         )
         curve = effective_rate_curve(profile)
         assert np.allclose(curve[:, 1], 0.0)
@@ -203,12 +203,12 @@ class TestEffectiveRateCurve:
     def test_pure_exponential_recovers_rate(self):
         h, _ = rabi_pair()
         times = np.linspace(0.1, 5.0, 40)
-        profile = DecayProfile(times, np.exp(-0.3 * times), h)
+        profile = DecayProfile(times, np.exp(-0.3 * times), heisenberg_time(h))
         assert np.allclose(effective_rate_curve(profile)[:, 1], 0.3)
 
     def test_rate_at_a_subnormal_time_is_infinite(self):
         h, _ = rabi_pair()
-        profile = DecayProfile(np.array([5e-324, 1.0]), np.array([0.5, 0.5]), h)
+        profile = DecayProfile(np.array([5e-324, 1.0]), np.array([0.5, 0.5]), heisenberg_time(h))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             curve = effective_rate_curve(profile)
@@ -379,7 +379,7 @@ class TestDecayFit:
         h, _ = rabi_pair()
         times = np.linspace(0.5, 6.0, n)
         probs = z * np.exp(-gamma * times)
-        return DecayProfile(times, probs, h)
+        return DecayProfile(times, probs, heisenberg_time(h))
 
     def test_recovers_synthetic_parameters(self):
         fit = decay_fit(self.synthetic(0.7, 0.9), window=(0.5, 6.0))
@@ -402,7 +402,7 @@ class TestDecayFit:
         h = eigendecompose(np.diag([0.0, 1.0, 2.0]).astype(complex))
         assert heisenberg_time(h) == pytest.approx(2.0 * math.pi)
         times = np.linspace(0.1, 50.0, 600)
-        profile = DecayProfile(times, np.exp(-0.2 * times), h)
+        profile = DecayProfile(times, np.exp(-0.2 * times), heisenberg_time(h))
         fit = decay_fit(profile, window=(0.1, 50.0))
         assert fit.window[1] <= 0.5 * heisenberg_time(h) + 1e-12
 

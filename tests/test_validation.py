@@ -48,7 +48,7 @@ from zenolab.operators import (
 )
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
 from zenolab.spectral import DiscreteMeasure, spectral_measure_of_state
-from zenolab.survival import DecayProfile, decay_profile, energy_moments, survival_amplitude
+from zenolab.survival import DecayProfile, decay_profile, energy_moments, heisenberg_time, survival_amplitude
 from zenolab.zeno import ORDERINGS, reduced_dynamics, zeno_product
 
 DIM = 24
@@ -207,8 +207,7 @@ def test_screened_verdict_matches_exact_rule(check, ratio):
 @pytest.mark.parametrize("defect", ["negative-weight", "trace-above", "trace-below"])
 def test_density_weight_checks_are_two_sided(defect, ratio):
     """A state's only checks are on its weights: p >= -1e-10 and |sum p - 1| <= 1e-10."""
-    q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
-    h = HermitianOperator(_hermitian(q, w), w, q)
+    q = _unitary(7)
     c = ratio * tol(1e-10)
     p = {
         "negative-weight": np.array([-c, 0.5 + c, 0.5]),
@@ -217,16 +216,15 @@ def test_density_weight_checks_are_two_sided(defect, ratio):
     }[defect]
     if ratio > 1.0:
         with pytest.raises(ValueError, match="negative" if defect == "negative-weight" else "trace"):
-            DensityState(q[:, :3], p, h)
+            DensityState(q[:, :3], p)
     else:
-        DensityState(q[:, :3], p, h)
+        DensityState(q[:, :3], p)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_density_weights_must_be_finite(bad):
-    q, w = _unitary(7), np.linspace(-1.0, 1.0, DIM)
     with pytest.raises(ValueError):
-        DensityState(q[:, :2], np.array([1.0, bad]), HermitianOperator(_hermitian(q, w), w, q))
+        DensityState(_unitary(7)[:, :2], np.array([1.0, bad]))
 
 
 NAN_STATE = np.array([np.nan, 0.0])
@@ -237,7 +235,7 @@ NAN_CHECKS = {
     "measure-atom": (ValueError, lambda h: DiscreteMeasure([np.nan, 1.0], [0.5, 0.5])),
     "measure-lone-atom": (ValueError, lambda h: DiscreteMeasure([np.nan], [1.0])),
     "measure-weights": (ValueError, lambda h: DiscreteMeasure([0.0, 1.0], [np.nan, np.nan])),
-    "profile-probability": (ValueError, lambda h: DecayProfile([1.0, 2.0], [np.nan, 0.5], h)),
+    "profile-probability": (ValueError, lambda h: DecayProfile([1.0, 2.0], [np.nan, 0.5], heisenberg_time(h))),
 }
 
 
@@ -634,8 +632,8 @@ def test_real_path_kms_residuals_match_complex_path(real_scenario):
     rng = np.random.default_rng(4)
     a, b = (random_hermitian(rng, ref.dim) for _ in range(2))
     ts = np.linspace(-2.0, 2.0, 5)
-    got = kms_residual(gibbs_state(scen.hamiltonian, 1.0), a, b, ts, 1.0)
-    want = kms_residual(gibbs_state(ref, 1.0), a, b, ts, 1.0)
+    got = kms_residual(scen.hamiltonian, gibbs_state(scen.hamiltonian, 1.0), a, b, ts, 1.0)
+    want = kms_residual(ref, gibbs_state(ref, 1.0), a, b, ts, 1.0)
     assert np.max(np.abs(got - want)) <= 1e-12 * kms_scale(ref, a, b, 1.0)
 
 
