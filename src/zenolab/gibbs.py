@@ -4,15 +4,15 @@ Thermal equilibrium at inverse temperature beta is characterized by the
 two-sided boundary identity omega(A tau_{t+i beta}(B)) = omega(tau_t(B) A);
 at finite dimension the Gibbs density matrix is its unique solution. The
 same check runs on the compressed algebra, where the frozen-dynamics
-equilibria live, at r x r on the compressions Q*HQ, Q*AQ, Q*BQ and Q*rhoQ
-(Q an orthonormal basis of range(E)); that is exact for any state. Both
-checks share one kernel, which runs wholly in H's eigenbasis: A and B enter
-it once per pair, and each (pair, t) costs two ``heisenberg_evolve`` calls
-on V*BV, with no matrix product, and two dots. A state is its frame U and
-weights p and holds no operator: a function that needs H takes H. A Gibbs
-state of H enters as its weights p, so rho is never formed; the reduced
-check takes Q*rhoQ from Q*U to its generator's eigenbasis once per run,
-forming nothing d x d, and returns its worst residual as one float.
+equilibria live, at r x r on the compressions Q*HQ, Q*AQ and Q*BQ (Q an
+orthonormal basis of range(E)); that is exact for any state. Both checks
+share one kernel, which runs wholly in H's eigenbasis: A and B enter it once
+per pair, and each (pair, t) costs two ``heisenberg_evolve`` calls on V*BV,
+with no matrix product, and two dots. A state is its frame U and weights p,
+and nothing forms rho: a Gibbs state enters the kernel as its weights, any
+other state as its frame in the generator's eigenbasis (V*U, or V'*(Q*U) at
+r x r) and weights. The reduced check takes its own Gibbs state as the
+weights of Q*HQ, forms nothing d x d and returns its worst residual as a float.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,8 +30,6 @@ from .operators import (
     HermitianOperator,
     OrthogonalProjection,
     _checked_time,
-    _freeze,
-    _from_spectrum,
     _matmul,
     as_complex_matrix,
     check_dims,
@@ -54,10 +51,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class DensityState:
-    """rho = U diag(p) U*, held as a frame U (d x k) with orthonormal columns and weights p.
+    """The state rho = U diag(p) U*, held as a frame U (d x k) with orthonormal columns and weights p.
 
     Construction checks the shapes and the weights: finite, p >= -1e-10 and
-    |sum p - 1| <= 1e-10. ``rho`` is formed and cached on first read.
+    |sum p - 1| <= 1e-10. rho is never formed: its readers take U and p.
     """
 
     frame: np.ndarray
@@ -73,28 +70,42 @@ class DensityState:
         if not abs(trace - 1.0) <= tol(1e-10):  # a nan or inf weight makes the trace non-finite
             raise ValueError(f"trace {trace!r} deviates from 1")
 
-    @cached_property
-    def rho(self) -> np.ndarray:
-        return _freeze(_from_spectrum(self.frame, self.weights))
-
 
 def expectation(state: DensityState, a) -> complex:
+    """omega(A) = sum_j p_j u_j* A u_j over the columns u_j of the state's frame."""
     a = as_complex_matrix(a)
     check_dims(state.frame, a)
-    return complex(np.trace(_matmul(state.rho, a)))
+    return complex(np.sum(state.frame.conj() * _matmul(a, state.frame), axis=0) @ state.weights)
+
+
+def _checked_beta(beta: float) -> float:
+    """beta as an inverse temperature: finite (else NonFinite) and nonnegative (else ValueError)."""
+    if not math.isfinite(beta):
+        raise NonFinite(f"beta must be finite, got {beta!r}")
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+    return beta
+
+
+def _checked_times(t) -> np.ndarray:
+    """t, one time or a 1-D sequence of times, as a 1-D array of finite times (else ValueError or NonFinite)."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim > 1:
+        raise ValueError("times must be one time or a 1-D sequence of times")
+    if not np.all(np.isfinite(ts)):
+        raise NonFinite("times must be finite")
+    return ts
 
 
 def gibbs_state(h: HermitianOperator, beta: float) -> DensityState:
     """exp(-beta H) / Tr exp(-beta H), shifted by the ground energy for safety.
 
     beta = 0 yields the tracial state; a level whose beta * gap overflows gets weight 0.
-    A nan or infinite beta raises NonFinite.
+    beta is checked by ``_checked_beta``, and an H with no level raises ZeroRank.
     """
-    if not math.isfinite(beta):
-        raise NonFinite(f"beta must be finite, got {beta!r}")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    w = h.eigenvalues
+    beta, w = _checked_beta(beta), h.eigenvalues
+    if not w.size:
+        raise ZeroRank("a Gibbs state needs one level at least: a compression needs a projection of rank >= 1")
     with np.errstate(over="ignore"):
         shifted = np.exp(-beta * (w - w[0]))
     return DensityState(h.eigenvectors, shifted / np.sum(shifted))
@@ -123,20 +134,23 @@ def heisenberg_evolve(h: HermitianOperator, a, z: complex) -> np.ndarray:
 
 
 def _kms_gaps(
-    rho: np.ndarray, h: HermitianOperator, a: np.ndarray, b: np.ndarray, ts: Sequence[float], beta: float
+    frame: np.ndarray | None, weights: np.ndarray, h: HermitianOperator, a: np.ndarray, b: np.ndarray, ts, beta: float
 ) -> list[float]:
     """|tr(rho A tau_{t+i beta}(B)) - tr(rho tau_t(B) A)| for each t in ``ts``.
 
-    ``rho`` is V*rhoV in H's eigenbasis V, or p when it is diag(p). There each
-    trace tr(YX) is one dot of the raveled Y^T and X, with Y^T = (rho A)^T or
-    (A rho)^T formed once for all t: A^T scaled by p in columns or rows, or
-    the C-ordered product A^T rho^T or rho^T A^T. No matrix product depends on t.
+    In H's eigenbasis V the state is rho~ = W diag(p) W*, given as its frame
+    W = V*U (d x k) and weights p, or ``frame`` None when it is diag(p). There
+    each trace tr(YX) is one dot of the raveled Y^T and X, with
+    Y^T = (rho~ A~)^T or (A~ rho~)^T formed once for all t: A~^T scaled by p
+    in columns or rows, or (A~^T conj(W) diag(p)) W^T and
+    (conj(W) diag(p)) (W^T A~^T), each O(d^2 k). No matrix product depends on t.
     """
     a_v = _to_eigenbasis(h, a)
-    if rho.ndim == 1:
-        rho_a, a_rho = np.multiply(a_v.T, rho, order="C"), np.multiply(rho[:, None], a_v.T, order="C")
+    if frame is None:
+        rho_a, a_rho = np.multiply(a_v.T, weights, order="C"), np.multiply(weights[:, None], a_v.T, order="C")
     else:
-        rho_a, a_rho = _matmul(a_v.T, rho.T), _matmul(rho.T, a_v.T)
+        scaled = frame.conj() * weights
+        rho_a, a_rho = _matmul(_matmul(a_v.T, scaled), frame.T), _matmul(scaled, _matmul(frame.T, a_v.T))
     del a_v  # peak memory: only the two Y^T and B~ stay live through the t loop
     b_v = _to_eigenbasis(h, b)
 
@@ -153,17 +167,13 @@ def kms_residual(h: HermitianOperator, state: DensityState, a, b, t, beta: float
     the state is Gibbs at this beta for H. ``t`` is one time, giving a
     float, or a 1-D sequence of times, giving an array with one residual per
     time. A state framed by H's own eigenvectors, as from ``gibbs_state``,
-    enters as its weights p; any other as V*rhoV.
+    enters as its weights p; any other as its frame V*U and weights p.
     """
     a, b = as_complex_matrix(a), as_complex_matrix(b)
     check_dims(h, state.frame, a, b)
-    if np.ndim(t) > 1:
-        raise ValueError("t must be a time or a 1-D sequence of times")
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if not (np.all(np.isfinite(ts)) and math.isfinite(beta)):
-        raise NonFinite("times and beta must be finite")
-    rho = state.weights if state.frame is h.eigenvectors else _to_eigenbasis(h, state.rho)
-    gaps = _kms_gaps(rho, h, a, b, ts, beta)
+    ts, beta = _checked_times(t), _checked_beta(beta)
+    frame = None if state.frame is h.eigenvectors else h._coordinates(state.frame)
+    gaps = _kms_gaps(frame, state.weights, h, a, b, ts, beta)
     return gaps[0] if np.ndim(t) == 0 else np.array(gaps)
 
 
@@ -175,18 +185,10 @@ def kms_scale(h: HermitianOperator, a, b, beta: float) -> float:
     is. Raises Overflow when the exponential is not a finite double.
     """
     check_dims(h, a, b)
-    exponent = beta * h.spread
+    exponent = _checked_beta(beta) * h.spread
     if not exponent <= math.log(sys.float_info.max):  # a nan exponent too
         raise Overflow(f"kms scale exponent {exponent:.3e} overflows exp")
     return operator_norm(a) * operator_norm(b) * math.exp(exponent)
-
-
-def _compressed_gibbs(h: HermitianOperator, e: OrthogonalProjection, beta: float):
-    """The r x r generator Q*HQ, eigendecomposed, and its Gibbs weights with the frame QV of EHE."""
-    generator = zeno_generator(h, e)
-    if e.rank < 1:
-        raise ZeroRank("the compressed Gibbs state needs a projection of rank >= 1")
-    return generator, _matmul(e.basis, generator.eigenvectors), gibbs_state(generator, beta).weights
 
 
 def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float) -> DensityState:
@@ -196,8 +198,8 @@ def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float)
     density exp(-beta EHE) E already lives on range(E). The state is the
     frame QV', V' the eigenvectors of Q*HQ, and its weights, formed at r x r.
     """
-    _, frame, weights = _compressed_gibbs(h, e, beta)
-    return DensityState(frame, weights)
+    generator = zeno_generator(h, e)
+    return DensityState(_matmul(e.basis, generator.eigenvectors), gibbs_state(generator, beta).weights)
 
 
 def reduced_kms_residual(
@@ -205,7 +207,7 @@ def reduced_kms_residual(
     e: OrthogonalProjection,
     beta: float,
     pairs: Iterable[tuple[np.ndarray, np.ndarray]],
-    t_grid: Sequence[float],
+    t_grid: float | Sequence[float],
     state: DensityState | None = None,
 ) -> float:
     """The largest boundary residual, over every pair and time, of the compressed-algebra state under the
@@ -213,29 +215,30 @@ def reduced_kms_residual(
 
     Observables are compressed with E before testing; ``pairs`` may be a
     generator, is read one pair at a time and must hold one pair at least.
+    ``t_grid`` is read as ``kms_residual``'s times and must not be empty.
     Passing a different ``state`` (built from another projection or
     temperature) turns this into a negative control; the dynamics still
     come from (h, e).
 
-    It runs at r x r on Q*HQ, Q*AQ, Q*BQ and Q*rhoQ, Q = e.basis: under the
-    flow of EHE, tau_z(EBE) = Q tau_z(Q*BQ) Q*, so this is exact for any state.
-    Any state enters once per run as Q*rhoQ = (Q*U) diag(p) (Q*U)* from its
-    frame U and weights p, in the generator's eigenbasis: nothing is d x d.
+    It runs at r x r on Q*HQ, Q*AQ and Q*BQ, Q = e.basis: under the flow of
+    EHE, tau_z(EBE) = Q tau_z(Q*BQ) Q*, so this is exact for any state. With
+    no ``state`` the check's own Gibbs state enters as the weights of Q*HQ,
+    diagonal in its eigenbasis V'; a given state enters once per run as its
+    frame V'*(Q*U) and weights p. Nothing is d x d.
     """
-    ts = [float(t) for t in t_grid]
-    if not ts:
+    ts = _checked_times(t_grid)
+    if not ts.size:
         raise ValueError("t_grid must hold at least one time")
-    generator, frame, weights = _compressed_gibbs(h, e, beta)
+    q, generator = e.basis, zeno_generator(h, e)
+    frame, weights = None, gibbs_state(generator, beta).weights  # checks beta and the rank, for a given state too
     if state is not None:
         check_dims(h, state.frame)
-        frame, weights = state.frame, state.weights
-    q = e.basis
-    rho = _to_eigenbasis(generator, _from_spectrum(_matmul(q.conj().T, frame), weights))
+        frame, weights = generator._coordinates(_matmul(q.conj().T, state.frame)), state.weights
     gaps = []
     for a, b in pairs:
         a, b = as_complex_matrix(a), as_complex_matrix(b)
         check_dims(h, a, b)
-        gaps += _kms_gaps(rho, generator, q.conj().T @ a @ q, q.conj().T @ b @ q, ts, beta)
+        gaps += _kms_gaps(frame, weights, generator, q.conj().T @ a @ q, q.conj().T @ b @ q, ts, beta)
     if not gaps:
         raise ValueError("pairs must hold at least one pair")
     return max(gaps)

@@ -734,12 +734,6 @@ def expm(m) -> np.ndarray:
     return scipy.linalg.expm(as_complex_matrix(m))
 
 
-def _from_spectrum(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """V diag(w) V*, symmetrized."""
-    m = (v * w) @ v.conj().T
-    return (m + m.conj().T) / 2.0
-
-
 def projection_from_span(vectors) -> OrthogonalProjection:
     """Orthogonal projection onto the span of the given vectors.
 

@@ -5,8 +5,8 @@ eigenbasis V, and forms nothing d x d that it can avoid. Each function here
 is the plain formula on the full space: E_perp as a projection, the step
 PUP, UP or PU raised to the n-th power, the limit exp(itEHE)E from the
 d x d EHE, the leakage ||E_perp U(t) E||, tau_z(B) = exp(izH) B exp(-izH)
-as a product of d x d matrices and the KMS residual loop over it, the
-dense ``eigh`` of the Friedrichs arrowhead, the PSD square root and the
+as a product of d x d matrices and the KMS residual loop over it, a
+state's density matrix U diag(p) U*, the dense ``eigh`` of the Friedrichs arrowhead, the PSD square root and the
 Zeno generator by the paper's form route (sqrt(H) E)* (sqrt(H) E), the
 three defect norms of an operator's dense checks, the Hermitian draw
 (G + G*)/2 with its complex temporaries, the Friedrichs time grid merged
@@ -28,7 +28,6 @@ from zenolab.operators import (
     OrthogonalProjection,
     _column_norm_bound,
     _freeze,
-    _from_spectrum,
     _matmul,
     _violation,
     as_complex_matrix,
@@ -104,6 +103,17 @@ def dense_heisenberg(h, b, z):
     v, w = h.eigenvectors, h.eigenvalues
     s = 1j * complex(z) * (w - (w[0] + w[-1]) / 2.0)
     return (v * np.exp(s)) @ v.conj().T @ np.asarray(b) @ (v * np.exp(-s)) @ v.conj().T
+
+
+def _from_spectrum(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(w) V*, symmetrized."""
+    m = (v * w) @ v.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def density_matrix(state) -> np.ndarray:
+    """rho = U diag(p) U* of a ``DensityState`` from its frame U and weights p, at d x d."""
+    return _from_spectrum(state.frame, state.weights)
 
 
 def dense_gaps(rho, h, a, b, ts, beta):

@@ -10,6 +10,7 @@ import pytest
 from conftest import rabi_pair, random_hermitian, random_hermitian_op, random_projection
 from reference import (
     compressed_generator_matrix,
+    density_matrix,
     dense_gaps,
     dense_heisenberg,
     dense_reduced_gaps,
@@ -29,7 +30,14 @@ from zenolab.gibbs import (
 import zenolab.gibbs
 import zenolab.scenarios
 import zenolab.zeno
-from zenolab.operators import OrthogonalProjection, eigendecompose, identity_projection, operator_norm
+from zenolab.zeno import zeno_generator
+from zenolab.operators import (
+    OrthogonalProjection,
+    eigendecompose,
+    identity_projection,
+    operator_norm,
+    projection_from_span,
+)
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
 
 
@@ -37,20 +45,20 @@ class TestGibbsState:
     def test_infinite_temperature_is_tracial(self):
         h = random_hermitian_op(np.random.default_rng(0), 4)
         state = gibbs_state(h, 0.0)
-        assert operator_norm(state.rho - np.eye(4) / 4.0) < 1e-12
+        assert operator_norm(density_matrix(state) - np.eye(4) / 4.0) < 1e-12
 
     def test_two_level_closed_form(self):
         h = eigendecompose(np.diag([0.0, 1.0]).astype(complex))
         state = gibbs_state(h, 1.0)
         z = 1.0 + math.exp(-1.0)
         expected = np.diag([1.0 / z, math.exp(-1.0) / z])
-        assert operator_norm(state.rho - expected) < 1e-14
+        assert operator_norm(density_matrix(state) - expected) < 1e-14
 
     def test_low_temperature_projects_on_ground_state(self):
         h = eigendecompose(np.diag([0.0, 0.3, 1.0]).astype(complex))
         gap = 0.3
         state = gibbs_state(h, 50.0 / gap)
-        assert state.rho[0, 0].real > 1.0 - 1e-8
+        assert density_matrix(state)[0, 0].real > 1.0 - 1e-8
 
     @pytest.mark.parametrize("beta", [1e300, 1e308, sys.float_info.max])
     def test_huge_beta_is_the_ground_state_without_a_warning(self, beta):
@@ -60,14 +68,14 @@ class TestGibbsState:
             state = gibbs_state(h, beta)
         assert state.weights.tolist() == [1.0, 0.0, 0.0]
 
-    def test_holds_its_frame_and_weights_until_rho_is_read(self, monkeypatch):
+    def test_is_its_frame_and_weights(self, monkeypatch):
+        """The state is H's eigenvectors and the weights exp(-beta (w - w_0)) / Z; no rho is held."""
         h = random_hermitian_op(np.random.default_rng(21), 6)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         state = gibbs_state(h, 0.8)
-        assert "rho" not in state.__dict__ and state.frame is h.eigenvectors
-        v, p = h.eigenvectors, state.weights
-        rho = (v * p) @ v.conj().T
-        assert np.array_equal(state.rho, (rho + rho.conj().T) / 2.0) and state.rho is state.rho
+        assert state.frame is h.eigenvectors and not hasattr(state, "rho")
+        shifted = np.exp(-0.8 * (h.eigenvalues - h.eigenvalues[0]))
+        assert np.array_equal(state.weights, shifted / np.sum(shifted))
 
     def test_build_forms_nothing_d_by_d(self):
         h, _ = model_and_compression({"random": {"dim": 200}})
@@ -77,7 +85,7 @@ class TestGibbsState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "rho" not in state.__dict__
+        assert state.frame is h.eigenvectors
         assert peak < 0.1 * 200**2 * 16
 
 
@@ -249,7 +257,7 @@ class TestEigenbasisPath:
         b = random_hermitian(np.random.default_rng(8), h.dim)
         if size == "compressed":
             q = e.basis
-            h, b = zenolab.gibbs._compressed_gibbs(h, e, 1.0)[0], q.conj().T @ b @ q
+            h, b = zeno_generator(h, e), q.conj().T @ b @ q
         b_eig = zenolab.gibbs._to_eigenbasis(h, b)
         fast = heisenberg_evolve(h, b_eig, z)
         v, dense = h.eigenvectors, dense_heisenberg(h, b, z)
@@ -272,8 +280,8 @@ class TestEigenbasisPath:
     def test_observable_enters_the_eigenbasis_once_per_pair_in_each_check(self, tmp_path, monkeypatch):
         """Two pairs: A and B enter once per pair at d = 30 and at r = 5, and every evolution stays there.
 
-        The Gibbs state enters the full check as its weights, so rho never
-        enters at d; the reduced check's rho enters once per run at r.
+        Each check takes its Gibbs state as weights, so no state enters the
+        eigenbasis at d or at r.
         """
         formed, evolved = [], []
         to_eigenbasis, evolve_ = zenolab.gibbs._to_eigenbasis, zenolab.gibbs.heisenberg_evolve
@@ -292,7 +300,7 @@ class TestEigenbasisPath:
             {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 30, "rank_e": 5}}, "pairs": 2}
         )
         run_scenario(config, out_dir=tmp_path)
-        assert sorted(formed) == [5] * 5 + [30] * 4
+        assert sorted(formed) == [5] * 4 + [30] * 4
         assert len(evolved) == 72
 
 
@@ -341,8 +349,9 @@ class TestKMSResidual:
         a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
         for state in (gibbs_state(h, 1.0), gibbs_state(h, 0.0)):
             for t in (-1.2, 0.4):
-                left = np.trace(state.rho @ a @ dense_heisenberg(h, b, t + 1j))
-                right = np.trace(state.rho @ dense_heisenberg(h, b, t) @ a)
+                rho = density_matrix(state)
+                left = np.trace(rho @ a @ dense_heisenberg(h, b, t + 1j))
+                right = np.trace(rho @ dense_heisenberg(h, b, t) @ a)
                 dense = float(abs(left - right))
                 assert abs(kms_residual(h, state, a, b, t, 1.0) - dense) <= 1e-12 * kms_scale(h, a, b, 1.0)
 
@@ -359,13 +368,9 @@ class TestKMSResidual:
         with pytest.raises(ValueError, match="1-D"):
             kms_residual(h, state, a, b, ts.reshape(3, 3), 0.7)
 
-    @pytest.mark.parametrize(
-        "check, t, beta",
-        [("full", math.nan, 1.0), ("full", [0.5, math.nan], 1.0), ("full", 0.5, math.nan), ("full", math.inf, 1.0)]
-        + [(check, 0.5, beta) for check in ("gibbs", "zeno", "reduced") for beta in (math.inf, math.nan)],
-    )
-    def test_non_finite_time_or_beta_is_typed(self, check, t, beta):
-        """Raised before any arithmetic on beta: no RuntimeWarning comes first."""
+    @staticmethod
+    def thermal_call(check, t, beta):
+        """Every thermal entry point that takes beta, on a 4 x 4 H, at time t where it takes one."""
         rng = np.random.default_rng(5)
         h = random_hermitian_op(rng, 4)
         a, b = random_hermitian(rng, 4), random_hermitian(rng, 4)
@@ -373,13 +378,37 @@ class TestKMSResidual:
         calls = {
             "full": lambda: kms_residual(h, gibbs_state(h, 1.0), a, b, t, beta),
             "gibbs": lambda: gibbs_state(h, beta),
+            "scale": lambda: kms_scale(h, a, b, beta),
             "zeno": lambda: zeno_gibbs_state(h, e, beta),
             "reduced": lambda: reduced_kms_residual(h, e, beta, [(a, b)], [t]),
+            "reduced-state": lambda: reduced_kms_residual(h, e, beta, [(a, b)], [t], state=zeno_gibbs_state(h, e, 1.0)),
         }
+        return calls[check]
+
+    CHECKS = ("gibbs", "scale", "full", "zeno", "reduced", "reduced-state")
+
+    @pytest.mark.parametrize(
+        "check, t, beta",
+        [("full", math.nan, 1.0), ("full", [0.5, math.nan], 1.0), ("full", math.inf, 1.0)]
+        + [(check, 0.5, beta) for check in CHECKS for beta in (math.inf, math.nan)],
+    )
+    def test_non_finite_time_or_beta_is_typed(self, check, t, beta):
+        """Raised before any arithmetic on beta: no RuntimeWarning comes first, and the scale raises no Overflow."""
+        call = self.thermal_call(check, t, beta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFinite):
-                calls[check]()
+                call()
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_negative_beta_is_a_value_error(self, check):
+        """A negative beta is no temperature: the scale would be ||A|| ||B|| exp(-|beta| spread), below ||A|| ||B||,
+        and the check would accept the Gibbs state at -beta."""
+        call = self.thermal_call(check, 0.5, -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()
 
     def test_state_of_the_wrong_size_is_typed(self):
         h = random_hermitian_op(np.random.default_rng(6), 4)
@@ -419,19 +448,20 @@ class TestKMSResidual:
 class TestGibbsStateAsWeights:
     """A state whose frame is H's own eigenvectors enters the full check as its weights."""
 
-    def test_gibbs_run_never_reads_rho(self, tmp_path, monkeypatch):
-        states, make = [], zenolab.scenarios.gibbs_state
+    def test_gibbs_run_checks_every_state_as_its_weights(self, tmp_path, monkeypatch):
+        """Both checks of both pairs take the weights route: each state is diagonal in its generator's eigenbasis."""
+        kernel, seen = zenolab.gibbs._kms_gaps, []
 
-        def spy(h, beta):
-            states.append(make(h, beta))
-            return states[-1]
+        def spy(frame, weights, h, *args):
+            seen.append((frame is None, h.dim))
+            return kernel(frame, weights, h, *args)
 
-        monkeypatch.setattr(zenolab.scenarios, "gibbs_state", spy)
+        monkeypatch.setattr(zenolab.gibbs, "_kms_gaps", spy)
         config = parse_config(
             {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 30, "rank_e": 5}}, "pairs": 2}
         )
         run_scenario(config, out_dir=tmp_path)
-        assert len(states) == 1 and "rho" not in vars(states[0])
+        assert seen == [(True, 30)] * 2 + [(True, 5)] * 2
 
     @pytest.mark.parametrize("model", list(TestEigenbasisPath.MODELS), ids=list(TestEigenbasisPath.MODELS))
     def test_full_check_makes_four_products_per_pair(self, monkeypatch, model):
@@ -451,24 +481,23 @@ class TestGibbsStateAsWeights:
 
     @pytest.mark.parametrize("model", list(TestEigenbasisPath.MODELS), ids=list(TestEigenbasisPath.MODELS))
     @pytest.mark.parametrize("state_beta", [1.0, 2.5], ids=["gibbs", "wrong-beta"])
-    def test_a_copied_frame_takes_the_dense_path_and_agrees(self, monkeypatch, model, state_beta):
+    def test_a_copied_frame_takes_the_frame_path_and_agrees(self, monkeypatch, model, state_beta):
         h, _ = model_and_compression(TestEigenbasisPath.MODELS[model])
         rng, ts = np.random.default_rng(32), np.linspace(-2.0, 2.0, 5)
         weighted = gibbs_state(h, state_beta)
         copied = DensityState(h.eigenvectors.copy(), weighted.weights)
         kernel, seen = zenolab.gibbs._kms_gaps, []
 
-        def spy(rho, *args):
-            seen.append(rho.ndim)
-            return kernel(rho, *args)
+        def spy(frame, *args):
+            seen.append(frame is None)
+            return kernel(frame, *args)
 
         monkeypatch.setattr(zenolab.gibbs, "_kms_gaps", spy)
         for _ in range(3):
             a, b = random_hermitian(rng, h.dim), random_hermitian(rng, h.dim)
             fast, dense = kms_residual(h, weighted, a, b, ts, 1.0), kms_residual(h, copied, a, b, ts, 1.0)
             assert np.all(np.abs(fast - dense) <= 1e-12 * kms_scale(h, a, b, 1.0))
-        assert seen == [1, 2] * 3
-        assert "rho" not in vars(weighted) and "rho" in vars(copied)
+        assert seen == [True, False] * 3
 
     def test_full_check_adds_under_five_d_by_d_arrays(self):
         """rho is not formed, and the t loop holds the two Y^T, B~ and one evolved B~ at a time."""
@@ -492,7 +521,7 @@ class TestZenoGibbs:
         h = random_hermitian_op(rng, 4)
         plain = gibbs_state(h, 1.0)
         compressed = zeno_gibbs_state(h, identity_projection(4), 1.0)
-        assert operator_norm(plain.rho - compressed.rho) < 1e-12
+        assert operator_norm(density_matrix(plain) - density_matrix(compressed)) < 1e-12
 
     def test_rank_one_is_pure(self):
         rng = np.random.default_rng(9)
@@ -500,12 +529,12 @@ class TestZenoGibbs:
         e = random_projection(rng, 4, 1)
         for beta in (0.1, 1.0, 10.0):
             state = zeno_gibbs_state(h, e, beta)
-            assert operator_norm(state.rho - e.matrix) < 1e-12
+            assert operator_norm(density_matrix(state) - e.matrix) < 1e-12
 
     def test_rabi_pins_the_measured_state(self):
         h, e = rabi_pair()
         state = zeno_gibbs_state(h, e, 2.0)
-        assert operator_norm(state.rho - e.matrix) < 1e-13
+        assert operator_norm(density_matrix(state) - e.matrix) < 1e-13
 
     def test_zero_rank_rejected(self):
         h = random_hermitian_op(np.random.default_rng(10), 3)
@@ -535,13 +564,13 @@ class TestZenoGibbs:
         finally:
             tracemalloc.stop()
         assert shapes == [(e.rank, e.rank)] and not hasattr(zenolab.gibbs, "eigendecompose")
-        assert "matrix" not in vars(h) and "eigenvectors" not in vars(h) and "rho" not in vars(state)
+        assert "matrix" not in vars(h) and "eigenvectors" not in vars(h)
         assert state.frame.shape == (h.dim, e.rank)
         assert peak < h.dim**2 * 8
 
     @pytest.mark.parametrize("model", list(TestEigenbasisPath.MODELS), ids=list(TestEigenbasisPath.MODELS))
     def test_full_check_of_the_state_matches_the_dense_loop(self, model):
-        """The state's frame QV' is not H's V, so the full check takes V*rhoV: the dense-state path."""
+        """The state's frame QV' is not H's V, so the full check takes its frame V*QV': the frame path."""
         h, e = model_and_compression(TestEigenbasisPath.MODELS[model])
         rng, ts, beta = np.random.default_rng(34), np.linspace(-2.0, 2.0, 5), 1.0
         state = zeno_gibbs_state(h, e, beta)
@@ -549,7 +578,7 @@ class TestZenoGibbs:
             a, b = random_hermitian(rng, h.dim), random_hermitian(rng, h.dim)
             scale = kms_scale(h, a, b, beta)
             fast = kms_residual(h, state, a, b, ts, beta)
-            dense = np.array(dense_gaps(state.rho, h, a, b, ts, beta))
+            dense = np.array(dense_gaps(density_matrix(state), h, a, b, ts, beta))
             assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
             assert dense.max() > 1e-8 * scale  # not Gibbs for H, so the check has something to match
 
@@ -643,6 +672,7 @@ class TestReducedKMS:
         assert peak < 200**2 * 16
 
     def test_reduced_residual_reuses_the_state_generator(self):
+        """Its own Gibbs state, taken as weights, agrees with the same state passed in as the frame QV'."""
         rng = np.random.default_rng(16)
         h = random_hermitian_op(rng, 6)
         e = random_projection(rng, 6, 3)
@@ -650,7 +680,7 @@ class TestReducedKMS:
         ts = np.linspace(-1, 1, 3)
         implicit = reduced_kms_residual(h, e, 0.8, pairs, ts)
         explicit = reduced_kms_residual(h, e, 0.8, pairs, ts, state=zeno_gibbs_state(h, e, 0.8))
-        assert implicit == explicit
+        assert abs(implicit - explicit) <= 1e-12 * max(kms_scale(h, a, b, 0.8) for a, b in pairs)
 
 
     def test_pairs_are_read_one_at_a_time(self):
@@ -673,10 +703,10 @@ class TestReducedKMS:
             drawn.append(weakref.ref(m))
             return m
 
-        def spy_gaps(rho, h, *args):
+        def spy_gaps(frame, weights, h, *args):
             if h.dim == 3:  # the reduced check runs at r x r
                 alive.append(sum(ref() is not None for ref in drawn))
-            return gaps(rho, h, *args)
+            return gaps(frame, weights, h, *args)
 
         monkeypatch.setattr(zenolab.scenarios, "_random_hermitian", spy_draw)
         monkeypatch.setattr(zenolab.gibbs, "_kms_gaps", spy_gaps)
@@ -706,7 +736,7 @@ class TestReducedAgainstDense:
         _, h, e, pairs = self.case(d, r, 100 + d + r)
         ts = np.linspace(-2.0, 2.0, 5)
         worst = reduced_kms_residual(h, e, 1.0, pairs, ts)
-        dense = dense_reduced_residual(h, e, 1.0, pairs, ts, zeno_gibbs_state(h, e, 1.0).rho)
+        dense = dense_reduced_residual(h, e, 1.0, pairs, ts, density_matrix(zeno_gibbs_state(h, e, 1.0)))
         scale = max(kms_scale(h, a, b, 1.0) for a, b in pairs)
         assert abs(worst - dense) <= 1e-12 * scale
 
@@ -722,7 +752,7 @@ class TestReducedAgainstDense:
             state = zeno_gibbs_state(h, e, 2.5)
         ts = np.linspace(-2.0, 2.0, 5)
         worst = reduced_kms_residual(h, e, 1.0, pairs, ts, state=state)
-        dense = dense_reduced_residual(h, e, 1.0, pairs, ts, state.rho)
+        dense = dense_reduced_residual(h, e, 1.0, pairs, ts, density_matrix(state))
         assert dense > 1e-6
         assert abs(worst - dense) <= 1e-12 * dense
 
@@ -732,6 +762,22 @@ class TestReducedAgainstDense:
         pairs = [(random_hermitian(rng, 6), random_hermitian(rng, 6))]
         with pytest.raises(ValueError, match="t_grid"):
             reduced_kms_residual(h, random_projection(rng, 6, 2), 1.0, pairs, [])
+
+    def test_two_dimensional_t_grid_is_a_value_error(self):
+        """The grid is read by kms_residual's rule: one time or a 1-D sequence, so a 2-D grid is no TypeError."""
+        rng = np.random.default_rng(20)
+        h = random_hermitian_op(rng, 6)
+        pairs = [(random_hermitian(rng, 6), random_hermitian(rng, 6))]
+        with pytest.raises(ValueError, match="1-D"):
+            reduced_kms_residual(h, random_projection(rng, 6, 2), 1.0, pairs, np.linspace(-2.0, 2.0, 4).reshape(2, 2))
+
+    def test_one_time_is_a_grid_of_that_time(self):
+        rng = np.random.default_rng(20)
+        h = random_hermitian_op(rng, 6)
+        e = random_projection(rng, 6, 2)
+        pairs = [(random_hermitian(rng, 6), random_hermitian(rng, 6))]
+        worst = reduced_kms_residual(h, e, 1.0, pairs, 0.5)
+        assert type(worst) is float and worst == reduced_kms_residual(h, e, 1.0, pairs, [0.5])
 
     def test_no_pairs_is_a_value_error(self):
         """An empty ``pairs`` checks nothing, so it raises rather than report a residual of 0."""
@@ -760,6 +806,77 @@ class TestReducedAgainstDense:
         )
         run_scenario(config, out_dir=tmp_path)
         assert {n: dims.count(n) for n in set(dims)} == {30: 36, 5: 36}
+
+
+class TestFrameRoute:
+    """States that are not diagonal in H's eigenbasis: both checks take their frame, and agree with the dense loop.
+
+    Each state is a rank-k Zeno Gibbs state (on the Friedrichs e_0 at k = 1,
+    whose frame V*U the arrowhead reads off its first row) or random weights
+    on a random rank-k frame from ``projection_from_span``. The reduced check
+    runs on a random rank-3 compression, where neither state is its Gibbs state.
+    """
+
+    BETA = 1.0
+    TS = np.linspace(-2.0, 2.0, 3)
+
+    @staticmethod
+    def case(kind, d, k, source):
+        rng = np.random.default_rng(500 + 10 * d + k)
+        if kind == "friedrichs":
+            h, e = model_and_compression({"friedrichs": {"n_modes": d - 1}})
+        else:
+            h, e = random_hermitian_op(rng, d), None
+        spanning = rng.standard_normal((k, d)) + 1j * rng.standard_normal((k, d))
+        if source == "zeno":
+            state = zeno_gibbs_state(h, e if e is not None and k == 1 else projection_from_span(spanning), 0.7)
+        else:
+            p = rng.uniform(0.1, 1.0, k)
+            state = DensityState(projection_from_span(spanning).basis, p / np.sum(p))
+        pairs = [(random_hermitian(rng, d), random_hermitian(rng, d)) for _ in range(2)]
+        return rng, h, state, pairs
+
+    CASES = pytest.mark.parametrize(
+        "kind, d, k, source",
+        [
+            (kind, d, k, source)
+            for kind in ("dense", "friedrichs")
+            for d in (4, 12, 40)
+            for k in (1, 3)
+            for source in ("zeno", "frame")
+        ],
+    )
+
+    @CASES
+    def test_full_check(self, kind, d, k, source):
+        _, h, state, pairs = self.case(kind, d, k, source)
+        assert state.frame is not h.eigenvectors
+        for a, b in pairs:
+            fast = kms_residual(h, state, a, b, self.TS, self.BETA)
+            dense = np.array(dense_gaps(density_matrix(state), h, a, b, self.TS, self.BETA))
+            assert np.all(np.abs(fast - dense) <= 1e-12 * kms_scale(h, a, b, self.BETA))
+
+    @CASES
+    def test_reduced_check(self, kind, d, k, source):
+        rng, h, state, pairs = self.case(kind, d, k, source)
+        e = projection_from_span(rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d)))
+        worst = reduced_kms_residual(h, e, self.BETA, pairs, self.TS, state=state)
+        dense = dense_reduced_residual(h, e, self.BETA, pairs, self.TS, density_matrix(state))
+        assert abs(worst - dense) <= 1e-12 * max(kms_scale(h, a, b, self.BETA) for a, b in pairs)
+
+    @CASES
+    def test_expectation_is_the_dense_trace(self, kind, d, k, source):
+        _, h, state, pairs = self.case(kind, d, k, source)
+        for a, _ in pairs:
+            assert abs(expectation(state, a) - np.trace(density_matrix(state) @ a)) <= 1e-13
+
+
+def test_compressed_check_of_its_own_gibbs_state_reads_at_rounding(tmp_path):
+    """On kms-thermal's model the reduced check takes its Gibbs state as exact weights: no rounding of a dense rho."""
+    config = parse_config(
+        {"schema_version": 1, "task": "gibbs", "model": {"random": {"dim": 200, "rank_e": 20}}, "pairs": 10}
+    )
+    assert run_scenario(config, out_dir=tmp_path).headline["reduced_max_residual"] < 4e-15
 
 
 class TestKernelAgainstDenseLoop:
@@ -804,7 +921,7 @@ class TestKernelAgainstDenseLoop:
         for a, b in pairs:
             scale = kms_scale(h, a, b, self.BETA)
             fast = kms_residual(h, state, a, b, self.TS, self.BETA)
-            dense = np.array(dense_gaps(state.rho, h, a, b, self.TS, self.BETA))
+            dense = np.array(dense_gaps(density_matrix(state), h, a, b, self.TS, self.BETA))
             assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
             if state_beta != self.BETA:
                 assert dense.max() > 1e-8 * scale
@@ -833,7 +950,7 @@ class TestKernelAgainstDenseLoop:
 
         monkeypatch.setattr(zenolab.gibbs, "_kms_gaps", spy)
         worst = reduced_kms_residual(h, e, self.BETA, pairs, self.TS, state=state)
-        rho = (state or zeno_gibbs_state(h, e, self.BETA)).rho
+        rho = density_matrix(state or zeno_gibbs_state(h, e, self.BETA))
         dense = dense_reduced_gaps(h, e, self.BETA, pairs, self.TS, rho)
         scales = [kms_scale(h, a, b, self.BETA) for a, b in pairs]
         assert len(gaps) == len(pairs)
