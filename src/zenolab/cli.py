@@ -2,13 +2,15 @@
 
 One executable, one subcommand per task. Exit codes: 0 success, 1 the run
 finished but flagged warnings (NonExponential, NoCrossing, Indeterminate),
-2 configuration or runtime error, reported as one ``error:`` line on stderr
-without a traceback.
+2 a configuration or runtime error, a failed write to stdout or an
+interrupt, reported as one ``error:`` line on stderr without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .errors import ConfigError, ZenoLabError
@@ -29,25 +31,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    report = None
     try:
         config = load_config(args.config, args.seed)
         if config.task != args.task:
             raise ConfigError(f"task: config declares {config.task!r} but subcommand is {args.task!r}")
         report = run_scenario(config, out_dir=args.out)
+        if not args.quiet:
+            lines = [f"task: {report.task}", *(f"  {key}: {value}" for key, value in report.headline.items())]
+            lines += [f"  warning: {w}" for w in report.warnings] + [f"  wrote: {p}" for p in report.csv_paths]
+            print("\n".join(lines), flush=True)
+        return 1 if report.warnings else 0
+    except KeyboardInterrupt:
+        text = "interrupted"
     except Exception as exc:
-        # every failure, a crash included, is exit 2 with one line; exit 1 means warnings
+        # every failure, a crash or a failed write to stdout included, is exit 2 with one line; exit 1 means warnings
         text = str(exc) if isinstance(exc, ZenoLabError) else f"{type(exc).__name__}: {exc}"
-        print("error: " + " ".join(text.split()), file=sys.stderr)
-        return 2
-    if not args.quiet:
-        print(f"task: {report.task}")
-        for key, value in report.headline.items():
-            print(f"  {key}: {value}")
-        for warning in report.warnings:
-            print(f"  warning: {warning}")
-        for path in report.csv_paths:
-            print(f"  wrote: {path}")
-    return 1 if report.warnings else 0
+        if report is not None:  # stdout failed (EPIPE, ENOSPC): point it at os.devnull, so exit flushes write nowhere
+            with contextlib.suppress(AttributeError, ValueError):  # a stdout with no file descriptor is left as it is
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+    print("error: " + " ".join(text.split()), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

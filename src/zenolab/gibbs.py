@@ -9,10 +9,10 @@ orthonormal basis of range(E)); that is exact for any state. Both checks
 share one kernel, which runs wholly in H's eigenbasis: A and B enter it once
 per pair, and each (pair, t) costs two ``heisenberg_evolve`` calls on V*BV,
 with no matrix product, and two dots. A state is its frame U and weights p,
-and nothing forms rho: a Gibbs state enters the kernel as its weights, any
-other state as its frame in the generator's eigenbasis (V*U, or V'*(Q*U) at
-r x r) and weights. The reduced check takes its own Gibbs state as the
-weights of Q*HQ, forms nothing d x d and returns its worst residual as a float.
+and nothing forms rho: a Gibbs state, framed by H itself, enters the kernel
+as its weights, any other as its frame V*U (or V'*(Q*U) at r x r) and
+weights. The reduced check takes its own Gibbs state as the weights of
+Q*HQ, forms nothing d x d and returns its worst residual as a float.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ from .operators import (
     HermitianOperator,
     OrthogonalProjection,
     _checked_time,
+    _frame_columns,
+    _frame_width,
+    _freeze,
     _matmul,
     as_complex_matrix,
     check_dims,
@@ -51,19 +54,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class DensityState:
-    """The state rho = U diag(p) U*, held as a frame U (d x k) with orthonormal columns and weights p.
+    """The state rho = U diag(p) U*, held as a frame and weights p: an ``OrthogonalProjection`` (U its basis) or a
+    ``HermitianOperator`` (U its eigenvectors), else a TypeError.
 
-    Construction checks the shapes and the weights: finite, p >= -1e-10 and
+    Construction checks the frame's width against the weights, and the weights: finite, p >= -1e-10 and
     |sum p - 1| <= 1e-10. rho is never formed: its readers take U and p.
     """
 
-    frame: np.ndarray
+    frame: OrthogonalProjection | HermitianOperator
     weights: np.ndarray
 
     def __post_init__(self):
-        u, p = self.frame, self.weights
-        if u.ndim != 2 or p.shape != u.shape[1:]:
-            raise DimensionMismatch(f"frame {u.shape} and weights {p.shape} do not fit")
+        p, width = self.weights, _frame_width(self.frame)
+        if p.shape != (width,):
+            raise DimensionMismatch(f"frame of width {width} and weights {p.shape} do not fit")
         if p.size and float(p.min()) < -tol(1e-10):
             raise ValueError(f"density matrix has negative eigenvalue {p.min():.3e}")
         trace = float(np.sum(p))
@@ -73,9 +77,9 @@ class DensityState:
 
 def expectation(state: DensityState, a) -> complex:
     """omega(A) = sum_j p_j u_j* A u_j over the columns u_j of the state's frame."""
-    a = as_complex_matrix(a)
-    check_dims(state.frame, a)
-    return complex(np.sum(state.frame.conj() * _matmul(a, state.frame), axis=0) @ state.weights)
+    a, u = as_complex_matrix(a), _frame_columns(state.frame)
+    check_dims(u, a)
+    return complex(np.sum(u.conj() * _matmul(a, u), axis=0) @ state.weights)
 
 
 def _checked_beta(beta: float) -> float:
@@ -108,7 +112,7 @@ def gibbs_state(h: HermitianOperator, beta: float) -> DensityState:
         raise ZeroRank("a Gibbs state needs one level at least: a compression needs a projection of rank >= 1")
     with np.errstate(over="ignore"):
         shifted = np.exp(-beta * (w - w[0]))
-    return DensityState(h.eigenvectors, shifted / np.sum(shifted))
+    return DensityState(h, shifted / np.sum(shifted))
 
 
 def _to_eigenbasis(h: HermitianOperator, a: np.ndarray) -> np.ndarray:
@@ -166,13 +170,13 @@ def kms_residual(h: HermitianOperator, state: DensityState, a, b, t, beta: float
     Vanishes (to rounding, scaled by the continuation growth) exactly when
     the state is Gibbs at this beta for H. ``t`` is one time, giving a
     float, or a 1-D sequence of times, giving an array with one residual per
-    time. A state framed by H's own eigenvectors, as from ``gibbs_state``,
-    enters as its weights p; any other as its frame V*U and weights p.
+    time. A state framed by H itself, as from ``gibbs_state``, enters as its
+    weights p; any other as its frame V*U and weights p.
     """
     a, b = as_complex_matrix(a), as_complex_matrix(b)
     check_dims(h, state.frame, a, b)
     ts, beta = _checked_times(t), _checked_beta(beta)
-    frame = None if state.frame is h.eigenvectors else h._coordinates(state.frame)
+    frame = None if state.frame is h else h._coordinates(_frame_columns(state.frame))
     gaps = _kms_gaps(frame, state.weights, h, a, b, ts, beta)
     return gaps[0] if np.ndim(t) == 0 else np.array(gaps)
 
@@ -196,10 +200,11 @@ def zeno_gibbs_state(h: HermitianOperator, e: OrthogonalProjection, beta: float)
 
     The trace may be taken over the full space because the unnormalized
     density exp(-beta EHE) E already lives on range(E). The state is the
-    frame QV', V' the eigenvectors of Q*HQ, and its weights, formed at r x r.
+    projection onto QV', V' the eigenvectors of Q*HQ, and weights, at r x r.
     """
     generator = zeno_generator(h, e)
-    return DensityState(_matmul(e.basis, generator.eigenvectors), gibbs_state(generator, beta).weights)
+    frame = OrthogonalProjection(_freeze(_matmul(e.basis, generator.eigenvectors)))
+    return DensityState(frame, gibbs_state(generator, beta).weights)
 
 
 def reduced_kms_residual(
@@ -233,7 +238,7 @@ def reduced_kms_residual(
     frame, weights = None, gibbs_state(generator, beta).weights  # checks beta and the rank, for a given state too
     if state is not None:
         check_dims(h, state.frame)
-        frame, weights = generator._coordinates(_matmul(q.conj().T, state.frame)), state.weights
+        frame, weights = generator._coordinates(_matmul(q.conj().T, _frame_columns(state.frame))), state.weights
     gaps = []
     for a, b in pairs:
         a, b = as_complex_matrix(a), as_complex_matrix(b)

@@ -260,6 +260,18 @@ class OrthogonalProjection:
         return _freeze((p + p.conj().T) / 2.0)
 
 
+def _frame_width(frame: OrthogonalProjection | HermitianOperator) -> int:
+    """A frame's width, read off ``rank`` or ``dim`` so that no V is formed; any other type is a TypeError."""
+    if not isinstance(frame, (OrthogonalProjection, HermitianOperator)):
+        raise TypeError(f"a frame is an OrthogonalProjection or a HermitianOperator, not {type(frame).__name__}")
+    return frame.rank if isinstance(frame, OrthogonalProjection) else frame.dim
+
+
+def _frame_columns(frame: OrthogonalProjection | HermitianOperator) -> np.ndarray:
+    """A frame's orthonormal columns: a projection's checked basis Q, or the eigenvectors V an operator stands for."""
+    return frame.basis if isinstance(frame, OrthogonalProjection) else frame.eigenvectors
+
+
 def eigendecompose(m) -> HermitianOperator:
     """Eigendecompose a Hermitian-within-tolerance matrix.
 
@@ -756,11 +768,8 @@ def identity_projection(dim: int) -> OrthogonalProjection:
 
 
 def check_dims(*operands) -> int:
-    """Assert all operands act on the same dimension; return it."""
-    dims = [
-        op.dim if isinstance(op, (HermitianOperator, OrthogonalProjection)) else np.asarray(op).shape[0]
-        for op in operands
-    ]
+    """Assert all operands act on the same dimension, an array's rows or an object's ``dim``; return it."""
+    dims = [op.dim if hasattr(op, "dim") else np.shape(op)[0] for op in operands]
     if len(set(dims)) > 1:
         raise DimensionMismatch(f"operands have mismatched dimensions {dims}")
     return dims[0]

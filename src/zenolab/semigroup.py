@@ -6,8 +6,8 @@ of subspace-supported quadratic forms with the associated product formula.
 
 Both product formulas hand ``zeno.product_convergence_report`` the one
 product type, ``ZenoProduct``, with the target built in the products'
-frame: the degenerate products sit in the frame (I, Q) with d x r cores,
-Q the basis of range(E), so each distance is a d x r norm; the form-sum
+frame: the degenerate products sit in the frame (I, E) with d x r cores,
+I the identity projection, so each distance is a d x r norm; the form-sum
 products and their target sit in the frame (I, I).
 """
 
@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, NotSectorial
+from .errors import NotPSD, NotSectorial
 from .numeric import tol
 from .operators import (
     HermitianOperator,
@@ -152,7 +152,7 @@ def degenerate_product(
     """Products [exp(-tA/n) E]^n compared against exp(-t EAE) E.
 
     With Q = e.basis and S = exp(-tA/n) they are SQ (Q*SQ)^(n-1) Q*, an r x r
-    power, held as the d x r core SQ (Q*SQ)^(n-1) in the frame (I, Q),
+    power, held as the d x r core SQ (Q*SQ)^(n-1) in the frame (I, E),
     against Q exp(-t Q*AQ) Q*, held as the core Q exp(-t Q*AQ) in that frame.
     """
     if t <= 0:
@@ -161,12 +161,12 @@ def degenerate_product(
     sched = _normalize_schedule(n_schedule)
     q = e.basis
     qh = q.conj().T
-    eye = np.eye(e.dim, dtype=complex)
-    target = ZenoProduct(eye, q @ expm(-t * (qh @ a.matrix @ q)), q)
+    full = identity_projection(e.dim)
+    target = ZenoProduct(full, q @ expm(-t * (qh @ a.matrix @ q)), e)
 
     def step_product(n: int) -> ZenoProduct:
         sq = expm(-(t / n) * a.matrix) @ q
-        return ZenoProduct(eye, sq @ np.linalg.matrix_power(qh @ sq, n - 1), q)
+        return ZenoProduct(full, sq @ np.linalg.matrix_power(qh @ sq, n - 1), e)
 
     return product_convergence_report(step_product, target, sched.n_values)
 
@@ -178,8 +178,7 @@ def form_sum_operator(a: DegenerateForm, b: DegenerateForm) -> DegenerateForm:
     eigenvalues below 1e-10 count as zero. An empty intersection yields the
     zero form on the zero subspace.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"forms live on dimensions {a.dim} != {b.dim}")
+    check_dims(a, b)
     eye = np.eye(a.dim, dtype=complex)
     gap = (eye - a.support.matrix) + (eye - b.support.matrix)
     w, v = np.linalg.eigh((gap + gap.conj().T) / 2.0)
@@ -197,14 +196,13 @@ def kato_form_sum_product(
     """Alternating products [exp(-ta/n) exp(-tb/n)]^n against exp(-t(a+b))."""
     if t <= 0:
         raise ValueError("t must be positive")
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"forms live on dimensions {a.dim} != {b.dim}")
+    check_dims(a, b)
     sched = _normalize_schedule(n_schedule)
-    eye = np.eye(a.dim, dtype=complex)
-    target = ZenoProduct(eye, form_semigroup(form_sum_operator(a, b), t), eye)
+    full = identity_projection(a.dim)
+    target = ZenoProduct(full, form_semigroup(form_sum_operator(a, b), t), full)
 
     def step_product(n: int) -> ZenoProduct:
         step = form_semigroup(a, t / n) @ form_semigroup(b, t / n)
-        return ZenoProduct(eye, np.linalg.matrix_power(step, n), eye)
+        return ZenoProduct(full, np.linalg.matrix_power(step, n), full)
 
     return product_convergence_report(step_product, target, sched.n_values)

@@ -6,16 +6,14 @@ in 1/n to the compressed-generator dynamics exp(i t EHE) E; this module
 computes the products, measures distances to that limit, fits the rate, and
 checks the Lipschitz (asymptotic Zeno) condition that drives convergence.
 
-Products and the limit are held in range(E), through an orthonormal basis Q
-(d x r) of it and the eigenvectors V of H: a ``ZenoProduct`` is a core
-matrix in a frame (Q, Q), (V, Q) or (Q, V) fixed by its ordering, only the
-r x r step Q*UQ is raised to powers, and each distance is the norm of a
-difference of r x r, d x r or r x d cores, with the same value as the d x d
-one. Nothing d x d is formed unless a caller reads ``.matrix``: W = V*Q is
-``h._coordinates(Q)``, Q*HQ is ``zeno_generator``'s (Q*H)Q from
-``h._row_product``, and UE and EU hold H as the V side of their frame.
-``zeno_generator`` returns Q*HQ as an r x r ``HermitianOperator``; its
-basis Q is ``e.basis``, which every caller already holds.
+Products and the limit are held in range(E) as a ``ZenoProduct``: a core in
+a frame fixed by the ordering, each side E or H standing for its columns, the
+basis Q of range(E) or the eigenvectors V of H. Only the r x r step Q*UQ is
+raised to powers, and each distance is the norm of a difference of r x r,
+d x r or r x d cores, with the same value as the d x d one. Nothing d x d is
+formed unless a caller reads ``.matrix``: W = V*Q is ``h._coordinates(Q)``,
+and ``zeno_generator`` returns Q*HQ, formed as (Q*H)Q from ``h._row_product``,
+as an r x r ``HermitianOperator``.
 
 ``ZenoProduct`` is the one product type: ``product_convergence_report``,
 shared with the semigroup and form-sum formulas of ``semigroup``, takes
@@ -31,10 +29,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .numeric import loglog_fit, tol
 from .operators import (
     HermitianOperator,
     OrthogonalProjection,
+    _frame_columns,
+    _frame_width,
     _freeze,
     _matmul,
     check_dims,
@@ -67,31 +68,28 @@ class ZenoSchedule:
         object.__setattr__(self, "n_values", ns)
 
 
-def _lift(left: np.ndarray | HermitianOperator, core: np.ndarray, right: np.ndarray | HermitianOperator) -> np.ndarray:
-    """The d x d matrix L C R*; a side that is an operator stands for its eigenvectors."""
-    left, right = (f.eigenvectors if isinstance(f, HermitianOperator) else f for f in (left, right))
-    return _matmul(_matmul(left, core), right.conj().T)
-
-
 @dataclass(frozen=True, eq=False)  # arrays do not compare as one truth value
 class ZenoProduct:
     """A d x d product X = L C R* held as its core C in the frame (L, R).
 
-    ``left`` L and ``right`` R have orthonormal columns, so ||X - Y|| =
-    ||C_X - C_Y|| for two products in one frame; a side may be a
-    ``HermitianOperator``, standing for its eigenvectors V. ``zeno_product``
-    puts each ordering in its own frame: (Q, Q) for EUE, (H, Q) for UE and
-    (Q, H) for EU, with Q the basis of range(E). ``matrix`` is L C R*,
-    formed and cached the first time something reads it; only then is V read.
+    A side is an ``OrthogonalProjection`` (its basis Q) or a ``HermitianOperator`` (its eigenvectors V), else a
+    TypeError; both stand for orthonormal columns, so ||X - Y|| = ||C_X - C_Y|| for two products in one frame.
+    ``zeno_product`` puts each ordering in its own frame: (E, E) for EUE, (H, E) for UE and (E, H) for EU.
+    ``matrix`` is L C R*, formed and cached the first time something reads it; only then is V read.
     """
 
-    left: np.ndarray | HermitianOperator
+    left: OrthogonalProjection | HermitianOperator
     core: np.ndarray
-    right: np.ndarray | HermitianOperator
+    right: OrthogonalProjection | HermitianOperator
+
+    def __post_init__(self):
+        if self.core.shape != (_frame_width(self.left), _frame_width(self.right)):
+            raise DimensionMismatch(f"a core of shape {self.core.shape} does not fit its frame")
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _freeze(_lift(self.left, self.core, self.right))
+        left, right = _frame_columns(self.left), _frame_columns(self.right)
+        return _freeze(_matmul(_matmul(left, self.core), right.conj().T))
 
 
 @dataclass(frozen=True, eq=False)  # its ZenoProducts compare by identity
@@ -100,10 +98,8 @@ class ZenoConvergenceReport:
 
     ``limit`` is the product at the largest n evaluated (the best numerical
     stand-in for the limit) and ``target`` the compressed dynamics it is
-    compared against, each a ``ZenoProduct`` in the products' frame (for the
-    Zeno products the target Q G Q*, G = exp(i t Q*HQ), is held as G in
-    (Q, Q), WG in (V, Q) or GW* in (Q, V), W = V*Q); their ``.matrix`` is
-    the d x d form, formed only when read. ``target_residual`` is their
+    compared against, each a ``ZenoProduct`` in the products' frame, lifted
+    to d x d only when its ``.matrix`` is read. ``target_residual`` is their
     distance. ``exact`` flags commuting cases where every distance is
     already at rounding level and the rate fit is skipped.
     """
@@ -158,8 +154,8 @@ def zeno_product(
     and the product is returned in factored form (``ZenoProduct``):
     EUE = Q A^n Q* with the r x r core A^n, UE = V (Phi W A^(n-1)) Q* with a
     d x r core and EU = Q (A^(n-1) W* Phi) V* with an r x d core. Read
-    ``.matrix`` for the d x d product. The private ``_w`` is W from
-    ``_overlap(h, e)``, passed by a caller that reuses it over many n.
+    ``.matrix`` for the d x d product. The private ``_w`` is W, passed by a
+    caller that reuses it over many n.
     """
     check_dims(h, e)
     n = int(n)
@@ -167,22 +163,16 @@ def zeno_product(
         raise ValueError("n must be a positive integer")
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
-    q = e.basis
     phases = phase_factors(h, t / n)
-    w = _overlap(h, e) if _w is None else _w
+    w = h._coordinates(e.basis) if _w is None else _w
     w_adj_u = w.conj().T * phases  # W* Phi, so Q*U = W* Phi V*
     a = w_adj_u @ w
     if ordering == "EUE":
-        return ZenoProduct(q, np.linalg.matrix_power(a, n), q)
+        return ZenoProduct(e, np.linalg.matrix_power(a, n), e)
     power = np.linalg.matrix_power(a, n - 1)
     if ordering == "UE":
-        return ZenoProduct(h, (phases[:, None] * w) @ power, q)
-    return ZenoProduct(q, power @ w_adj_u, h)
-
-
-def _overlap(h: HermitianOperator, e: OrthogonalProjection) -> np.ndarray:
-    """W = V*Q, the basis of range(E) in H's eigenbasis (``h._coordinates``), fixed by (H, E)."""
-    return h._coordinates(e.basis)
+        return ZenoProduct(h, (phases[:, None] * w) @ power, e)
+    return ZenoProduct(e, power @ w_adj_u, h)
 
 
 def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) -> np.ndarray:
@@ -190,7 +180,7 @@ def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) ->
 
     Formed as Q exp(i t Q*HQ) Q* from the r x r compression, Q = e.basis.
     """
-    return _lift(e.basis, evolve(zeno_generator(h, e), t), e.basis)
+    return ZenoProduct(e, evolve(zeno_generator(h, e), t), e).matrix
 
 
 def _normalize_schedule(schedule) -> ZenoSchedule:
@@ -266,21 +256,19 @@ def zeno_convergence_report(
     """Run the product over the schedule and compare against exp(i t EHE) E.
 
     The target Q G Q*, G = exp(i t Q*HQ), is built in the products' frame:
-    G in (Q, Q), WG in (V, Q) or GW* in (Q, V) (W = V*Q), so every distance
-    is taken between r x r, d x r or r x d cores and no d x d matrix is
-    formed; ``report.limit.matrix`` and ``report.target.matrix`` are lifted
-    only when read. W is formed once, for the target and every n.
+    G in (E, E), WG in (H, E) or GW* in (E, H) (W = V*Q), so every distance
+    is taken between cores and no d x d matrix is formed. W is formed once,
+    for the target and every n.
     """
     check_dims(h, e)
     sched = _normalize_schedule(schedule)
-    q, w = e.basis, _overlap(h, e)
-    g = evolve(zeno_generator(h, e), t)
+    w, g = h._coordinates(e.basis), evolve(zeno_generator(h, e), t)
     if sched.ordering == "UE":
-        target = ZenoProduct(h, _matmul(w, g), q)
+        target = ZenoProduct(h, _matmul(w, g), e)
     elif sched.ordering == "EU":
-        target = ZenoProduct(q, _matmul(g, w.conj().T), h)
+        target = ZenoProduct(e, _matmul(g, w.conj().T), h)
     else:
-        target = ZenoProduct(q, g, q)
+        target = ZenoProduct(e, g, e)
     return product_convergence_report(
         lambda n: zeno_product(h, e, t, n, sched.ordering, _w=w), target, sched.n_values
     )
@@ -300,7 +288,7 @@ def zeno_generator(h: HermitianOperator, e: OrthogonalProjection) -> HermitianOp
 
 def _leakage(h: HermitianOperator, e: OrthogonalProjection, times: Iterable[float]) -> np.ndarray:
     """||E_perp exp(i t H) E|| at each t, as ||UQ - Q(Q*UQ)|| at d x r with Q = e.basis."""
-    q, v, w = e.basis, h.eigenvectors, _overlap(h, e)
+    q, v, w = e.basis, h.eigenvectors, h._coordinates(e.basis)
     uqs = (_matmul(v, phase_factors(h, t)[:, None] * w) for t in times)  # UQ = V (Phi W), d x r
     return np.array([operator_norm(uq - q @ (q.conj().T @ uq)) for uq in uqs])
 

@@ -27,6 +27,7 @@ from zenolab.operators import (
     HermitianOperator,
     OrthogonalProjection,
     _column_norm_bound,
+    _frame_columns,
     _freeze,
     _matmul,
     _violation,
@@ -112,8 +113,8 @@ def _from_spectrum(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def density_matrix(state) -> np.ndarray:
-    """rho = U diag(p) U* of a ``DensityState`` from its frame U and weights p, at d x d."""
-    return _from_spectrum(state.frame, state.weights)
+    """rho = U diag(p) U* of a ``DensityState`` from its frame's columns U and weights p, at d x d."""
+    return _from_spectrum(_frame_columns(state.frame), state.weights)
 
 
 def dense_gaps(rho, h, a, b, ts, beta):

@@ -246,6 +246,72 @@ class TestExitCodes:
         assert err == [f"error: {type(exc).__name__}: {' '.join(str(exc).split())}"]
 
 
+class TestProcessEdges:
+    """A failed write to stdout and an interrupt keep the contract: exit 2, one ``error:`` line, no traceback."""
+
+    @staticmethod
+    def child(tmp_path, stdout):
+        """A converge run in a fresh process, its stdout on ``stdout``; returns the finished process."""
+        config = write(tmp_path / "c.yaml", RABI_CONVERGE)
+        env = dict(os.environ, PYTHONPATH=str(Path(zenolab.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "zenolab.cli", "converge", "--config", config, "--out", str(tmp_path / "o")]
+        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+    def test_closed_pipe_exits_two(self, tmp_path):
+        """``zenolab ... | true``: the reader is gone before the report is printed."""
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = self.child(tmp_path, writer)
+        finally:
+            os.close(writer)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: BrokenPipeError: [Errno 32] Broken pipe"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_full_stdout_exits_two(self, tmp_path):
+        with open("/dev/full", "w") as full:
+            proc = self.child(tmp_path, full)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: OSError: [Errno 28] No space left on device"]
+
+    def test_failed_stdout_is_pointed_at_devnull(self, tmp_path, capsys, monkeypatch):
+        """After the report fails to print, stdout's descriptor is os.devnull: the flush at exit writes nowhere."""
+        reader, writer = os.pipe()
+        os.close(reader)
+        stream = open(writer, "w")
+        monkeypatch.setattr(sys, "stdout", stream)
+        config = write(tmp_path / "c.yaml", RABI_CONVERGE)
+        try:
+            assert main(["converge", "--config", config, "--out", str(tmp_path / "o")]) == 2
+            assert os.path.samestat(os.fstat(writer), os.stat(os.devnull))
+        finally:
+            stream.close()
+        assert capsys.readouterr().err.splitlines() == ["error: BrokenPipeError: [Errno 32] Broken pipe"]
+
+    def test_failed_stdout_without_a_descriptor_exits_two(self, tmp_path, capsys, monkeypatch):
+        """A stdout with no file descriptor (a StringIO, as a caller may redirect it to) is left as it is."""
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        config = write(tmp_path / "c.yaml", RABI_CONVERGE)
+        assert main(["converge", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: OSError: [Errno 28] No space left on device"]
+
+    def test_interrupt_exits_two(self, tmp_path, capsys, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(zenolab.cli, "run_scenario", interrupt)
+        config = write(tmp_path / "c.yaml", RABI_CONVERGE)
+        assert main(["converge", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: interrupted"] and captured.out == ""
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):
         config = write(

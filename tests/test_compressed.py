@@ -25,7 +25,6 @@ from zenolab.zeno import (
     ORDERINGS,
     ZenoProduct,
     ZenoSchedule,
-    _lift,
     product_convergence_report,
     reduced_dynamics,
     zeno_convergence_report,
@@ -206,10 +205,10 @@ class TestProductCache:
             built.append(n)
             x = np.eye(3, dtype=complex) * (1.0 + 1.0 / n)
             alive.append(weakref.ref(x))
-            return ZenoProduct(eye, x, eye)
+            return ZenoProduct(full, x, full)
 
-        eye = np.eye(3, dtype=complex)
-        report = product_convergence_report(step_product, ZenoProduct(eye, eye, eye), ns)
+        full = identity_projection(3)
+        report = product_convergence_report(step_product, ZenoProduct(full, np.eye(3, dtype=complex), full), ns)
         assert sorted(built) == sorted(set(ns) | {2 * n for n in ns})
         assert len(built) == len(set(built))
         # while the next product is built, at most the current row's and the limit are held
@@ -315,10 +314,27 @@ def test_friedrichs_lift_forms_v_on_read(ordering):
     """UE and EU hold the operator as the V side of their frame: V is formed when ``.matrix`` is read, and the
     lift is the one from V itself, bit for bit."""
     scen = build_scenario(parse_config({"schema_version": 1, "task": "converge", "model": FRIEDRICHS_100}))
-    h, q = scen.hamiltonian, scen.projection.basis
-    report = zeno_convergence_report(h, scen.projection, T, ZenoSchedule((1, 4), ordering=ordering))
+    h, e = scen.hamiltonian, scen.projection
+    report = zeno_convergence_report(h, e, T, ZenoSchedule((1, 4), ordering=ordering))
     assert "eigenvectors" not in vars(h)
     lifted, core = report.limit.matrix, report.limit.core
     assert "eigenvectors" in vars(h)
-    expected = _lift(h.eigenvectors, core, q) if ordering == "UE" else _lift(q, core, h.eigenvectors)
-    np.testing.assert_array_equal(lifted, expected)
+    v = OrthogonalProjection(h.eigenvectors)
+    expected = ZenoProduct(v, core, e) if ordering == "UE" else ZenoProduct(e, core, v)
+    np.testing.assert_array_equal(lifted, expected.matrix)
+
+
+def test_a_product_frame_is_a_checked_projection_or_an_operator():
+    """A side is an OrthogonalProjection or a HermitianOperator: a scaled basis fails the projection's check, a
+    bare array is a TypeError and a core that does not fit its sides is a DimensionMismatch."""
+    h = random_hermitian_op(np.random.default_rng(43), 4)
+    v, core = h.eigenvectors, np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="orthonormal"):
+        ZenoProduct(OrthogonalProjection(2.0 * v[:, :2]), core, OrthogonalProjection(v[:, :2]))
+    for left, right in ((v[:, :2], OrthogonalProjection(v[:, :2])), (OrthogonalProjection(v[:, :2]), v[:, :2])):
+        with pytest.raises(TypeError, match="frame"):
+            ZenoProduct(left, core, right)
+    with pytest.raises(DimensionMismatch):
+        ZenoProduct(h, core, OrthogonalProjection(v[:, :2]))
+    product = ZenoProduct(h, np.eye(4, 2), OrthogonalProjection(v[:, :2]))  # V (V*Q) Q* = QQ*
+    assert operator_norm(product.matrix - v[:, :2] @ v[:, :2].conj().T) <= 1e-14

@@ -69,11 +69,11 @@ class TestGibbsState:
         assert state.weights.tolist() == [1.0, 0.0, 0.0]
 
     def test_is_its_frame_and_weights(self, monkeypatch):
-        """The state is H's eigenvectors and the weights exp(-beta (w - w_0)) / Z; no rho is held."""
+        """The state is framed by H itself, with the weights exp(-beta (w - w_0)) / Z; no rho is held."""
         h = random_hermitian_op(np.random.default_rng(21), 6)
         monkeypatch.setattr(np.linalg, "eigvalsh", None)
         state = gibbs_state(h, 0.8)
-        assert state.frame is h.eigenvectors and not hasattr(state, "rho")
+        assert state.frame is h and not hasattr(state, "rho")
         shifted = np.exp(-0.8 * (h.eigenvalues - h.eigenvalues[0]))
         assert np.array_equal(state.weights, shifted / np.sum(shifted))
 
@@ -85,8 +85,14 @@ class TestGibbsState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert state.frame is h.eigenvectors
+        assert state.frame is h
         assert peak < 0.1 * 200**2 * 16
+
+    def test_arrowhead_state_forms_no_v(self):
+        """A Friedrichs H frames its own Gibbs state: its eigenvectors are not formed to name it."""
+        h, _ = model_and_compression({"friedrichs": {"n_modes": 200}})
+        state = gibbs_state(h, 1.0)
+        assert state.frame is h and "eigenvectors" not in vars(h)
 
 
 class TestKMSScale:
@@ -414,11 +420,11 @@ class TestKMSResidual:
         h = random_hermitian_op(np.random.default_rng(6), 4)
         v, a = h.eigenvectors, np.eye(4)
         with pytest.raises(DimensionMismatch):
-            kms_residual(h, DensityState(v[:3], np.ones(4) / 4.0), a, a, 0.5, 1.0)
+            kms_residual(h, DensityState(identity_projection(3), np.ones(3) / 3.0), a, a, 0.5, 1.0)
         with pytest.raises(DimensionMismatch):
-            DensityState(v[:, :3], np.ones(4) / 4.0)
+            DensityState(OrthogonalProjection(v[:, :3]), np.ones(4) / 4.0)
         with pytest.raises(DimensionMismatch):
-            DensityState(v[:, 0], np.ones(1))
+            OrthogonalProjection(v[:, 0])
 
     @pytest.mark.parametrize("case", ["expectation", "reduced-pair", "reduced-state", "scale"])
     def test_mismatched_sizes_are_typed(self, case):
@@ -485,7 +491,7 @@ class TestGibbsStateAsWeights:
         h, _ = model_and_compression(TestEigenbasisPath.MODELS[model])
         rng, ts = np.random.default_rng(32), np.linspace(-2.0, 2.0, 5)
         weighted = gibbs_state(h, state_beta)
-        copied = DensityState(h.eigenvectors.copy(), weighted.weights)
+        copied = DensityState(OrthogonalProjection(h.eigenvectors.copy()), weighted.weights)
         kernel, seen = zenolab.gibbs._kms_gaps, []
 
         def spy(frame, *args):
@@ -565,7 +571,7 @@ class TestZenoGibbs:
             tracemalloc.stop()
         assert shapes == [(e.rank, e.rank)] and not hasattr(zenolab.gibbs, "eigendecompose")
         assert "matrix" not in vars(h) and "eigenvectors" not in vars(h)
-        assert state.frame.shape == (h.dim, e.rank)
+        assert state.frame.basis.shape == (h.dim, e.rank)
         assert peak < h.dim**2 * 8
 
     @pytest.mark.parametrize("model", list(TestEigenbasisPath.MODELS), ids=list(TestEigenbasisPath.MODELS))
@@ -832,7 +838,7 @@ class TestFrameRoute:
             state = zeno_gibbs_state(h, e if e is not None and k == 1 else projection_from_span(spanning), 0.7)
         else:
             p = rng.uniform(0.1, 1.0, k)
-            state = DensityState(projection_from_span(spanning).basis, p / np.sum(p))
+            state = DensityState(projection_from_span(spanning), p / np.sum(p))
         pairs = [(random_hermitian(rng, d), random_hermitian(rng, d)) for _ in range(2)]
         return rng, h, state, pairs
 
@@ -850,7 +856,7 @@ class TestFrameRoute:
     @CASES
     def test_full_check(self, kind, d, k, source):
         _, h, state, pairs = self.case(kind, d, k, source)
-        assert state.frame is not h.eigenvectors
+        assert state.frame is not h
         for a, b in pairs:
             fast = kms_residual(h, state, a, b, self.TS, self.BETA)
             dense = np.array(dense_gaps(density_matrix(state), h, a, b, self.TS, self.BETA))
@@ -1008,3 +1014,29 @@ class TestGibbsTimeGrid:
         with pytest.raises(ConfigError, match="^t_grid: needs start < stop and a finite span"):
             parse_config(data)
         parse_config({**data, "t_grid": [-8e307, 8e307, 3]})
+
+
+class TestFrameType:
+    """A state's frame is a checked projection or the operator itself, and nothing else."""
+
+    def test_a_scaled_basis_is_refused_by_the_projection(self):
+        """2 V[:, :2] at d = 4 once built a state whose expectation of the identity read 4."""
+        v = random_hermitian_op(np.random.default_rng(61), 4).eigenvectors
+        with pytest.raises(ValueError, match="orthonormal"):
+            DensityState(OrthogonalProjection(2.0 * v[:, :2]), np.array([0.5, 0.5]))
+
+    def test_a_bare_array_is_a_type_error(self):
+        v = random_hermitian_op(np.random.default_rng(61), 4).eigenvectors
+        with pytest.raises(TypeError, match="frame"):
+            DensityState(v[:, :2], np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("model", list(TestEigenbasisPath.MODELS), ids=list(TestEigenbasisPath.MODELS))
+    def test_expectation_of_either_frame_is_the_dense_trace(self, model):
+        """A state framed by H (its Gibbs state) and one framed by a projection (weights on range(E))."""
+        h, e = model_and_compression(TestEigenbasisPath.MODELS[model])
+        rng = np.random.default_rng(62)
+        p = rng.uniform(0.1, 1.0, e.rank)
+        for state in (gibbs_state(h, 0.7), DensityState(e, p / np.sum(p))):
+            for _ in range(3):
+                a = random_hermitian(rng, h.dim)
+                assert abs(expectation(state, a) - np.trace(density_matrix(state) @ a)) <= 1e-12

@@ -62,7 +62,7 @@ class TestDegenerateProduct:
 
     @pytest.mark.parametrize("rank", [1, 3, 6])
     def test_factored_distances_match_the_dense_products(self, monkeypatch, rank):
-        # the products are held as d x r cores in the frame (I, Q); the distances are the d x d ones
+        # the products are held as d x r cores in the frame (I, E); the distances are the d x d ones
         rng = np.random.default_rng(20 + rank)
         m = random_psd(rng, 6) + 0.5 * np.eye(6) + 0.3j * random_psd(rng, 6)  # |Im| <= Re: not normal
         a = sectorial_operator(m, math.pi / 4)
@@ -86,6 +86,7 @@ class TestDegenerateProduct:
             assert abs(cauchy - operator_norm(dense[n] - dense[2 * n])) <= 1e-12
         assert operator_norm(report.limit.matrix - dense[8]) <= 1e-12
         assert operator_norm(report.target.matrix - target) <= 1e-12
+        assert report.target.left is report.limit.left and report.target.right is report.limit.right is e
 
     def test_commuting_psd_exact_at_n_one(self):
         d = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
@@ -169,6 +170,7 @@ class TestKatoProduct:
         oracle = expm(-(ma + mb))
         assert operator_norm(report.limit.matrix - oracle) < 1e-6
         assert operator_norm(report.target.matrix - oracle) < 1e-12
+        assert report.target.left is report.limit.left is report.limit.right is report.target.right
 
     def test_disjoint_supports_kill_the_product(self):
         basis = np.eye(4, dtype=complex)

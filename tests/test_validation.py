@@ -214,17 +214,18 @@ def test_density_weight_checks_are_two_sided(defect, ratio):
         "trace-above": np.array([0.25, 0.75 + c, 0.0]),
         "trace-below": np.array([0.25, 0.75 - c, 0.0]),
     }[defect]
+    frame = OrthogonalProjection(q[:, :3])
     if ratio > 1.0:
         with pytest.raises(ValueError, match="negative" if defect == "negative-weight" else "trace"):
-            DensityState(q[:, :3], p)
+            DensityState(frame, p)
     else:
-        DensityState(q[:, :3], p)
+        DensityState(frame, p)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_density_weights_must_be_finite(bad):
     with pytest.raises(ValueError):
-        DensityState(_unitary(7)[:, :2], np.array([1.0, bad]))
+        DensityState(OrthogonalProjection(_unitary(7)[:, :2]), np.array([1.0, bad]))
 
 
 NAN_STATE = np.array([np.nan, 0.0])

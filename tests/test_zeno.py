@@ -91,18 +91,18 @@ class TestConvergenceReport:
         rng = np.random.default_rng(13)
         h = random_hermitian_op(rng, 8, norm=1.0)
         e = random_projection(rng, 8, 3)
-        overlap, formed, products = zenolab.zeno._overlap, [], []
+        coordinates, formed, products = HermitianOperator._coordinates, [], []
         product = zenolab.zeno.zeno_product
 
-        def spy_overlap(*args):
+        def spy_coordinates(*args):
             formed.append(1)
-            return overlap(*args)
+            return coordinates(*args)
 
         def spy_product(*args, **kwargs):
             products.append(product(*args, **kwargs))
             return products[-1]
 
-        monkeypatch.setattr(zenolab.zeno, "_overlap", spy_overlap)
+        monkeypatch.setattr(HermitianOperator, "_coordinates", spy_coordinates)
         monkeypatch.setattr(zenolab.zeno, "zeno_product", spy_product)
         zeno_convergence_report(h, e, 1.0, ZenoSchedule(ordering=ordering))
         assert len(formed) == 1 and len(products) == 13
