@@ -100,7 +100,6 @@ from .zeno import (
     AzcFit,
     ZenoConvergenceReport,
     ZenoProduct,
-    ZenoSchedule,
     azc_fit,
     reduced_dynamics,
     zeno_convergence_report,

@@ -69,40 +69,18 @@ class WindowTooSmall(ZenoLabError):
 
 
 class NonExponential(ZenoLabError):
-    """Log-linear fit rejected; the data shows no exponential regime.
-
-    Carries the rejected fit in ``self.fit`` for inspection.
-    """
-
-    def __init__(self, message: str, fit=None):
-        super().__init__(message)
-        self.fit = fit
+    """Log-linear fit rejected; the data shows no exponential regime."""
 
 
 class NoCrossing(ZenoLabError):
-    """Effective-rate curve never crosses the natural rate on the sampled range.
-
-    ``self.curve_min`` / ``self.curve_max`` hold the curve's extremes.
-    """
-
-    def __init__(self, message: str, curve_min: float | None = None, curve_max: float | None = None):
-        super().__init__(message)
-        self.curve_min = curve_min
-        self.curve_max = curve_max
+    """Effective-rate curve never crosses the natural rate on the sampled range; the message gives its range."""
 
 
 # spectral measures
 
 
 class QuadratureFailure(ZenoLabError):
-    """Adaptive quadrature did not reach the requested accuracy.
-
-    ``self.error_bound`` holds the estimated error of the failed integral.
-    """
-
-    def __init__(self, message: str, error_bound: float | None = None):
-        super().__init__(message)
-        self.error_bound = error_bound
+    """Adaptive quadrature did not reach the requested accuracy."""
 
 
 # scenario runner

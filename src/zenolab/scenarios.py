@@ -58,7 +58,7 @@ from .spectral import (
     zeno_modulus_table,
 )
 from .survival import decay_fit, decay_profile, default_fit_window, effective_rate_curve, find_crossing
-from .zeno import _DEFAULT_N_VALUES, ORDERINGS, ZenoSchedule, _leakage, zeno_convergence_report
+from .zeno import _DEFAULT_N_VALUES, ORDERINGS, _leakage, zeno_convergence_report
 
 __all__ = [
     "ScenarioConfig",
@@ -550,8 +550,8 @@ def _run_task(config: ScenarioConfig, scen: Scenario, out: Path) -> RunReport:
 
 
 def _converge(config: ScenarioConfig, scen: Scenario):
-    schedule = ZenoSchedule(config.options["n_schedule"], ordering=config.options["ordering"])
-    report = zeno_convergence_report(scen.hamiltonian, scen.projection, config.options["t"], schedule)
+    t, n_values, ordering = (config.options[key] for key in ("t", "n_schedule", "ordering"))
+    report = zeno_convergence_report(scen.hamiltonian, scen.projection, t, n_values, ordering)
     ns, distances, deltas = zip(*report.per_n)
     table = Table({"n": ns, "distance_to_limit": distances, "cauchy_delta": deltas})
     headline = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .operators import (
     identity_projection,
     operator_norm,
 )
-from .zeno import ZenoConvergenceReport, ZenoProduct, ZenoSchedule, _normalize_schedule, product_convergence_report
+from .zeno import _DEFAULT_N_VALUES, ZenoConvergenceReport, ZenoProduct, product_convergence_report
 
 __all__ = [
     "SectorialOperator",
@@ -72,17 +72,15 @@ def sector_margin(a, angle: float) -> float:
 
 @dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
 class SectorialOperator:
-    """Generator whose semigroup exp(-zA) is contractive in a sector of this angle."""
+    """Generator whose semigroup exp(-zA) is contractive in a sector of this angle, checked on construction."""
 
     matrix: np.ndarray
     angle: float
-    margin: float
 
     def __post_init__(self):
-        if self.margin > tol(1e-10, operator_norm(self.matrix)):
-            raise NotSectorial(
-                f"numerical range violates the sector by {self.margin:.3e} at angle {self.angle:.4f}"
-            )
+        margin = sector_margin(self.matrix, self.angle)
+        if margin > tol(1e-10, operator_norm(self.matrix)):
+            raise NotSectorial(f"numerical range violates the sector by {margin:.3e} at angle {self.angle:.4f}")
 
     @property
     def dim(self) -> int:
@@ -92,7 +90,7 @@ class SectorialOperator:
 def sectorial_operator(a, angle: float) -> SectorialOperator:
     """Validate the sector condition and package the generator."""
     m = _freeze(as_complex_matrix(a).copy())  # a private copy: the caller's array stays writeable
-    return SectorialOperator(m, float(angle), sector_margin(m, angle))
+    return SectorialOperator(m, float(angle))
 
 
 @dataclass(frozen=True, eq=False)  # an array field does not compare as one truth value
@@ -121,11 +119,13 @@ class DegenerateForm:
 
 
 def degenerate_form(support: OrthogonalProjection, matrix) -> DegenerateForm:
-    """Build a form from a support projection and a (to-be-compressed) PSD matrix."""
+    """Build a form from a support projection and a (to-be-compressed) PSD matrix.
+
+    The compression PaP goes to ``eigendecompose`` as it is: a non-Hermitian one raises NotHermitian.
+    """
     a = as_complex_matrix(matrix)
     check_dims(support, a)
-    c = support.matrix @ a @ support.matrix
-    return DegenerateForm(support, eigendecompose((c + c.conj().T) / 2.0))
+    return DegenerateForm(support, eigendecompose(support.matrix @ a @ support.matrix))
 
 
 def full_support_form(matrix) -> DegenerateForm:
@@ -147,7 +147,7 @@ def degenerate_product(
     a: SectorialOperator,
     e: OrthogonalProjection,
     t: float,
-    n_schedule: ZenoSchedule | Iterable[int] | None = None,
+    n_values: Sequence[int] = _DEFAULT_N_VALUES,
 ) -> ZenoConvergenceReport:
     """Products [exp(-tA/n) E]^n compared against exp(-t EAE) E.
 
@@ -158,7 +158,6 @@ def degenerate_product(
     if t <= 0:
         raise ValueError("t must be positive")
     check_dims(a.matrix, e)
-    sched = _normalize_schedule(n_schedule)
     q = e.basis
     qh = q.conj().T
     full = identity_projection(e.dim)
@@ -168,7 +167,7 @@ def degenerate_product(
         sq = expm(-(t / n) * a.matrix) @ q
         return ZenoProduct(full, sq @ np.linalg.matrix_power(qh @ sq, n - 1), e)
 
-    return product_convergence_report(step_product, target, sched.n_values)
+    return product_convergence_report(step_product, target, n_values)
 
 
 def form_sum_operator(a: DegenerateForm, b: DegenerateForm) -> DegenerateForm:
@@ -191,13 +190,12 @@ def kato_form_sum_product(
     a: DegenerateForm,
     b: DegenerateForm,
     t: float,
-    n_schedule: ZenoSchedule | Iterable[int] | None = None,
+    n_values: Sequence[int] = _DEFAULT_N_VALUES,
 ) -> ZenoConvergenceReport:
     """Alternating products [exp(-ta/n) exp(-tb/n)]^n against exp(-t(a+b))."""
     if t <= 0:
         raise ValueError("t must be positive")
     check_dims(a, b)
-    sched = _normalize_schedule(n_schedule)
     full = identity_projection(a.dim)
     target = ZenoProduct(full, form_semigroup(form_sum_operator(a, b), t), full)
 
@@ -205,4 +203,4 @@ def kato_form_sum_product(
         step = form_semigroup(a, t / n) @ form_semigroup(b, t / n)
         return ZenoProduct(full, np.linalg.matrix_power(step, n), full)
 
-    return product_convergence_report(step_product, target, sched.n_values)
+    return product_convergence_report(step_product, target, n_values)

@@ -239,7 +239,7 @@ def _pareto_tail_integral_head(alpha: float, v: float) -> float:
 
     value, err = integrate.quad(_half_sinc_squared, 0.0, v, weight="alg", wvar=(1.0 - alpha, 0.0), limit=400)
     if err > 1e-11 * max(1.0, abs(value)):
-        raise QuadratureFailure("characteristic-function quadrature did not converge", error_bound=err)
+        raise QuadratureFailure("characteristic-function quadrature did not converge")
     return value
 
 

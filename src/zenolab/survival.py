@@ -308,9 +308,9 @@ def decay_fit(profile: DecayProfile, window: tuple[float, float]) -> DecayFit:
     slope, intercept, rms = linear_fit(t, np.log(p))
     fit = DecayFit(gamma0=-slope, prefactor=float(np.exp(intercept)), window=(t_lo, t_hi), residual=rms)
     if rms > 0.1:
-        raise NonExponential(f"log-linear residual {rms:.3g} exceeds 0.1", fit=fit)
+        raise NonExponential(f"log-linear residual {rms:.3g} exceeds 0.1")
     if fit.gamma0 <= 0:
-        raise NonExponential(f"fitted rate {fit.gamma0:.3g} is not a decay", fit=fit)
+        raise NonExponential(f"fitted rate {fit.gamma0:.3g} is not a decay")
     return fit
 
 
@@ -332,10 +332,7 @@ def find_crossing(gamma_eff_curve, gamma0: float) -> float:
     change = [i for i in change if sign[i] != 0 or sign[i + 1] != 0]
     if not len(change):
         raise NoCrossing(
-            f"gamma_eff stays on one side of {gamma0:.6g} "
-            f"(range [{gammas.min():.6g}, {gammas.max():.6g}])",
-            curve_min=float(gammas.min()),
-            curve_max=float(gammas.max()),
+            f"gamma_eff stays on one side of {gamma0:.6g} (range [{gammas.min():.6g}, {gammas.max():.6g}])"
         )
     i = int(change[0])
     lo, hi = float(taus[i]), float(taus[i + 1])

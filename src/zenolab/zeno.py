@@ -50,24 +50,6 @@ ORDERINGS = ("EUE", "UE", "EU")
 _DEFAULT_N_VALUES = tuple(2**k for k in range(1, 13))
 
 
-@dataclass(frozen=True)
-class ZenoSchedule:
-    """Which product lengths to evaluate, in which ordering."""
-
-    n_values: tuple[int, ...] = _DEFAULT_N_VALUES
-    ordering: str = "EUE"
-
-    def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_values)
-        if not ns:
-            raise ValueError("schedule needs at least one n")
-        if any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("n_values must be strictly increasing positive integers")
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
-        object.__setattr__(self, "n_values", ns)
-
-
 @dataclass(frozen=True, eq=False)  # arrays do not compare as one truth value
 class ZenoProduct:
     """A d x d product X = L C R* held as its core C in the frame (L, R).
@@ -183,14 +165,6 @@ def reduced_dynamics(h: HermitianOperator, e: OrthogonalProjection, t: float) ->
     return ZenoProduct(e, evolve(zeno_generator(h, e), t), e).matrix
 
 
-def _normalize_schedule(schedule) -> ZenoSchedule:
-    if schedule is None:
-        return ZenoSchedule()
-    if isinstance(schedule, ZenoSchedule):
-        return schedule
-    return ZenoSchedule(tuple(schedule))
-
-
 def product_convergence_report(
     step_product: Callable[[int], ZenoProduct],
     target: ZenoProduct,
@@ -198,49 +172,47 @@ def product_convergence_report(
 ) -> ZenoConvergenceReport:
     """Distances of step products to a target, with Cauchy deltas and a rate fit.
 
-    Shared by the unitary, sectorial-semigroup, and form-sum product routes.
-    The products and the target share one frame, so every distance is the
-    norm of a difference of cores. Each product is built once and dropped as
-    soon as no later row needs it; the one at the largest n is kept as the
-    limit.
+    Shared by the unitary, sectorial-semigroup, and form-sum product routes,
+    and the one check of their n values: nonempty, positive and strictly
+    increasing, else a ValueError. The products and the target share one
+    frame, so every distance is the norm of a difference of cores. The rows
+    are done chain by chain, n, 2n, 4n, ...: each row builds n and 2n at most
+    once, drops n after its row and keeps 2n only as the next row of its chain,
+    so at most the limit (the product at the last n) and one core are held
+    while the next is built.
     """
     ns = [int(n) for n in n_values]
-    n_max = ns[-1]
-    kept: dict[int, np.ndarray] = {}
-    limit = None
-
-    def prod(n: int) -> np.ndarray:
-        nonlocal limit
-        if n not in kept:
-            x = step_product(n)
-            if n == n_max:
+    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("n_values must be a nonempty, strictly increasing sequence of positive integers")
+    wanted = set(ns)
+    rows: dict[int, tuple[int, float, float]] = {}
+    for n in ns:
+        if n % 2 == 0 and n // 2 in wanted:
+            continue  # a row of the chain that n // 2 heads
+        m, x = n, step_product(n)
+        while m in wanted:
+            x2 = step_product(2 * m)
+            rows[m] = (m, operator_norm(x.core - target.core), operator_norm(x.core - x2.core))
+            if m == ns[-1]:
                 limit = x
-            kept[n] = x.core
-        return kept[n]
+            m, x = 2 * m, x2
+        del x, x2
+    per_n = tuple(rows[n] for n in ns)
 
-    rows = []
-    for i, n in enumerate(ns):
-        x = prod(n)
-        rows.append((n, operator_norm(x - target.core), operator_norm(x - prod(2 * n))))
-        needed = {m * k for m in ns[i + 1 :] for k in (1, 2)}
-        for m in [m for m in kept if m not in needed]:
-            del kept[m]
-    residual = rows[-1][1]
-
-    distances = np.array([r[1] for r in rows])
+    distances = np.array([r[1] for r in per_n])
     exact = bool(np.max(distances) <= tol(1e-12))
     exponent = constant = None
     if not exact:
-        half = rows[len(rows) // 2 :]
+        half = per_n[len(per_n) // 2 :]
         xs = np.array([r[0] for r in half if r[1] > 0], dtype=float)
         ys = np.array([r[1] for r in half if r[1] > 0])
         if xs.size >= 2:
             exponent, constant, _ = loglog_fit(xs, ys)
     return ZenoConvergenceReport(
-        per_n=tuple(rows),
+        per_n=per_n,
         limit=limit,
         target=target,
-        target_residual=residual,
+        target_residual=per_n[-1][1],
         fitted_rate_exponent=exponent,
         fitted_rate_constant=constant,
         exact=exact,
@@ -251,9 +223,10 @@ def zeno_convergence_report(
     h: HermitianOperator,
     e: OrthogonalProjection,
     t: float,
-    schedule: ZenoSchedule | Iterable[int] | None = None,
+    n_values: Sequence[int] = _DEFAULT_N_VALUES,
+    ordering: str = "EUE",
 ) -> ZenoConvergenceReport:
-    """Run the product over the schedule and compare against exp(i t EHE) E.
+    """Run the product over the n values in this ordering and compare against exp(i t EHE) E.
 
     The target Q G Q*, G = exp(i t Q*HQ), is built in the products' frame:
     G in (E, E), WG in (H, E) or GW* in (E, H) (W = V*Q), so every distance
@@ -261,17 +234,14 @@ def zeno_convergence_report(
     for the target and every n.
     """
     check_dims(h, e)
-    sched = _normalize_schedule(schedule)
     w, g = h._coordinates(e.basis), evolve(zeno_generator(h, e), t)
-    if sched.ordering == "UE":
+    if ordering == "UE":
         target = ZenoProduct(h, _matmul(w, g), e)
-    elif sched.ordering == "EU":
+    elif ordering == "EU":
         target = ZenoProduct(e, _matmul(g, w.conj().T), h)
     else:
         target = ZenoProduct(e, g, e)
-    return product_convergence_report(
-        lambda n: zeno_product(h, e, t, n, sched.ordering, _w=w), target, sched.n_values
-    )
+    return product_convergence_report(lambda n: zeno_product(h, e, t, n, ordering, _w=w), target, n_values)
 
 
 def zeno_generator(h: HermitianOperator, e: OrthogonalProjection) -> HermitianOperator:

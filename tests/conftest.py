@@ -1,11 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import zenolab.operators
 from reference import ginibre_hermitian
 from zenolab.operators import HermitianOperator, arrowhead_eigendecompose, eigendecompose, operator_norm, projection_from_span
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def run_hypothesis(check, tmp_path):
+    """Run a ``@given`` check with Hypothesis's home directory under ``tmp_path``.
+
+    Hypothesis caches source constants under its home directory even without a database, and does so while
+    collecting any ``@given`` test; a check that is not itself a test, run here, keeps that cache out of the
+    working tree.
+    """
+    set_hypothesis_home_dir(tmp_path / "hypothesis")
+    try:
+        check()
+    finally:
+        set_hypothesis_home_dir(None)
 
 
 def random_hermitian(rng, dim, norm=None):

@@ -30,10 +30,10 @@ from pathlib import Path
 import pytest
 import yaml
 from hypothesis import example, given, settings
-from hypothesis.configuration import set_hypothesis_home_dir
 from hypothesis import strategies as st
 
 import zenolab.scenarios
+from conftest import run_hypothesis
 from zenolab.cli import main
 from zenolab.scenarios import _MODEL_SCHEMA, _TASK_SCHEMA, _Key
 
@@ -233,13 +233,7 @@ def check_exit_code_contract(data, seed):
 
 
 def test_exit_code_contract(tmp_path):
-    # hypothesis caches source constants under its home directory even
-    # without a database; keep that cache out of the working tree
-    set_hypothesis_home_dir(tmp_path / "hypothesis")
-    try:
-        check_exit_code_contract()
-    finally:
-        set_hypothesis_home_dir(None)
+    run_hypothesis(check_exit_code_contract, tmp_path)
 
 
 def test_a_line_written_to_a_descriptor_breaks_the_contract(monkeypatch):

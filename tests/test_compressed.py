@@ -13,18 +13,20 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import zenolab.scenarios
 import zenolab.zeno
-from conftest import random_hermitian_op, random_projection
+from conftest import random_hermitian_op, random_projection, run_hypothesis
 from reference import dense_product, dense_target, projection_from_matrix
 from zenolab.errors import DimensionMismatch, NonFinite
 from zenolab.operators import OrthogonalProjection, identity_projection, operator_norm
 from zenolab.scenarios import build_scenario, parse_config, run_scenario
+from zenolab.semigroup import degenerate_product, full_support_form, kato_form_sum_product, sectorial_operator
 from zenolab.zeno import (
     ORDERINGS,
     ZenoProduct,
-    ZenoSchedule,
     product_convergence_report,
     reduced_dynamics,
     zeno_convergence_report,
@@ -77,7 +79,7 @@ def test_reduced_dynamics_matches_dense_generator(hamiltonian, name):
 def test_report_distances_match_dense_svd(hamiltonian, name, ordering):
     e = PROJECTIONS[name]
     ns = (1, 2, 7, 64, 512)
-    report = zeno_convergence_report(hamiltonian, e, T, ZenoSchedule(ns, ordering=ordering))
+    report = zeno_convergence_report(hamiltonian, e, T, ns, ordering)
     target = dense_target(hamiltonian, e, T)
     for n, distance, delta in report.per_n:
         dense_n = dense_product(hamiltonian, e, T, n, ordering)
@@ -113,7 +115,7 @@ def test_factored_products_and_report_match_dense(real_v, dim, rank, ordering):
         assert isinstance(product, ZenoProduct) and "matrix" not in vars(product)
         assert operator_norm(product.matrix - dense[n]) <= 1e-12
         assert product.matrix is product.matrix and not product.matrix.flags.writeable
-    report = zeno_convergence_report(h, e, T, ZenoSchedule(ns, ordering=ordering))
+    report = zeno_convergence_report(h, e, T, ns, ordering)
     target = dense_target(h, e, T)
     for n, distance, delta in report.per_n:
         assert abs(distance - operator_norm(dense[n] - target)) <= 1e-12
@@ -190,31 +192,59 @@ class TestBasis:
         assert PROJECTIONS["rank0"].basis.shape == (DIM, 0)
 
 
+# 1 to 8 strictly increasing n in 1..64, each n drawn with or without 2n as a later row
+SCHEDULES = st.lists(st.tuples(st.integers(1, 32), st.booleans()), min_size=1, max_size=4).map(
+    lambda pairs: tuple(sorted({m for n, doubled in pairs for m in ((n, 2 * n) if doubled else (n,))}))
+)
+
+
+@settings(database=None, deadline=None, derandomize=True, max_examples=200)
+@given(SCHEDULES | st.lists(st.integers(1, 64), min_size=1, max_size=8, unique=True).map(sorted).map(tuple))
+@example((2, 4, 8, 16, 32, 64))
+@example((3, 5, 7))
+@example((2, 3, 4, 9))
+@example((5, 6, 7, 10, 12, 14))  # in plain row order 10 and 12 would wait while 7 and 14 are built
+def check_each_n_built_once(ns):
+    """``product_convergence_report`` builds each n once, drops it when done and gives the rows in order."""
+    built: list[int] = []
+    alive: list[weakref.ref] = []
+    most_held = 0
+
+    def step_product(n):
+        nonlocal most_held
+        most_held = max(most_held, sum(ref() is not None for ref in alive))
+        built.append(n)
+        x = np.eye(3, dtype=complex) * (1.0 + 1.0 / n)
+        alive.append(weakref.ref(x))
+        return ZenoProduct(full, x, full)
+
+    full = identity_projection(3)
+    report = product_convergence_report(step_product, ZenoProduct(full, np.eye(3, dtype=complex), full), ns)
+    assert sorted(built) == sorted(set(ns) | {2 * n for n in ns})
+    # while the next product is built, at most the current row's and the limit are held
+    assert most_held <= 2
+    assert np.array_equal(report.limit.matrix, np.eye(3) * (1.0 + 1.0 / ns[-1]))
+    assert [row[0] for row in report.per_n] == list(ns)
+
+
 class TestProductCache:
-    """``product_convergence_report`` builds each n once and drops it when done."""
+    def test_each_n_built_once(self, tmp_path):
+        run_hypothesis(check_each_n_built_once, tmp_path)
 
-    @pytest.mark.parametrize("ns", [(2, 4, 8, 16, 32, 64), (3, 5, 7), (2, 3, 4, 9)])
-    def test_each_n_built_once(self, ns):
-        built: list[int] = []
-        alive: list[weakref.ref] = []
-        most_held = 0
 
-        def step_product(n):
-            nonlocal most_held
-            most_held = max(most_held, sum(ref() is not None for ref in alive))
-            built.append(n)
-            x = np.eye(3, dtype=complex) * (1.0 + 1.0 / n)
-            alive.append(weakref.ref(x))
-            return ZenoProduct(full, x, full)
-
-        full = identity_projection(3)
-        report = product_convergence_report(step_product, ZenoProduct(full, np.eye(3, dtype=complex), full), ns)
-        assert sorted(built) == sorted(set(ns) | {2 * n for n in ns})
-        assert len(built) == len(set(built))
-        # while the next product is built, at most the current row's and the limit are held
-        assert most_held <= 2
-        assert np.array_equal(report.limit.matrix, np.eye(3) * (1.0 + 1.0 / ns[-1]))
-        assert [row[0] for row in report.per_n] == list(ns)
+@pytest.mark.parametrize("ns", [(), (0, 2), (4, 2), (2, 2)])
+@pytest.mark.parametrize("formula", ["unitary", "semigroup", "form-sum"])
+def test_every_formula_refuses_bad_n_values(formula, ns):
+    """Each formula's n values are nonempty, positive and strictly increasing, checked in the shared report."""
+    rng = np.random.default_rng(44)
+    h, e, form = random_hermitian_op(rng, 4), random_projection(rng, 4, 2), full_support_form(np.eye(4))
+    run = {
+        "unitary": lambda: zeno_convergence_report(h, e, T, ns),
+        "semigroup": lambda: degenerate_product(sectorial_operator(np.eye(4), np.pi / 2), e, T, ns),
+        "form-sum": lambda: kato_form_sum_product(form, form, T, ns),
+    }[formula]
+    with pytest.raises(ValueError, match="n_values"):
+        run()
 
 
 FRIEDRICHS_100 = {
@@ -315,7 +345,7 @@ def test_friedrichs_lift_forms_v_on_read(ordering):
     lift is the one from V itself, bit for bit."""
     scen = build_scenario(parse_config({"schema_version": 1, "task": "converge", "model": FRIEDRICHS_100}))
     h, e = scen.hamiltonian, scen.projection
-    report = zeno_convergence_report(h, e, T, ZenoSchedule((1, 4), ordering=ordering))
+    report = zeno_convergence_report(h, e, T, (1, 4), ordering)
     assert "eigenvectors" not in vars(h)
     lifted, core = report.limit.matrix, report.limit.core
     assert "eigenvectors" in vars(h)

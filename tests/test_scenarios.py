@@ -20,7 +20,7 @@ from zenolab.scenarios import (
     perturbed_invariance_check,
     run_scenario,
 )
-from zenolab.zeno import ZenoSchedule, _leakage, azc_fit, zeno_convergence_report
+from zenolab.zeno import _leakage, azc_fit, zeno_convergence_report
 
 
 def cfg(task="converge", model=None, **extra):
@@ -281,7 +281,7 @@ class TestBuilders:
 class TestPerturbedInvariance:
     TIMES = np.linspace(1.0 / 21, 1.0, 21)  # the check's grid
     TAUS = np.logspace(-4, -2, 9)[::-1]
-    SCHEDULE = ZenoSchedule(tuple(2**k for k in range(1, 11)))
+    SCHEDULE = tuple(2**k for k in range(1, 11))
 
     def test_zero_perturbation_never_leaks(self):
         c = cfg(model={"perturbed": {"dim": 6, "seed": 1, "perturbation_norm": 0.0}})

@@ -5,9 +5,10 @@ import pytest
 
 import zenolab.zeno
 from conftest import SIGMA_X, random_projection
-from zenolab.errors import NotSectorial
+from zenolab.errors import NotHermitian, NotSectorial
 from zenolab.operators import expm, operator_norm, projection_from_span
 from zenolab.semigroup import (
+    SectorialOperator,
     degenerate_form,
     degenerate_product,
     form_semigroup,
@@ -42,6 +43,11 @@ class TestSectorMargin:
     def test_constructor_rejects_non_sectorial(self):
         with pytest.raises(NotSectorial):
             sectorial_operator(1j * SIGMA_X, math.pi / 4)
+
+    def test_direct_construction_checks_its_own_margin(self):
+        """A = -1 is not sectorial: built directly, the operator computes its margin and refuses it."""
+        with pytest.raises(NotSectorial):
+            SectorialOperator(np.array([[-1.0]]), math.pi / 4)
 
     def test_constructor_keeps_a_private_copy(self):
         a = np.diag([1.0, 2.0]).astype(complex)
@@ -216,7 +222,7 @@ class TestSemigroupProperties:
     def test_contractivity_of_products(self):
         rng = np.random.default_rng(10)
         a = sectorial_operator(random_psd(rng, 5), math.pi / 2)
-        assert a.margin <= 1e-12
+        assert sector_margin(a.matrix, a.angle) <= 1e-12
         e = random_projection(rng, 5, 2)
         for n in (1, 3, 17, 512):
             step = expm(-(1.3 / n) * a.matrix) @ e.matrix
@@ -237,6 +243,16 @@ class TestFormSemigroup:
             degenerate_form(plane, plane.matrix @ random_psd(rng, 4) @ plane.matrix),
             form_sum_operator(degenerate_form(e, random_psd(rng, 5)), full_support_form(random_psd(rng, 5))),
         ]
+
+    def test_non_hermitian_compression_refused(self):
+        with pytest.raises(NotHermitian):
+            full_support_form([[1, 2], [0, 1]])
+
+    def test_valid_form_holds_the_symmetrised_compression(self):
+        rng = np.random.default_rng(12)
+        e, m = random_projection(rng, 5, 3), random_psd(rng, 5)
+        c = e.matrix @ m @ e.matrix
+        assert np.array_equal(degenerate_form(e, m).psd_part.matrix, (c + c.conj().T) / 2.0)
 
     @pytest.mark.parametrize("t", [1e-9, 0.3, 1.0, 7.5])
     def test_agrees_with_expm(self, t):

@@ -10,7 +10,8 @@ up by string. A defaulted parameter counts as used when one of those files
 passes it, by keyword or by position, to a call of its function's name; an
 option no caller sets is a constant. A dataclass field counts as used when
 one of those files loads its name as an attribute (``x.name`` or
-``getattr(x, "name")``): a record holds only what its readers read. Unit
+``getattr(x, "name")``): a record holds only what its readers read, and
+so does any attribute a class sets on ``self``, an exception's too. Unit
 tests do not count; a dense reference that only tests call lives in
 ``tests/reference.py``.
 
@@ -138,6 +139,30 @@ def test_every_dataclass_field_has_a_reader():
         for cls in library_dataclasses()
         for field in dataclasses.fields(cls)
         if field.name not in loaded
+    ]
+    assert not unread, f"no task, criterion or tracer reads {unread}; delete them"
+
+
+def self_attributes(cls: ast.ClassDef) -> set[str]:
+    """Every attribute a class sets on ``self``: ``self.name = ...`` or ``object.__setattr__(self, "name", ...)``."""
+    out = set()
+    for node in ast.walk(cls):
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        out |= {t.attr for t in targets if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self"}
+        if isinstance(node, ast.Call) and callee(node) == "__setattr__" and len(node.args) > 1:
+            if getattr(node.args[0], "id", None) == "self":
+                out.add(getattr(node.args[1], "value", None))
+    return out
+
+
+def test_every_attribute_set_on_self_has_a_reader():
+    """What a class stores on ``self``, an exception's payload too, is read somewhere, or it is not stored."""
+    loaded = attributes_loaded()
+    unread = [
+        f"{path.stem}.{cls.name}.{name}"
+        for path, cls in library_classes()
+        for name in sorted(self_attributes(cls))
+        if name not in loaded
     ]
     assert not unread, f"no task, criterion or tracer reads {unread}; delete them"
 

@@ -9,7 +9,6 @@ from reference import complement, form_generator
 from zenolab.numeric import tol
 from zenolab.operators import HermitianOperator, eigendecompose, evolve, identity_projection, operator_norm
 from zenolab.zeno import (
-    ZenoSchedule,
     azc_fit,
     reduced_dynamics,
     zeno_convergence_report,
@@ -104,7 +103,7 @@ class TestConvergenceReport:
 
         monkeypatch.setattr(HermitianOperator, "_coordinates", spy_coordinates)
         monkeypatch.setattr(zenolab.zeno, "zeno_product", spy_product)
-        zeno_convergence_report(h, e, 1.0, ZenoSchedule(ordering=ordering))
+        zeno_convergence_report(h, e, 1.0, ordering=ordering)
         assert len(formed) == 1 and len(products) == 13
         monkeypatch.undo()
         for n, got in zip([2**k for k in range(1, 14)], products):
@@ -123,7 +122,7 @@ class TestConvergenceReport:
             return coordinates(self, x)
 
         monkeypatch.setattr(HermitianOperator, "_coordinates", spy_coordinates)
-        report = zeno_convergence_report(h, e, 1.0, ZenoSchedule((2, 4, 8), ordering=ordering))
+        report = zeno_convergence_report(h, e, 1.0, (2, 4, 8), ordering)
         assert shapes == [(40, 10)]
         assert report.target.left is report.limit.left and report.target.right is report.limit.right
 
@@ -255,7 +254,7 @@ class TestReducedDynamics:
         rng = np.random.default_rng(8)
         h = random_hermitian_op(rng, 5)
         e = random_projection(rng, 5, 2)
-        report = zeno_convergence_report(h, e, 0.9, ZenoSchedule((2, 4, 8)))
+        report = zeno_convergence_report(h, e, 0.9, (2, 4, 8))
         assert np.array_equal(report.target.matrix, reduced_dynamics(h, e, 0.9))
 
 
@@ -303,7 +302,7 @@ class TestLimitProperties:
         for trial in range(50):
             rank = 1 + trial % 4
             e = random_projection(rng, 5, rank)
-            report = zeno_convergence_report(h, e, 1.0, ZenoSchedule((512, 1024)))
+            report = zeno_convergence_report(h, e, 1.0, (512, 1024))
             if report.exact:
                 continue
             assert report.distance(1024) < 5e-3
